@@ -18,14 +18,23 @@ and set-similarity joins).  :class:`QueryEngine` executes a batch with
    query in the batch is resident (a free hit) for every later query that
    scans an overlapping entry.
 
-The scan loop itself is *not* re-implemented: the engine injects the
-precomputed state into :meth:`SignatureTableSearcher.knn` /
+The scan itself runs in one of two interchangeable forms.  The default
+``kernel="packed"`` hands the whole prepared batch to
+:func:`repro.core.kernels.knn_scan_batch` /
+:func:`~repro.core.kernels.range_scan_batch`, which take the candidate
+sets (the LSH tier's, or explicit ``candidates``) and the guarantee
+tolerance as arguments.  ``kernel="python"`` and the configurations the
+engine does not hand to the kernels (``sort_by="supercoordinate"``,
+``early_termination``, ``precompute=False``, a buffer pool, an active
+tracer) inject the same prepared state into
+:meth:`SignatureTableSearcher.knn` /
 :meth:`SignatureTableSearcher.multi_range_query` through
-:class:`~repro.core.search.PreparedQuery`, so every measured quantity
+:class:`~repro.core.search.PreparedQuery`.  Every measured quantity
 (results, entries scanned/pruned, transactions accessed, pages read) is
-identical to the single-query searcher by construction.  All batch-side
-arithmetic is integer-exact (see ``BatchBoundCalculator``), so this is a
-bit-for-bit guarantee, pinned down by the differential test suite.
+identical between the two and to the single-query searcher; all
+batch-side arithmetic is integer-exact (see ``BatchBoundCalculator``), so
+this is a bit-for-bit guarantee, pinned down by the differential and
+property test suites.
 
 ``workers=N`` additionally shards the batch across ``N`` forked processes
 (queries are independent, so any sharding returns identical results).  On
@@ -396,11 +405,11 @@ class QueryEngine:
     def _packed_eligible(self) -> bool:
         """Whether the vectorised scan kernels may serve this engine.
 
-        The kernels replicate the default configuration only: precomputed
-        similarities and the per-query page cache.  A buffer pool carries
-        cross-query LRU state the vectorised accounting cannot replay,
-        and an active tracer expects the per-query spans the reference
-        loop emits — both fall back to the scalar path.
+        The kernels need precomputed similarities and replicate the
+        per-query page cache only.  A buffer pool carries cross-query LRU
+        state the vectorised accounting cannot replay, and an active
+        tracer expects the per-query spans the reference loop emits —
+        both fall back to the scalar path.
         """
         return self._kernel == "packed" and self._fallback_reason() is None
 
@@ -462,6 +471,7 @@ class QueryEngine:
         workers: Optional[int] = None,
         candidate_tier: str = "exact",
         target_recall: Optional[float] = None,
+        candidates: Optional[np.ndarray] = None,
     ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
         """k-NN for every target in the batch.
 
@@ -471,14 +481,14 @@ class QueryEngine:
         ``candidate_tier="lsh"`` prefixes each query with an LSH probe of
         the table's sketch index and restricts the branch-and-bound scan
         to the returned candidates — approximate, with the estimated
-        recall reported on each query's stats.
+        recall reported on each query's stats.  ``candidates`` (a boolean
+        mask over all tids or a unique-tid array) restricts every query
+        of the batch to those rows instead (the searcher's ``tid_mask``).
         """
         check_positive(k, "k")
-        candidate_tier, target_recall = _canonical_tier(
-            candidate_tier, target_recall
+        candidate_tier, target_recall = self._canonical_candidates(
+            candidate_tier, target_recall, candidates
         )
-        if candidate_tier == "lsh":
-            self._require_sketch()
         target_arrays = self._normalise(targets)
         kwargs = dict(
             similarity=similarity,
@@ -488,6 +498,7 @@ class QueryEngine:
             sort_by=sort_by,
             candidate_tier=candidate_tier,
             target_recall=target_recall,
+            candidates=candidates,
         )
         return self._dispatch("_knn_chunk", target_arrays, kwargs, workers)
 
@@ -520,23 +531,24 @@ class QueryEngine:
         workers: Optional[int] = None,
         candidate_tier: str = "exact",
         target_recall: Optional[float] = None,
+        candidates: Optional[np.ndarray] = None,
     ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
         """Range query (similarity >= threshold) for every target.
 
         ``candidate_tier="lsh"`` restricts each scan to the sketch tier's
-        LSH candidates (see :meth:`knn_batch`).
+        LSH candidates and ``candidates`` to the given rows (see
+        :meth:`knn_batch`).
         """
-        candidate_tier, target_recall = _canonical_tier(
-            candidate_tier, target_recall
+        candidate_tier, target_recall = self._canonical_candidates(
+            candidate_tier, target_recall, candidates
         )
-        if candidate_tier == "lsh":
-            self._require_sketch()
         target_arrays = self._normalise(targets)
         kwargs = dict(
             similarity=similarity,
             threshold=float(threshold),
             candidate_tier=candidate_tier,
             target_recall=target_recall,
+            candidates=candidates,
         )
         return self._dispatch("_range_chunk", target_arrays, kwargs, workers)
 
@@ -635,16 +647,51 @@ class QueryEngine:
             )
         return sims
 
+    def _row_similarities(
+        self,
+        target_arrays: Sequence[np.ndarray],
+        bound_sims: Sequence[SimilarityFunction],
+    ) -> list:
+        """Per query, a function from tids to those rows' similarities.
+
+        AND + popcount over the gathered packed rows: element for
+        element the values :meth:`_batch_similarities` holds at those
+        tids (the same integer match counts feed the same ``evaluate``).
+        """
+        db = self._searcher.db
+        rows = db.packed_rows()
+        sizes = db.sizes
+        packed_targets = kernels.pack_rows(target_arrays, db.universe_size)
+
+        def bind(q: int):
+            packed_target = packed_targets[q]
+            target_size = target_arrays[q].size
+            bound_sim = bound_sims[q]
+
+            def row_sims(tids: np.ndarray) -> np.ndarray:
+                x = kernels.intersection_counts(rows[tids], packed_target)
+                y = sizes[tids] + target_size - 2 * x
+                return np.asarray(bound_sim.evaluate(x, y), dtype=np.float64)
+
+            return row_sims
+
+        return [bind(q) for q in range(len(target_arrays))]
+
     def _prepare_batch(
         self,
         target_arrays: Sequence[np.ndarray],
         similarity: SimilarityFunction,
         sort_by: Optional[str],
+        readable_rows: Optional[int] = None,
     ) -> List[PreparedQuery]:
         """The amortised bound pass: one ``(Q, E)`` matrix for the batch.
 
         ``sort_by=None`` skips the ordering (range queries scan in entry
-        order).
+        order).  ``readable_rows`` bounds the rows the batch's packed
+        scans can read between them (their candidate sets);
+        when evaluating that many rows on demand is cheaper than every
+        row of the database, queries carry ``row_sims`` instead of
+        ``sims_all``.
         """
         if sort_by is not None and sort_by not in _SORT_MODES:
             raise ValueError(
@@ -683,8 +730,15 @@ class QueryEngine:
                 orders.append(np.argsort(-keys, kind="stable"))
         else:
             orders = [None] * len(target_arrays)
+        sims: Sequence[Optional[np.ndarray]] = [None] * len(target_arrays)
+        row_sims: Sequence = sims
         with span("engine.precompute_sims"):
-            sims = self._batch_similarities(target_arrays, bound_sims)
+            if readable_rows is not None and searcher.db.gathered_rows_win(
+                target_arrays, readable_rows
+            ):
+                row_sims = self._row_similarities(target_arrays, bound_sims)
+            else:
+                sims = self._batch_similarities(target_arrays, bound_sims)
         # One (tids, pages) cache for the whole batch: entry contents are
         # query-independent, so each entry is resolved at most once.
         entry_reads: dict = {}
@@ -696,6 +750,7 @@ class QueryEngine:
                 order=orders[q],
                 sims_all=sims[q],
                 entry_reads=entry_reads,
+                row_sims=row_sims[q],
             )
             for q in range(len(target_arrays))
         ]
@@ -713,19 +768,88 @@ class QueryEngine:
             )
         return sketch
 
+    def _canonical_candidates(
+        self,
+        candidate_tier: str,
+        target_recall: Optional[float],
+        candidates: Optional[np.ndarray],
+    ) -> Tuple[str, Optional[float]]:
+        """Validate a batch's tier and explicit candidate rows."""
+        candidate_tier, target_recall = _canonical_tier(
+            candidate_tier, target_recall
+        )
+        if candidate_tier == "lsh":
+            self._require_sketch()
+            if candidates is not None:
+                raise ValueError(
+                    "candidates cannot be combined with candidate_tier='lsh'"
+                )
+        if candidates is not None:
+            total = len(self._searcher.db)
+            rows = np.asarray(candidates)
+            if rows.dtype == np.bool_:
+                valid = rows.shape == (total,)
+            else:
+                valid = (
+                    rows.ndim == 1
+                    and np.issubdtype(rows.dtype, np.integer)
+                    and (rows.size == 0 or (rows.min() >= 0 and rows.max() < total))
+                )
+            if not valid:
+                raise ValueError(
+                    f"candidates must be a boolean mask of shape ({total},) "
+                    f"or an array of tids in [0, {total})"
+                )
+        return candidate_tier, target_recall
+
     def _probe_batch(
         self, target_arrays: Sequence[np.ndarray], target_recall: Optional[float],
         op: str,
-    ) -> Tuple[list, List[np.ndarray]]:
-        """One LSH probe (and candidate mask) per query of the batch."""
-        sketch = self._require_sketch()
-        total = len(self._searcher.db)
-        probes = [sketch.probe(items, target_recall) for items in target_arrays]
-        masks = [probe.mask(total) for probe in probes]
+    ) -> list:
+        """One LSH probe per query of the batch (signed in one pass)."""
+        probes = self._require_sketch().probe_batch(target_arrays, target_recall)
         if self._sketch_candidates_counter is not None:
             candidates = sum(int(p.candidates.size) for p in probes)
             self._sketch_candidates_counter.labels(op=op).inc(candidates)
-        return probes, masks
+        return probes
+
+    @staticmethod
+    def _readable_rows(
+        per_query: Optional[Sequence[np.ndarray]],
+    ) -> Optional[int]:
+        """Rows the batch's scans can read between them, when candidate
+        sets bound that below the whole database."""
+        if per_query is None:
+            return None
+        return sum(
+            int(np.count_nonzero(rows)) if rows.dtype == np.bool_ else int(rows.size)
+            for rows in per_query
+        )
+
+    def _candidate_rows(
+        self,
+        target_arrays: Sequence[np.ndarray],
+        candidate_tier: str,
+        target_recall: Optional[float],
+        candidates: Optional[np.ndarray],
+        op: str,
+    ) -> Tuple[Optional[list], Optional[List[np.ndarray]]]:
+        """``(probes, per-query candidate rows)`` of one chunk; both
+        ``None`` when every row is a candidate."""
+        if candidate_tier == "lsh":
+            probes = self._probe_batch(target_arrays, target_recall, op=op)
+            return probes, [probe.candidates for probe in probes]
+        if candidates is None:
+            return None, None
+        return None, [np.asarray(candidates)] * len(target_arrays)
+
+    def _tid_mask(self, rows: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """Candidate rows as the boolean mask the scalar searcher takes."""
+        if rows is None or rows.dtype == np.bool_:
+            return rows
+        mask = np.zeros(len(self._searcher.db), dtype=bool)
+        mask[rows] = True
+        return mask
 
     def _finish_sketch_stats(
         self, stats: SearchStats, probe, kth_tid: Optional[int]
@@ -753,51 +877,57 @@ class QueryEngine:
         sort_by: str,
         candidate_tier: str = "exact",
         target_recall: Optional[float] = None,
+        candidates: Optional[np.ndarray] = None,
     ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
-        with span("engine.prepare_batch", batch_size=len(target_arrays)):
-            prepared = self._prepare_batch(target_arrays, similarity, sort_by)
-        if candidate_tier == "lsh":
-            # The masked scan always runs the scalar reference loop — the
-            # packed kernels replicate the unmasked algorithm only.
-            probes, masks = self._probe_batch(
-                target_arrays, target_recall, op="knn"
-            )
-        elif (
+        searcher = self._searcher
+        probes, per_query = self._candidate_rows(
+            target_arrays, candidate_tier, target_recall, candidates, op="knn"
+        )
+        # `knn_scan_batch` models an access budget too, but budgeted
+        # batches keep to the reference loop for now (see CHANGES.md).
+        packed = (
             self._packed_eligible()
             and sort_by == "optimistic"
             and early_termination is None
-            and guarantee_tolerance is None
-        ):
-            return kernels.knn_scan_batch(
-                self._searcher.table,
-                len(self._searcher.db),
+        )
+        readable = self._readable_rows(per_query) if packed else None
+        with span("engine.prepare_batch", batch_size=len(target_arrays)):
+            prepared = self._prepare_batch(
+                target_arrays, similarity, sort_by, readable_rows=readable
+            )
+        if packed:
+            results, stats = kernels.knn_scan_batch(
+                searcher.table,
+                len(searcher.db),
                 prepared,
                 k,
-                self._searcher.count_io,
+                searcher.count_io,
+                candidates=per_query,
+                tolerance=guarantee_tolerance,
             )
         else:
-            probes, masks = None, None
-        results: List[List[Neighbor]] = []
-        stats: List[SearchStats] = []
-        for index, (items, prep) in enumerate(zip(target_arrays, prepared)):
-            neighbors, query_stats = self._searcher.knn(
-                items,
-                similarity,
-                k=k,
-                early_termination=early_termination,
-                guarantee_tolerance=guarantee_tolerance,
-                sort_by=sort_by,
-                prepared=prep,
-                tid_mask=None if masks is None else masks[index],
-            )
-            if probes is not None:
-                self._finish_sketch_stats(
-                    query_stats,
-                    probes[index],
-                    neighbors[-1].tid if neighbors else None,
+            results, stats = [], []
+            for index, (items, prep) in enumerate(zip(target_arrays, prepared)):
+                neighbors, query_stats = searcher.knn(
+                    items,
+                    similarity,
+                    k=k,
+                    early_termination=early_termination,
+                    guarantee_tolerance=guarantee_tolerance,
+                    sort_by=sort_by,
+                    prepared=prep,
+                    tid_mask=(
+                        None if per_query is None
+                        else self._tid_mask(per_query[index])
+                    ),
                 )
-            results.append(neighbors)
-            stats.append(query_stats)
+                results.append(neighbors)
+                stats.append(query_stats)
+        if probes is not None:
+            for neighbors, query_stats, probe in zip(results, stats, probes):
+                self._finish_sketch_stats(
+                    query_stats, probe, neighbors[-1].tid if neighbors else None
+                )
         return results, stats
 
     def _range_chunk(
@@ -807,36 +937,44 @@ class QueryEngine:
         threshold: float,
         candidate_tier: str = "exact",
         target_recall: Optional[float] = None,
+        candidates: Optional[np.ndarray] = None,
     ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
+        searcher = self._searcher
+        probes, per_query = self._candidate_rows(
+            target_arrays, candidate_tier, target_recall, candidates, op="range"
+        )
+        packed = self._packed_eligible()
+        readable = self._readable_rows(per_query) if packed else None
         with span("engine.prepare_batch", batch_size=len(target_arrays)):
-            prepared = self._prepare_batch(target_arrays, similarity, None)
-        if candidate_tier == "lsh":
-            probes, masks = self._probe_batch(
-                target_arrays, target_recall, op="range"
+            prepared = self._prepare_batch(
+                target_arrays, similarity, None, readable_rows=readable
             )
-        elif self._packed_eligible():
-            return kernels.range_scan_batch(
-                self._searcher.table,
-                len(self._searcher.db),
+        if packed:
+            results, stats = kernels.range_scan_batch(
+                searcher.table,
+                len(searcher.db),
                 [[prep] for prep in prepared],
                 [threshold],
-                self._searcher.count_io,
+                searcher.count_io,
+                candidates=per_query,
             )
         else:
-            probes, masks = None, None
-        results: List[List[Neighbor]] = []
-        stats: List[SearchStats] = []
-        for index, (items, prep) in enumerate(zip(target_arrays, prepared)):
-            hits, query_stats = self._searcher.multi_range_query(
-                items,
-                [(similarity, threshold)],
-                prepared=[prep],
-                tid_mask=None if masks is None else masks[index],
-            )
-            if probes is not None:
-                self._finish_sketch_stats(query_stats, probes[index], None)
-            results.append(hits)
-            stats.append(query_stats)
+            results, stats = [], []
+            for index, (items, prep) in enumerate(zip(target_arrays, prepared)):
+                hits, query_stats = searcher.multi_range_query(
+                    items,
+                    [(similarity, threshold)],
+                    prepared=[prep],
+                    tid_mask=(
+                        None if per_query is None
+                        else self._tid_mask(per_query[index])
+                    ),
+                )
+                results.append(hits)
+                stats.append(query_stats)
+        if probes is not None:
+            for query_stats, probe in zip(stats, probes):
+                self._finish_sketch_stats(query_stats, probe, None)
         return results, stats
 
     # ------------------------------------------------------------------

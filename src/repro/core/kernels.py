@@ -28,9 +28,10 @@ test suites under both values.
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -228,21 +229,54 @@ def batch_activation_counts(
         [np.asarray(t, dtype=np.int64) for t in target_arrays],
         scheme.universe_size,
     )
-    return activation_counts_packed(packed, signature_masks(scheme))
+    return activation_counts_packed(packed, scheme.packed_masks())
 
 
 # ----------------------------------------------------------------------
 # Vectorised branch-and-bound scans
 # ----------------------------------------------------------------------
-def _scan_layout(table) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared per-batch geometry of the clustered storage layout."""
+class _Layout(NamedTuple):
+    """The clustered rows a scan walks, entry by entry.
+
+    Entry ``e`` holds ``tids[offsets[e]:offsets[e + 1]]`` in storage
+    order.  ``slots`` are those rows' storage slots, or ``None`` when the
+    layout is the whole table (row ``i`` then sits in slot ``i``).
+    """
+
+    offsets: np.ndarray
+    tids: np.ndarray
+    sizes: np.ndarray
+    slots: Optional[np.ndarray]
+
+
+def _table_layout(table) -> _Layout:
     offsets = np.asarray(table.entry_offsets, dtype=np.int64)
-    ordered = np.asarray(table.ordered_tids, dtype=np.int64)
-    sizes = np.diff(offsets)
-    page_size = int(table.store.page_size)
-    first_page = offsets[:-1] // page_size
-    last_page = (offsets[1:] - 1) // page_size
-    return offsets, ordered, sizes, first_page, last_page
+    tids = np.asarray(table.ordered_tids, dtype=np.int64)
+    return _Layout(offsets, tids, np.diff(offsets), None)
+
+
+def _candidate_layout(table, full: _Layout, candidates) -> _Layout:
+    """``full`` restricted to one query's candidate rows.
+
+    A masked scan is the unmasked scan over this compacted layout:
+    entries keep their identity (and so their bounds and scan rank) and
+    an entry the candidates leave empty has size 0.
+    """
+    candidates = np.asarray(candidates)
+    if candidates.dtype == np.bool_:
+        slots = np.flatnonzero(candidates[full.tids])
+    else:
+        slots = np.sort(table.store.positions[candidates])
+    tids = full.tids[slots]
+    sizes = np.bincount(table.tid_entries[tids], minlength=full.sizes.size)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return _Layout(offsets, tids, sizes, slots)
+
+
+def _layout_for(table, full: _Layout, candidates, query: int) -> _Layout:
+    if candidates is None or candidates[query] is None:
+        return full
+    return _candidate_layout(table, full, candidates[query])
 
 
 def _concat_segments(
@@ -257,34 +291,46 @@ def _concat_segments(
     return np.arange(total, dtype=np.int64) + shifts
 
 
-def _charge_io_vectorised(
+def _charge_io(
+    layout: _Layout,
+    page_size: int,
     entry_ids: np.ndarray,
-    first_page: np.ndarray,
-    last_page: np.ndarray,
+    rows: Optional[np.ndarray],
     transactions_read: int,
 ) -> IOCounters:
     """Replicate the per-entry page-cache I/O charges of the scan loop.
 
-    Entries occupy contiguous page ranges (the table clusters storage by
-    supercoordinate); a page is charged the first time any entry touches
-    it, and each entry contributes one seek per maximal run of contiguous
-    *fresh* pages — exactly the arithmetic of ``PagedStore.read`` /
-    ``SignatureTableSearcher._charge_cached_read`` with a per-query page
-    cache.
+    ``entry_ids`` are the entries read, in scan order.  ``rows=None``
+    reads each of them whole: an entry of the table occupies a contiguous
+    page range (storage is clustered by supercoordinate).  Otherwise
+    ``rows`` indexes the rows actually read (a masked or truncated scan)
+    and each is charged the page its slot lies on.  A page is charged the
+    first time any entry touches it, and each entry contributes one seek
+    per maximal run of contiguous *fresh* pages — exactly the arithmetic
+    of ``PagedStore.read`` / ``SignatureTableSearcher._charge_cached_read``
+    with a per-query page cache.
     """
-    counts = last_page[entry_ids] - first_page[entry_ids] + 1
-    page_conc = _concat_segments(first_page[entry_ids], counts)
-    if page_conc.size == 0:
+    if rows is None:
+        first_page = layout.offsets[entry_ids] // page_size
+        counts = (layout.offsets[entry_ids + 1] - 1) // page_size - first_page + 1
+        pages = _concat_segments(first_page, counts)
+        segments = np.repeat(np.arange(entry_ids.size, dtype=np.int64), counts)
+    else:
+        slots = rows if layout.slots is None else layout.slots[rows]
+        pages = slots // page_size
+        segments = np.repeat(
+            np.arange(entry_ids.size, dtype=np.int64), layout.sizes[entry_ids]
+        )[: rows.size]
+        # An entry's rows come in slot order, so equal pages are adjacent.
+        distinct = np.ones(pages.size, dtype=bool)
+        distinct[1:] = (pages[1:] != pages[:-1]) | (segments[1:] != segments[:-1])
+        pages, segments = pages[distinct], segments[distinct]
+    if pages.size == 0:
         return IOCounters(transactions_read=transactions_read)
-    segments = np.repeat(np.arange(entry_ids.size, dtype=np.int64), counts)
-    _, first_occurrence = np.unique(page_conc, return_index=True)
-    fresh = np.zeros(page_conc.size, dtype=bool)
-    fresh[first_occurrence] = True
-    fresh_idx = np.nonzero(fresh)[0]
-    if fresh_idx.size == 0:
-        return IOCounters(transactions_read=transactions_read)
+    _, first_occurrence = np.unique(pages, return_index=True)
+    fresh_idx = np.sort(first_occurrence)
     fresh_segments = segments[fresh_idx]
-    fresh_values = page_conc[fresh_idx]
+    fresh_values = pages[fresh_idx]
     run_starts = np.ones(fresh_idx.size, dtype=bool)
     run_starts[1:] = (fresh_segments[1:] != fresh_segments[:-1]) | (
         fresh_values[1:] - fresh_values[:-1] > 1
@@ -294,6 +340,13 @@ def _charge_io_vectorised(
         pages_read=int(fresh_idx.size),
         seeks=int(run_starts.sum()),
     )
+
+
+def _row_similarities(prep: PreparedQuery, tids: np.ndarray) -> np.ndarray:
+    if prep.sims_all is not None:
+        return prep.sims_all[tids]
+    assert prep.row_sims is not None
+    return prep.row_sims(tids)
 
 
 def _top_k_neighbors(
@@ -320,117 +373,178 @@ def knn_scan_batch(
     prepared: Sequence[PreparedQuery],
     k: int,
     count_io: bool,
+    candidates: Optional[Sequence[Optional[np.ndarray]]] = None,
+    budget: Optional[int] = None,
+    tolerance: Optional[float] = None,
 ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
-    """Vectorised exact k-NN scan for a prepared batch.
+    """Vectorised k-NN scan for a prepared batch.
 
     Equivalent, result- and stats-wise, to running
-    :meth:`SignatureTableSearcher.knn` per query under the default
-    configuration (optimistic order, no early termination, precomputed
-    similarities, per-query page cache).  The scan loop's stop condition
-    — first entry whose optimistic bound falls strictly below the
-    pessimistic bound once ``k`` candidates are held — is monotone in the
-    scan rank, so the stop rank is found by binary search over prefix
+    :meth:`SignatureTableSearcher.knn` per query under the optimistic
+    order with precomputed similarities and a per-query page cache.
+    ``candidates[q]`` (a unique-tid array or a boolean mask over all
+    tids; ``None`` = every row) is the searcher's ``tid_mask``,
+    ``budget`` the row count its ``early_termination`` resolves to and
+    ``tolerance`` its ``guarantee_tolerance``.
+
+    The loop's stop tests — an entry whose optimistic bound falls
+    strictly below the pessimistic bound, or within ``tolerance`` of it,
+    once ``k`` candidates are held — are monotone in the scan rank
+    (bounds descend, the pessimistic bound ascends), and so is the
+    budget test, so the stop rank is found by binary search over prefix
     ``k``-th-largest similarities and the whole loop collapses into a
-    handful of array operations per query.
+    handful of array operations per query.  As in the loop, the tests
+    run at every rank, entries a mask emptied included, in the order
+    prune, tolerance, budget, and a budget can cut an entry short.
     """
-    offsets, ordered, sizes, first_page, last_page = _scan_layout(table)
-    num_entries = int(sizes.size)
+    full = _table_layout(table)
+    page_size = int(table.store.page_size)
+    num_entries = int(full.sizes.size)
     entries_total = table.num_entries_occupied
     results: List[List[Neighbor]] = []
     stats_list: List[SearchStats] = []
-    for prep in prepared:
+    for query, prep in enumerate(prepared):
         started_s = time.perf_counter()
+        layout = _layout_for(table, full, candidates, query)
         order = prep.order
-        assert order is not None and prep.sims_all is not None
-        sims_all = prep.sims_all
+        assert order is not None
         opts_in_order = prep.opts[order]
-        sizes_in_order = sizes[order]
+        sizes_in_order = layout.sizes[order]
+        starts_in_order = layout.offsets[:-1][order]
         cumulative = np.cumsum(sizes_in_order)
-        total = int(cumulative[-1]) if num_entries else 0
+        total = int(cumulative[-1])
 
-        def build_prefix(limit: int) -> Tuple[np.ndarray, np.ndarray]:
-            """Scan-order (tids, sims) of the first ``limit`` entries."""
-            slots = _concat_segments(
-                offsets[:-1][order[:limit]], sizes_in_order[:limit]
-            )
-            tids = ordered[slots]
-            return tids, sims_all[tids]
+        built = 0
+        prefix_rows = prefix_tids = prefix_sims = None
 
-        # The prune test arms once the heap holds k candidates, i.e. at
-        # the first rank whose *preceding* entries cover k transactions.
+        def need_prefix(limit: int) -> None:
+            """Hold the scan-order (rows, tids, sims) of at least the
+            first ``limit`` entries."""
+            nonlocal built, prefix_rows, prefix_tids, prefix_sims
+            if built < limit:
+                prefix_rows = _concat_segments(
+                    starts_in_order[:limit], sizes_in_order[:limit]
+                )
+                prefix_tids = layout.tids[prefix_rows]
+                prefix_sims = _row_similarities(prep, prefix_tids)
+                built = limit
+
+        def kth_best(count: int) -> float:
+            """The pessimistic bound once ``count`` rows have been read."""
+            if count < k:
+                return -math.inf
+            return float(np.partition(prefix_sims[:count], count - k)[count - k])
+
+        def fires(opts, pessimistic):
+            """The loop's prune-or-tolerance test (scalar or per rank)."""
+            fire = opts < pessimistic
+            if tolerance is not None:
+                with np.errstate(invalid="ignore"):
+                    fire = fire | (opts - pessimistic <= tolerance)
+            return fire
+
+        def first_firing(pessimistic: float) -> int:
+            fire = fires(opts_in_order, pessimistic)
+            rank = int(np.argmax(fire))
+            return rank if fire[rank] else num_entries
+
+        # ``end`` entries can be read at all; the prune and tolerance
+        # tests run at ranks below ``limit``.  A budget reached inside
+        # entry ``end - 1`` cuts it short (``partial``); reached exactly
+        # at its end, the budget test stops the scan at rank ``end``,
+        # after that rank's prune and tolerance tests.
+        end = limit = num_entries
+        partial = False
+        if budget is not None and budget <= total:
+            end = int(np.searchsorted(cumulative, budget, side="left")) + 1
+            partial = int(cumulative[end - 1]) > budget
+            limit = end if partial else min(end + 1, num_entries)
+
+        # The tests arm once the heap holds k candidates, i.e. at the
+        # first rank whose *preceding* entries cover k transactions.
         armed = int(np.searchsorted(cumulative, k, side="left")) + 1
-        stop = num_entries
-        built = -1
-        if armed < num_entries and total >= k:
-            # Bracket the stop rank before touching any prefix: the
-            # whole-database k-th largest similarity is the largest value
-            # the pessimistic bound can ever reach, so no entry whose
-            # bound meets it is ever pruned.  This keeps every later
-            # partition/gather proportional to the scanned prefix, not
-            # the database.
-            pess_ceiling = np.partition(sims_all, total - k)[total - k]
-            low = max(
-                armed,
-                int(
-                    np.searchsorted(
-                        -opts_in_order, -pess_ceiling, side="right"
-                    )
-                ),
-            )
-            if low < num_entries:
-                prefix_tids, prefix_sims = build_prefix(low)
-                built = low
-                m = int(cumulative[low - 1])
-                pess_at_low = np.partition(prefix_sims[:m], m - k)[m - k]
-                if float(opts_in_order[low]) < float(pess_at_low):
+        stop = limit
+        if armed < limit:
+            # Bracket the stop rank before touching any prefix it does
+            # not need: the k-th largest similarity over every row the
+            # scan could read is the largest value the pessimistic bound
+            # can reach, so no rank whose test holds against it fires
+            # earlier.  This keeps every later partition/gather
+            # proportional to the scanned prefix, not the database.
+            if prep.sims_all is not None and layout is full and end == num_entries:
+                pool = prep.sims_all
+            else:
+                need_prefix(end)
+                pool = prefix_sims
+            ceiling = float(np.partition(pool, pool.size - k)[pool.size - k])
+            low = max(armed, first_firing(ceiling))
+            if low < limit:
+                need_prefix(low)
+                pess_at_low = kth_best(int(cumulative[low - 1]))
+                if fires(float(opts_in_order[low]), pess_at_low):
                     stop = low
                 else:
                     # First rank the lower bracket's pessimistic value
-                    # already prunes; the true stop can be no later.
-                    high = min(
-                        num_entries,
-                        int(
-                            np.searchsorted(
-                                -opts_in_order, -pess_at_low, side="right"
-                            )
-                        ),
-                    )
-                    if high > low:
-                        prefix_tids, prefix_sims = build_prefix(high)
-                        built = high
+                    # already stops; the true stop can be no later.
+                    high = min(limit, first_firing(pess_at_low))
+                    need_prefix(min(high, end))
                     lo, hi = low + 1, high
                     while lo < hi:
                         mid = (lo + hi) // 2
-                        m = int(cumulative[mid - 1])
-                        kth = np.partition(prefix_sims[:m], m - k)[m - k]
-                        if float(opts_in_order[mid]) < float(kth):
+                        if fires(
+                            float(opts_in_order[mid]),
+                            kth_best(int(cumulative[mid - 1])),
+                        ):
                             hi = mid
                         else:
                             lo = mid + 1
                     stop = lo
-        if stop >= num_entries:
-            stop = num_entries
-            if built < num_entries:
-                prefix_tids, prefix_sims = build_prefix(num_entries)
-        conc_tids, conc_sims = prefix_tids, prefix_sims
 
-        accessed = int(cumulative[stop - 1]) if stop > 0 else 0
+        # ``ranks`` entries were entered; ``rank`` is where the scan ended.
+        if stop < limit:
+            ranks = rank = stop
+            accessed = int(cumulative[stop - 1])
+        else:
+            ranks = end
+            rank = end - 1 if partial else end
+            accessed = budget if partial else int(cumulative[end - 1])
+        need_prefix(ranks)
+        scanned = (
+            ranks
+            if layout.slots is None
+            else int(np.count_nonzero(sizes_in_order[:ranks]))
+        )
         stats = SearchStats(
             total_transactions=int(db_size),
             entries_total=entries_total,
             transactions_accessed=accessed,
-            entries_scanned=stop,
-            entries_pruned=num_entries - stop,
+            entries_scanned=scanned,
+            entries_pruned=ranks - scanned,
         )
+        if rank < num_entries:
+            bound = float(opts_in_order[rank])
+            # With no tolerance a test that fired is the prune test, and
+            # the partition behind the pessimistic bound can be skipped.
+            fired_prune = stop < limit and tolerance is None
+            pessimistic = math.inf if fired_prune else kth_best(accessed)
+            if stop < limit and bound < pessimistic:
+                stats.entries_pruned += num_entries - rank
+            else:
+                stats.terminated_early = True
+                stats.entries_unexplored = num_entries - rank
+                stats.best_possible_remaining = bound
+                stats.guaranteed_optimal = bound <= pessimistic
         if count_io:
-            stats.io = _charge_io_vectorised(
-                np.asarray(order[:stop], dtype=np.int64),
-                first_page,
-                last_page,
+            whole = layout.slots is None and not partial
+            stats.io = _charge_io(
+                layout,
+                page_size,
+                np.asarray(order[:ranks], dtype=np.int64),
+                None if whole else prefix_rows[:accessed],
                 accessed,
             )
         results.append(
-            _top_k_neighbors(conc_sims[:accessed], conc_tids[:accessed], k)
+            _top_k_neighbors(prefix_sims[:accessed], prefix_tids[:accessed], k)
         )
         stats.elapsed_seconds = time.perf_counter() - started_s
         stats_list.append(stats)
@@ -443,6 +557,7 @@ def range_scan_batch(
     prepared: Sequence[Sequence[PreparedQuery]],
     thresholds: Sequence[float],
     count_io: bool,
+    candidates: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
     """Vectorised conjunctive range scan for a prepared batch.
 
@@ -452,25 +567,30 @@ def range_scan_batch(
     failing any constraint's optimistic bound are pruned, surviving
     entries are read in entry order, and results are every transaction
     meeting all thresholds, sorted by ``(-similarity, tid)``.
+    ``candidates`` is the searcher's ``tid_mask``, as in
+    :func:`knn_scan_batch`: only candidate rows are read, and an entry
+    left without any counts as pruned.
     """
-    offsets, ordered, sizes, first_page, last_page = _scan_layout(table)
+    full = _table_layout(table)
+    page_size = int(table.store.page_size)
+    num_entries = int(full.sizes.size)
     entries_total = table.num_entries_occupied
     threshold_values = [float(t) for t in thresholds]
     results: List[List[Neighbor]] = []
     stats_list: List[SearchStats] = []
-    for per_constraint in prepared:
+    for query, per_constraint in enumerate(prepared):
         started_s = time.perf_counter()
-        keep = np.ones(sizes.size, dtype=bool)
+        layout = _layout_for(table, full, candidates, query)
+        keep = layout.sizes > 0
         for prep, threshold in zip(per_constraint, threshold_values):
             keep &= prep.opts >= threshold
         kept = np.nonzero(keep)[0]
-        slots = _concat_segments(offsets[:-1][kept], sizes[kept])
-        conc_tids = ordered[slots]
+        rows = _concat_segments(layout.offsets[:-1][kept], layout.sizes[kept])
+        conc_tids = layout.tids[rows]
         satisfied = np.ones(conc_tids.size, dtype=bool)
         first_sims: Optional[np.ndarray] = None
         for prep, threshold in zip(per_constraint, threshold_values):
-            assert prep.sims_all is not None
-            values = prep.sims_all[conc_tids]
+            values = _row_similarities(prep, conc_tids)
             if first_sims is None:
                 first_sims = values
             satisfied &= values >= threshold
@@ -480,11 +600,15 @@ def range_scan_batch(
             entries_total=entries_total,
             transactions_accessed=accessed,
             entries_scanned=int(kept.size),
-            entries_pruned=int((~keep).sum()),
+            entries_pruned=num_entries - int(kept.size),
         )
         if count_io:
-            stats.io = _charge_io_vectorised(
-                kept, first_page, last_page, accessed
+            stats.io = _charge_io(
+                layout,
+                page_size,
+                kept,
+                None if layout.slots is None else rows,
+                accessed,
             )
         hits = np.nonzero(satisfied)[0]
         assert first_sims is not None or hits.size == 0

@@ -42,7 +42,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,6 +135,11 @@ class PreparedQuery:
     the I/O counters are still charged per query with increments
     identical to the unshared path (sharing saves recomputation, never
     accounting).
+
+    ``row_sims`` stands in for ``sims_all`` on packed batches whose
+    candidate sets bound the rows a scan can read: it
+    maps a tid array to those rows' similarities, element-wise equal to
+    ``sims_all[tids]``, so nothing is evaluated for rows no scan reaches.
     """
 
     target_items: np.ndarray
@@ -143,6 +148,7 @@ class PreparedQuery:
     order: Optional[np.ndarray] = None
     sims_all: Optional[np.ndarray] = None
     entry_reads: Optional[dict] = None
+    row_sims: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -419,7 +425,9 @@ class SignatureTableSearcher:
             # scanned, strict inferiority is pruned.
             if len(heap) >= k and opt_entry < pessimistic:
                 if sorted_by_bound:
-                    stats.entries_pruned = num_entries - rank
+                    # += keeps the entries a candidate mask emptied (and
+                    # counted) on the way here.
+                    stats.entries_pruned += num_entries - rank
                     if trace is not None:
                         trace.record_prune_tail(
                             rank, num_entries - rank, opt_entry, pessimistic

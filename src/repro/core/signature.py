@@ -15,7 +15,7 @@ activation/supercoordinate computation.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -80,6 +80,7 @@ class SignatureScheme:
         self._item_to_signature = item_to_signature
         self._universe_size = int(universe_size)
         self._activation_threshold = int(activation_threshold)
+        self._packed_masks: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -127,7 +128,24 @@ class SignatureScheme:
         scheme._item_to_signature = self._item_to_signature
         scheme._universe_size = self._universe_size
         scheme._activation_threshold = int(r)
+        scheme._packed_masks = self._packed_masks
         return scheme
+
+    def packed_masks(self) -> np.ndarray:
+        """Per-signature item bitsets, shape ``(K, words)`` (cached).
+
+        The query-independent operand of the packed activation-count
+        kernel (:func:`repro.core.kernels.signature_masks`), built
+        lazily on first use and cached like
+        :meth:`TransactionDatabase.packed_rows`.
+        """
+        if self._packed_masks is None:
+            from repro.core import kernels
+
+            self._packed_masks = kernels.signature_masks(self)
+        view = self._packed_masks.view()
+        view.flags.writeable = False
+        return view
 
     # ------------------------------------------------------------------
     # Activation / supercoordinates

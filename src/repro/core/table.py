@@ -20,7 +20,7 @@ the property the branch-and-bound search's I/O accounting relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -93,6 +93,7 @@ class SignatureTable:
             num_transactions, page_size=page_size, order=ordered_tids
         )
         self._sketch = None
+        self._tid_entries: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -180,6 +181,25 @@ class SignatureTable:
     def ordered_tids(self) -> np.ndarray:
         """TIDs in storage (supercoordinate-clustered) order, read-only."""
         view = self._ordered_tids.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def tid_entries(self) -> np.ndarray:
+        """Occupied-entry index of every tid (cached, read-only).
+
+        The inverse of :meth:`entry_tids`, which the masked scan kernels
+        use to group a candidate set by entry.  Built lazily on first
+        use, like :meth:`TransactionDatabase.packed_rows`.
+        """
+        if self._tid_entries is None:
+            entries = np.empty(self._num_transactions, dtype=np.int64)
+            entries[self._ordered_tids] = np.repeat(
+                np.arange(self._entry_codes.size, dtype=np.int64),
+                np.diff(self._entry_offsets),
+            )
+            self._tid_entries = entries
+        view = self._tid_entries.view()
         view.flags.writeable = False
         return view
 

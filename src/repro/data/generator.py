@@ -333,6 +333,11 @@ class MarketBasketGenerator:
         target_sizes = np.maximum(
             stream.poisson(config.avg_transaction_size, size=n), 1
         )
+        # A transaction is a union of patterns, so it cannot outgrow the
+        # items they cover; an unreachable target would never close.
+        target_sizes = np.minimum(
+            target_sizes, np.unique(np.concatenate(self._patterns)).size
+        )
         transactions: List[np.ndarray] = []
         pending: Optional[np.ndarray] = None
         pick_pool = _RefillingPool(

@@ -271,6 +271,14 @@ class TransactionDatabase:
         view.flags.writeable = False
         return view
 
+    def _posting_work(self, target_arrays: Sequence[np.ndarray]) -> int:
+        """Posting increments a batch costs: the summed support of the
+        targets' items."""
+        self._ensure_postings()
+        assert self._postings_indptr is not None
+        supports = np.diff(self._postings_indptr)
+        return int(sum(int(supports[items].sum()) for items in target_arrays))
+
     def _packed_wins(self, target_arrays: Sequence[np.ndarray]) -> bool:
         """Heuristic: is the dense popcount kernel cheaper than posting
         walks for this batch?
@@ -284,13 +292,24 @@ class TransactionDatabase:
 
         words = kernels.num_words(self._universe_size)
         dense_work = len(target_arrays) * len(self) * words * 4
-        self._ensure_postings()
-        assert self._postings_indptr is not None
-        supports = np.diff(self._postings_indptr)
-        posting_work = int(
-            sum(int(supports[items].sum()) for items in target_arrays)
-        )
-        return dense_work < posting_work
+        return dense_work < self._posting_work(target_arrays)
+
+    def gathered_rows_win(
+        self, target_arrays: Sequence[np.ndarray], num_rows: int
+    ) -> bool:
+        """Heuristic: when a batch's scans can read ``num_rows`` rows
+        between them, is popcounting just those (gathered from
+        :meth:`packed_rows`) cheaper than :meth:`match_counts_batch`?
+
+        The same cost model as :meth:`_packed_wins`; the whole-database
+        path additionally evaluates a similarity for every row of every
+        query, the gathered path one per row read.
+        """
+        from repro.core import kernels
+
+        words = kernels.num_words(self._universe_size)
+        whole = self._posting_work(target_arrays) + len(target_arrays) * len(self)
+        return num_rows * (words * 4 + 1) < whole
 
     def match_counts_batch(
         self,

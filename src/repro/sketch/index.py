@@ -12,7 +12,7 @@ estimated-recall figure reported on ``SearchStats``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -161,15 +161,19 @@ class SketchIndex:
         self,
         target: Union[Sequence[int], np.ndarray],
         target_recall: Optional[float] = None,
+        signature: Optional[np.ndarray] = None,
     ) -> SketchProbe:
         """Probe the band index for ``target``.
 
         ``target_recall`` selects how many bands to probe via the S-curve
         at the design similarity; ``None`` uses
-        :data:`DEFAULT_TARGET_RECALL`.
+        :data:`DEFAULT_TARGET_RECALL`.  ``signature`` is the target's
+        ``hasher.sign`` when the caller already holds it (see
+        :meth:`probe_batch`).
         """
         recall = DEFAULT_TARGET_RECALL if target_recall is None else float(target_recall)
-        signature = self.hasher.sign(target)
+        if signature is None:
+            signature = self.hasher.sign(target)
         bands = bands_for_recall(
             recall,
             self.design_similarity,
@@ -190,6 +194,18 @@ class SketchIndex:
             expected_recall=expected,
             signature=signature,
         )
+
+    def probe_batch(
+        self,
+        targets: Sequence[Union[Sequence[int], np.ndarray]],
+        target_recall: Optional[float] = None,
+    ) -> List[SketchProbe]:
+        """:meth:`probe` for every target, signing the batch in one pass."""
+        signatures = self.hasher.sign_batch(targets)
+        return [
+            self.probe(target, target_recall, signature=signatures[q])
+            for q, target in enumerate(targets)
+        ]
 
     def estimate_result_recall(
         self, probe: SketchProbe, kth_tid: Optional[int] = None

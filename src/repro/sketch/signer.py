@@ -112,22 +112,36 @@ class SuperMinHasher:
             _densify_rows(signature[np.newaxis, :])
         return signature
 
-    def sign_batch(self, db: TransactionDatabase) -> np.ndarray:
-        """Sign every transaction of ``db`` in one vectorised pass.
+    def sign_batch(
+        self,
+        transactions: Union[TransactionDatabase, Sequence[Sequence[int]]],
+    ) -> np.ndarray:
+        """Sign a database, or a sequence of transactions, in one
+        vectorised pass.
 
-        Returns a ``(len(db), num_hashes)`` uint32 array whose row ``t``
-        equals ``self.sign(db.transaction(t))``.
+        Returns a ``(len(transactions), num_hashes)`` uint32 array whose
+        row ``t`` equals ``self.sign(transactions[t])``.
         """
-        if db.universe_size > self.universe_size:
-            raise ValueError(
-                f"database universe {db.universe_size} exceeds hasher "
-                f"universe {self.universe_size}"
+        if isinstance(transactions, TransactionDatabase):
+            if transactions.universe_size > self.universe_size:
+                raise ValueError(
+                    f"database universe {transactions.universe_size} exceeds "
+                    f"hasher universe {self.universe_size}"
+                )
+            items, indptr = transactions.csr()
+            sizes = np.diff(indptr)
+        else:
+            arrays = [as_item_array(t, self.universe_size) for t in transactions]
+            sizes = np.fromiter(
+                (a.size for a in arrays), dtype=np.int64, count=len(arrays)
             )
-        items, indptr = db.csr()
-        n = len(db)
+            items = (
+                np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+            )
+        n = int(sizes.size)
         signatures = np.full((n, self.num_hashes), SIGNATURE_SENTINEL, dtype=np.uint32)
         if items.size:
-            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+            rows = np.repeat(np.arange(n, dtype=np.int64), sizes)
             flat = rows * self.num_hashes + self._bins[items]
             np.minimum.at(signatures.reshape(-1), flat, self._values[items])
         return _densify_rows(signatures)

@@ -152,6 +152,13 @@ class PagedStore:
         """Total pages occupied by the store."""
         return -(-self._n // self._page_size) if self._n else 0
 
+    @property
+    def positions(self) -> np.ndarray:
+        """Storage slot of every tid under the on-disk order (read-only)."""
+        view = self._positions.view()
+        view.flags.writeable = False
+        return view
+
     def page_of(self, tid: int) -> int:
         """Page holding transaction ``tid``."""
         if not 0 <= tid < self._n:

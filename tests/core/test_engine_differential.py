@@ -110,24 +110,131 @@ def test_range_query_batch_identical_to_single_queries(instance):
             ]
 
 
+KERNELS = ["packed", "python"]
+
+#: The approximate modes of Section 4.2, alone and combined.
+APPROXIMATE_MODES = [
+    dict(early_termination=0.05),
+    dict(early_termination=0.3),
+    dict(guarantee_tolerance=0.1),
+    dict(early_termination=0.2, guarantee_tolerance=0.05),
+]
+
+
 def test_early_termination_batch_identical_to_single_queries(instance):
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
-    engine = repro.QueryEngine(searcher)
     sim = repro.MatchRatioSimilarity()
-    for kwargs in [
-        dict(early_termination=0.05),
-        dict(early_termination=0.3),
-        dict(guarantee_tolerance=0.1),
-        dict(early_termination=0.2, guarantee_tolerance=0.05),
-    ]:
+    for kernel in KERNELS:
+        engine = repro.QueryEngine(searcher, kernel=kernel)
+        for kwargs in APPROXIMATE_MODES:
+            batch_results, batch_stats = engine.knn_batch(
+                queries, sim, k=3, **kwargs
+            )
+            for query, got, got_stats in zip(
+                queries, batch_results, batch_stats
+            ):
+                want, want_stats = searcher.knn(query, sim, k=3, **kwargs)
+                assert got == want
+                assert got_stats == want_stats
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_lsh_tier_batch_identical_to_masked_single_queries(instance, kernel):
+    """The lsh tier is the scalar loop under the probe's ``tid_mask``
+    (plus the tier's report on the stats), whichever kernel scans."""
+    from repro.sketch import SketchIndex
+
+    db, table, queries = instance
+    sketch = SketchIndex.build(db, num_hashes=32, num_bands=8, seed=1)
+    sketched = repro.SignatureTable.build(db, table.scheme)
+    sketched.attach_sketch(sketch)
+    searcher = repro.SignatureTableSearcher(sketched, db)
+    engine = repro.QueryEngine(searcher, kernel=kernel)
+    sim = repro.JaccardSimilarity()
+    for kwargs in [dict()] + APPROXIMATE_MODES:
         batch_results, batch_stats = engine.knn_batch(
-            queries, sim, k=3, **kwargs
+            queries, sim, k=3, candidate_tier="lsh", target_recall=0.9, **kwargs
         )
         for query, got, got_stats in zip(queries, batch_results, batch_stats):
-            want, want_stats = searcher.knn(query, sim, k=3, **kwargs)
+            probe = sketch.probe(query, 0.9)
+            want, want_stats = searcher.knn(
+                query, sim, k=3, tid_mask=probe.mask(len(db)), **kwargs
+            )
             assert got == want
+            assert got_stats.candidate_tier == "lsh"
+            assert not got_stats.guaranteed_optimal
+            assert got_stats.sketch_candidates == probe.candidates.size
+            want_stats.candidate_tier = "lsh"
+            want_stats.guaranteed_optimal = False
+            want_stats.sketch_candidates = got_stats.sketch_candidates
+            want_stats.estimated_recall = got_stats.estimated_recall
             assert got_stats == want_stats
+    hits, range_stats = engine.range_query_batch(
+        queries, sim, 0.2, candidate_tier="lsh", target_recall=0.9
+    )
+    for query, got, got_stats in zip(queries, hits, range_stats):
+        probe = sketch.probe(query, 0.9)
+        want, want_stats = searcher.range_query(
+            query, sim, 0.2, tid_mask=probe.mask(len(db))
+        )
+        assert got == want
+        assert (
+            got_stats.entries_scanned,
+            got_stats.entries_pruned,
+            got_stats.transactions_accessed,
+            got_stats.io,
+        ) == (
+            want_stats.entries_scanned,
+            want_stats.entries_pruned,
+            want_stats.transactions_accessed,
+            want_stats.io,
+        )
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_traced_batch_identical_and_one_span_per_query(instance, kernel):
+    """An active tracer changes nothing but the spans: one
+    ``search.knn`` / ``search.range`` span per query, carrying the
+    finished stats, from either kernel."""
+    from repro.obs.trace import Tracer
+
+    db, table, queries = instance
+    engine = repro.QueryEngine.for_table(table, db, kernel=kernel)
+    sim = repro.MatchRatioSimilarity()
+    for kwargs in [dict()] + APPROXIMATE_MODES:
+        plain = engine.knn_batch(queries, sim, k=3, **kwargs)
+        tracer = Tracer()
+        with tracer.activate():
+            traced = engine.knn_batch(queries, sim, k=3, **kwargs)
+        assert traced == plain
+        spans = [s for s in tracer.roots if s.name == "search.knn"]
+        assert len(spans) == len(queries)
+        for recorded, stats in zip(spans, traced[1]):
+            assert recorded.attributes == dict(
+                k=3,
+                entries_scanned=stats.entries_scanned,
+                entries_pruned=stats.entries_pruned,
+                entries_unexplored=stats.entries_unexplored,
+                transactions_accessed=stats.transactions_accessed,
+                terminated_early=stats.terminated_early,
+                guaranteed_optimal=stats.guaranteed_optimal,
+            )
+    plain = engine.range_query_batch(queries, sim, 0.3)
+    tracer = Tracer()
+    with tracer.activate():
+        traced = engine.range_query_batch(queries, sim, 0.3)
+    assert traced == plain
+    spans = [s for s in tracer.roots if s.name == "search.range"]
+    assert len(spans) == len(queries)
+    for recorded, hits, stats in zip(spans, *traced):
+        assert recorded.attributes == dict(
+            constraints=1,
+            entries_scanned=stats.entries_scanned,
+            entries_pruned=stats.entries_pruned,
+            transactions_accessed=stats.transactions_accessed,
+            results=len(hits),
+        )
 
 
 def test_supercoordinate_order_batch_identical(instance):

@@ -19,8 +19,9 @@ from repro.obs.trace import Tracer
 from repro.storage.buffer import BufferPool
 
 
-def make_engine(table, db, **kwargs):
-    return QueryEngine.for_table(table, db, **kwargs)
+def make_engine(table, db, kernel="packed", **kwargs):
+    # Explicit, so the suite means the same under a REPRO_KERNEL override.
+    return QueryEngine.for_table(table, db, kernel=kernel, **kwargs)
 
 
 def run_one_batch(engine, db):

@@ -164,6 +164,16 @@ class TestGeneratedData:
         extra = gen.generate(num_transactions=50)
         assert len(extra) == 50
 
+    def test_tiny_universe_terminates(self):
+        """A target size above what the patterns cover used to spin
+        forever (found by the generator property test)."""
+        config = GeneratorConfig(
+            num_transactions=20, avg_transaction_size=6, avg_pattern_size=4,
+            num_items=10, num_patterns=5, seed=1783769359,
+        )
+        db = MarketBasketGenerator(config).generate()
+        assert len(db) == 20 and int(db.sizes.max()) <= 10
+
     def test_transaction_size_scales_with_t(self):
         base = dict(num_transactions=1500, num_items=300, num_patterns=100, seed=3)
         small = MarketBasketGenerator(

@@ -71,6 +71,22 @@ class TestEngineDifferential:
         assert traced_stats == plain_stats
         names = [root.name for root in tracer.roots]
         assert names == ["engine.run_batch"]
+        # One search.knn span per query, carrying that query's stats.
+        batch_span = tracer.roots[0]
+        searches = [
+            child for child in batch_span.children if child.name == "search.knn"
+        ]
+        assert len(searches) == len(batch)
+        for recorded, stats in zip(searches, traced_stats):
+            assert recorded.attributes == dict(
+                k=5,
+                entries_scanned=stats.entries_scanned,
+                entries_pruned=stats.entries_pruned,
+                entries_unexplored=stats.entries_unexplored,
+                transactions_accessed=stats.transactions_accessed,
+                terminated_early=stats.terminated_early,
+                guaranteed_optimal=stats.guaranteed_optimal,
+            )
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,11 @@ from repro.core.engine import QueryEngine
 from repro.core.partitioning import partition_items
 from repro.core.search import SignatureTableSearcher
 from repro.core.signature import SignatureScheme
-from repro.core.similarity import MatchRatioSimilarity
+from repro.core.similarity import (
+    JaccardSimilarity,
+    MatchCountSimilarity,
+    MatchRatioSimilarity,
+)
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase
 
@@ -179,6 +183,189 @@ class TestActivationCountsAndBounds:
                 assert d_opt[q, e] == optimistic_distance(
                     counts, bits, threshold
                 )
+
+
+def scan_instance(seed):
+    """A small indexed database whose entries span several pages."""
+    rng = np.random.default_rng(seed)
+    universe = 80
+    db = TransactionDatabase(
+        random_rows(rng, 60, universe), universe_size=universe
+    )
+    scheme = partition_items(db, num_signatures=7, rng=int(seed % 1000))
+    table = SignatureTable.build(
+        db, scheme, page_size=int(rng.choice([2, 5, 64]))
+    )
+    targets = random_rows(rng, 4, universe)
+    return rng, db, table, targets
+
+
+def candidate_mask(rng, table, kind):
+    """A boolean candidate mask of the named shape (``None`` = every row)."""
+    n = table.num_transactions
+    mask = np.zeros(n, dtype=bool)
+    if kind == "none":
+        return None
+    if kind == "full":
+        mask[:] = True
+    elif kind == "few":  # fewer candidates than any k > 2
+        mask[rng.choice(n, size=2, replace=False)] = True
+    elif kind == "one_entry":
+        entry = int(rng.integers(table.num_entries_occupied))
+        mask[table.entry_tids(entry)] = True
+    elif kind == "random":
+        mask[:] = rng.random(n) < rng.random()
+    return mask  # "empty" leaves it all False
+
+
+def budget_fraction(searcher, target, similarity, mask, kind):
+    """An ``early_termination`` whose row budget lands where ``kind``
+    says in the (masked) scan of ``target``."""
+    n = len(searcher.db)
+    if kind == "none":
+        return None
+    if kind == "database":
+        return 1.0
+    _, _, _, order = searcher._prepare(target, similarity, "optimistic")
+    rows = np.arange(n) if mask is None else np.flatnonzero(mask)
+    counts = np.bincount(
+        searcher.table.tid_entries[rows],
+        minlength=searcher.table.num_entries_occupied,
+    )[order]
+    filled = np.cumsum(counts)[counts > 0]
+    if kind == "one_row" or filled.size < 2:
+        budget = 1
+    elif kind == "entry_boundary":
+        budget = int(filled[0])
+    else:  # "mid_entry": one row into the second non-empty entry
+        budget = int(filled[0]) + 1
+    # ceil(f * n) == budget, whatever the rounding of the product.
+    return (budget - 0.5) / n
+
+
+MASK_KINDS = ["none", "empty", "full", "few", "one_entry", "random"]
+BUDGET_KINDS = ["none", "one_row", "entry_boundary", "mid_entry", "database"]
+SIMILARITIES = [MatchCountSimilarity(), MatchRatioSimilarity(), JaccardSimilarity()]
+
+
+class TestMaskedBudgetedScan:
+    """The packed scans take the candidate set, the access budget and the
+    tolerance as arguments and must reproduce the scalar loop's every
+    decision: neighbours, full ``SearchStats`` and ``IOCounters``."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mask_kind=st.sampled_from(MASK_KINDS),
+        as_tids=st.booleans(),
+        budget_kind=st.sampled_from(BUDGET_KINDS),
+        tolerance=st.sampled_from([None, 0.0, 0.25, 1.0, 40.0]),
+        k=st.sampled_from([1, 3, 200]),  # 200 > any candidate count
+        similarity=st.sampled_from(SIMILARITIES),  # matches: ties at the k-th
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_knn_equals_scalar_loop(
+        self, seed, mask_kind, as_tids, budget_kind, tolerance, k, similarity
+    ):
+        rng, db, table, targets = scan_instance(seed)
+        searcher = SignatureTableSearcher(table, db)
+        packed = QueryEngine(searcher, kernel="packed")
+        mask = candidate_mask(rng, table, mask_kind)
+        fraction = budget_fraction(
+            searcher, targets[0], similarity, mask, budget_kind
+        )
+        candidates = (
+            np.flatnonzero(mask) if as_tids and mask is not None else mask
+        )
+        # Straight to the kernel: the engine keeps budgeted batches on
+        # the reference loop.
+        got, got_stats = kernels.knn_scan_batch(
+            table,
+            len(db),
+            packed._prepare_batch(
+                packed._normalise(targets), similarity, "optimistic"
+            ),
+            k,
+            True,
+            candidates=None if candidates is None else [candidates] * len(targets),
+            budget=searcher._budget(fraction),
+            tolerance=tolerance,
+        )
+        for target, hits, stats in zip(targets, got, got_stats):
+            want, want_stats = searcher.knn(
+                target,
+                similarity,
+                k=k,
+                early_termination=fraction,
+                guarantee_tolerance=tolerance,
+                tid_mask=mask,
+            )
+            assert hits == want
+            assert stats == want_stats
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mask_kind=st.sampled_from(MASK_KINDS),
+        as_tids=st.booleans(),
+        threshold=st.sampled_from([0.0, 0.2, 0.5, 2.0]),
+        similarity=st.sampled_from(SIMILARITIES),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_range_equals_scalar_loop(
+        self, seed, mask_kind, as_tids, threshold, similarity
+    ):
+        rng, db, table, targets = scan_instance(seed)
+        searcher = SignatureTableSearcher(table, db)
+        packed = QueryEngine(searcher, kernel="packed")
+        mask = candidate_mask(rng, table, mask_kind)
+        candidates = (
+            np.flatnonzero(mask) if as_tids and mask is not None else mask
+        )
+        got, got_stats = packed.range_query_batch(
+            targets, similarity, threshold, candidates=candidates
+        )
+        for target, hits, stats in zip(targets, got, got_stats):
+            want, want_stats = searcher.range_query(
+                target, similarity, threshold, tid_mask=mask
+            )
+            assert hits == want
+            assert stats == want_stats
+
+    def test_masked_scan_evaluates_candidate_rows_only(self):
+        """When the candidates bound the rows a scan can read, the
+        prepared queries carry ``row_sims`` and no whole-database
+        similarity array — and answer identically either way."""
+        rng, db, table, targets = scan_instance(5)
+        engine = QueryEngine.for_table(table, db, kernel="packed")
+        arrays = engine._normalise(targets)
+        similarity = JaccardSimilarity()
+        sparse = engine._prepare_batch(
+            arrays, similarity, "optimistic", readable_rows=4
+        )
+        dense = engine._prepare_batch(arrays, similarity, "optimistic")
+        assert all(p.sims_all is None and p.row_sims is not None for p in sparse)
+        assert all(p.row_sims is None for p in dense)
+        tids = rng.choice(len(db), size=9, replace=False)
+        for lazy, full in zip(sparse, dense):
+            np.testing.assert_array_equal(lazy.row_sims(tids), full.sims_all[tids])
+        few = [np.sort(tids[:3])] * len(targets)
+        assert kernels.knn_scan_batch(
+            table, len(db), sparse, 2, True, candidates=few
+        ) == kernels.knn_scan_batch(
+            table, len(db), dense, 2, True, candidates=few
+        )
+
+    def test_query_independent_state_is_built_once(self):
+        """Signature masks and the tid -> entry map are cached like
+        ``packed_rows`` instead of being rebuilt per batch."""
+        _, db, table, _ = scan_instance(11)
+        scheme = table.scheme
+        np.testing.assert_array_equal(
+            scheme.packed_masks(), kernels.signature_masks(scheme)
+        )
+        assert scheme.packed_masks().base is scheme.packed_masks().base
+        assert table.tid_entries.base is table.tid_entries.base
+        for entry in range(table.num_entries_occupied):
+            assert (table.tid_entries[table.entry_tids(entry)] == entry).all()
 
 
 class TestEndToEndEngineEquality:

@@ -84,6 +84,14 @@ class TestDeterminism:
         batch = hasher.sign_batch(db)
         for tid in range(len(db)):
             assert np.array_equal(batch[tid], hasher.sign(db[tid]))
+        # A plain sequence of targets (a query batch; one may be empty)
+        # signs to the same rows as one `sign` per target.
+        targets = [sorted(db[tid]) for tid in range(0, len(db), 3)] + [[]]
+        signed = hasher.sign_batch(targets)
+        assert signed.shape == (len(targets), 32)
+        for row, target in zip(signed, targets):
+            assert np.array_equal(row, hasher.sign(target))
+        assert hasher.sign_batch([]).shape == (0, 32)
 
     def test_different_seeds_differ(self):
         items = list(range(0, 40, 3))
@@ -125,7 +133,10 @@ class TestDeterminism:
 
 class TestConcentration:
     @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
+    # Fixed examples: 60 items leave most of the 256 bins to densification,
+    # so about 1 draw in 1000 lands outside the tolerance (18 of 20000
+    # seeds measured) and random examples fail a run in 40.
+    @settings(max_examples=30, deadline=None, derandomize=True)
     def test_estimate_within_binomial_tolerance(self, seed):
         """One pair, 256 hashes: the estimate stays within ~5 sigma of
         the true Jaccard (sigma <= sqrt(0.25/256) ~= 0.031)."""

@@ -68,6 +68,33 @@ class TestStructural:
             assert s.sketch_candidates is not None
             assert 0.0 <= s.estimated_recall <= 1.0
 
+    @pytest.mark.parametrize("kernel", ["packed", "python"])
+    def test_lsh_stats_account_for_every_entry(
+        self, sketch_corpus, sketched_engine, kernel
+    ):
+        """Every occupied entry is scanned, pruned (by its bound or
+        because the mask emptied it) or left unexplored — the tail prune
+        must add to, not overwrite, the mask-emptied count."""
+        from repro.core.engine import QueryEngine
+
+        db, queries = sketch_corpus
+        engine = QueryEngine.for_table(
+            sketched_engine.searcher.table, db, kernel=kernel
+        )
+        similarity = get_similarity("jaccard")
+        _, knn_stats = engine.knn_batch(
+            queries, similarity, k=3, candidate_tier="lsh", target_recall=0.9
+        )
+        _, range_stats = engine.range_query_batch(
+            queries, similarity, threshold=0.4,
+            candidate_tier="lsh", target_recall=0.9,
+        )
+        for s in knn_stats + range_stats:
+            assert (
+                s.entries_scanned + s.entries_pruned + s.entries_unexplored
+                == s.entries_total
+            )
+
     def test_exact_stats_stay_pristine(self, sketched_engine, sketch_corpus):
         _, queries = sketch_corpus
         similarity = get_similarity("jaccard")
