@@ -9,8 +9,8 @@ drives the router with the closed-loop load generator from
 
 Every shard count verifies in-run that the router's kNN and range
 answers are byte-identical to a single-node
-:class:`~repro.core.engine.ShardedQueryEngine` over the same logical
-database — the cluster's core contract — before any throughput is
+:class:`~repro.core.engine.QueryEngine` over one signature table of the
+same logical database — the cluster's core contract — before any throughput is
 recorded.  Results land in ``results/cluster_scatter.{txt,csv}``.
 
 Runs two ways:
@@ -38,9 +38,9 @@ except ImportError:  # running as a script without PYTHONPATH=src
 
 from repro.cluster import ClusterRouter, RouterServer, ShardSpec
 from repro.cluster.harness import bootstrap_node_state
-from repro.core.engine import ShardedQueryEngine
-from repro.core.sharded import ShardedSignatureIndex
+from repro.core.engine import QueryEngine
 from repro.core.similarity import get_similarity
+from repro.core.table import SignatureTable
 from repro.eval.harness import ExperimentContext
 from repro.eval.reporting import ExperimentTable
 from repro.service.client import ServiceClient, run_load
@@ -219,8 +219,8 @@ def run(quick: bool = False):
     rows = [sorted(indexed[g]) for g in range(len(indexed))]
     queries = ctx.queries(spec)
     identity_queries = queries[: min(8, len(queries))]
-    oracle = ShardedQueryEngine(
-        ShardedSignatureIndex.from_database(indexed, scheme, num_shards=4)
+    oracle = QueryEngine.for_table(
+        SignatureTable.build(indexed, scheme), indexed
     )
 
     table = ExperimentTable(
@@ -245,7 +245,7 @@ def run(quick: bool = False):
     )
     table.notes.append(
         "each shard owner is a separate `repro node` process; identity is "
-        "checked in-run against the single-node ShardedQueryEngine"
+        "checked in-run against the single-node QueryEngine"
     )
     table.notes.append(
         f"host cpu_count={os.cpu_count()}; scaling saturates once owner "

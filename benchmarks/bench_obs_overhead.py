@@ -126,7 +126,7 @@ def run(quick: bool = False, cluster: bool = True):
     cfg = QUICK if quick else FULL
     engine, db, scheme = build_engine(cfg)
     similarity = MatchRatioSimilarity()
-    key = batch_key("knn", similarity, k=cfg["k"], sort_by="optimistic")
+    key = batch_key("knn", similarity, k=cfg["k"])
     queries = [sorted(db[tid]) for tid in range(cfg["batch"])]
 
     def run_disabled():

@@ -1,4 +1,4 @@
-"""Scaling the index: streaming statistics, buffer pool, shards.
+"""Scaling the index: streaming statistics and a buffer pool.
 
 Engineering extensions around the paper's core structure:
 
@@ -7,8 +7,9 @@ Engineering extensions around the paper's core structure:
    partition from the sample (no history rescan).
 2. **Buffer pool** — front the table's simulated disk with a bounded LRU
    pool and watch the hit rate on a repeated query workload.
-3. **Sharding** — split the data into per-shard signature tables sharing
-   one item partition; scatter-gather queries stay exact.
+
+Scale-out across processes is the cluster router's job: see
+``docs/cluster.md``.
 
 Run:  python examples/scaling_out.py
 """
@@ -16,7 +17,6 @@ Run:  python examples/scaling_out.py
 import numpy as np
 
 import repro
-from repro.core.sharded import ShardedSignatureIndex
 from repro.mining.streaming import StreamingSupportCounter
 from repro.storage.buffer import BufferPool
 
@@ -41,7 +41,6 @@ def main() -> None:
     print(f"  learned {scheme.num_signatures} signatures from the reservoir")
 
     table = repro.SignatureTable.build(db, scheme)
-    scan = repro.LinearScanIndex(db)
     sim = repro.MatchRatioSimilarity()
 
     # --- 2. buffer pool ----------------------------------------------------
@@ -56,24 +55,6 @@ def main() -> None:
         f"\nBuffer pool (25% of pages): {np.mean(pages):.1f} pages/query, "
         f"hit rate {100 * pool.stats.hit_rate:.1f}% over the workload"
     )
-
-    # --- 3. sharding ---------------------------------------------------------
-    sharded = ShardedSignatureIndex.from_database(db, scheme, num_shards=4)
-    exact = 0
-    for q in range(len(queries)):
-        target = sorted(queries[q])
-        neighbor, stats = sharded.nearest(target, sim)
-        if abs(neighbor.similarity - scan.best_similarity(target, sim)) < 1e-9:
-            exact += 1
-    print(
-        f"Sharded (4 shards): {exact}/{len(queries)} queries exact "
-        f"(scatter-gather merge)"
-    )
-
-    # Routing: every global TID maps back to its shard.
-    tid = 12345
-    shard, local = sharded.shard_of(tid)
-    print(f"Global tid {tid} lives on shard {shard} as local tid {local}")
 
 
 if __name__ == "__main__":

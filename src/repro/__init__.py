@@ -49,10 +49,8 @@ from repro.core import (
     QueryEngine,
     QueryPlan,
     SearchStats,
-    ShardedQueryEngine,
     SignatureScheme,
     SignatureTable,
-    ShardedSignatureIndex,
     SignatureTableSearcher,
     SimilarityFunction,
     UnboundSimilarityError,
@@ -147,7 +145,6 @@ __all__ = [
     "SignatureScheme",
     "SignatureTable",
     "SignatureTableSearcher",
-    "ShardedSignatureIndex",
     "MarketBasketIndex",
     "build_index",
     "IndexBuildReport",
@@ -159,7 +156,6 @@ __all__ = [
     "PreparedQuery",
     "SearchStats",
     "QueryEngine",
-    "ShardedQueryEngine",
     "BatchSummary",
     "BatchKey",
     "batch_key",

@@ -379,7 +379,7 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
 
     db = _load_database(args.database)
     table = SignatureTable.load(args.table)
-    engine = QueryEngine.for_table(table, db, workers=args.workers)
+    engine = QueryEngine.for_table(table, db)
     similarity = get_similarity(args.similarity)
     queries = _read_queries(args.queries)
 
@@ -418,7 +418,7 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
                     {
                         "query": index,
                         "items": query,
-                        "results": encode_neighbors(neighbors[: args.k]),
+                        "results": encode_neighbors(neighbors),
                         "latency_ms": 1000.0 * stat.elapsed_seconds,
                         "entries_scanned": stat.entries_scanned,
                     }
@@ -429,7 +429,7 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
         for index, neighbors in enumerate(results):
             if neighbors:
                 shown = " ".join(
-                    f"{nb.tid}:{nb.similarity:.4f}" for nb in neighbors[: args.k]
+                    f"{nb.tid}:{nb.similarity:.4f}" for nb in neighbors
                 )
             else:
                 shown = "(no match)"
@@ -438,8 +438,7 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
     summary = summarise_stats(stats)
     print(
         f"-- {summary.num_queries} queries in {elapsed:.2f}s "
-        f"({summary.num_queries / elapsed:.1f} queries/sec, "
-        f"workers={args.workers})",
+        f"({summary.num_queries / elapsed:.1f} queries/sec)",
         file=report,
     )
     print(
@@ -575,9 +574,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         db = _load_database(args.database)
         table = SignatureTable.load(args.table)
-        engine = QueryEngine.for_table(
-            table, db, workers=args.workers, kernel=args.kernel
-        )
+        engine = QueryEngine.for_table(table, db, kernel=args.kernel)
         num_transactions = len(db)
         index_info = {
             "database": args.database,
@@ -1248,13 +1245,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument("--k", type=int, default=5)
     p_batch.add_argument(
-        "--workers",
-        "-j",
-        type=int,
-        default=1,
-        help="worker processes for batch execution (default 1)",
-    )
-    p_batch.add_argument(
         "--early-termination",
         type=float,
         default=None,
@@ -1506,13 +1496,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30_000.0,
         help="default per-request deadline (default 30000)",
-    )
-    p_serve.add_argument(
-        "--workers",
-        "-j",
-        type=int,
-        default=1,
-        help="engine worker processes per batch (default 1)",
     )
     p_serve.add_argument(
         "--no-remote-shutdown",

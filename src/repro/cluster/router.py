@@ -9,8 +9,8 @@ fans every coalesced batch out to the shard-owner nodes and whose
 
 Correctness contract (the differential suite pins this down): on a
 quiescent cluster, kNN and range answers are **byte-identical** to a
-single-node :class:`~repro.core.engine.ShardedQueryEngine` over the
-same logical database —
+single-node :class:`~repro.core.engine.QueryEngine` over one signature
+table of the same logical database —
 
 * the global tid space has exact live-index semantics (appends at the
   end, deletes shift later tids down), maintained by the
@@ -18,7 +18,7 @@ same logical database —
 * every shard is asked for ``k`` plus the directory's unmapped-row
   head-room, unmapped rows are dropped, and the partials merge under
   the canonical ``(-similarity, tid)`` order
-  (:func:`~repro.core.sharded.merge_neighbor_lists`);
+  (:func:`~repro.core.merge.merge_neighbor_lists`);
 * when a shard's truncated top-k *could* hide rows tied with the
   provisional k-th result, a second tie-complete pass re-asks every
   shard as a range query at that similarity — so boundary ties resolve
@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import similarity_key
 from repro.core.search import Neighbor, SearchStats
-from repro.core.sharded import merge_neighbor_lists, merge_search_stats
+from repro.core.merge import merge_neighbor_lists, merge_search_stats
 from repro.cluster.directory import TidDirectory
 from repro.cluster.ring import HashRing
 from repro.data.transaction import TransactionDatabase
@@ -296,7 +296,7 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # Engine surface (queries)
     # ------------------------------------------------------------------
-    def run_batch(self, key, similarity, targets, workers=None):
+    def run_batch(self, key, similarity, targets):
         """Scatter one coalesced batch to every shard and merge exactly."""
         if similarity_key(similarity) != key.similarity:
             raise ValueError(
@@ -333,7 +333,6 @@ class ClusterRouter:
                     "op": "knn",
                     "similarity": similarity.name,
                     "k": asked,
-                    "sort_by": key.sort_by,
                     "correlation_id": cid,
                 }
                 if key.early_termination is not None:

@@ -16,8 +16,10 @@ Sub-modules follow the paper's structure:
   (Sections 4, 4.2, 4.3).
 * :mod:`repro.core.builder` — one-call pipeline from a database to a ready
   searcher.
-* :mod:`repro.core.engine` — batched multi-core query execution (an
-  engineering extension; exact by construction and by differential test).
+* :mod:`repro.core.engine` — batched query execution (an engineering
+  extension; exact by construction and by differential test).
+* :mod:`repro.core.merge` — the scatter-gather merge rule for answers
+  from several tables.
 """
 
 from repro.core.advisor import IndexAdvice, max_k_for_memory, suggest_parameters
@@ -32,11 +34,11 @@ from repro.core.engine import (
     BatchKey,
     BatchSummary,
     QueryEngine,
-    ShardedQueryEngine,
     batch_key,
     similarity_key,
     summarise_stats,
 )
+from repro.core.merge import merge_neighbor_lists, merge_search_stats
 from repro.core.partitioning import (
     PartitioningError,
     balanced_support_partition,
@@ -51,11 +53,6 @@ from repro.core.search import (
     QueryPlan,
     SearchStats,
     SignatureTableSearcher,
-)
-from repro.core.sharded import (
-    ShardedSignatureIndex,
-    merge_neighbor_lists,
-    merge_search_stats,
 )
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import (
@@ -96,7 +93,6 @@ __all__ = [
     "SignatureScheme",
     "SignatureTable",
     "SignatureTableSearcher",
-    "ShardedSignatureIndex",
     "merge_neighbor_lists",
     "merge_search_stats",
     "Neighbor",
@@ -104,7 +100,6 @@ __all__ = [
     "PreparedQuery",
     "SearchStats",
     "QueryEngine",
-    "ShardedQueryEngine",
     "BatchSummary",
     "summarise_stats",
     "BoundCalculator",

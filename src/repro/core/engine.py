@@ -1,4 +1,4 @@
-"""Batched multi-core query engine over the signature table.
+"""Batched query engine over the signature table.
 
 The paper evaluates the branch-and-bound search one query at a time; a
 production service amortises per-query work over query *batches* (the
@@ -8,25 +8,20 @@ and set-similarity joins).  :class:`QueryEngine` executes a batch with
 1. **one vectorised optimistic-bound pass** for the whole batch —
    :class:`~repro.core.bounds.BatchBoundCalculator` turns the per-query
    bound computation into two ``(Q, K) @ (K, E)`` matrix products and the
-   per-query ``argsort`` into a single ``axis=1`` sort;
+   per-query ``argsort`` into a single ``axis=1`` sort; and
 2. **one batched similarity precomputation** —
    :meth:`~repro.data.transaction.TransactionDatabase.match_counts_batch`
    walks each distinct item's posting list once per batch instead of once
-   per query; and
-3. **shared per-entry transaction reads** — give the engine a
-   :class:`~repro.storage.buffer.BufferPool` and a page fetched for one
-   query in the batch is resident (a free hit) for every later query that
-   scans an overlapping entry.
+   per query.
 
 The scan itself runs in one of two interchangeable forms.  The default
 ``kernel="packed"`` hands the whole prepared batch to
 :func:`repro.core.kernels.knn_scan_batch` /
 :func:`~repro.core.kernels.range_scan_batch`, which take the candidate
 sets (the LSH tier's, or explicit ``candidates``) and the guarantee
-tolerance as arguments.  ``kernel="python"`` and the configurations the
-engine does not hand to the kernels (``sort_by="supercoordinate"``,
-``early_termination``, ``precompute=False``, a buffer pool, an active
-tracer) inject the same prepared state into
+tolerance as arguments.  ``kernel="python"`` and the two configurations
+the engine does not hand to the kernels (``early_termination`` and an
+active tracer) inject the same prepared state into
 :meth:`SignatureTableSearcher.knn` /
 :meth:`SignatureTableSearcher.multi_range_query` through
 :class:`~repro.core.search.PreparedQuery`.  Every measured quantity
@@ -36,23 +31,17 @@ batch-side arithmetic is integer-exact (see ``BatchBoundCalculator``), so
 this is a bit-for-bit guarantee, pinned down by the differential and
 property test suites.
 
-``workers=N`` additionally shards the batch across ``N`` forked processes
-(queries are independent, so any sharding returns identical results).  On
-platforms without ``fork`` the engine silently degrades to sequential
-execution.  When a buffer pool is attached, each worker operates on its
-own copy-on-write clone of the pool, so per-query I/O counters under
-``workers > 1`` reflect per-worker (not whole-batch) sharing.
-
-:class:`ShardedQueryEngine` composes the same batching with
-:class:`~repro.core.sharded.ShardedSignatureIndex` for data-parallel
-shards: each shard executes the whole batch (optionally one shard per
-worker) and the per-query scatter-gather merge matches the sharded
-index's single-query semantics exactly.
+The engine serves the searcher's default configuration only: a searcher
+with ``precompute=False`` or a buffer pool is rejected at construction,
+and the supercoordinate scan order exists on
+:meth:`SignatureTableSearcher.knn` alone (the ablations run there).
+Scale-out is the cluster router's job (:mod:`repro.cluster`), whose
+scatter-gather merges per-shard answers with
+:func:`repro.core.merge.merge_neighbor_lists`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -66,62 +55,12 @@ from repro.core.search import (
     SearchStats,
     SignatureTableSearcher,
 )
-from repro.core.sharded import ShardedSignatureIndex, merge_neighbor_lists
 from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase, as_item_array
 from repro.obs.trace import current_tracer, span
-from repro.storage.buffer import BufferPool
 from repro.storage.pages import IOCounters
 from repro.utils.validation import check_positive
-
-_SORT_MODES = ("optimistic", "supercoordinate")
-
-#: Fork-inherited payload for worker processes.  Set immediately before the
-#: pool forks and cleared right after; workers read it instead of having
-#: the engine (tables, databases, similarity closures) pickled per task.
-_FORK_PAYLOAD: Optional[tuple] = None
-
-
-def _run_target_chunk(bounds: Tuple[int, int]):
-    """Worker: execute one contiguous slice of the batch sequentially."""
-    assert _FORK_PAYLOAD is not None
-    engine, method, targets, kwargs = _FORK_PAYLOAD
-    start, stop = bounds
-    return getattr(engine, method)(targets[start:stop], **kwargs)
-
-
-def _run_shard_batch(shard_index: int):
-    """Worker: execute the whole batch against one shard's engine."""
-    assert _FORK_PAYLOAD is not None
-    engines, method, targets, kwargs = _FORK_PAYLOAD
-    return getattr(engines[shard_index], method)(targets, **kwargs)
-
-
-def _fork_map(payload: tuple, worker, tasks: Sequence) -> List:
-    """Run ``worker`` over ``tasks`` in forked processes sharing ``payload``."""
-    global _FORK_PAYLOAD
-    context = multiprocessing.get_context("fork")
-    _FORK_PAYLOAD = payload
-    try:
-        with context.Pool(processes=len(tasks)) as pool:
-            return pool.map(worker, tasks)
-    finally:
-        _FORK_PAYLOAD = None
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _chunk_bounds(num_items: int, num_chunks: int) -> List[Tuple[int, int]]:
-    """Contiguous, near-even, non-empty (start, stop) slices of the batch."""
-    edges = np.linspace(0, num_items, num_chunks + 1).astype(np.int64)
-    return [
-        (int(edges[i]), int(edges[i + 1]))
-        for i in range(num_chunks)
-        if edges[i] < edges[i + 1]
-    ]
 
 
 @dataclass(frozen=True)
@@ -196,7 +135,6 @@ class BatchKey:
     threshold: Optional[float] = None
     early_termination: Optional[float] = None
     guarantee_tolerance: Optional[float] = None
-    sort_by: Optional[str] = None
     # Candidate tier (repro.sketch).  Tier is part of the key, so the
     # micro-batcher can never coalesce an lsh request into an exact batch
     # (or requests with different recall targets into one another).
@@ -258,7 +196,6 @@ def batch_key(
     threshold: Optional[float] = None,
     early_termination: Optional[float] = None,
     guarantee_tolerance: Optional[float] = None,
-    sort_by: Optional[str] = "optimistic",
     candidate_tier: str = "exact",
     target_recall: Optional[float] = None,
 ) -> BatchKey:
@@ -277,10 +214,6 @@ def batch_key(
             raise ValueError("threshold only applies to op='range'")
         k = 1 if k is None else int(k)
         check_positive(k, "k")
-        if sort_by not in _SORT_MODES:
-            raise ValueError(
-                f"sort_by must be one of {_SORT_MODES}, got {sort_by!r}"
-            )
         return BatchKey(
             op="knn",
             similarity=similarity_key(similarity),
@@ -293,7 +226,6 @@ def batch_key(
                 if guarantee_tolerance is None
                 else float(guarantee_tolerance)
             ),
-            sort_by=sort_by,
             candidate_tier=candidate_tier,
             target_recall=target_recall,
         )
@@ -308,7 +240,7 @@ def batch_key(
             raise ValueError(f"{name} does not apply to op='range'")
     return BatchKey(
         op="range", similarity=similarity_key(similarity),
-        threshold=float(threshold), sort_by=None,
+        threshold=float(threshold),
         candidate_tier=candidate_tier, target_recall=target_recall,
     )
 
@@ -319,14 +251,11 @@ class QueryEngine:
     Parameters
     ----------
     searcher:
-        The single-query searcher to amortise over batches.  Its options
-        (``precompute``, ``count_io``, ``buffer_pool``) carry over: give it
-        a :class:`~repro.storage.buffer.BufferPool` to share page reads
-        across the queries of a batch.
-    workers:
-        Default process count for batch execution.  ``1`` (default) runs
-        in-process; ``N > 1`` forks ``N`` workers, each executing a
-        contiguous slice of the batch.  Per-call ``workers=`` overrides.
+        The single-query searcher to amortise over batches; its
+        ``count_io`` carries over.  The batch paths need whole-database
+        similarities and model the per-query page cache only, so a
+        searcher with ``precompute=False`` or a buffer pool raises
+        ``ValueError`` (run those ablations on the searcher itself).
     kernel:
         ``"packed"`` (default) executes eligible batches through the
         vectorised bitset kernels of :mod:`repro.core.kernels`;
@@ -343,12 +272,14 @@ class QueryEngine:
     def __init__(
         self,
         searcher: SignatureTableSearcher,
-        workers: int = 1,
         kernel: Optional[str] = None,
     ) -> None:
-        check_positive(workers, "workers")
+        if not searcher.precompute or searcher.buffer_pool is not None:
+            raise ValueError(
+                "QueryEngine needs a searcher with precompute=True and no "
+                "buffer pool; query such a searcher directly"
+            )
         self._searcher = searcher
-        self._workers = int(workers)
         self._kernel = kernels.resolve_kernel(kernel)
         self._fallback_counter = None
         self._sketch_candidates_counter = None
@@ -359,32 +290,19 @@ class QueryEngine:
         cls,
         table: SignatureTable,
         db: TransactionDatabase,
-        workers: int = 1,
-        precompute: bool = True,
         count_io: bool = True,
-        buffer_pool: Optional[BufferPool] = None,
         kernel: Optional[str] = None,
     ) -> "QueryEngine":
         """Build an engine (and its internal searcher) in one call."""
-        searcher = SignatureTableSearcher(
-            table,
-            db,
-            precompute=precompute,
-            count_io=count_io,
-            buffer_pool=buffer_pool,
+        return cls(
+            SignatureTableSearcher(table, db, count_io=count_io), kernel=kernel
         )
-        return cls(searcher, workers=workers, kernel=kernel)
 
     # ------------------------------------------------------------------
     @property
     def searcher(self) -> SignatureTableSearcher:
         """The wrapped single-query searcher."""
         return self._searcher
-
-    @property
-    def workers(self) -> int:
-        """The default worker count for batch execution."""
-        return self._workers
 
     @property
     def kernel(self) -> str:
@@ -405,11 +323,8 @@ class QueryEngine:
     def _packed_eligible(self) -> bool:
         """Whether the vectorised scan kernels may serve this engine.
 
-        The kernels need precomputed similarities and replicate the
-        per-query page cache only.  A buffer pool carries cross-query LRU
-        state the vectorised accounting cannot replay, and an active
-        tracer expects the per-query spans the reference loop emits —
-        both fall back to the scalar path.
+        An active tracer expects the per-query spans the reference loop
+        emits, so traced batches fall back to the scalar path.
         """
         return self._kernel == "packed" and self._fallback_reason() is None
 
@@ -419,14 +334,7 @@ class QueryEngine:
         Only meaningful when ``kernel == "packed"``; choosing the python
         kernel outright is configuration, not a fallback.
         """
-        if self._kernel != "packed":
-            return None
-        searcher = self._searcher
-        if not searcher.precompute:
-            return "no_precompute"
-        if searcher.buffer_pool is not None:
-            return "buffer_pool"
-        if current_tracer() is not None:
+        if self._kernel == "packed" and current_tracer() is not None:
             return "tracing"
         return None
 
@@ -467,8 +375,6 @@ class QueryEngine:
         k: int = 1,
         early_termination: Optional[float] = None,
         guarantee_tolerance: Optional[float] = None,
-        sort_by: str = "optimistic",
-        workers: Optional[int] = None,
         candidate_tier: str = "exact",
         target_recall: Optional[float] = None,
         candidates: Optional[np.ndarray] = None,
@@ -490,17 +396,18 @@ class QueryEngine:
             candidate_tier, target_recall, candidates
         )
         target_arrays = self._normalise(targets)
-        kwargs = dict(
-            similarity=similarity,
-            k=k,
-            early_termination=early_termination,
-            guarantee_tolerance=guarantee_tolerance,
-            sort_by=sort_by,
-            candidate_tier=candidate_tier,
-            target_recall=target_recall,
-            candidates=candidates,
+        if not target_arrays:
+            return [], []
+        return self._knn_chunk(
+            target_arrays,
+            similarity,
+            k,
+            early_termination,
+            guarantee_tolerance,
+            candidate_tier,
+            target_recall,
+            candidates,
         )
-        return self._dispatch("_knn_chunk", target_arrays, kwargs, workers)
 
     def nearest_batch(
         self,
@@ -508,8 +415,6 @@ class QueryEngine:
         similarity: SimilarityFunction,
         early_termination: Optional[float] = None,
         guarantee_tolerance: Optional[float] = None,
-        sort_by: str = "optimistic",
-        workers: Optional[int] = None,
     ) -> Tuple[List[Optional[Neighbor]], List[SearchStats]]:
         """Single nearest neighbour for every target in the batch."""
         lists, stats = self.knn_batch(
@@ -518,8 +423,6 @@ class QueryEngine:
             k=1,
             early_termination=early_termination,
             guarantee_tolerance=guarantee_tolerance,
-            sort_by=sort_by,
-            workers=workers,
         )
         return [(hits[0] if hits else None) for hits in lists], stats
 
@@ -528,7 +431,6 @@ class QueryEngine:
         targets: Sequence[Iterable[int]],
         similarity: SimilarityFunction,
         threshold: float,
-        workers: Optional[int] = None,
         candidate_tier: str = "exact",
         target_recall: Optional[float] = None,
         candidates: Optional[np.ndarray] = None,
@@ -543,21 +445,22 @@ class QueryEngine:
             candidate_tier, target_recall, candidates
         )
         target_arrays = self._normalise(targets)
-        kwargs = dict(
-            similarity=similarity,
-            threshold=float(threshold),
-            candidate_tier=candidate_tier,
-            target_recall=target_recall,
-            candidates=candidates,
+        if not target_arrays:
+            return [], []
+        return self._range_chunk(
+            target_arrays,
+            similarity,
+            float(threshold),
+            candidate_tier,
+            target_recall,
+            candidates,
         )
-        return self._dispatch("_range_chunk", target_arrays, kwargs, workers)
 
     def run_batch(
         self,
         key: BatchKey,
         similarity: SimilarityFunction,
         targets: Sequence[Iterable[int]],
-        workers: Optional[int] = None,
     ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
         """Execute one coalesced batch described by a :class:`BatchKey`.
 
@@ -573,12 +476,6 @@ class QueryEngine:
                 f"similarity {similarity_key(similarity)!r} does not match "
                 f"batch key {key.similarity!r}"
             )
-        pool = self._searcher.buffer_pool
-        pool_before = (
-            pool.stats.copy()
-            if pool is not None and current_tracer() is not None
-            else None
-        )
         with span(
             "engine.run_batch", op=key.op, batch_size=len(targets)
         ) as batch_span:
@@ -590,31 +487,22 @@ class QueryEngine:
                 if self._fallback_counter is not None:
                     self._fallback_counter.labels(reason=fallback).inc()
             if key.op == "knn":
-                out = self.knn_batch(
+                return self.knn_batch(
                     targets,
                     similarity,
                     k=key.k,
                     early_termination=key.early_termination,
                     guarantee_tolerance=key.guarantee_tolerance,
-                    sort_by=key.sort_by,
-                    workers=workers,
                     candidate_tier=key.candidate_tier,
                     target_recall=key.target_recall,
                 )
-            else:
-                out = self.range_query_batch(
-                    targets,
-                    similarity,
-                    key.threshold,
-                    workers=workers,
-                    candidate_tier=key.candidate_tier,
-                    target_recall=key.target_recall,
-                )
-            if pool_before is not None:
-                batch_span.set_attribute(
-                    "buffer", pool.stats.delta(pool_before).as_dict()
-                )
-        return out
+            return self.range_query_batch(
+                targets,
+                similarity,
+                key.threshold,
+                candidate_tier=key.candidate_tier,
+                target_recall=key.target_recall,
+            )
 
     # ------------------------------------------------------------------
     # Batch preparation
@@ -629,17 +517,14 @@ class QueryEngine:
         self,
         target_arrays: Sequence[np.ndarray],
         bound_sims: Sequence[SimilarityFunction],
-    ) -> List[Optional[np.ndarray]]:
-        """Whole-database similarities per query, or Nones when the
-        searcher runs in the per-transaction reference mode."""
-        if not self._searcher.precompute:
-            return [None] * len(target_arrays)
+    ) -> List[np.ndarray]:
+        """Whole-database similarities per query."""
         db = self._searcher.db
         matches = db.match_counts_batch(
             target_arrays,
             kernel="auto" if self._kernel == "packed" else "python",
         )
-        sims: List[Optional[np.ndarray]] = []
+        sims: List[np.ndarray] = []
         for q, (items, bound_sim) in enumerate(zip(target_arrays, bound_sims)):
             y = db.sizes + items.size - 2 * matches[q]
             sims.append(
@@ -681,22 +566,18 @@ class QueryEngine:
         self,
         target_arrays: Sequence[np.ndarray],
         similarity: SimilarityFunction,
-        sort_by: Optional[str],
+        ordered: bool,
         readable_rows: Optional[int] = None,
     ) -> List[PreparedQuery]:
         """The amortised bound pass: one ``(Q, E)`` matrix for the batch.
 
-        ``sort_by=None`` skips the ordering (range queries scan in entry
-        order).  ``readable_rows`` bounds the rows the batch's packed
-        scans can read between them (their candidate sets);
-        when evaluating that many rows on demand is cheaper than every
+        ``ordered=False`` skips the decreasing-bound ordering (range
+        queries scan in entry order).  ``readable_rows`` bounds the rows
+        the batch's packed scans can read between them (their candidate
+        sets); when evaluating that many rows on demand is cheaper than every
         row of the database, queries carry ``row_sims`` instead of
         ``sims_all``.
         """
-        if sort_by is not None and sort_by not in _SORT_MODES:
-            raise ValueError(
-                f"sort_by must be one of {_SORT_MODES}, got {sort_by!r}"
-            )
         searcher = self._searcher
         scheme = searcher.table.scheme
         bits = searcher.table.bits_matrix
@@ -712,22 +593,9 @@ class QueryEngine:
             )
             opts = calculator.optimistic_similarity(bits, bound_sims)
         orders: List[Optional[np.ndarray]]
-        if sort_by == "optimistic":
+        if ordered:
             order_matrix = np.argsort(-opts, axis=1, kind="stable")
             orders = [order_matrix[q] for q in range(len(target_arrays))]
-        elif sort_by == "supercoordinate":
-            threshold = scheme.activation_threshold
-            bit_rows = calculator.activation_counts >= threshold
-            orders = []
-            for q in range(len(target_arrays)):
-                target_bits = bit_rows[q]
-                matches = (bits & target_bits[None, :]).sum(axis=1)
-                hamming = (bits ^ target_bits[None, :]).sum(axis=1)
-                coordinate_sim = similarity.bind(int(target_bits.sum()) or 1)
-                keys = np.asarray(
-                    coordinate_sim.evaluate(matches, hamming), dtype=np.float64
-                )
-                orders.append(np.argsort(-keys, kind="stable"))
         else:
             orders = [None] * len(target_arrays)
         sims: Sequence[Optional[np.ndarray]] = [None] * len(target_arrays)
@@ -794,11 +662,12 @@ class QueryEngine:
                     rows.ndim == 1
                     and np.issubdtype(rows.dtype, np.integer)
                     and (rows.size == 0 or (rows.min() >= 0 and rows.max() < total))
+                    and np.unique(rows).size == rows.size
                 )
             if not valid:
                 raise ValueError(
                     f"candidates must be a boolean mask of shape ({total},) "
-                    f"or an array of tids in [0, {total})"
+                    f"or an array of distinct tids in [0, {total})"
                 )
         return candidate_tier, target_recall
 
@@ -865,7 +734,7 @@ class QueryEngine:
             self._sketch_access_histogram.observe(stats.access_fraction)
 
     # ------------------------------------------------------------------
-    # Chunk execution (runs in-process or inside a forked worker)
+    # Chunk execution
     # ------------------------------------------------------------------
     def _knn_chunk(
         self,
@@ -874,10 +743,9 @@ class QueryEngine:
         k: int,
         early_termination: Optional[float],
         guarantee_tolerance: Optional[float],
-        sort_by: str,
-        candidate_tier: str = "exact",
-        target_recall: Optional[float] = None,
-        candidates: Optional[np.ndarray] = None,
+        candidate_tier: str,
+        target_recall: Optional[float],
+        candidates: Optional[np.ndarray],
     ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
         searcher = self._searcher
         probes, per_query = self._candidate_rows(
@@ -885,15 +753,11 @@ class QueryEngine:
         )
         # `knn_scan_batch` models an access budget too, but budgeted
         # batches keep to the reference loop for now (see CHANGES.md).
-        packed = (
-            self._packed_eligible()
-            and sort_by == "optimistic"
-            and early_termination is None
-        )
+        packed = self._packed_eligible() and early_termination is None
         readable = self._readable_rows(per_query) if packed else None
         with span("engine.prepare_batch", batch_size=len(target_arrays)):
             prepared = self._prepare_batch(
-                target_arrays, similarity, sort_by, readable_rows=readable
+                target_arrays, similarity, ordered=True, readable_rows=readable
             )
         if packed:
             results, stats = kernels.knn_scan_batch(
@@ -914,7 +778,6 @@ class QueryEngine:
                     k=k,
                     early_termination=early_termination,
                     guarantee_tolerance=guarantee_tolerance,
-                    sort_by=sort_by,
                     prepared=prep,
                     tid_mask=(
                         None if per_query is None
@@ -935,9 +798,9 @@ class QueryEngine:
         target_arrays: Sequence[np.ndarray],
         similarity: SimilarityFunction,
         threshold: float,
-        candidate_tier: str = "exact",
-        target_recall: Optional[float] = None,
-        candidates: Optional[np.ndarray] = None,
+        candidate_tier: str,
+        target_recall: Optional[float],
+        candidates: Optional[np.ndarray],
     ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
         searcher = self._searcher
         probes, per_query = self._candidate_rows(
@@ -947,7 +810,7 @@ class QueryEngine:
         readable = self._readable_rows(per_query) if packed else None
         with span("engine.prepare_batch", batch_size=len(target_arrays)):
             prepared = self._prepare_batch(
-                target_arrays, similarity, None, readable_rows=readable
+                target_arrays, similarity, ordered=False, readable_rows=readable
             )
         if packed:
             results, stats = kernels.range_scan_batch(
@@ -975,225 +838,4 @@ class QueryEngine:
         if probes is not None:
             for query_stats, probe in zip(stats, probes):
                 self._finish_sketch_stats(query_stats, probe, None)
-        return results, stats
-
-    # ------------------------------------------------------------------
-    # Worker fan-out
-    # ------------------------------------------------------------------
-    def _resolve_workers(self, workers: Optional[int], batch_size: int) -> int:
-        count = self._workers if workers is None else int(workers)
-        check_positive(count, "workers")
-        if batch_size <= 1 or not _fork_available():
-            return 1
-        return min(count, batch_size)
-
-    def _dispatch(
-        self,
-        method: str,
-        target_arrays: List[np.ndarray],
-        kwargs: dict,
-        workers: Optional[int],
-    ) -> Tuple[List, List[SearchStats]]:
-        if not target_arrays:
-            return [], []
-        count = self._resolve_workers(workers, len(target_arrays))
-        if count <= 1:
-            return getattr(self, method)(target_arrays, **kwargs)
-        chunks = _chunk_bounds(len(target_arrays), count)
-        # Forked workers run untraced (spans never cross the process
-        # boundary); the fan-out span records the sharding instead.
-        with span(
-            "engine.fan_out",
-            workers=len(chunks),
-            chunk_sizes=[stop - start for start, stop in chunks],
-        ):
-            parts = _fork_map(
-                (self, method, target_arrays, kwargs), _run_target_chunk, chunks
-            )
-        results: List = []
-        stats: List[SearchStats] = []
-        for chunk_results, chunk_stats in parts:
-            results.extend(chunk_results)
-            stats.extend(chunk_stats)
-        return results, stats
-
-
-class ShardedQueryEngine:
-    """Batched, data-parallel execution over a sharded signature index.
-
-    Each shard runs the whole batch through its own :class:`QueryEngine`
-    (amortised bound pass per shard); with ``workers > 1`` the shards
-    execute in parallel forked processes.  Per-query merge semantics are
-    exactly those of :class:`~repro.core.sharded.ShardedSignatureIndex`,
-    so results agree with the sharded index's single-query methods.
-    """
-
-    def __init__(
-        self,
-        index: ShardedSignatureIndex,
-        workers: int = 1,
-        kernel: Optional[str] = None,
-    ) -> None:
-        check_positive(workers, "workers")
-        self._index = index
-        self._kernel = kernels.resolve_kernel(kernel)
-        self._engines = [
-            QueryEngine(searcher, kernel=self._kernel)
-            for searcher in index.searchers
-        ]
-        self._workers = int(workers)
-
-    @property
-    def index(self) -> ShardedSignatureIndex:
-        """The wrapped sharded index."""
-        return self._index
-
-    @property
-    def workers(self) -> int:
-        """The default worker count (parallelism is across shards)."""
-        return self._workers
-
-    @property
-    def kernel(self) -> str:
-        """The kernel every per-shard engine runs with."""
-        return self._kernel
-
-    def run_batch(
-        self,
-        key: BatchKey,
-        similarity: SimilarityFunction,
-        targets: Sequence[Iterable[int]],
-        workers: Optional[int] = None,
-    ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
-        """Execute one coalesced batch described by a :class:`BatchKey`.
-
-        Mirrors :meth:`QueryEngine.run_batch` over the sharded index
-        (``guarantee_tolerance`` is not supported by the sharded merge
-        and must be ``None`` in the key).
-        """
-        if similarity_key(similarity) != key.similarity:
-            raise ValueError(
-                f"similarity {similarity_key(similarity)!r} does not match "
-                f"batch key {key.similarity!r}"
-            )
-        if key.candidate_tier != "exact":
-            raise ValueError(
-                "candidate_tier='lsh' is not supported by the sharded "
-                "engine (shard-local sketches cannot honour a global "
-                "recall target); use the cluster router instead"
-            )
-        if key.op == "knn":
-            if key.guarantee_tolerance is not None:
-                raise ValueError(
-                    "guarantee_tolerance is not supported by the sharded engine"
-                )
-            return self.knn_batch(
-                targets,
-                similarity,
-                k=key.k,
-                early_termination=key.early_termination,
-                sort_by=key.sort_by,
-                workers=workers,
-            )
-        return self.range_query_batch(
-            targets, similarity, key.threshold, workers=workers
-        )
-
-    # ------------------------------------------------------------------
-    def _normalise(
-        self, targets: Sequence[Iterable[int]]
-    ) -> List[np.ndarray]:
-        universe = self._index.scheme.universe_size
-        return [as_item_array(t, universe) for t in targets]
-
-    def _per_shard(
-        self,
-        method: str,
-        target_arrays: List[np.ndarray],
-        kwargs: dict,
-        workers: Optional[int],
-    ) -> List[Tuple[List, List[SearchStats]]]:
-        count = self._workers if workers is None else int(workers)
-        check_positive(count, "workers")
-        count = min(count, len(self._engines))
-        if count <= 1 or len(self._engines) <= 1 or not _fork_available():
-            return [
-                getattr(engine, method)(target_arrays, **kwargs)
-                for engine in self._engines
-            ]
-        return _fork_map(
-            (self._engines, method, target_arrays, kwargs),
-            _run_shard_batch,
-            list(range(len(self._engines))),
-        )
-
-    def knn_batch(
-        self,
-        targets: Sequence[Iterable[int]],
-        similarity: SimilarityFunction,
-        k: int = 1,
-        early_termination: Optional[float] = None,
-        sort_by: str = "optimistic",
-        workers: Optional[int] = None,
-    ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
-        """Exact k-NN for every target, scatter-gathered over all shards."""
-        check_positive(k, "k")
-        target_arrays = self._normalise(targets)
-        if not target_arrays:
-            return [], []
-        kwargs = dict(
-            similarity=similarity,
-            k=k,
-            early_termination=early_termination,
-            guarantee_tolerance=None,
-            sort_by=sort_by,
-        )
-        per_shard = self._per_shard("_knn_chunk", target_arrays, kwargs, workers)
-        offsets = self._index.shard_offsets
-        results: List[List[Neighbor]] = []
-        stats: List[SearchStats] = []
-        for q in range(len(target_arrays)):
-            merged: List[Neighbor] = []
-            partials: List[SearchStats] = []
-            for shard, (shard_results, shard_stats) in enumerate(per_shard):
-                offset = int(offsets[shard])
-                merged.extend(
-                    Neighbor(tid=nb.tid + offset, similarity=nb.similarity)
-                    for nb in shard_results[q]
-                )
-                partials.append(shard_stats[q])
-            results.append(merge_neighbor_lists([merged], k=k))
-            stats.append(self._index.merge_stats(partials))
-        return results, stats
-
-    def range_query_batch(
-        self,
-        targets: Sequence[Iterable[int]],
-        similarity: SimilarityFunction,
-        threshold: float,
-        workers: Optional[int] = None,
-    ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
-        """Exact range query for every target over all shards."""
-        target_arrays = self._normalise(targets)
-        if not target_arrays:
-            return [], []
-        kwargs = dict(similarity=similarity, threshold=float(threshold))
-        per_shard = self._per_shard(
-            "_range_chunk", target_arrays, kwargs, workers
-        )
-        offsets = self._index.shard_offsets
-        results: List[List[Neighbor]] = []
-        stats: List[SearchStats] = []
-        for q in range(len(target_arrays)):
-            merged: List[Neighbor] = []
-            partials: List[SearchStats] = []
-            for shard, (shard_results, shard_stats) in enumerate(per_shard):
-                offset = int(offsets[shard])
-                merged.extend(
-                    Neighbor(tid=nb.tid + offset, similarity=nb.similarity)
-                    for nb in shard_results[q]
-                )
-                partials.append(shard_stats[q])
-            results.append(merge_neighbor_lists([merged]))
-            stats.append(self._index.merge_stats(partials))
         return results, stats

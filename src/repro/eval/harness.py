@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.baselines.inverted import InvertedIndex
 from repro.baselines.linear_scan import LinearScanIndex
-from repro.core.engine import QueryEngine, summarise_stats
+from repro.core.engine import QueryEngine
 from repro.core.partitioning import (
     balanced_support_partition,
     partition_items,
@@ -161,23 +161,14 @@ class ExperimentContext:
         spec: str,
         num_signatures: int,
         activation_threshold: int = 1,
-        workers: int = 1,
     ) -> QueryEngine:
-        """A batched :class:`QueryEngine` over the memoised searcher.
-
-        The engine is memoised per table (not per worker count); the
-        ``workers`` argument only sets its default process count.
-        """
+        """A batched :class:`QueryEngine` over the memoised searcher."""
         key = (spec, num_signatures, activation_threshold)
         if key not in self._engines:
             self._engines[key] = QueryEngine(
                 self.searcher(spec, num_signatures, activation_threshold)
             )
-        engine = self._engines[key]
-        if engine.workers != workers:
-            engine = QueryEngine(engine.searcher, workers=workers)
-            self._engines[key] = engine
-        return engine
+        return self._engines[key]
 
     def scan(self, spec: str) -> LinearScanIndex:
         if spec not in self._scans:
@@ -599,162 +590,6 @@ def run_memory_ablation(
                 ),
             },
         )
-    return table
-
-
-# ----------------------------------------------------------------------
-# Batched engine throughput (engineering extension)
-# ----------------------------------------------------------------------
-def run_batch_throughput(
-    similarity: SimilarityFunction,
-    ctx: ExperimentContext,
-    spec: Optional[str] = None,
-    num_signatures: Optional[int] = None,
-    k: int = 10,
-    batch_size: Optional[int] = None,
-    workers_list: Sequence[int] = (1, 4),
-    repeats: int = 1,
-) -> ExperimentTable:
-    """Queries/sec of the batched engine vs the sequential per-query loop.
-
-    Every configuration is verified to return exactly the same neighbour
-    lists and :class:`~repro.core.search.SearchStats` as the sequential
-    baseline before its timing is reported, so the speedups are for
-    *identical* answers.
-    """
-    spec = spec or ctx.profile["large_spec"]
-    num_signatures = num_signatures or ctx.profile["default_k"]
-    engine = ctx.engine(spec, num_signatures)
-    searcher = engine.searcher
-    queries = ctx.queries(spec)
-    if batch_size is not None:
-        queries = queries[:batch_size]
-    table = ExperimentTable(
-        title=(
-            f"Batched engine throughput — {similarity.name} "
-            f"({spec}, K={num_signatures}, k={k}, batch={len(queries)})"
-        ),
-        columns=[
-            "mode",
-            "queries/sec",
-            "speedup",
-            "entries scanned/query",
-            "identical",
-        ],
-        notes=ctx.notes([f"similarity={similarity.name}"]),
-    )
-
-    def _timed(fn):
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            out = fn()
-            best = min(best, time.perf_counter() - start)
-        return out, best
-
-    (baseline, base_elapsed) = _timed(
-        lambda: [searcher.knn(q, similarity, k=k) for q in queries]
-    )
-    base_stats = [stats for _, stats in baseline]
-    base_qps = len(queries) / base_elapsed
-    summary = summarise_stats(base_stats)
-    table.add_row(
-        mode="sequential",
-        **{
-            "queries/sec": base_qps,
-            "speedup": 1.0,
-            "entries scanned/query": summary.mean_entries_scanned,
-            "identical": "-",
-        },
-    )
-    for workers in workers_list:
-        (batch, elapsed) = _timed(
-            lambda w=workers: engine.knn_batch(
-                queries, similarity, k=k, workers=w
-            )
-        )
-        results, stats = batch
-        identical = results == [r for r, _ in baseline] and stats == base_stats
-        summary = summarise_stats(stats)
-        table.add_row(
-            mode=f"batched (workers={workers})",
-            **{
-                "queries/sec": len(queries) / elapsed,
-                "speedup": (len(queries) / elapsed) / base_qps,
-                "entries scanned/query": summary.mean_entries_scanned,
-                "identical": "yes" if identical else "NO",
-            },
-        )
-    return table
-
-
-def run_kernel_throughput(
-    similarity: SimilarityFunction,
-    ctx: ExperimentContext,
-    spec: Optional[str] = None,
-    num_signatures: Optional[int] = None,
-    k: int = 10,
-    batch_size: Optional[int] = None,
-    repeats: int = 3,
-) -> ExperimentTable:
-    """Single-core queries/sec of the packed kernel vs the scalar path.
-
-    Both engines run the *same* batch on one worker so the comparison
-    isolates the :mod:`repro.core.kernels` bitset scan from
-    multiprocessing effects.  The packed row only reports a timing after
-    its neighbour lists and :class:`~repro.core.search.SearchStats` are
-    verified byte-identical to the scalar engine's — the speedup is for
-    identical answers, including the replayed IO counters.
-    """
-    from repro.core.engine import QueryEngine
-
-    spec = spec or ctx.profile["large_spec"]
-    num_signatures = num_signatures or ctx.profile["default_k"]
-    searcher = ctx.searcher(spec, num_signatures)
-    queries = ctx.queries(spec)
-    if batch_size is not None:
-        queries = queries[:batch_size]
-    engines = {
-        "python": QueryEngine(searcher, kernel="python"),
-        "packed": QueryEngine(searcher, kernel="packed"),
-    }
-    table = ExperimentTable(
-        title=(
-            f"Kernel throughput — {similarity.name} "
-            f"({spec}, K={num_signatures}, k={k}, batch={len(queries)})"
-        ),
-        columns=["kernel", "queries/sec", "speedup", "identical"],
-        notes=ctx.notes(
-            [f"similarity={similarity.name}", "single worker, best of "
-             f"{max(1, repeats)} repeats"]
-        ),
-    )
-
-    def _timed(engine):
-        best = float("inf")
-        out = None
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            out = engine.knn_batch(queries, similarity, k=k, workers=1)
-            best = min(best, time.perf_counter() - start)
-        return out, best
-
-    (base_results, base_stats), base_elapsed = _timed(engines["python"])
-    base_qps = len(queries) / base_elapsed
-    table.add_row(
-        kernel="python",
-        **{"queries/sec": base_qps, "speedup": 1.0, "identical": "-"},
-    )
-    (results, stats), elapsed = _timed(engines["packed"])
-    identical = results == base_results and stats == base_stats
-    table.add_row(
-        kernel="packed",
-        **{
-            "queries/sec": len(queries) / elapsed,
-            "speedup": (len(queries) / elapsed) / base_qps,
-            "identical": "yes" if identical else "NO",
-        },
-    )
     return table
 
 

@@ -40,22 +40,17 @@ class LiveQueryEngine:
         key: BatchKey,
         similarity: SimilarityFunction,
         targets: Sequence[Iterable[int]],
-        workers=None,
     ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
         """Execute one coalesced batch against the live index.
 
         Matches the :meth:`QueryEngine.run_batch
-        <repro.core.engine.QueryEngine.run_batch>` contract (``workers``
-        is accepted for signature compatibility; live batches run
-        sequentially — the base searcher already parallelises nothing
-        per query and the delta scan is memory-resident).
+        <repro.core.engine.QueryEngine.run_batch>` contract.
         """
         if similarity_key(similarity) != key.similarity:
             raise ValueError(
                 f"similarity {similarity_key(similarity)!r} does not match "
                 f"batch key {key.similarity!r}"
             )
-        del workers
         results: List[List[Neighbor]] = []
         stats: List[SearchStats] = []
         if key.op == "knn":
@@ -66,7 +61,6 @@ class LiveQueryEngine:
                     k=key.k,
                     early_termination=key.early_termination,
                     guarantee_tolerance=key.guarantee_tolerance,
-                    sort_by=key.sort_by,
                     candidate_tier=key.candidate_tier,
                     target_recall=key.target_recall,
                 )

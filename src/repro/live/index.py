@@ -652,7 +652,6 @@ class LiveIndex:
         k: int = 1,
         early_termination: Optional[float] = None,
         guarantee_tolerance: Optional[float] = None,
-        sort_by: str = "optimistic",
         candidate_tier: str = "exact",
         target_recall: Optional[float] = None,
     ) -> Tuple[List[Neighbor], SearchStats]:
@@ -684,7 +683,6 @@ class LiveIndex:
             k=k + state.num_dead,
             early_termination=early_termination,
             guarantee_tolerance=guarantee_tolerance,
-            sort_by=sort_by,
             tid_mask=tid_mask,
         )
         delta_pairs = state.delta.knn_candidates(target, similarity, k)

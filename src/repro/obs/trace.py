@@ -20,8 +20,9 @@ Tracers are **not** re-entrant across threads: one tracer records from
 one thread at a time.  The micro-batcher hands a dedicated tracer to the
 engine's executor thread (contextvars do not flow through
 ``run_in_executor``) and stitches the resulting engine span into each
-request's tree; forked engine workers deliberately run untraced — spans
-never cross process boundaries.
+request's tree.  Spans never cross process boundaries on their own; a
+cluster scatter leg returns its tree to the router as data
+(:mod:`repro.obs.distributed`).
 """
 
 from __future__ import annotations

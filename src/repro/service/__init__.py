@@ -1,8 +1,8 @@
 """Online query serving: async server, micro-batcher, metrics, client.
 
 The serving subsystem keeps one batched engine
-(:class:`~repro.core.engine.QueryEngine` or
-:class:`~repro.core.engine.ShardedQueryEngine`) resident and exposes it
+(:class:`~repro.core.engine.QueryEngine`, or the live-index and cluster
+router adapters with the same ``run_batch``) resident and exposes it
 to concurrent clients over a newline-delimited-JSON TCP protocol:
 
 * :mod:`repro.service.protocol` — the NDJSON wire format and error

@@ -3,7 +3,7 @@
 The server's throughput lever: concurrent requests whose parameters are
 *compatible* — equal :class:`~repro.core.engine.BatchKey`, i.e. same
 operation, similarity function, ``k``/``threshold``, termination and
-sort settings — are coalesced into one
+candidate-tier settings — are coalesced into one
 :meth:`~repro.core.engine.QueryEngine.run_batch` call, so online
 traffic inherits the batched engine's amortised bound pass, batched
 posting walks and shared entry reads, while results are de-multiplexed
@@ -81,8 +81,9 @@ class MicroBatcher:
     ----------
     engine:
         Any engine exposing ``run_batch(key, similarity, targets)`` —
-        :class:`~repro.core.engine.QueryEngine` or
-        :class:`~repro.core.engine.ShardedQueryEngine`.
+        :class:`~repro.core.engine.QueryEngine`,
+        :class:`~repro.live.engine.LiveQueryEngine` or
+        :class:`~repro.cluster.router.ClusterRouter`.
     max_batch_size:
         Flush a batch as soon as it holds this many requests.
     max_wait_ms:

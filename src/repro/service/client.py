@@ -329,7 +329,6 @@ class ServiceClient:
         similarity: str = "match_ratio",
         k: int = 5,
         early_termination: Optional[float] = None,
-        sort_by: str = "optimistic",
         timeout_ms: Optional[float] = None,
         trace: bool = False,
         correlation_id: Optional[str] = None,
@@ -354,7 +353,6 @@ class ServiceClient:
             "items": list(map(int, items)),
             "similarity": similarity,
             "k": int(k),
-            "sort_by": sort_by,
         }
         if early_termination is not None:
             message["early_termination"] = float(early_termination)

@@ -96,7 +96,8 @@ _STATS = struct.Struct(">qqqqqqdBB")
 _FLAG_EARLY_TERMINATION = 1
 _FLAG_TIMEOUT = 2
 _FLAG_TRACE = 4
-_FLAG_SORT_SUPERCOORDINATE = 8
+#: Reserved; a frame that sets it is answered ``bad_request``.
+_FLAG_RESERVED = 8
 _FLAG_CORRELATION = 16
 
 _OP_CODES = {"knn": 0, "range": 1}
@@ -212,6 +213,10 @@ def encode_query(message: Dict[str, object]) -> bytes:
         # lsh-tier requests ride JSON frames on the binary wire (same
         # extension mechanism as trace_context above).
         raise ValueError("sketch-tier queries ride JSON frames")
+    if message.get("sort_by", "optimistic") != "optimistic":
+        # No slot either: the JSON frame carries the field to the
+        # server's parser, which rejects it by name.
+        raise ValueError("sort_by has no binary form")
     request_id = message.get("id")
     if not isinstance(request_id, int) or isinstance(request_id, bool):
         raise ValueError("binary query frames need an integer id")
@@ -241,8 +246,6 @@ def encode_query(message: Dict[str, object]) -> bytes:
         tail.append(correlation)
     if message.get("trace"):
         flags |= _FLAG_TRACE
-    if op == "knn" and message.get("sort_by") == "supercoordinate":
-        flags |= _FLAG_SORT_SUPERCOORDINATE
     if op == "knn":
         k = message.get("k")
         if not isinstance(k, int) or isinstance(k, bool) or not 0 < k < 2**32:
@@ -269,6 +272,8 @@ def decode_query(payload: bytes) -> Dict[str, object]:
     if op_code not in _OP_NAMES:
         raise FrameError(f"unknown query op code {op_code}")
     op = _OP_NAMES[op_code]
+    if flags & _FLAG_RESERVED:
+        raise FrameError(f"query flag bit {_FLAG_RESERVED} is reserved")
     (sim_len,) = cursor.unpack(_U8)
     similarity = _utf8(cursor.take(sim_len), "similarity name")
     message: Dict[str, object] = {
@@ -279,11 +284,6 @@ def decode_query(payload: bytes) -> Dict[str, object]:
     if op == "knn":
         (k,) = cursor.unpack(_U32)
         message["k"] = k
-        message["sort_by"] = (
-            "supercoordinate"
-            if flags & _FLAG_SORT_SUPERCOORDINATE
-            else "optimistic"
-        )
     else:
         (threshold,) = cursor.unpack(_F64)
         message["threshold"] = threshold

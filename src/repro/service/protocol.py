@@ -12,8 +12,7 @@ Requests
 --------
 ``{"id": 1, "op": "knn", "items": [3, 17], "similarity": "match_ratio",
 "k": 5}`` — k-nearest-neighbour query.  Optional fields:
-``early_termination`` (fraction of the database), ``sort_by``
-(``optimistic``/``supercoordinate``), ``candidate_tier``
+``early_termination`` (fraction of the database), ``candidate_tier``
 (``exact``/``lsh`` — the sketch prefilter of :mod:`repro.sketch`),
 ``target_recall`` (recall target for the lsh tier), ``timeout_ms``
 (per-request deadline), ``trace`` (return the span tree inline),
@@ -235,6 +234,12 @@ def parse_query(message: Dict[str, object]) -> QueryRequest:
         or isinstance(target_recall, bool)
     ):
         raise ProtocolError("bad_request", "target_recall must be a number")
+    if message.get("sort_by", "optimistic") != "optimistic":
+        raise ProtocolError(
+            "bad_request",
+            "sort_by is not a request field: the service scans in "
+            "optimistic-bound order only",
+        )
     try:
         key = batch_key(
             op,
@@ -242,7 +247,6 @@ def parse_query(message: Dict[str, object]) -> QueryRequest:
             k=message.get("k"),
             threshold=message.get("threshold"),
             early_termination=message.get("early_termination"),
-            sort_by=message.get("sort_by", "optimistic") if op == "knn" else None,
             candidate_tier=candidate_tier,
             target_recall=(
                 None if target_recall is None else float(target_recall)

@@ -104,9 +104,8 @@ class QueryServer:
     Parameters
     ----------
     engine:
-        :class:`~repro.core.engine.QueryEngine` or
-        :class:`~repro.core.engine.ShardedQueryEngine` (anything with
-        ``run_batch``).
+        :class:`~repro.core.engine.QueryEngine`, or anything else with
+        its ``run_batch`` (the live-index and cluster-router adapters).
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`address`).
     max_batch_size, max_wait_ms, max_queue, default_timeout_ms:
@@ -257,7 +256,7 @@ class QueryServer:
             **self._batcher_options,
         )
         # Engines that can account kernel fallbacks get the registry
-        # (duck-typed so sharded/live/router engines need not care).
+        # (duck-typed so live/router engines need not care).
         bind = getattr(self._engine, "bind_metrics", None)
         if bind is not None:
             bind(self.metrics.registry)

@@ -1,9 +1,9 @@
-"""Differential suite: cluster answers vs the single-node sharded engine.
+"""Differential suite: cluster answers vs the single-node engine.
 
 The router's contract is *byte-identity*: on a quiescent cluster, every
 kNN and range answer — tids, similarities, and order — must equal what a
-single-process :class:`~repro.core.engine.ShardedQueryEngine` over the
-cluster's logical database returns.  The suites below drive seeded
+single-process :class:`~repro.core.engine.QueryEngine` over one
+signature table of the cluster's logical database returns.  The suites below drive seeded
 mutate+query workloads, tie-heavy datasets (exercising the tie-complete
 second pass), and online rebalance, checking identity throughout.
 """
@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterHarness
-from repro.core.engine import ShardedQueryEngine
-from repro.core.sharded import ShardedSignatureIndex
+from repro.core.engine import QueryEngine
 from repro.core.similarity import get_similarity
+from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase
 
 from tests.cluster.conftest import UNIVERSE, random_transaction
@@ -26,10 +26,7 @@ SIMILARITIES = ("match_ratio", "jaccard")
 
 def oracle_engine(rows, scheme):
     db = TransactionDatabase(rows, universe_size=scheme.universe_size)
-    index = ShardedSignatureIndex.from_database(
-        db, scheme, num_shards=min(3, len(db))
-    )
-    return ShardedQueryEngine(index)
+    return QueryEngine.for_table(SignatureTable.build(db, scheme), db)
 
 
 def assert_cluster_identical(client, rows, scheme, queries, ks=(1, 3, 7)):

@@ -237,92 +237,33 @@ def test_traced_batch_identical_and_one_span_per_query(instance, kernel):
         )
 
 
-def test_supercoordinate_order_batch_identical(instance):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_explicit_candidates_identical_and_duplicates_rejected(instance, kernel):
+    """``candidates=`` is the searcher's ``tid_mask``, as a mask or as
+    distinct tids; a repeated tid would be scanned (and returned) once
+    per repeat by the packed kernels, so it is refused up front."""
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
-    engine = repro.QueryEngine(searcher)
+    engine = repro.QueryEngine(searcher, kernel=kernel)
     sim = repro.JaccardSimilarity()
-    batch_results, batch_stats = engine.knn_batch(
-        queries, sim, k=3, sort_by="supercoordinate"
-    )
-    for query, got, got_stats in zip(queries, batch_results, batch_stats):
-        want, want_stats = searcher.knn(query, sim, k=3, sort_by="supercoordinate")
-        assert got == want
-        assert got_stats == want_stats
-
-
-def test_reference_mode_batch_identical(instance):
-    """precompute=False (per-transaction reads) must also match exactly."""
-    db, table, queries = instance
-    searcher = repro.SignatureTableSearcher(table, db, precompute=False)
-    engine = repro.QueryEngine(searcher)
-    sim = repro.MatchRatioSimilarity()
-    batch_results, batch_stats = engine.knn_batch(queries, sim, k=3)
-    for query, got, got_stats in zip(queries, batch_results, batch_stats):
-        want, want_stats = searcher.knn(query, sim, k=3)
-        assert got == want
-        assert got_stats == want_stats
-
-
-def test_buffer_pool_sharing_matches_sequential_loop(instance):
-    """With a shared pool, the batch equals the same sequential loop.
-
-    The pool is stateful across queries, so the oracle is a *fresh*
-    searcher with a fresh pool of the same capacity, run over the batch
-    in order.
-    """
-    db, table, queries = instance
-    sim = repro.CosineSimilarity()
-
-    def fresh():
-        pool = repro.BufferPool(table.store, capacity=8)
-        return repro.SignatureTableSearcher(table, db, buffer_pool=pool)
-
-    oracle = fresh()
-    want = [oracle.knn(query, sim, k=2) for query in queries]
-    engine = repro.QueryEngine(fresh())
-    batch_results, batch_stats = engine.knn_batch(queries, sim, k=2)
-    for (want_res, want_stats), got, got_stats in zip(
-        want, batch_results, batch_stats
-    ):
-        assert got == want_res
-        assert got_stats == want_stats
-
-
-def test_workers_do_not_change_results(instance):
-    db, table, queries = instance
-    engine = repro.QueryEngine.for_table(table, db)
-    sim = repro.MatchRatioSimilarity()
-    seq_results, seq_stats = engine.knn_batch(queries, sim, k=3, workers=1)
-    par_results, par_stats = engine.knn_batch(queries, sim, k=3, workers=3)
-    assert par_results == seq_results
-    assert par_stats == seq_stats
-    seq_hits, seq_rstats = engine.range_query_batch(
-        queries, sim, 0.25, workers=1
-    )
-    par_hits, par_rstats = engine.range_query_batch(
-        queries, sim, 0.25, workers=3
-    )
-    assert par_hits == seq_hits
-    assert par_rstats == seq_rstats
-
-
-def test_sharded_engine_matches_sharded_index(instance):
-    db, table, queries = instance
-    scheme = repro.partition_items(db, num_signatures=5, rng=7)
-    index = repro.ShardedSignatureIndex.from_database(db, scheme, num_shards=3)
-    engine = repro.ShardedQueryEngine(index)
-    sim = repro.DiceSimilarity()
-    batch_results, batch_stats = engine.knn_batch(queries, sim, k=4)
-    for query, got, got_stats in zip(queries, batch_results, batch_stats):
-        want, want_stats = index.knn(query, sim, k=4)
-        assert got == want
-        assert got_stats == want_stats
-    hits, rstats = engine.range_query_batch(queries, sim, 0.3)
-    for query, got, got_stats in zip(queries, hits, rstats):
-        want, want_stats = index.range_query(query, sim, 0.3)
-        assert got == want
-        assert got_stats == want_stats
+    tids = np.array([5, 7, 9, 40, 41])
+    mask = np.zeros(len(db), dtype=bool)
+    mask[tids] = True
+    for rows in (tids, mask):
+        got = engine.knn_batch(queries, sim, k=3, candidates=rows)
+        hits = engine.range_query_batch(queries, sim, 0.0, candidates=rows)
+        for q, query in enumerate(queries):
+            assert (got[0][q], got[1][q]) == searcher.knn(
+                query, sim, k=3, tid_mask=mask
+            )
+            assert (hits[0][q], hits[1][q]) == searcher.range_query(
+                query, sim, 0.0, tid_mask=mask
+            )
+    repeated = np.array([5, 5, 7, 7, 9])
+    with pytest.raises(ValueError, match="distinct tids"):
+        engine.knn_batch(queries[:1], sim, k=3, candidates=repeated)
+    with pytest.raises(ValueError, match="distinct tids"):
+        engine.range_query_batch(queries[:1], sim, 0.0, candidates=repeated)
 
 
 def test_nearest_batch_matches_nearest(instance):

@@ -1,10 +1,9 @@
-"""BatchKey normalisation, ``run_batch`` dispatch, and the fork fallback."""
+"""BatchKey normalisation and ``run_batch`` dispatch."""
 
 import pytest
 
 import repro
-import repro.core.engine as engine_mod
-from repro.core.engine import BatchKey, batch_key, similarity_key
+from repro.core.engine import batch_key, similarity_key
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +28,6 @@ class TestBatchKey:
         b = batch_key("range", sim, k=None, threshold=1.0)
         assert a == b
         assert a.threshold == 1.0
-        assert a.sort_by is None
 
     def test_keys_are_hashable_group_keys(self):
         sim = repro.MatchRatioSimilarity()
@@ -52,8 +50,6 @@ class TestBatchKey:
             batch_key("range", sim, k=None)  # threshold required
         with pytest.raises(ValueError):
             batch_key("nearest", sim)  # unknown op
-        with pytest.raises(ValueError):
-            batch_key("knn", sim, k=3, sort_by="random")
 
     def test_similarity_key_separates_parameterised_instances(self):
         smoothed = repro.MatchRatioSimilarity()
@@ -83,54 +79,3 @@ class TestRunBatch:
         key = batch_key("knn", repro.MatchRatioSimilarity(), k=3)
         with pytest.raises(ValueError, match="does not match"):
             engine.run_batch(key, repro.JaccardSimilarity(), queries)
-
-    def test_sharded_engine_rejects_guarantee_tolerance(
-        self, small_db, small_scheme
-    ):
-        index = repro.ShardedSignatureIndex.from_database(
-            small_db, small_scheme, num_shards=2
-        )
-        sharded = repro.ShardedQueryEngine(index)
-        sim = repro.MatchRatioSimilarity()
-        key = batch_key("knn", sim, k=3, guarantee_tolerance=0.0)
-        with pytest.raises(ValueError, match="guarantee_tolerance"):
-            sharded.run_batch(key, sim, [[1, 2, 3]])
-
-
-class TestForkFallback:
-    """Satellite: without fork, multi-worker batches fall back in-process."""
-
-    def test_knn_batch_falls_back_to_sequential(
-        self, engine, queries, monkeypatch
-    ):
-        sim = repro.MatchRatioSimilarity()
-        want = engine.knn_batch(queries, sim, k=5, workers=1)
-        monkeypatch.setattr(engine_mod, "_fork_available", lambda: False)
-        parallel = repro.QueryEngine(engine.searcher, workers=4)
-        assert parallel._resolve_workers(None, len(queries)) == 1
-        got = parallel.knn_batch(queries, sim, k=5)
-        assert got == want  # results AND stats identical to sequential
-
-    def test_range_batch_falls_back_to_sequential(
-        self, engine, queries, monkeypatch
-    ):
-        sim = repro.HammingSimilarity()
-        want = engine.range_query_batch(queries, sim, threshold=0.05, workers=1)
-        monkeypatch.setattr(engine_mod, "_fork_available", lambda: False)
-        got = engine.range_query_batch(queries, sim, threshold=0.05, workers=8)
-        assert got == want
-
-    def test_sharded_batch_falls_back_to_sequential(
-        self, small_db, small_scheme, monkeypatch
-    ):
-        index = repro.ShardedSignatureIndex.from_database(
-            small_db, small_scheme, num_shards=3
-        )
-        queries = [sorted(small_db[t]) for t in range(8)]
-        sim = repro.MatchRatioSimilarity()
-        want = repro.ShardedQueryEngine(index).knn_batch(queries, sim, k=3)
-        monkeypatch.setattr(engine_mod, "_fork_available", lambda: False)
-        got = repro.ShardedQueryEngine(index, workers=4).knn_batch(
-            queries, sim, k=3
-        )
-        assert got == want

@@ -16,17 +16,16 @@ from repro.core.engine import QueryEngine, batch_key
 from repro.core.similarity import MatchRatioSimilarity
 from repro.obs.registry import MetricRegistry
 from repro.obs.trace import Tracer
-from repro.storage.buffer import BufferPool
 
 
-def make_engine(table, db, kernel="packed", **kwargs):
+def make_engine(table, db, kernel="packed"):
     # Explicit, so the suite means the same under a REPRO_KERNEL override.
-    return QueryEngine.for_table(table, db, kernel=kernel, **kwargs)
+    return QueryEngine.for_table(table, db, kernel=kernel)
 
 
 def run_one_batch(engine, db):
     similarity = MatchRatioSimilarity()
-    key = batch_key("knn", similarity, k=3, sort_by="optimistic")
+    key = batch_key("knn", similarity, k=3)
     targets = [sorted(db[tid]) for tid in range(4)]
     return engine.run_batch(key, similarity, targets)
 
@@ -69,14 +68,18 @@ class TestFallbackReasons:
             assert not engine._packed_eligible()
         assert engine._fallback_reason() is None  # back once tracing ends
 
-    def test_no_precompute_downgrades(self, small_table, small_db):
-        engine = make_engine(small_table, small_db, precompute=False)
-        assert engine._fallback_reason() == "no_precompute"
-
-    def test_buffer_pool_downgrades(self, small_table, small_db):
-        pool = BufferPool(small_table.store, capacity=8)
-        engine = make_engine(small_table, small_db, buffer_pool=pool)
-        assert engine._fallback_reason() == "buffer_pool"
+    def test_pooled_and_reference_mode_searchers_rejected(
+        self, small_table, small_db
+    ):
+        """The batch paths model neither a buffer pool nor per-transaction
+        reads: refused at construction, not silently run scalar."""
+        pool = repro.BufferPool(small_table.store, capacity=8)
+        for searcher in (
+            repro.SignatureTableSearcher(small_table, small_db, buffer_pool=pool),
+            repro.SignatureTableSearcher(small_table, small_db, precompute=False),
+        ):
+            with pytest.raises(ValueError, match="no buffer pool"):
+                QueryEngine(searcher)
 
 
 class TestFallbackObservability:
@@ -101,19 +104,6 @@ class TestFallbackObservability:
             run_one_batch(engine, small_db)
             run_one_batch(engine, small_db)
         assert fallback_count(registry, "tracing") == 2.0
-
-    def test_counter_labels_other_reasons(self, small_table, small_db):
-        registry = MetricRegistry()
-        engine = make_engine(small_table, small_db, precompute=False)
-        engine.bind_metrics(registry)
-        run_one_batch(engine, small_db)
-        assert fallback_count(registry, "no_precompute") == 1.0
-
-        pool = BufferPool(small_table.store, capacity=8)
-        pooled = make_engine(small_table, small_db, buffer_pool=pool)
-        pooled.bind_metrics(registry)
-        run_one_batch(pooled, small_db)
-        assert fallback_count(registry, "buffer_pool") == 1.0
 
     def test_python_kernel_batches_never_count(self, small_table, small_db):
         registry = MetricRegistry()

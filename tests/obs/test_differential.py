@@ -61,7 +61,7 @@ class TestSearcherDifferential:
 class TestEngineDifferential:
     def test_run_batch_identical_under_tracing(self, small_searcher, small_db):
         engine = repro.QueryEngine(small_searcher)
-        key = batch_key("knn", SIM, k=5, sort_by="optimistic")
+        key = batch_key("knn", SIM, k=5)
         batch = targets(small_db)
         plain_results, plain_stats = engine.run_batch(key, SIM, batch)
         tracer = Tracer()

@@ -3,10 +3,10 @@
 For ANY assignment of rows to shards — including assignments that break
 every tie group across shard boundaries — the cluster router's kNN and
 range answers must be byte-identical to the single-node
-:class:`~repro.core.engine.ShardedQueryEngine` over the same logical
-database.  Rows are drawn from a tiny pool of distinct transactions so
-similarity ties are everywhere and the k-th boundary almost always cuts
-inside a tie group.
+:class:`~repro.core.engine.QueryEngine` over one signature table of the
+same logical database.  Rows are drawn from a tiny pool of distinct
+transactions so similarity ties are everywhere and the k-th boundary
+almost always cuts inside a tie group.
 """
 
 import tempfile
@@ -16,10 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterHarness
-from repro.core.engine import ShardedQueryEngine
+from repro.core.engine import QueryEngine
 from repro.core.partitioning import random_partition
-from repro.core.sharded import ShardedSignatureIndex
 from repro.core.similarity import get_similarity
+from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase
 
 pytestmark = pytest.mark.cluster
@@ -76,11 +76,7 @@ def _workload(draw):
 def test_scatter_gather_matches_single_node(workload):
     rows, assignment, queries, k, threshold = workload
     db = TransactionDatabase(rows, universe_size=_UNIVERSE)
-    oracle = ShardedQueryEngine(
-        ShardedSignatureIndex.from_database(
-            db, _SCHEME, num_shards=min(3, len(db))
-        )
-    )
+    oracle = QueryEngine.for_table(SignatureTable.build(db, _SCHEME), db)
     with tempfile.TemporaryDirectory() as root, ClusterHarness(
         root,
         _SCHEME,

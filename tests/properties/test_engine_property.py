@@ -71,15 +71,6 @@ def test_permutation_invariance(batch, seed, sim):
     assert perm_stats == [stats[p] for p in perm]
 
 
-@settings(max_examples=15, deadline=None)
-@given(batches, st.integers(min_value=2, max_value=6), st.sampled_from(SIMS))
-def test_worker_count_does_not_change_answers(batch, workers, sim):
-    seq_results, seq_stats = _ENGINE.knn_batch(batch, sim, k=2, workers=1)
-    par_results, par_stats = _ENGINE.knn_batch(batch, sim, k=2, workers=workers)
-    assert par_results == seq_results
-    assert par_stats == seq_stats
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     batches,

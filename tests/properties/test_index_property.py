@@ -2,7 +2,8 @@
 
 * insert-then-query equals build-from-scratch (main + delta transparency);
 * compaction changes no answer;
-* sharding changes no answer, for any shard count;
+* slicing the rows over several tables and merging changes no answer,
+  for any slice count;
 * table verify() accepts every freshly built table.
 """
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.sharded import ShardedSignatureIndex
+from repro.core.merge import merge_neighbor_lists, merge_search_stats
+from repro.core.search import Neighbor
 from repro.data.transaction import TransactionDatabase
 
 
@@ -88,25 +90,41 @@ def test_compact_preserves_answers(instance):
 @settings(max_examples=30, deadline=None)
 @given(maintenance_instances(), st.integers(min_value=1, max_value=5))
 def test_sharding_is_transparent(instance, num_shards):
+    """The merge rule: per-slice engine answers, tid-offset, through
+    ``merge_neighbor_lists`` equal one table over the union."""
     universe_size, base_rows, extra_rows, target, seed = instance
     rows = base_rows + extra_rows
     db = TransactionDatabase(rows, universe_size=universe_size)
-    num_shards = min(num_shards, len(db))
     scheme = _scheme(universe_size, seed)
-    single = repro.SignatureTableSearcher(
-        repro.SignatureTable.build(db, scheme), db
-    )
-    sharded = ShardedSignatureIndex.from_database(db, scheme, num_shards)
     sim = repro.MatchRatioSimilarity()
     k = min(3, len(db))
-    single_answers, _ = single.knn(target, sim, k=k)
-    sharded_answers, _ = sharded.knn(target, sim, k=k)
-    assert [n.similarity for n in single_answers] == [
-        n.similarity for n in sharded_answers
-    ]
-    # Global TIDs must dereference to the same transactions.
-    for neighbor in sharded_answers:
-        assert sharded[neighbor.tid] == db[neighbor.tid]
+
+    def answers(part):
+        engine = repro.QueryEngine.for_table(
+            repro.SignatureTable.build(part, scheme), part
+        )
+        (knn,), (stats,) = engine.knn_batch([target], sim, k=k)
+        (hits,), _ = engine.range_query_batch([target], sim, 0.2)
+        return knn, hits, stats
+
+    edges = np.linspace(0, len(db), min(num_shards, len(db)) + 1).astype(int)
+    knn_parts, range_parts, stats_parts = [], [], []
+    for start, stop in zip(edges[:-1], edges[1:]):
+        knn, hits, stats = answers(db.subset(range(start, stop)))
+        for part, found in ((knn_parts, knn), (range_parts, hits)):
+            part.append(
+                [Neighbor(nb.tid + int(start), nb.similarity) for nb in found]
+            )
+        stats_parts.append(stats)
+    want_knn, want_hits, _ = answers(db)
+    assert merge_neighbor_lists(knn_parts, k=k) == want_knn
+    assert merge_neighbor_lists(range_parts) == want_hits
+    merged = merge_search_stats(stats_parts, len(db))
+    assert merged.total_transactions == len(db)
+    assert merged.guaranteed_optimal
+    assert merged.transactions_accessed == sum(
+        s.transactions_accessed for s in stats_parts
+    )
 
 
 @settings(max_examples=40, deadline=None)

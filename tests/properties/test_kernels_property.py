@@ -385,12 +385,12 @@ class TestEndToEndEngineEquality:
         scalar = QueryEngine(searcher, kernel="python")
         packed = QueryEngine(searcher, kernel="packed")
         for k in (1, 5):
-            r1, s1 = scalar.knn_batch(targets, similarity, k=k, workers=1)
-            r2, s2 = packed.knn_batch(targets, similarity, k=k, workers=1)
+            r1, s1 = scalar.knn_batch(targets, similarity, k=k)
+            r2, s2 = packed.knn_batch(targets, similarity, k=k)
             assert r1 == r2
             assert s1 == s2
-        r1, s1 = scalar.range_query_batch(targets, similarity, 0.3, workers=1)
-        r2, s2 = packed.range_query_batch(targets, similarity, 0.3, workers=1)
+        r1, s1 = scalar.range_query_batch(targets, similarity, 0.3)
+        r2, s2 = packed.range_query_batch(targets, similarity, 0.3)
         assert r1 == r2
         assert s1 == s2
 

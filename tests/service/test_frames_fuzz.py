@@ -287,7 +287,6 @@ def _knn_frame(request_id, items, k=3):
             "items": items,
             "similarity": "match_ratio",
             "k": k,
-            "sort_by": "optimistic",
         }
     )
 
@@ -315,16 +314,22 @@ class TestServerUnderCorruption:
             assert sock.recv(1) == b""
 
     def test_bad_payload_in_valid_frame_keeps_connection(self, server):
+        # Well-formed header around a truncated QUERY payload, then a
+        # complete QUERY that sets the reserved flag bit 8: one
+        # structured rejection each, and the stream keeps serving.
+        reserved = bytearray(_knn_frame(6, [1, 2, 3]))
+        # flags is the last byte of the (op, id, flags) block
+        reserved[frames.HEADER.size + frames._QUERY_FIXED.size - 1] |= 8
         with _negotiate(_connect(server)) as sock:
-            # Well-formed header, truncated QUERY payload: one structured
-            # rejection, then the stream keeps serving.
-            sock.sendall(
+            for bad in (
                 frames.HEADER.pack(frames.MAGIC, frames.FRAME_QUERY, 3)
-                + b"\x00\x01\x02"
-            )
-            response = _read_frame(sock)
-            assert response["ok"] is False
-            assert response["error"]["code"] == "bad_request"
+                + b"\x00\x01\x02",
+                bytes(reserved),
+            ):
+                sock.sendall(bad)
+                response = _read_frame(sock)
+                assert response["ok"] is False
+                assert response["error"]["code"] == "bad_request"
             sock.sendall(_knn_frame(7, [1, 2, 3]))
             response = _read_frame(sock)
             assert response["ok"] is True

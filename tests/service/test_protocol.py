@@ -63,7 +63,6 @@ class TestParseQuery:
         request = parse_query(self.make())
         assert request.key.op == "knn"
         assert request.key.k == 5
-        assert request.key.sort_by == "optimistic"
         assert request.items == [3, 17]
         assert request.timeout_ms is None
 
@@ -89,6 +88,15 @@ class TestParseQuery:
         with pytest.raises(ProtocolError) as excinfo:
             parse_query(self.make(threshold=0.5))
         assert excinfo.value.code == "bad_request"
+
+    def test_sort_by_rejected_unless_optimistic(self):
+        assert parse_query(self.make(sort_by="optimistic")).key == parse_query(
+            self.make()
+        ).key
+        for op in (dict(), dict(op="range", k=None, threshold=0.5)):
+            with pytest.raises(ProtocolError) as excinfo:
+                parse_query(self.make(sort_by="supercoordinate", **op))
+            assert excinfo.value.code == "bad_request"
 
     def test_empty_items_rejected(self):
         for items in ([], None, "abc", [1, "x"], [True]):

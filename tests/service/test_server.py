@@ -206,6 +206,21 @@ class TestWireErrors:
                 response = decode_response(reader.readline())
                 assert response["id"] == 10
                 assert response["error"]["code"] == "bad_request"
+                # A scan order the service does not offer.
+                sock.sendall(
+                    encode_request(
+                        {
+                            "id": 12,
+                            "op": "knn",
+                            "items": [1, 2],
+                            "k": 3,
+                            "sort_by": "supercoordinate",
+                        }
+                    )
+                )
+                response = decode_response(reader.readline())
+                assert response["id"] == 12
+                assert response["error"]["code"] == "bad_request"
                 # The connection survives all of it.
                 sock.sendall(encode_request({"id": 11, "op": "ping"}))
                 assert decode_response(reader.readline())["ok"] is True

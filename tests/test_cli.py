@@ -287,20 +287,6 @@ class TestQueryBatch:
         value = single_first.split("jaccard=")[1].split()[0]
         assert f"{tid}:{value}" in batch_lines[0]
 
-    def test_workers_flag(self, dataset_path, table_path, queries_path, capsys):
-        code = main(
-            [
-                "query-batch",
-                str(dataset_path),
-                str(table_path),
-                str(queries_path),
-                "--workers",
-                "2",
-            ]
-        )
-        assert code == 0
-        assert "workers=2" in capsys.readouterr().out
-
     def test_threshold_mode(self, dataset_path, table_path, queries_path, capsys):
         code = main(
             [
@@ -313,6 +299,43 @@ class TestQueryBatch:
             ]
         )
         assert code == 0
+
+    def test_threshold_mode_prints_every_hit(
+        self, dataset_path, table_path, queries_path, capsys
+    ):
+        """A range answer is not cut to the kNN default ``--k`` of 5."""
+        db = repro.TransactionDatabase.load(dataset_path)
+        engine = repro.QueryEngine.for_table(
+            repro.SignatureTable.load(table_path), db
+        )
+        queries = [[1, 5, 9], [2, 7], [0, 3, 11, 20]]
+        want, _ = engine.range_query_batch(
+            queries, repro.JaccardSimilarity(), 0.05
+        )
+        assert max(len(hits) for hits in want) > 5
+        argv = [
+            "query-batch",
+            str(dataset_path),
+            str(table_path),
+            str(queries_path),
+            "--similarity",
+            "jaccard",
+            "--threshold",
+            "0.05",
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for index, hits in enumerate(want):
+            shown = lines[index].split()[2:]
+            assert [int(pair.split(":")[0]) for pair in shown] == [
+                nb.tid for nb in hits
+            ]
+        assert "workers" not in lines[len(want)]
+        assert main(argv + ["--output", "json"]) == 0
+        records = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        assert [len(r["results"]) for r in records] == [len(h) for h in want]
 
     def test_early_termination_summary(
         self, dataset_path, table_path, queries_path, capsys

@@ -58,4 +58,3 @@ class TestExamples:
     def test_scaling_out(self):
         output = run_example("scaling_out.py")
         assert "hit rate" in output
-        assert "scatter-gather" in output
