@@ -1602,7 +1602,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--universe-size",
         type=int,
         default=None,
-        help="item universe of the clustered dataset (introspection only)",
+        help="item universe of the clustered dataset (queries naming an item "
+        "outside it are refused at the router)",
     )
     p_router.add_argument(
         "--vnodes",

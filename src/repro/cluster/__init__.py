@@ -14,7 +14,7 @@ shard-owner node processes behind one router:
   byte-identical merge, idempotent mutation routing, health-probe
   failover and online rebalance;
 * :mod:`repro.cluster.harness` — one-process cluster assembly for
-  tests, chaos drills and benchmarks.
+  tests and chaos drills.
 
 See ``docs/cluster.md`` for the design and its invariants.
 """

@@ -197,7 +197,8 @@ class TidDirectory:
 
         Position ``g`` of the assignment becomes global tid ``g``; the
         physical counts are derived.  Used when shard node states were
-        built out-of-band (the benchmark pre-partitions the dataset).
+        built out-of-band (:class:`~repro.cluster.harness.ClusterHarness`
+        preloads rows this way).
         """
         if self._entries:
             raise ValueError("preload requires an empty directory")

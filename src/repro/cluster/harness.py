@@ -1,4 +1,4 @@
-"""In-process cluster assembly for tests, chaos drills and benchmarks.
+"""In-process cluster assembly for tests and chaos drills.
 
 :class:`ClusterHarness` stands up a whole cluster inside one Python
 process: per-shard owner (and optional warm-replica) nodes as
@@ -15,8 +15,9 @@ explicit shard assignment — the directory is seeded to match — or the
 cluster starts logically empty.
 
 The subprocess path (``repro node`` / ``repro router``) reuses
-:func:`bootstrap_node_state` for its on-disk layout, so the benchmark
-can create node directories here and serve them from real processes.
+:func:`bootstrap_node_state` for its on-disk layout, so node
+directories created here can be served from real processes (CI's
+cluster smoke does).
 """
 
 from __future__ import annotations

@@ -155,8 +155,11 @@ class ClusterRouter:
     shards:
         :class:`ShardSpec` per shard (or ``{name: (host, port)}``).
     universe_size:
-        Item universe of the clustered dataset (used by
-        :meth:`logical_db` so differential oracles compare equal).
+        Item universe of the clustered dataset: the fronting server
+        refuses a query naming an item outside it (alone, before it can
+        fail the scatter of a whole coalesced batch), and
+        :meth:`logical_db` uses it so differential oracles compare
+        equal.  ``None`` leaves that check to the shards.
     vnodes, client_retries, socket_timeout, wire:
         Ring granularity and per-shard client knobs.  Shard clients
         retry transport faults with the *same* forwarded idempotency

@@ -310,6 +310,11 @@ class QueryEngine:
         return self._kernel
 
     @property
+    def universe_size(self) -> int:
+        """Targets may name items in ``[0, universe_size)`` only."""
+        return self._searcher.db.universe_size
+
+    @property
     def sketch(self):
         """The :class:`~repro.sketch.SketchIndex` attached to the table,
         or ``None`` when the table carries no sketch column."""
@@ -510,8 +515,7 @@ class QueryEngine:
     def _normalise(
         self, targets: Sequence[Iterable[int]]
     ) -> List[np.ndarray]:
-        universe = self._searcher.db.universe_size
-        return [as_item_array(t, universe) for t in targets]
+        return [as_item_array(t, self.universe_size) for t in targets]
 
     def _batch_similarities(
         self,

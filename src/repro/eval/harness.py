@@ -23,19 +23,22 @@ functions").
 
 Queries are held-out transactions drawn from the same generator (the same
 consumer-behaviour pattern pool) as the indexed data.
+
+Nothing here starts a server, a live index or a cluster: how fast the
+*system* runs is measured by ``bench/run.py`` and recorded in the
+``results/BENCH_<n>.json`` trail.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.inverted import InvertedIndex
 from repro.baselines.linear_scan import LinearScanIndex
-from repro.core.engine import QueryEngine
+from repro.core.engine import similarity_key
 from repro.core.partitioning import (
     balanced_support_partition,
     partition_items,
@@ -113,7 +116,6 @@ class ExperimentContext:
         self._searchers: Dict[Tuple[str, int, int], SignatureTableSearcher] = {}
         self._scans: Dict[str, LinearScanIndex] = {}
         self._truths: Dict[Tuple[str, str], List[float]] = {}
-        self._engines: Dict[Tuple[str, int, int], QueryEngine] = {}
 
     # ------------------------------------------------------------------
     def database(self, spec: str) -> Tuple[TransactionDatabase, TransactionDatabase]:
@@ -156,20 +158,6 @@ class ExperimentContext:
             self._searchers[key] = SignatureTableSearcher(table, indexed)
         return self._searchers[key]
 
-    def engine(
-        self,
-        spec: str,
-        num_signatures: int,
-        activation_threshold: int = 1,
-    ) -> QueryEngine:
-        """A batched :class:`QueryEngine` over the memoised searcher."""
-        key = (spec, num_signatures, activation_threshold)
-        if key not in self._engines:
-            self._engines[key] = QueryEngine(
-                self.searcher(spec, num_signatures, activation_threshold)
-            )
-        return self._engines[key]
-
     def scan(self, spec: str) -> LinearScanIndex:
         if spec not in self._scans:
             indexed, _ = self.database(spec)
@@ -183,7 +171,7 @@ class ExperimentContext:
 
     def truths(self, spec: str, similarity: SimilarityFunction) -> List[float]:
         """Ground-truth optimal similarity per query (linear scan)."""
-        key = (spec, _similarity_key(similarity))
+        key = (spec, similarity_key(similarity))
         if key not in self._truths:
             scan = self.scan(spec)
             self._truths[key] = [
@@ -199,10 +187,6 @@ class ExperimentContext:
             f"queries_per_point={self.num_queries}",
         ]
         return base + list(extra)
-
-
-def _similarity_key(similarity: SimilarityFunction) -> str:
-    return f"{similarity.name}:{repr(similarity)}"
 
 
 # ----------------------------------------------------------------------
@@ -590,406 +574,4 @@ def run_memory_ablation(
                 ),
             },
         )
-    return table
-
-
-# ----------------------------------------------------------------------
-# Closed-loop serving load (the online front door, repro.service)
-# ----------------------------------------------------------------------
-def run_service_load(
-    similarity_name: str,
-    ctx: ExperimentContext,
-    spec: Optional[str] = None,
-    num_signatures: Optional[int] = None,
-    k: int = 10,
-    concurrency_list: Sequence[int] = (1, 8, 32),
-    wait_ms_list: Sequence[float] = (2.0,),
-    max_batch_size: int = 64,
-    max_queue: int = 4096,
-    total_requests: Optional[int] = None,
-    retries: int = 0,
-) -> ExperimentTable:
-    """Serving throughput/latency vs client concurrency and batch window.
-
-    Stands up a real :class:`~repro.service.server.QueryServer` (TCP, in
-    a background thread) over the memoised engine, then drives it with
-    closed-loop clients (:func:`repro.service.client.run_load`): each
-    client keeps exactly one request in flight, so offered concurrency
-    equals the number of clients.  The sequential baseline is the same
-    request sequence through :meth:`SignatureTableSearcher.knn` one call
-    at a time.
-
-    Every row *verifies the differential guarantee in-run*: each
-    response's neighbour list must be byte-identical to the batched
-    engine's direct answer for that query (which the PR 1 differential
-    suite pins to the single-query searcher), and a row only counts as
-    ``identical`` when every request completed (no rejections).
-    """
-    from repro.core.similarity import get_similarity
-    from repro.service.client import run_load
-    from repro.service.metrics import percentile
-    from repro.service.server import serve_in_background
-
-    spec = spec or ctx.profile["large_spec"]
-    num_signatures = num_signatures or ctx.profile["default_k"]
-    similarity = get_similarity(similarity_name)
-    engine = ctx.engine(spec, num_signatures)
-    queries = ctx.queries(spec)
-    requests = (
-        max(2 * len(queries), 64) if total_requests is None else int(total_requests)
-    )
-    expected, _ = engine.knn_batch(queries, similarity, k=k)
-
-    table = ExperimentTable(
-        title=(
-            f"Serving throughput vs concurrency — {similarity_name} "
-            f"({spec}, K={num_signatures}, k={k}, {requests} requests/row)"
-        ),
-        columns=[
-            "clients",
-            "max_wait_ms",
-            "req/sec",
-            "speedup",
-            "p50 ms",
-            "p99 ms",
-            "mean batch",
-            "rejected",
-            "identical",
-        ],
-        notes=ctx.notes(
-            [
-                f"similarity={similarity_name}",
-                f"max_batch_size={max_batch_size}",
-                "baseline: sequential single-query loop, same request mix",
-            ]
-        ),
-    )
-
-    sequence = [queries[i % len(queries)] for i in range(requests)]
-    started = time.perf_counter()
-    for target in sequence:
-        engine.searcher.knn(target, similarity, k=k)
-    base_elapsed = time.perf_counter() - started
-    base_qps = requests / base_elapsed
-    table.add_row(
-        clients=0,
-        **{
-            "max_wait_ms": 0.0,
-            "req/sec": base_qps,
-            "speedup": 1.0,
-            "p50 ms": 1000.0 * base_elapsed / requests,
-            "p99 ms": 1000.0 * base_elapsed / requests,
-            "mean batch": 1.0,
-            "rejected": 0,
-            "identical": "-",
-        },
-    )
-
-    for wait_ms in wait_ms_list:
-        for clients in concurrency_list:
-            handle = serve_in_background(
-                engine,
-                max_batch_size=max_batch_size,
-                max_wait_ms=wait_ms,
-                max_queue=max_queue,
-            )
-            host, port = handle.address
-            try:
-                result = run_load(
-                    host,
-                    port,
-                    queries,
-                    similarity=similarity_name,
-                    k=k,
-                    concurrency=clients,
-                    total_requests=requests,
-                    retries=retries,
-                )
-                identical = result.completed == len(result.records) and all(
-                    record.neighbors == expected[record.query_index]
-                    for record in result.records
-                    if record.error_code is None
-                )
-                mean_batch = handle.server.metrics.mean_batch_size()
-            finally:
-                handle.stop()
-            latencies = result.latencies_ms() or [float("nan")]
-
-            # percentile() reports None below two samples; tables want NaN.
-            def _pct(fraction: float) -> float:
-                value = percentile(latencies, fraction)
-                return float("nan") if value is None else value
-
-            table.add_row(
-                clients=clients,
-                **{
-                    "max_wait_ms": float(wait_ms),
-                    "req/sec": result.qps,
-                    "speedup": result.qps / base_qps,
-                    "p50 ms": _pct(0.50),
-                    "p99 ms": _pct(0.99),
-                    "mean batch": mean_batch,
-                    "rejected": result.rejected,
-                    "identical": "yes" if identical else "NO",
-                },
-            )
-    return table
-
-
-def run_wire_comparison(
-    similarity_name: str,
-    ctx: ExperimentContext,
-    spec: Optional[str] = None,
-    num_signatures: Optional[int] = None,
-    k: int = 10,
-    concurrency: int = 8,
-    total_requests: Optional[int] = None,
-    repeats: int = 3,
-) -> ExperimentTable:
-    """NDJSON vs binary-frame wire protocol against one live server.
-
-    One :class:`~repro.service.server.QueryServer` serves both rows;
-    only the client-side ``wire`` differs, so the delta is pure
-    encode/decode + transport cost.  After one unmeasured warmup pass
-    per wire, the repeats interleave the wires (so machine drift hits
-    both equally) and each row keeps its lowest-p99 run (closed-loop
-    latency tails are noisy).  Every request's neighbour list is
-    verified byte-identical
-    to the direct engine answer in-run — per :doc:`docs/wire`, the
-    NDJSON float round-trip and the binary raw-double encoding must
-    decode to the very same IEEE-754 values.
-    """
-    from repro.core.similarity import get_similarity
-    from repro.service.client import run_load
-    from repro.service.metrics import percentile
-    from repro.service.server import serve_in_background
-
-    spec = spec or ctx.profile["large_spec"]
-    num_signatures = num_signatures or ctx.profile["default_k"]
-    similarity = get_similarity(similarity_name)
-    engine = ctx.engine(spec, num_signatures)
-    queries = ctx.queries(spec)
-    requests = (
-        max(2 * len(queries), 64)
-        if total_requests is None
-        else int(total_requests)
-    )
-    expected, _ = engine.knn_batch(queries, similarity, k=k)
-
-    table = ExperimentTable(
-        title=(
-            f"Wire protocol comparison — {similarity_name} "
-            f"({spec}, K={num_signatures}, k={k}, {requests} requests/row, "
-            f"concurrency {concurrency})"
-        ),
-        columns=["wire", "req/sec", "p50 ms", "p99 ms", "identical"],
-        notes=ctx.notes(
-            [
-                f"similarity={similarity_name}",
-                f"interleaved best-of-{max(1, repeats)} by p99, "
-                "one shared server, warmup pass per wire",
-            ]
-        ),
-    )
-    handle = serve_in_background(engine)
-    host, port = handle.address
-    wires = ("ndjson", "binary")
-    best: Dict[str, object] = {}
-    best_p99: Dict[str, float] = {}
-    try:
-        for wire in wires:  # cold-start costs land here, unmeasured
-            run_load(
-                host,
-                port,
-                queries,
-                similarity=similarity_name,
-                k=k,
-                concurrency=concurrency,
-                total_requests=min(requests, 64),
-                wire=wire,
-            )
-        for _ in range(max(1, repeats)):
-            for wire in wires:
-                result = run_load(
-                    host,
-                    port,
-                    queries,
-                    similarity=similarity_name,
-                    k=k,
-                    concurrency=concurrency,
-                    total_requests=requests,
-                    wire=wire,
-                )
-                if result.wire != wire:
-                    raise RuntimeError(
-                        f"negotiated {result.wire!r}, wanted {wire!r}"
-                    )
-                latencies = result.latencies_ms() or [float("nan")]
-                p99 = percentile(latencies, 0.99)
-                p99 = float("nan") if p99 is None else p99
-                if wire not in best or p99 < best_p99[wire]:
-                    best[wire], best_p99[wire] = result, p99
-        for wire in wires:
-            run = best[wire]
-            identical = run.completed == len(run.records) and all(
-                record.neighbors == expected[record.query_index]
-                for record in run.records
-                if record.error_code is None
-            )
-            latencies = run.latencies_ms() or [float("nan")]
-            p50 = percentile(latencies, 0.50)
-            table.add_row(
-                wire=wire,
-                **{
-                    "req/sec": run.qps,
-                    "p50 ms": float("nan") if p50 is None else p50,
-                    "p99 ms": best_p99[wire],
-                    "identical": "yes" if identical else "NO",
-                },
-            )
-    finally:
-        handle.stop()
-    return table
-
-
-def run_live_ingest(
-    similarity_name: str,
-    ctx: ExperimentContext,
-    spec: Optional[str] = None,
-    num_signatures: Optional[int] = None,
-    k: int = 10,
-    fsync_intervals: Sequence[int] = (1, 8, 64),
-    delta_fractions: Sequence[float] = (0.0, 0.01, 0.05),
-    ingest_rows: Optional[int] = None,
-) -> ExperimentTable:
-    """Live-index ingest throughput and query-latency overhead.
-
-    Two sweeps in one table:
-
-    * ``ingest`` rows — durable insert throughput into a fresh
-      :class:`~repro.live.LiveIndex` while sweeping the WAL's
-      ``fsync_interval`` (group commit), reporting inserts/sec and the
-      WAL bytes/fsyncs actually paid;
-    * ``query`` rows — mean exact-kNN latency with the delta holding
-      {0%, 1%, 5%} of the base, against the same queries through a
-      frozen fresh-built searcher over the identical logical database.
-      Each row verifies in-run that live results are byte-identical to
-      the fresh build (the differential guarantee).
-    """
-    import shutil
-    import tempfile
-
-    from repro.core.similarity import get_similarity
-    from repro.live import LiveIndex
-
-    spec = spec or ctx.profile["large_spec"]
-    num_signatures = num_signatures or ctx.profile["default_k"]
-    similarity = get_similarity(similarity_name)
-    indexed, _ = ctx.database(spec)
-    scheme = ctx.scheme(spec, num_signatures)
-    queries = ctx.queries(spec)
-    if ingest_rows is None:
-        ingest_rows = max(64, len(indexed) // 20)
-
-    config = parse_spec(spec, seed=ctx.seed + 1)
-    extra = MarketBasketGenerator(config).generate(num_transactions=ingest_rows)
-    extra_rows = [sorted(extra[i]) for i in range(len(extra))]
-
-    table = ExperimentTable(
-        title=(
-            f"Live index: ingest throughput and query overhead — "
-            f"{similarity_name} ({spec}, K={num_signatures}, k={k})"
-        ),
-        columns=[
-            "phase",
-            "fsync_interval",
-            "delta %",
-            "ops",
-            "ops/sec",
-            "mean ms",
-            "wal KiB",
-            "fsyncs",
-            "vs frozen",
-            "identical",
-        ],
-        notes=ctx.notes(
-            [
-                f"similarity={similarity_name}",
-                "frozen baseline: fresh SignatureTable.build over the same rows",
-                "identical: live kNN == fresh-build kNN, tids and floats",
-            ]
-        ),
-    )
-
-    workdir = tempfile.mkdtemp(prefix="repro-live-bench-")
-    try:
-        for interval in fsync_intervals:
-            rows = extra_rows
-            path = os.path.join(workdir, f"ingest-f{interval}")
-            with LiveIndex.create(
-                path, indexed, scheme=scheme, fsync_interval=interval
-            ) as live:
-                started = time.perf_counter()
-                for items in rows:
-                    live.insert(items)
-                elapsed = time.perf_counter() - started
-                table.add_row(
-                    **{
-                        "phase": "ingest",
-                        "fsync_interval": interval,
-                        "delta %": "",
-                        "ops": len(rows),
-                        "ops/sec": len(rows) / elapsed,
-                        "mean ms": 1000.0 * elapsed / len(rows),
-                        "wal KiB": live.wal.bytes_written / 1024.0,
-                        "fsyncs": live.wal.counters.fsyncs,
-                        "vs frozen": "",
-                        "identical": "-",
-                    }
-                )
-            shutil.rmtree(path, ignore_errors=True)
-
-        for fraction in delta_fractions:
-            num_delta = int(round(fraction * len(indexed)))
-            path = os.path.join(workdir, f"query-d{num_delta}")
-            with LiveIndex.create(path, indexed, scheme=scheme) as live:
-                for items in extra_rows[:num_delta]:
-                    live.insert(items)
-                db = live.logical_db()
-                frozen = SignatureTableSearcher(
-                    SignatureTable.build(db, scheme), db
-                )
-                started = time.perf_counter()
-                frozen_results = [
-                    frozen.knn(target, similarity, k=k)[0] for target in queries
-                ]
-                frozen_elapsed = time.perf_counter() - started
-
-                started = time.perf_counter()
-                live_results = [
-                    live.knn(target, similarity, k=k)[0] for target in queries
-                ]
-                live_elapsed = time.perf_counter() - started
-                identical = all(
-                    [(n.tid, n.similarity) for n in got]
-                    == [(n.tid, n.similarity) for n in want]
-                    for got, want in zip(live_results, frozen_results)
-                )
-                table.add_row(
-                    **{
-                        "phase": "query",
-                        "fsync_interval": "",
-                        "delta %": 100.0 * fraction,
-                        "ops": len(queries),
-                        "ops/sec": len(queries) / live_elapsed,
-                        "mean ms": 1000.0 * live_elapsed / len(queries),
-                        "wal KiB": "",
-                        "fsyncs": "",
-                        "vs frozen": live_elapsed / frozen_elapsed,
-                        "identical": "yes" if identical else "NO",
-                    }
-                )
-            shutil.rmtree(path, ignore_errors=True)
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
     return table

@@ -23,7 +23,8 @@ those shims and checks the *acknowledged-op oracle*: the terminal
 the acknowledged mutations — zero lost, zero duplicated.
 
 Everything is opt-in: with no injector attached the hot paths pay one
-``is None`` check (see ``benchmarks/bench_fault_overhead.py``).
+``is None`` check.  That production configuration (``injector=None``) is
+the insert path the ``live_mixed`` workload of ``bench/run.py`` times.
 """
 
 from repro.faults.chaos import AckedOracle, ChaosSummary, run_errfs_schedule

@@ -31,6 +31,11 @@ class LiveQueryEngine:
         return self.index.describe()
 
     @property
+    def universe_size(self) -> int:
+        """Targets may name items in ``[0, universe_size)`` only."""
+        return self.index.scheme.universe_size
+
+    @property
     def supports_lsh_tier(self) -> bool:
         """Whether ``candidate_tier="lsh"`` batches can run here."""
         return self.index.sketch_enabled

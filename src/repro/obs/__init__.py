@@ -10,9 +10,10 @@ every layer report what it did:
   it; anything else can register metrics alongside.
 * :mod:`repro.obs.trace` — hierarchical trace spans with a
   context-propagated recorder.  When no recorder is active every
-  instrumentation point degrades to a single context-variable read, so
-  the production path pays near-zero cost
-  (``benchmarks/bench_obs_overhead.py`` pins this below 5%).
+  instrumentation point degrades to a single context-variable read
+  (``tests/obs/test_trace.py`` pins the shared no-op span); what an
+  *active* tracer costs is the ``batch_exact`` ``alt_ops_s`` row of
+  ``bench/run.py``.
 * :mod:`repro.obs.search_trace` — the query-explain facility: a
   :class:`~repro.obs.search_trace.SearchTrace` records, entry by entry,
   why the branch-and-bound scan visited or pruned each signature-table

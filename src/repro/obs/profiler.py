@@ -8,9 +8,8 @@ per second, snapshots every other thread's Python stack via
 
 The cost model is the sampler's whole point: the profiled code is never
 instrumented — it pays nothing — and the sampler itself costs one
-GIL-protected frame walk per tick.  At the default 67 Hz that is well
-under the <5% throughput bar ``benchmarks/bench_obs_overhead.py``
-enforces; when stopped, the cost is zero.
+GIL-protected frame walk per tick (every 15 ms at the default 67 Hz);
+when stopped, the cost is zero.
 
 The default rate is deliberately a prime-ish 67 (not 100) so the
 sampler cannot phase-lock with second-aligned periodic work and

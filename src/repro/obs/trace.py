@@ -6,7 +6,9 @@ context-local (:mod:`contextvars`), so instrumented library code never
 takes a tracer argument — it calls :func:`span` and either records into
 the active tracer or gets the shared :data:`NOOP_SPAN` back.
 
-Cost model (pinned by ``benchmarks/bench_obs_overhead.py``):
+Cost model (``bench/run.py --workload batch_exact``: ``alt_ops_s`` is the
+batch under an active tracer beside ``main_ops_s`` without one, and the
+per-layer row ``obs.trace.span_us`` is the cost of one span):
 
 * **disabled** (no active tracer — the production default): one
   ``ContextVar.get`` plus a ``None`` check per instrumentation point.

@@ -6,8 +6,8 @@ client the CLI and the tests use: it speaks the NDJSON protocol of
 server's structured code (``overloaded``, ``timeout``, ...) on
 rejection — callers can branch on backpressure explicitly.
 
-:func:`run_load` is the closed-loop load generator behind the serving
-benchmark and the CI smoke: ``concurrency`` threads each hold a
+:func:`run_load` is the closed-loop load generator behind ``repro client
+burst`` and the CI smoke: ``concurrency`` threads each hold a
 connection and keep exactly one request in flight (issue, await, issue
 the next), which is how the dynamic micro-batcher sees coalescable
 concurrency.  It returns per-request neighbour lists so callers can
@@ -673,7 +673,7 @@ def run_load(
     backoff; a request's final outcome is still recorded exactly once,
     with its attempt count.  ``wire`` is handed to every
     :class:`ServiceClient`; the protocol they negotiated is reported in
-    :attr:`LoadResult.wire` so benchmarks can label their rows.
+    :attr:`LoadResult.wire` so callers can label their output.
     """
     if not queries:
         raise ValueError("run_load needs at least one query")

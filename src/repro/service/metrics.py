@@ -9,9 +9,8 @@ the recent-window latency quantiles keep their bounded reservoir of the
 most recent completions (default 4096 samples), the usual
 serving-dashboard semantics.
 
-The attribute API (``metrics.received``, ``metrics.rejected_overload``,
-``metrics.io.pages_read``, ...) is preserved as read-only views over the
-registry, so existing callers and tests keep working unchanged.
+Readers take :meth:`ServiceMetrics.snapshot` (the ``stats`` payload) or
+the registry itself; there is no second, attribute-shaped read API.
 
 Percentiles over empty or singleton windows are ``None`` (a single
 sample carries no distributional information), never a crash or a fake
@@ -28,7 +27,6 @@ from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 from repro.core.engine import BatchSummary
 from repro.obs.registry import MetricRegistry
 from repro.service.protocol import WIRE_PROTOCOLS
-from repro.storage.pages import IOCounters
 
 #: Rejection reasons tracked as labels on ``repro_requests_rejected_total``.
 _REJECTION_REASONS = (
@@ -203,20 +201,13 @@ class ServiceMetrics:
         self._completed_by_wire.labels(wire=label).inc()
         self._latency_by_wire.labels(wire=label).observe(float(latency_seconds))
 
-    def completed_by_wire(self) -> Dict[str, int]:
-        """Lifetime completions per wire protocol."""
-        return {
-            wire: int(self._completed_by_wire.labels(wire=wire).value)
-            for wire in WIRE_PROTOCOLS
-        }
-
     def record_batch(self, summary: BatchSummary) -> None:
         """One engine batch executed; fold in its merged stats."""
         self._batches.inc()
         self._batch_size.observe(float(summary.num_queries))
         self.batch_size_histogram[summary.num_queries] += 1
         self._engine_queries.inc(summary.num_queries)
-        if summary.total_transactions > self.total_transactions:
+        if summary.total_transactions > self._total_transactions_gauge.value:
             self._total_transactions_gauge.set(float(summary.total_transactions))
         self._engine_transactions.inc(summary.transactions_accessed)
         self._engine_scanned.inc(summary.entries_scanned)
@@ -227,89 +218,12 @@ class ServiceMetrics:
         self._io_seeks.inc(summary.io.seeks)
 
     # ------------------------------------------------------------------
-    # Attribute API (read-only views over the registry)
-    # ------------------------------------------------------------------
-    @property
-    def received(self) -> int:
-        return int(self._received.value)
-
-    @property
-    def completed(self) -> int:
-        return int(self._completed.value)
-
-    @property
-    def rejected_overload(self) -> int:
-        return int(self._rejected.labels(reason="overloaded").value)
-
-    @property
-    def rejected_bad_request(self) -> int:
-        return int(self._rejected.labels(reason="bad_request").value)
-
-    @property
-    def rejected_shutdown(self) -> int:
-        return int(self._rejected.labels(reason="shutting_down").value)
-
-    @property
-    def timeouts(self) -> int:
-        return int(self._rejected.labels(reason="timeout").value)
-
-    @property
-    def rejected_unavailable(self) -> int:
-        return int(self._rejected.labels(reason="unavailable").value)
-
-    @property
-    def internal_errors(self) -> int:
-        return int(self._rejected.labels(reason="internal").value)
-
-    @property
-    def batches(self) -> int:
-        return int(self._batches.value)
-
-    @property
-    def queries_summarised(self) -> int:
-        return int(self._engine_queries.value)
-
-    @property
-    def total_transactions(self) -> int:
-        return int(self._total_transactions_gauge.value)
-
-    @property
-    def transactions_accessed(self) -> int:
-        return int(self._engine_transactions.value)
-
-    @property
-    def entries_scanned(self) -> int:
-        return int(self._engine_scanned.value)
-
-    @property
-    def entries_pruned(self) -> int:
-        return int(self._engine_pruned.value)
-
-    @property
-    def terminated_early(self) -> int:
-        return int(self._engine_terminated.value)
-
-    @property
-    def io(self) -> IOCounters:
-        """The lifetime I/O totals as an :class:`IOCounters` view."""
-        return IOCounters(
-            transactions_read=int(self._io_transactions.value),
-            pages_read=int(self._io_pages.value),
-            seeks=int(self._io_seeks.value),
-        )
-
-    # ------------------------------------------------------------------
     # Derived gauges
     # ------------------------------------------------------------------
     @property
     def uptime_seconds(self) -> float:
         """Seconds since the metrics hub (≈ the server) started."""
         return max(1e-9, self._clock() - self.started_at)
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently queued or executing in the batcher."""
-        return int(self._queue_depth())
 
     def latency_quantiles(self) -> Dict[str, Optional[float]]:
         """Recent-window latency quantiles in milliseconds.
@@ -333,20 +247,22 @@ class ServiceMetrics:
         }
 
     def recent_qps(self, window_seconds: float = 10.0) -> float:
-        """Completions per second over the trailing window."""
+        """Completions per second over the trailing window.
+
+        A full reservoir whose oldest sample is still inside the window
+        has dropped completions the window should count, so the rate is
+        taken over the time the reservoir actually spans.
+        """
         if not self._latencies:
             return 0.0
         now = self._clock()
         horizon = now - window_seconds
         recent = sum(1 for at, _ in self._latencies if at >= horizon)
+        span = now - self._latencies[0][0]
+        full = len(self._latencies) == self._latencies.maxlen
+        if full and 0.0 < span < window_seconds:
+            return recent / span
         return recent / window_seconds
-
-    def mean_batch_size(self) -> float:
-        """Average coalesced batch size over the process lifetime."""
-        batches = self.batches
-        if not batches:
-            return 0.0
-        return self.queries_summarised / batches
 
     # ------------------------------------------------------------------
     def to_prometheus_text(self) -> str:
@@ -355,28 +271,39 @@ class ServiceMetrics:
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe view of everything (the ``stats`` endpoint payload)."""
+
+        def rejected(reason: str) -> int:
+            return int(self._rejected.labels(reason=reason).value)
+
+        uptime = self.uptime_seconds
+        completed = int(self._completed.value)
+        batches = int(self._batches.value)
+        queries = int(self._engine_queries.value)
         return {
-            "uptime_seconds": self.uptime_seconds,
+            "uptime_seconds": uptime,
             "requests": {
-                "received": self.received,
-                "completed": self.completed,
-                "completed_by_wire": self.completed_by_wire(),
-                "in_flight": self.queue_depth,
-                "rejected_overload": self.rejected_overload,
-                "rejected_bad_request": self.rejected_bad_request,
-                "rejected_shutdown": self.rejected_shutdown,
-                "timeouts": self.timeouts,
-                "rejected_unavailable": self.rejected_unavailable,
-                "internal_errors": self.internal_errors,
+                "received": int(self._received.value),
+                "completed": completed,
+                "completed_by_wire": {
+                    wire: int(self._completed_by_wire.labels(wire=wire).value)
+                    for wire in WIRE_PROTOCOLS
+                },
+                "in_flight": int(self._queue_depth()),
+                "rejected_overload": rejected("overloaded"),
+                "rejected_bad_request": rejected("bad_request"),
+                "rejected_shutdown": rejected("shutting_down"),
+                "timeouts": rejected("timeout"),
+                "rejected_unavailable": rejected("unavailable"),
+                "internal_errors": rejected("internal"),
             },
             "throughput": {
-                "lifetime_qps": self.completed / self.uptime_seconds,
+                "lifetime_qps": completed / uptime,
                 "recent_qps": self.recent_qps(),
             },
             "latency": self.latency_quantiles(),
             "batching": {
-                "batches": self.batches,
-                "mean_batch_size": self.mean_batch_size(),
+                "batches": batches,
+                "mean_batch_size": queries / batches if batches else 0.0,
                 # JSON object keys must be strings.
                 "size_histogram": {
                     str(size): count
@@ -384,14 +311,14 @@ class ServiceMetrics:
                 },
             },
             "engine": {
-                "queries": self.queries_summarised,
-                "total_transactions": self.total_transactions,
-                "transactions_accessed": self.transactions_accessed,
-                "entries_scanned": self.entries_scanned,
-                "entries_pruned": self.entries_pruned,
-                "terminated_early": self.terminated_early,
-                "transactions_read": self.io.transactions_read,
-                "pages_read": self.io.pages_read,
-                "seeks": self.io.seeks,
+                "queries": queries,
+                "total_transactions": int(self._total_transactions_gauge.value),
+                "transactions_accessed": int(self._engine_transactions.value),
+                "entries_scanned": int(self._engine_scanned.value),
+                "entries_pruned": int(self._engine_pruned.value),
+                "terminated_early": int(self._engine_terminated.value),
+                "transactions_read": int(self._io_transactions.value),
+                "pages_read": int(self._io_pages.value),
+                "seeks": int(self._io_seeks.value),
             },
         }

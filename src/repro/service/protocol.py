@@ -182,8 +182,15 @@ def parse_request(line: str) -> Dict[str, object]:
     return validate_request(message)
 
 
-def parse_query(message: Dict[str, object]) -> QueryRequest:
-    """Validate a ``knn``/``range`` request dict into a :class:`QueryRequest`."""
+def parse_query(
+    message: Dict[str, object], universe_size: Optional[int] = None
+) -> QueryRequest:
+    """Validate a ``knn``/``range`` request dict into a :class:`QueryRequest`.
+
+    ``universe_size`` is the fronted engine's item universe: an id
+    outside ``[0, universe_size)`` is refused here, for this request
+    alone, because the engine would refuse the whole coalesced batch.
+    """
     op = message["op"]
     items = message.get("items")
     if (
@@ -193,6 +200,15 @@ def parse_query(message: Dict[str, object]) -> QueryRequest:
     ):
         raise ProtocolError(
             "bad_request", "items must be a non-empty list of item ids"
+        )
+    if min(items) < 0:
+        raise ProtocolError(
+            "bad_request", f"item ids must be non-negative, got {min(items)}"
+        )
+    if universe_size is not None and max(items) >= universe_size:
+        raise ProtocolError(
+            "bad_request",
+            f"item {max(items)} is outside the universe [0, {universe_size})",
         )
     name = message.get("similarity", "match_ratio")
     if name not in SIMILARITY_FUNCTIONS:

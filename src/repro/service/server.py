@@ -22,7 +22,7 @@ then closes the listening socket and all connections — no accepted
 request is ever silently dropped.
 
 :func:`serve_in_background` runs a server on a private event loop in a
-daemon thread — the harness, tests and benchmarks use it to stand up a
+daemon thread — the cluster harness and the tests use it to stand up a
 real TCP server in-process.
 """
 
@@ -554,7 +554,9 @@ class QueryServer:
         # reader keeps pulling concurrent requests off this connection.
         self.metrics.record_received()
         try:
-            request = parse_query(message)
+            request = parse_query(
+                message, getattr(self._engine, "universe_size", None)
+            )
         except ProtocolError as exc:
             self.metrics.record_rejection(exc.code)
             await self._send(

@@ -208,18 +208,25 @@ class TestBoundaryTies:
         self, tmp_path, cluster_scheme, cluster_queries
     ):
         rows = self._rows()
-        assignment = [("s0", "s1", "s2")[g % 3] for g in range(len(rows))]
-        with ClusterHarness(
-            str(tmp_path),
-            cluster_scheme,
-            shards=("s0", "s1", "s2"),
-            rows=rows,
-            assignment=assignment,
-        ) as h, h.client() as client:
-            queries = [list(p) for p in self.POOL] + cluster_queries[:2]
-            assert_cluster_identical(
-                client, rows, cluster_scheme, queries, ks=(1, 2, 5, 11, 24)
-            )
+        queries = [list(p) for p in self.POOL] + cluster_queries[:2]
+        # One shard is the degenerate merge.  The assignment spreads each
+        # of the four tie groups (g % 4) over every shard, at four shards
+        # too, where g % 4 would give each group an owner of its own.
+        for shards in (("s0",), ("s0", "s1", "s2"), ("s0", "s1", "s2", "s3")):
+            assignment = [
+                shards[(g + g // len(self.POOL)) % len(shards)]
+                for g in range(len(rows))
+            ]
+            with ClusterHarness(
+                str(tmp_path / f"{len(shards)}-shards"),
+                cluster_scheme,
+                shards=shards,
+                rows=rows,
+                assignment=assignment,
+            ) as h, h.client() as client:
+                assert_cluster_identical(
+                    client, rows, cluster_scheme, queries, ks=(1, 2, 5, 11, 24)
+                )
 
     def test_ties_after_rebalance_break_by_global_tid(
         self, tmp_path, cluster_scheme

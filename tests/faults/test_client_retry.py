@@ -190,7 +190,8 @@ class TestDegradedServer:
             tid = client.insert([1, 2])
             assert tid == len(base_db)
             assert client.health()["degraded"] is False
-        assert handle.server.metrics.rejected_unavailable == 1
+        requests = handle.server.metrics.snapshot()["requests"]
+        assert requests["rejected_unavailable"] == 1
         assert len(index.logical_db()) == len(base_db) + 1
 
     def test_unavailable_is_retried_transparently(

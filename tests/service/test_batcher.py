@@ -266,6 +266,7 @@ class TestFailureAndDrain:
             return batcher.metrics
 
         metrics = asyncio.run(scenario())
-        assert metrics.batches == 1
+        snapshot = metrics.snapshot()
+        assert snapshot["batching"]["batches"] == 1
         assert metrics.batch_size_histogram == {4: 1}
-        assert metrics.queue_depth == 0
+        assert snapshot["requests"]["in_flight"] == 0

@@ -51,29 +51,31 @@ class TestCounters:
         for code in ("overloaded", "overloaded", "bad_request", "timeout",
                      "shutting_down", "internal"):
             metrics.record_rejection(code)
-        assert metrics.rejected_overload == 2
-        assert metrics.rejected_bad_request == 1
-        assert metrics.timeouts == 1
-        assert metrics.rejected_shutdown == 1
-        assert metrics.internal_errors == 1
+        requests = metrics.snapshot()["requests"]
+        assert requests["rejected_overload"] == 2
+        assert requests["rejected_bad_request"] == 1
+        assert requests["timeouts"] == 1
+        assert requests["rejected_shutdown"] == 1
+        assert requests["internal_errors"] == 1
 
     def test_batches_fold_into_totals(self):
         metrics = ServiceMetrics()
         metrics.record_batch(make_summary(num_queries=4))
         metrics.record_batch(make_summary(num_queries=2))
-        assert metrics.batches == 2
-        assert metrics.queries_summarised == 6
-        assert metrics.mean_batch_size() == 3.0
+        snapshot = metrics.snapshot()
+        assert snapshot["batching"]["batches"] == 2
+        assert snapshot["engine"]["queries"] == 6
+        assert snapshot["batching"]["mean_batch_size"] == 3.0
         assert metrics.batch_size_histogram == {4: 1, 2: 1}
-        assert metrics.total_transactions == 1000
+        assert snapshot["engine"]["total_transactions"] == 1000
 
     def test_queue_depth_gauge(self):
         metrics = ServiceMetrics()
         depth = {"value": 3}
         metrics.bind_queue_depth(lambda: depth["value"])
-        assert metrics.queue_depth == 3
+        assert metrics.snapshot()["requests"]["in_flight"] == 3
         depth["value"] = 0
-        assert metrics.queue_depth == 0
+        assert metrics.snapshot()["requests"]["in_flight"] == 0
 
 
 class TestLatency:
@@ -90,6 +92,19 @@ class TestLatency:
         assert metrics.recent_qps(window_seconds=10.0) == 10.0
         clock.now += 60.0
         assert metrics.recent_qps(window_seconds=10.0) == 0.0
+        # 20 000 completions at 2 000/s overflow the 4 096-sample
+        # reservoir inside the 10 s window: the rate is taken over the
+        # time the reservoir spans, not saturated at 4 096 / 10 = 409.6.
+        for _ in range(20_000):
+            clock.now += 1.0 / 2_000
+            metrics.record_completion(0.001)
+        assert abs(metrics.recent_qps() - 2_000.0) <= 0.05 * 2_000.0
+        assert (
+            metrics.snapshot()["throughput"]["recent_qps"]
+            == metrics.recent_qps()
+        )
+        clock.now += 60.0
+        assert metrics.recent_qps() == 0.0
 
     def test_reservoir_is_bounded(self):
         metrics = ServiceMetrics(reservoir_size=8)
@@ -138,17 +153,19 @@ class TestSnapshot:
         # must not poison the metrics totals.
         metrics = ServiceMetrics()
         metrics.record_batch(summarise_stats([]))
-        assert metrics.batches == 1
-        assert metrics.queries_summarised == 0
-        assert metrics.mean_batch_size() == 0.0
+        snapshot = metrics.snapshot()
+        assert snapshot["batching"]["batches"] == 1
+        assert snapshot["engine"]["queries"] == 0
+        assert snapshot["batching"]["mean_batch_size"] == 0.0
 
     def test_io_counters_merge(self):
         metrics = ServiceMetrics()
         stats = SearchStats(total_transactions=10)
         stats.io = IOCounters(transactions_read=5, pages_read=2, seeks=1)
         metrics.record_batch(summarise_stats([stats]))
-        assert metrics.io.pages_read == 2
-        assert metrics.io.seeks == 1
+        engine = metrics.snapshot()["engine"]
+        assert engine["pages_read"] == 2
+        assert engine["seeks"] == 1
 
 
 class TestBatchSummaryRegressions:
@@ -246,12 +263,15 @@ class TestRegistryExposition:
         ) < 1e-12
         # The unlabeled totals still see every completion.
         assert samples[("repro_requests_completed_total", ())] == 5.0
-        assert metrics.completed_by_wire() == {"ndjson": 3, "binary": 2}
+        assert metrics.snapshot()["requests"]["completed_by_wire"] == {
+            "ndjson": 3,
+            "binary": 2,
+        }
 
     def test_unknown_rejection_code_maps_to_bad_request(self):
         metrics = ServiceMetrics()
         metrics.record_rejection("not_a_real_code")
-        assert metrics.rejected_bad_request == 1
+        assert metrics.snapshot()["requests"]["rejected_bad_request"] == 1
 
     def test_shared_registry_is_accepted(self):
         from repro.obs.registry import MetricRegistry

@@ -20,7 +20,13 @@ from repro.service.client import (
     run_load,
     wait_ready,
 )
-from repro.service.protocol import decode_response, encode_request
+from repro.obs.registry import parse_prometheus_text
+from repro.service import frames
+from repro.service.protocol import (
+    decode_neighbors,
+    decode_response,
+    encode_request,
+)
 from repro.service.server import serve_in_background
 
 
@@ -224,6 +230,71 @@ class TestWireErrors:
                 # The connection survives all of it.
                 sock.sendall(encode_request({"id": 11, "op": "ping"}))
                 assert decode_response(reader.readline())["ok"] is True
+
+    @pytest.mark.parametrize(
+        "wire, bad_item",
+        # FRAME_QUERY items are uint32: the binary wire has no negative ids.
+        [("ndjson", 10**7), ("ndjson", -1), ("binary", 10**7)],
+    )
+    def test_out_of_universe_item_fails_its_request_alone(
+        self, engine, queries, wire, bad_item
+    ):
+        """Three pipelined kNN requests coalesce into one batch (50 ms
+        window); the middle one names an item the engine would refuse,
+        which must cost only that request."""
+        similarity = get_similarity("match_ratio")
+        expected, _ = engine.knn_batch(queries[:2], similarity, k=3)
+
+        def message(request_id, items):
+            return {
+                "id": request_id,
+                "op": "knn",
+                "items": items,
+                "similarity": "match_ratio",
+                "k": 3,
+            }
+
+        batch = [
+            message(1, queries[0]),
+            message(2, [bad_item]),
+            message(3, queries[1]),
+        ]
+        with serve_in_background(engine, max_wait_ms=50.0) as handle:
+            with socket.create_connection(handle.address, timeout=10) as sock:
+                reader = sock.makefile("rb")
+
+                def read_line():
+                    return decode_response(reader.readline().decode("utf-8"))
+
+                def read_frame():
+                    frame_type, length = frames.decode_header(
+                        reader.read(frames.HEADER.size)
+                    )
+                    return frames.decode_payload(frame_type, reader.read(length))
+
+                if wire == "binary":
+                    sock.sendall(
+                        encode_request({"id": 0, "op": "hello", "wire": "binary"})
+                    )
+                    assert read_line()["ok"] is True
+                    encode, read = frames.encode_request_frame, read_frame
+                else:
+                    encode, read = encode_request, read_line
+                sock.sendall(b"".join(encode(m) for m in batch))
+                replies = {r["id"]: r for r in (read(), read(), read())}
+                assert replies[2]["ok"] is False
+                assert replies[2]["error"]["code"] == "bad_request"
+                assert decode_neighbors(replies[1]["results"]) == expected[0]
+                assert decode_neighbors(replies[3]["results"]) == expected[1]
+                # The connection keeps serving.
+                sock.sendall(encode(message(4, queries[0])))
+                assert decode_neighbors(read()["results"]) == expected[0]
+            samples = parse_prometheus_text(
+                handle.server.metrics.to_prometheus_text()
+            )
+        rejected = "repro_requests_rejected_total"
+        assert samples[(rejected, (("reason", "bad_request"),))] == 1.0
+        assert samples.get((rejected, (("reason", "internal"),)), 0.0) == 0.0
 
     def test_wait_ready_false_when_nothing_listens(self):
         with socket.socket() as probe:

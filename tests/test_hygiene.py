@@ -6,15 +6,19 @@ These keep the codebase consistent without external tooling:
 * the library never prints to stdout (the CLI and reporting layer are the
   only sanctioned exceptions);
 * no library module imports the test suite or the benchmarks;
-* public modules avoid ``from x import *``.
+* public modules avoid ``from x import *``;
+* every repository path a document or docstring cites exists.
 """
 
 import ast
+import glob
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 MODULES = sorted(SRC.rglob("*.py"))
 
 #: Modules whose job is writing to stdout.
@@ -97,3 +101,62 @@ class TestPublicApiSurface:
             if dotted.endswith("__main__"):
                 continue
             importlib.import_module(dotted)
+
+
+#: A cited repository path: one of the tracked top-level directories,
+#: not preceded by a longer path, up to the first character a path
+#: cannot hold.
+CITED_PATH = re.compile(
+    r"(?<![\w/.-])"
+    r"(?:results_paper|results|benchmarks|bench|scripts|examples|docs)"
+    r"/[\w.*/<>-]+"
+)
+DOCUMENTS = [
+    ROOT / "README.md",
+    ROOT / "DESIGN.md",
+    ROOT / "EXPERIMENTS.md",
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+
+
+def _docstrings(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        ):
+            text = ast.get_docstring(node)
+            if text:
+                yield text
+
+
+def _cited_path_exists(cited: str) -> bool:
+    if "<" in cited:  # a placeholder such as results/BENCH_<n>.json
+        return True
+    if "*" in cited:
+        return bool(glob.glob(str(ROOT / cited)))
+    # ``:doc:`` references name a document without its suffix.
+    return (ROOT / cited).exists() or (ROOT / (cited + ".md")).exists()
+
+
+class TestCitedPaths:
+    def test_every_cited_repository_path_exists(self):
+        """A table, script or document named in the docs or a docstring
+        is there to be opened — a deletion has to take its citations
+        with it."""
+        sources = [
+            (path, [path.read_text(encoding="utf-8")]) for path in DOCUMENTS
+        ]
+        sources += [(path, _docstrings(path)) for path in MODULES]
+        missing = sorted(
+            {
+                f"{path.relative_to(ROOT)}: {cited}"
+                for path, texts in sources
+                for text in texts
+                for match in CITED_PATH.findall(text)
+                for cited in [match.rstrip(".,:;")]
+                if not _cited_path_exists(cited)
+            }
+        )
+        assert not missing, "cited paths that do not exist:\n" + "\n".join(missing)
