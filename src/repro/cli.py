@@ -316,7 +316,10 @@ def _render_top_frame(metrics: Dict[str, object], scope: str) -> str:
     lines.append(f"  queue depth: {depth:.0f}, batches executed: {batches:.0f}")
     fallbacks = total("repro_kernel_fallbacks_total")
     if fallbacks:
-        lines.append(f"  kernel fallbacks: {fallbacks:.0f}")
+        lines.append(
+            f"  kernel fallbacks: {fallbacks:.0f} early_termination batches"
+            " on the scalar loop"
+        )
     budget = samples("repro_slo_error_budget_remaining")
     if budget:
         parts = []

@@ -19,9 +19,10 @@ The scan itself runs in one of two interchangeable forms.  The default
 :func:`repro.core.kernels.knn_scan_batch` /
 :func:`~repro.core.kernels.range_scan_batch`, which take the candidate
 sets (the LSH tier's, or explicit ``candidates``) and the guarantee
-tolerance as arguments.  ``kernel="python"`` and the two configurations
-the engine does not hand to the kernels (``early_termination`` and an
-active tracer) inject the same prepared state into
+tolerance as arguments, and record the per-query spans of a traced
+batch themselves.  ``kernel="python"`` and the one configuration the
+engine does not hand to the kernels (``early_termination``) inject the
+same prepared state into
 :meth:`SignatureTableSearcher.knn` /
 :meth:`SignatureTableSearcher.multi_range_query` through
 :class:`~repro.core.search.PreparedQuery`.  Every measured quantity
@@ -58,7 +59,7 @@ from repro.core.search import (
 from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase, as_item_array
-from repro.obs.trace import current_tracer, span
+from repro.obs.trace import span
 from repro.storage.pages import IOCounters
 from repro.utils.validation import check_positive
 
@@ -325,33 +326,30 @@ class QueryEngine:
         """Whether ``candidate_tier="lsh"`` requests can be served."""
         return self.sketch is not None
 
-    def _packed_eligible(self) -> bool:
-        """Whether the vectorised scan kernels may serve this engine.
+    def _fallback_reason(
+        self, early_termination: Optional[float]
+    ) -> Optional[str]:
+        """Why a packed-kernel engine runs a batch with this
+        ``early_termination`` on the scalar loop, or ``None``.
 
-        An active tracer expects the per-query spans the reference loop
-        emits, so traced batches fall back to the scalar path.
-        """
-        return self._kernel == "packed" and self._fallback_reason() is None
-
-    def _fallback_reason(self) -> Optional[str]:
-        """Why a packed-kernel engine would run the scalar loop, or ``None``.
-
-        Only meaningful when ``kernel == "packed"``; choosing the python
+        ``"early_termination"`` is the one reason: the engine does not
+        route an access budget to the kernels yet.  An active tracer is
+        none (the kernels record the spans), and choosing the python
         kernel outright is configuration, not a fallback.
         """
-        if self._kernel == "packed" and current_tracer() is not None:
-            return "tracing"
+        if self._kernel == "packed" and early_termination is not None:
+            return "early_termination"
         return None
 
     def bind_metrics(self, registry) -> None:
         """Account kernel fallbacks in ``registry``.
 
-        The packed-to-scalar downgrade is silent by design (results are
-        bit-identical) but operators watching throughput need to see it
-        — most notably that *tracing a request* disables the packed
-        kernels for its whole batch.  The service server binds its
-        registry here at startup; every downgraded ``run_batch`` then
-        increments ``repro_kernel_fallbacks_total{reason}``.
+        The packed-to-scalar downgrade changes no result, so throughput
+        is the only place it shows; operators need it named.  The
+        service server binds its registry here at startup; every
+        ``run_batch`` whose queries reach the scalar loop (an
+        ``early_termination`` batch) then increments
+        ``repro_kernel_fallbacks_total{reason}``.
         """
         self._fallback_counter = registry.counter(
             "repro_kernel_fallbacks_total",
@@ -403,16 +401,54 @@ class QueryEngine:
         target_arrays = self._normalise(targets)
         if not target_arrays:
             return [], []
-        return self._knn_chunk(
-            target_arrays,
-            similarity,
-            k,
-            early_termination,
-            guarantee_tolerance,
-            candidate_tier,
-            target_recall,
-            candidates,
+        searcher = self._searcher
+        probes, per_query = self._candidate_rows(
+            target_arrays, candidate_tier, target_recall, candidates, op="knn"
         )
+        # `knn_scan_batch` models an access budget too, but budgeted
+        # batches keep to the reference loop for now (see CHANGES.md).
+        packed = (
+            self._kernel == "packed"
+            and self._fallback_reason(early_termination) is None
+        )
+        readable = self._readable_rows(per_query) if packed else None
+        with span("engine.prepare_batch", batch_size=len(target_arrays)):
+            prepared = self._prepare_batch(
+                target_arrays, similarity, ordered=True, readable_rows=readable
+            )
+        if packed:
+            results, stats = kernels.knn_scan_batch(
+                searcher.table,
+                len(searcher.db),
+                prepared,
+                k,
+                searcher.count_io,
+                candidates=per_query,
+                tolerance=guarantee_tolerance,
+            )
+        else:
+            results, stats = [], []
+            for index, (items, prep) in enumerate(zip(target_arrays, prepared)):
+                neighbors, query_stats = searcher.knn(
+                    items,
+                    similarity,
+                    k=k,
+                    early_termination=early_termination,
+                    guarantee_tolerance=guarantee_tolerance,
+                    prepared=prep,
+                    tid_mask=(
+                        None if per_query is None
+                        else self._tid_mask(per_query[index])
+                    ),
+                )
+                results.append(neighbors)
+                stats.append(query_stats)
+        if probes is not None:
+            for neighbors, query_stats, probe in zip(results, stats, probes):
+                self._finish_sketch_stats(
+                    query_stats, probe, neighbors[-1].tid if neighbors else None
+                )
+        return results, stats
 
     def nearest_batch(
         self,
@@ -452,14 +488,44 @@ class QueryEngine:
         target_arrays = self._normalise(targets)
         if not target_arrays:
             return [], []
-        return self._range_chunk(
-            target_arrays,
-            similarity,
-            float(threshold),
-            candidate_tier,
-            target_recall,
-            candidates,
+        threshold = float(threshold)
+        searcher = self._searcher
+        probes, per_query = self._candidate_rows(
+            target_arrays, candidate_tier, target_recall, candidates, op="range"
         )
+        packed = self._kernel == "packed"
+        readable = self._readable_rows(per_query) if packed else None
+        with span("engine.prepare_batch", batch_size=len(target_arrays)):
+            prepared = self._prepare_batch(
+                target_arrays, similarity, ordered=False, readable_rows=readable
+            )
+        if packed:
+            results, stats = kernels.range_scan_batch(
+                searcher.table,
+                len(searcher.db),
+                [[prep] for prep in prepared],
+                [threshold],
+                searcher.count_io,
+                candidates=per_query,
+            )
+        else:
+            results, stats = [], []
+            for index, (items, prep) in enumerate(zip(target_arrays, prepared)):
+                hits, query_stats = searcher.multi_range_query(
+                    items,
+                    [(similarity, threshold)],
+                    prepared=[prep],
+                    tid_mask=(
+                        None if per_query is None
+                        else self._tid_mask(per_query[index])
+                    ),
+                )
+                results.append(hits)
+                stats.append(query_stats)
+        if probes is not None:
+            for query_stats, probe in zip(stats, probes):
+                self._finish_sketch_stats(query_stats, probe, None)
+        return results, stats
 
     def run_batch(
         self,
@@ -482,12 +548,15 @@ class QueryEngine:
                 f"batch key {key.similarity!r}"
             )
         with span(
-            "engine.run_batch", op=key.op, batch_size=len(targets)
+            "engine.run_batch",
+            op=key.op,
+            batch_size=len(targets),
+            kernel=self._kernel,
         ) as batch_span:
-            fallback = self._fallback_reason()
+            fallback = self._fallback_reason(key.early_termination)
             if fallback is not None:
                 # Name the silent downgrade: span attribute for traces,
-                # counter for dashboards (tracing itself is a reason).
+                # counter for dashboards.
                 batch_span.set_attribute("kernel_fallback", fallback)
                 if self._fallback_counter is not None:
                     self._fallback_counter.labels(reason=fallback).inc()
@@ -707,7 +776,7 @@ class QueryEngine:
         candidates: Optional[np.ndarray],
         op: str,
     ) -> Tuple[Optional[list], Optional[List[np.ndarray]]]:
-        """``(probes, per-query candidate rows)`` of one chunk; both
+        """``(probes, per-query candidate rows)`` of one batch; both
         ``None`` when every row is a candidate."""
         if candidate_tier == "lsh":
             probes = self._probe_batch(target_arrays, target_recall, op=op)
@@ -736,110 +805,3 @@ class QueryEngine:
         )
         if self._sketch_access_histogram is not None:
             self._sketch_access_histogram.observe(stats.access_fraction)
-
-    # ------------------------------------------------------------------
-    # Chunk execution
-    # ------------------------------------------------------------------
-    def _knn_chunk(
-        self,
-        target_arrays: Sequence[np.ndarray],
-        similarity: SimilarityFunction,
-        k: int,
-        early_termination: Optional[float],
-        guarantee_tolerance: Optional[float],
-        candidate_tier: str,
-        target_recall: Optional[float],
-        candidates: Optional[np.ndarray],
-    ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
-        searcher = self._searcher
-        probes, per_query = self._candidate_rows(
-            target_arrays, candidate_tier, target_recall, candidates, op="knn"
-        )
-        # `knn_scan_batch` models an access budget too, but budgeted
-        # batches keep to the reference loop for now (see CHANGES.md).
-        packed = self._packed_eligible() and early_termination is None
-        readable = self._readable_rows(per_query) if packed else None
-        with span("engine.prepare_batch", batch_size=len(target_arrays)):
-            prepared = self._prepare_batch(
-                target_arrays, similarity, ordered=True, readable_rows=readable
-            )
-        if packed:
-            results, stats = kernels.knn_scan_batch(
-                searcher.table,
-                len(searcher.db),
-                prepared,
-                k,
-                searcher.count_io,
-                candidates=per_query,
-                tolerance=guarantee_tolerance,
-            )
-        else:
-            results, stats = [], []
-            for index, (items, prep) in enumerate(zip(target_arrays, prepared)):
-                neighbors, query_stats = searcher.knn(
-                    items,
-                    similarity,
-                    k=k,
-                    early_termination=early_termination,
-                    guarantee_tolerance=guarantee_tolerance,
-                    prepared=prep,
-                    tid_mask=(
-                        None if per_query is None
-                        else self._tid_mask(per_query[index])
-                    ),
-                )
-                results.append(neighbors)
-                stats.append(query_stats)
-        if probes is not None:
-            for neighbors, query_stats, probe in zip(results, stats, probes):
-                self._finish_sketch_stats(
-                    query_stats, probe, neighbors[-1].tid if neighbors else None
-                )
-        return results, stats
-
-    def _range_chunk(
-        self,
-        target_arrays: Sequence[np.ndarray],
-        similarity: SimilarityFunction,
-        threshold: float,
-        candidate_tier: str,
-        target_recall: Optional[float],
-        candidates: Optional[np.ndarray],
-    ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
-        searcher = self._searcher
-        probes, per_query = self._candidate_rows(
-            target_arrays, candidate_tier, target_recall, candidates, op="range"
-        )
-        packed = self._packed_eligible()
-        readable = self._readable_rows(per_query) if packed else None
-        with span("engine.prepare_batch", batch_size=len(target_arrays)):
-            prepared = self._prepare_batch(
-                target_arrays, similarity, ordered=False, readable_rows=readable
-            )
-        if packed:
-            results, stats = kernels.range_scan_batch(
-                searcher.table,
-                len(searcher.db),
-                [[prep] for prep in prepared],
-                [threshold],
-                searcher.count_io,
-                candidates=per_query,
-            )
-        else:
-            results, stats = [], []
-            for index, (items, prep) in enumerate(zip(target_arrays, prepared)):
-                hits, query_stats = searcher.multi_range_query(
-                    items,
-                    [(similarity, threshold)],
-                    prepared=[prep],
-                    tid_mask=(
-                        None if per_query is None
-                        else self._tid_mask(per_query[index])
-                    ),
-                )
-                results.append(hits)
-                stats.append(query_stats)
-        if probes is not None:
-            for query_stats, probe in zip(stats, probes):
-                self._finish_sketch_stats(query_stats, probe, None)
-        return results, stats

@@ -16,7 +16,11 @@ kernels reproduce the reference loop's results, :class:`~repro.core.
 search.SearchStats` and simulated I/O counters element for element (the
 property and differential test tiers pin this down).  The ``packed``
 kernels therefore need no tolerance knobs — they are drop-in replacements
-selected by the ``kernel="packed"|"python"`` engine option.
+selected by the ``kernel="packed"|"python"`` engine option.  That covers
+telemetry: under an active :class:`~repro.obs.trace.Tracer` the scan
+kernels record the loop's per-query ``search.knn`` / ``search.range``
+span (:func:`~repro.core.search.record_knn_span`) from the timings they
+take anyway, reading the tracer once per batch.
 
 Kernel selection
 ----------------
@@ -35,7 +39,14 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.search import Neighbor, PreparedQuery, SearchStats
+from repro.core.search import (
+    Neighbor,
+    PreparedQuery,
+    SearchStats,
+    record_knn_span,
+    record_range_span,
+)
+from repro.obs.trace import current_tracer
 from repro.storage.pages import IOCounters
 
 #: Bits per packed word.
@@ -133,21 +144,6 @@ def pack_csr(
         packed,
         (row_ids, items >> 6),
         np.uint64(1) << (items & 63).astype(np.uint64),
-    )
-    return packed
-
-
-def pack_bool_matrix(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean ``(N, K)`` matrix into ``(N, num_words(K))`` words."""
-    bits = np.asarray(bits, dtype=bool)
-    if bits.ndim != 2:
-        raise ValueError(f"bits must be 2-D, got shape {bits.shape}")
-    packed = np.zeros((bits.shape[0], num_words(bits.shape[1])), dtype=np.uint64)
-    rows, cols = np.nonzero(bits)
-    np.bitwise_or.at(
-        packed,
-        (rows, cols >> 6),
-        np.uint64(1) << (cols & 63).astype(np.uint64),
     )
     return packed
 
@@ -401,6 +397,7 @@ def knn_scan_batch(
     page_size = int(table.store.page_size)
     num_entries = int(full.sizes.size)
     entries_total = table.num_entries_occupied
+    tracer = current_tracer()
     results: List[List[Neighbor]] = []
     stats_list: List[SearchStats] = []
     for query, prep in enumerate(prepared):
@@ -547,6 +544,8 @@ def knn_scan_batch(
             _top_k_neighbors(prefix_sims[:accessed], prefix_tids[:accessed], k)
         )
         stats.elapsed_seconds = time.perf_counter() - started_s
+        if tracer is not None:
+            record_knn_span(tracer, started_s, k, stats)
         stats_list.append(stats)
     return results, stats_list
 
@@ -576,6 +575,7 @@ def range_scan_batch(
     num_entries = int(full.sizes.size)
     entries_total = table.num_entries_occupied
     threshold_values = [float(t) for t in thresholds]
+    tracer = current_tracer()
     results: List[List[Neighbor]] = []
     stats_list: List[SearchStats] = []
     for query, per_constraint in enumerate(prepared):
@@ -627,5 +627,9 @@ def range_scan_batch(
         else:
             results.append([])
         stats.elapsed_seconds = time.perf_counter() - started_s
+        if tracer is not None:
+            record_range_span(
+                tracer, started_s, len(per_constraint), int(hits.size), stats
+            )
         stats_list.append(stats)
     return results, stats_list

@@ -51,7 +51,7 @@ from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase, as_item_array
 from repro.obs.search_trace import SearchTrace
-from repro.obs.trace import current_tracer
+from repro.obs.trace import Tracer, current_tracer
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import IOCounters
 from repro.utils.validation import check_fraction, check_positive
@@ -111,6 +111,44 @@ class SearchStats:
     def pruning_efficiency(self) -> float:
         """Percentage of transactions pruned (paper's Figures 6, 9, 12)."""
         return 100.0 * (1.0 - self.access_fraction)
+
+
+def record_knn_span(
+    tracer: Tracer, started_s: float, k: int, stats: SearchStats
+) -> None:
+    """Record one finished k-NN query as a ``search.knn`` span, from the
+    start time and ``stats.elapsed_seconds`` the scan already took.  The
+    scalar loop and the packed kernel both report through here, so a
+    trace reads the same whichever ran the query."""
+    tracer.record(
+        "search.knn",
+        started_s,
+        started_s + stats.elapsed_seconds,
+        k=k,
+        entries_scanned=stats.entries_scanned,
+        entries_pruned=stats.entries_pruned,
+        entries_unexplored=stats.entries_unexplored,
+        transactions_accessed=stats.transactions_accessed,
+        terminated_early=stats.terminated_early,
+        guaranteed_optimal=stats.guaranteed_optimal,
+    )
+
+
+def record_range_span(
+    tracer: Tracer, started_s: float, constraints: int, results: int,
+    stats: SearchStats,
+) -> None:
+    """The ``search.range`` counterpart of :func:`record_knn_span`."""
+    tracer.record(
+        "search.range",
+        started_s,
+        started_s + stats.elapsed_seconds,
+        constraints=constraints,
+        entries_scanned=stats.entries_scanned,
+        entries_pruned=stats.entries_pruned,
+        transactions_accessed=stats.transactions_accessed,
+        results=results,
+    )
 
 
 @dataclass(frozen=True)
@@ -540,18 +578,7 @@ class SignatureTableSearcher:
         stats.elapsed_seconds = time.perf_counter() - started_s
         tracer = current_tracer()
         if tracer is not None:
-            tracer.record(
-                "search.knn",
-                started_s,
-                time.perf_counter(),
-                k=k,
-                entries_scanned=stats.entries_scanned,
-                entries_pruned=stats.entries_pruned,
-                entries_unexplored=stats.entries_unexplored,
-                transactions_accessed=stats.transactions_accessed,
-                terminated_early=stats.terminated_early,
-                guaranteed_optimal=stats.guaranteed_optimal,
-            )
+            record_knn_span(tracer, started_s, k, stats)
         return neighbors, stats
 
     def range_query(
@@ -727,15 +754,8 @@ class SignatureTableSearcher:
         stats.elapsed_seconds = time.perf_counter() - started_s
         tracer = current_tracer()
         if tracer is not None:
-            tracer.record(
-                "search.range",
-                started_s,
-                time.perf_counter(),
-                constraints=len(constraints),
-                entries_scanned=stats.entries_scanned,
-                entries_pruned=stats.entries_pruned,
-                transactions_accessed=stats.transactions_accessed,
-                results=len(results),
+            record_range_span(
+                tracer, started_s, len(constraints), len(results), stats
             )
         return results, stats
 

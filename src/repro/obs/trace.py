@@ -12,11 +12,11 @@ per-layer row ``obs.trace.span_us`` is the cost of one span):
 
 * **disabled** (no active tracer — the production default): one
   ``ContextVar.get`` plus a ``None`` check per instrumentation point.
-  Hot per-entry loops additionally guard with
-  ``tracer = current_tracer()`` once per query, so the scan loop itself
-  carries no per-entry overhead at all.
-* **enabled**: a couple of ``perf_counter`` calls and one small object
-  per span.
+  The scans read ``current_tracer()`` once per batch (the scalar loop
+  once per query), never per entry.
+* **enabled**: the same code path — the scan kernels :meth:`Tracer.record`
+  each query's span from the start and elapsed time they take anyway —
+  plus one small object per span.
 
 Tracers are **not** re-entrant across threads: one tracer records from
 one thread at a time.  The micro-batcher hands a dedicated tracer to the

@@ -259,14 +259,18 @@ class MicroBatcher:
         targets = [p.request.items for p in take]
         flushed_s = time.perf_counter()
         traced = [p for p in take if p.tracer is not None]
-        for p in traced:
-            p.tracer.record(
-                "batcher.queue_wait",
-                p.enqueued_s,
-                flushed_s,
-                flush_reason=reason,
-                batch_size=len(take),
-            )
+        for index, p in enumerate(take):
+            if p.tracer is not None:
+                # The engine records its per-query spans in batch order:
+                # `batch_index` tells a rider which one is its own.
+                p.tracer.record(
+                    "batcher.queue_wait",
+                    p.enqueued_s,
+                    flushed_s,
+                    flush_reason=reason,
+                    batch_size=len(take),
+                    batch_index=index,
+                )
         correlation_ids = [
             p.request.correlation_id
             for p in traced

@@ -192,26 +192,73 @@ def test_lsh_tier_batch_identical_to_masked_single_queries(instance, kernel):
         )
 
 
+def spans_named(roots, name):
+    """Every span of that name in the forest, in recording order."""
+    found = []
+    for node in roots:
+        if node.name == name:
+            found.append(node)
+        found.extend(spans_named(node.children, name))
+    return found
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_traced_batch_identical_and_one_span_per_query(instance, kernel):
+def test_traced_batch_identical_and_one_span_per_query(
+    instance, kernel, monkeypatch
+):
     """An active tracer changes nothing but the spans: one
     ``search.knn`` / ``search.range`` span per query, carrying the
-    finished stats, from either kernel."""
+    finished stats, from either kernel.  Under the packed kernel they
+    come from the kernels — the scalar searcher is patched to raise —
+    except for ``early_termination`` batches, the one configuration that
+    still reaches the loop and the only one stamped ``kernel_fallback``.
+    """
+    from repro.core.engine import batch_key
     from repro.obs.trace import Tracer
+    from repro.sketch import SketchIndex
 
     db, table, queries = instance
-    engine = repro.QueryEngine.for_table(table, db, kernel=kernel)
+    sketched = repro.SignatureTable.build(db, table.scheme)
+    sketched.attach_sketch(
+        SketchIndex.build(db, num_hashes=32, num_bands=8, seed=1)
+    )
+    engine = repro.QueryEngine.for_table(sketched, db, kernel=kernel)
     sim = repro.MatchRatioSimilarity()
-    for kwargs in [dict()] + APPROXIMATE_MODES:
-        plain = engine.knn_batch(queries, sim, k=3, **kwargs)
-        tracer = Tracer()
-        with tracer.activate():
-            traced = engine.knn_batch(queries, sim, k=3, **kwargs)
+    lsh = dict(candidate_tier="lsh", target_recall=0.9)
+    rows = dict(candidates=np.array([5, 7, 9, 40, 41]))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scalar loop reached under the packed kernel")
+
+    def traced_equals_plain(call, budgeted=False):
+        with monkeypatch.context() as patch:
+            if kernel == "packed" and not budgeted:
+                for name in ("knn", "multi_range_query"):
+                    patch.setattr(repro.SignatureTableSearcher, name, unreachable)
+            plain = call()
+            tracer = Tracer()
+            with tracer.activate():
+                traced = call()
         assert traced == plain
-        spans = [s for s in tracer.roots if s.name == "search.knn"]
+        for batch_span in spans_named(tracer.roots, "engine.run_batch"):
+            assert batch_span.attributes["kernel"] == kernel
+            assert batch_span.attributes.get("kernel_fallback") == (
+                "early_termination" if kernel == "packed" and budgeted else None
+            )
+        return tracer.roots, traced
+
+    for kwargs in [dict(), lsh, rows] + APPROXIMATE_MODES:
+        budgeted = "early_termination" in kwargs
+        if "candidates" in kwargs:  # not a BatchKey parameter
+            call = lambda: engine.knn_batch(queries, sim, k=3, **kwargs)
+        else:
+            key = batch_key("knn", sim, k=3, **kwargs)
+            call = lambda: engine.run_batch(key, sim, queries)
+        roots, (_, all_stats) = traced_equals_plain(call, budgeted)
+        spans = spans_named(roots, "search.knn")
         assert len(spans) == len(queries)
-        for recorded, stats in zip(spans, traced[1]):
-            assert recorded.attributes == dict(
+        for recorded, stats in zip(spans, all_stats):
+            want = dict(
                 k=3,
                 entries_scanned=stats.entries_scanned,
                 entries_pruned=stats.entries_pruned,
@@ -220,21 +267,29 @@ def test_traced_batch_identical_and_one_span_per_query(instance, kernel):
                 terminated_early=stats.terminated_early,
                 guaranteed_optimal=stats.guaranteed_optimal,
             )
-    plain = engine.range_query_batch(queries, sim, 0.3)
-    tracer = Tracer()
-    with tracer.activate():
-        traced = engine.range_query_batch(queries, sim, 0.3)
-    assert traced == plain
-    spans = [s for s in tracer.roots if s.name == "search.range"]
-    assert len(spans) == len(queries)
-    for recorded, hits, stats in zip(spans, *traced):
-        assert recorded.attributes == dict(
-            constraints=1,
-            entries_scanned=stats.entries_scanned,
-            entries_pruned=stats.entries_pruned,
-            transactions_accessed=stats.transactions_accessed,
-            results=len(hits),
-        )
+            if kwargs is lsh:
+                # The span reports the scan; the tier clears the flag on
+                # the stats afterwards (a lossy answer proves nothing).
+                del want["guaranteed_optimal"]
+                del recorded.attributes["guaranteed_optimal"]
+            assert recorded.attributes == want
+    for kwargs in [dict(), lsh, rows]:
+        if "candidates" in kwargs:
+            call = lambda: engine.range_query_batch(queries, sim, 0.3, **kwargs)
+        else:
+            key = batch_key("range", sim, threshold=0.3, **kwargs)
+            call = lambda: engine.run_batch(key, sim, queries)
+        roots, traced = traced_equals_plain(call)
+        spans = spans_named(roots, "search.range")
+        assert len(spans) == len(queries)
+        for recorded, hits, stats in zip(spans, *traced):
+            assert recorded.attributes == dict(
+                constraints=1,
+                entries_scanned=stats.entries_scanned,
+                entries_pruned=stats.entries_pruned,
+                transactions_accessed=stats.transactions_accessed,
+                results=len(hits),
+            )
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

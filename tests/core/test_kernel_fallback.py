@@ -2,11 +2,11 @@
 
 Results are bit-identical either way (the kernel differential suites pin
 that), so the only way an operator learns the fast path stopped running
-is the observability added here: a ``kernel_fallback`` attribute on the
-``engine.run_batch`` span and a ``repro_kernel_fallbacks_total{reason}``
-counter.  The sneakiest case is ``reason="tracing"`` — turning tracing
-ON to investigate slowness itself disables the packed kernels, which
-without this accounting looks like the slowness reproducing.
+is a ``kernel_fallback`` attribute on the ``engine.run_batch`` span and
+the ``repro_kernel_fallbacks_total{reason}`` counter.  One reason is
+left: an ``early_termination`` batch, whose queries the engine still
+runs on the scalar loop.  An active tracer is not one — the packed
+kernels record the per-query spans themselves.
 """
 
 import pytest
@@ -23,50 +23,47 @@ def make_engine(table, db, kernel="packed"):
     return QueryEngine.for_table(table, db, kernel=kernel)
 
 
-def run_one_batch(engine, db):
+def run_one_batch(engine, db, **params):
     similarity = MatchRatioSimilarity()
-    key = batch_key("knn", similarity, k=3)
+    key = batch_key("knn", similarity, k=3, **params)
     targets = [sorted(db[tid]) for tid in range(4)]
     return engine.run_batch(key, similarity, targets)
 
 
-def fallback_count(registry, reason):
-    family = registry._families.get("repro_kernel_fallbacks_total")
-    if family is None:
-        return 0.0
-    child = family.children().get((reason,))
-    return 0.0 if child is None else child.value
+def fallback_counts(registry):
+    family = registry._families["repro_kernel_fallbacks_total"]
+    return {labels: child.value for labels, child in family.children().items()}
 
 
-def find_span(roots, name):
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if node.name == name:
-            return node
-        stack.extend(node.children)
-    raise AssertionError(f"no span named {name!r}")
+def scalar_calls(monkeypatch):
+    """Count the queries that reach the scalar loop."""
+    calls = []
+    scalar_knn = repro.SignatureTableSearcher.knn
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return scalar_knn(self, *args, **kwargs)
+
+    monkeypatch.setattr(repro.SignatureTableSearcher, "knn", counting)
+    return calls
 
 
 class TestFallbackReasons:
     def test_packed_default_has_no_fallback(self, small_table, small_db):
         engine = make_engine(small_table, small_db)
-        assert engine._fallback_reason() is None
-        assert engine._packed_eligible()
+        assert engine._fallback_reason(None) is None
+        with Tracer().activate():  # tracing is not a reason
+            assert engine._fallback_reason(None) is None
+
+    def test_early_termination_is_the_one_reason(self, small_table, small_db):
+        engine = make_engine(small_table, small_db)
+        assert engine._fallback_reason(0.02) == "early_termination"
 
     def test_python_kernel_is_configuration_not_fallback(
         self, small_table, small_db
     ):
         engine = make_engine(small_table, small_db, kernel="python")
-        assert engine._fallback_reason() is None
-        assert not engine._packed_eligible()
-
-    def test_tracing_downgrades(self, small_table, small_db):
-        engine = make_engine(small_table, small_db)
-        with Tracer().activate():
-            assert engine._fallback_reason() == "tracing"
-            assert not engine._packed_eligible()
-        assert engine._fallback_reason() is None  # back once tracing ends
+        assert engine._fallback_reason(0.02) is None
 
     def test_pooled_and_reference_mode_searchers_rejected(
         self, small_table, small_db
@@ -84,54 +81,50 @@ class TestFallbackReasons:
 
 class TestFallbackObservability:
     def test_traced_batch_stamps_span_attribute(self, small_table, small_db):
+        """The span names the kernel, and the downgrade only where the
+        batch's queries reached the loop (no registry bound here: the
+        attribute does not need one)."""
         engine = make_engine(small_table, small_db)
-        tracer = Tracer()
-        with tracer.activate():
-            run_one_batch(engine, small_db)
-        batch_span = find_span(tracer.roots, "engine.run_batch")
-        assert batch_span.attributes["kernel_fallback"] == "tracing"
+        for params, attributes in (
+            (dict(), dict(kernel="packed")),
+            (
+                dict(early_termination=0.02),
+                dict(kernel="packed", kernel_fallback="early_termination"),
+            ),
+        ):
+            tracer = Tracer()
+            with tracer.activate():
+                run_one_batch(engine, small_db, **params)
+            (batch_span,) = tracer.roots
+            assert batch_span.attributes == dict(
+                op="knn", batch_size=4, **attributes
+            )
 
     def test_counter_counts_each_downgraded_batch(
-        self, small_table, small_db
+        self, small_table, small_db, monkeypatch
     ):
+        """Counter and scalar loop move together: exactly the batches
+        whose queries reach ``SignatureTableSearcher.knn`` are counted."""
         registry = MetricRegistry()
         engine = make_engine(small_table, small_db)
         engine.bind_metrics(registry)
-        # Untraced packed batches are not fallbacks.
+        calls = scalar_calls(monkeypatch)
         run_one_batch(engine, small_db)
-        assert fallback_count(registry, "tracing") == 0.0
         with Tracer().activate():
             run_one_batch(engine, small_db)
-            run_one_batch(engine, small_db)
-        assert fallback_count(registry, "tracing") == 2.0
+        run_one_batch(engine, small_db, guarantee_tolerance=0.1)
+        assert (calls, fallback_counts(registry)) == ([], {})
+        run_one_batch(engine, small_db, early_termination=0.02)
+        run_one_batch(engine, small_db, early_termination=0.5)
+        assert len(calls) == 8
+        assert fallback_counts(registry) == {("early_termination",): 2.0}
 
     def test_python_kernel_batches_never_count(self, small_table, small_db):
         registry = MetricRegistry()
         engine = make_engine(small_table, small_db, kernel="python")
         engine.bind_metrics(registry)
-        with Tracer().activate():
-            run_one_batch(engine, small_db)
-        assert registry._families.get(
-            "repro_kernel_fallbacks_total"
-        ).children() == {}
-
-    def test_unbound_engine_still_runs_traced(self, small_table, small_db):
-        """No registry bound (library use): downgrade stays silent but
-        correct — the span attribute is still there."""
-        engine = make_engine(small_table, small_db)
         tracer = Tracer()
         with tracer.activate():
-            results, _ = run_one_batch(engine, small_db)
-        assert results
-        span = find_span(tracer.roots, "engine.run_batch")
-        assert span.attributes["kernel_fallback"] == "tracing"
-
-    def test_downgraded_results_stay_identical(self, small_table, small_db):
-        """The fallback the accounting names must be benign."""
-        engine = make_engine(small_table, small_db)
-        plain, _ = run_one_batch(engine, small_db)
-        with Tracer().activate():
-            traced, _ = run_one_batch(engine, small_db)
-        assert [
-            [(n.tid, n.similarity) for n in hits] for hits in plain
-        ] == [[(n.tid, n.similarity) for n in hits] for hits in traced]
+            run_one_batch(engine, small_db, early_termination=0.02)
+        assert fallback_counts(registry) == {}
+        assert "kernel_fallback" not in tracer.roots[0].attributes

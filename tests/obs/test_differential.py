@@ -5,13 +5,21 @@ similarities, and every comparable SearchStats counter — at both the
 engine layer and over the TCP service.
 """
 
+import socket
+
 import pytest
 
 import repro
 from repro.core.engine import batch_key
 from repro.obs.search_trace import SearchTrace
 from repro.obs.trace import Tracer
+from repro.service import frames
 from repro.service.client import ServiceClient
+from repro.service.protocol import (
+    decode_neighbors,
+    decode_response,
+    encode_request,
+)
 from repro.service.server import serve_in_background
 
 
@@ -161,6 +169,73 @@ class TestServiceDifferential:
         assert attrs["entries_scanned"] == stats["entries_scanned"]
         assert attrs["entries_pruned"] == stats["entries_pruned"]
         assert attrs["transactions_accessed"] == stats["transactions_accessed"]
+
+    @pytest.mark.parametrize("wire", ["ndjson", "binary"])
+    def test_traced_rider_of_coalesced_batch(
+        self, small_searcher, small_db, wire
+    ):
+        """Three pipelined kNN requests coalesce into one batch (50 ms
+        window) and only the middle one asks for a trace: every answer
+        is the direct ``knn_batch`` one, the trace comes from the packed
+        kernels, and ``batch_index`` picks the rider's own ``search.knn``
+        span out of the batch's three."""
+        engine = repro.QueryEngine(small_searcher, kernel="packed")
+        batch = targets(small_db)[:3]
+        expected, expected_stats = engine.knn_batch(batch, SIM, k=5)
+        accessed = [s.transactions_accessed for s in expected_stats]
+        assert len(set(accessed)) == 3  # so a wrong index cannot reconcile
+
+        def message(request_id, items, **extra):
+            return dict(
+                id=request_id, op="knn", items=items,
+                similarity="match_ratio", k=5, **extra,
+            )
+
+        with serve_in_background(engine, max_wait_ms=50.0) as handle:
+            with socket.create_connection(handle.address, timeout=10) as sock:
+                reader = sock.makefile("rb")
+
+                def read_line():
+                    return decode_response(reader.readline().decode("utf-8"))
+
+                def read_frame():
+                    frame_type, length = frames.decode_header(
+                        reader.read(frames.HEADER.size)
+                    )
+                    return frames.decode_payload(frame_type, reader.read(length))
+
+                if wire == "binary":
+                    sock.sendall(
+                        encode_request({"id": 0, "op": "hello", "wire": "binary"})
+                    )
+                    assert read_line()["ok"] is True
+                    encode, read = frames.encode_request_frame, read_frame
+                else:
+                    encode, read = encode_request, read_line
+                sock.sendall(
+                    encode(message(1, batch[0]))
+                    + encode(message(2, batch[1], trace=True))
+                    + encode(message(3, batch[2]))
+                )
+                replies = {r["id"]: r for r in (read(), read(), read())}
+        for request_id, want in zip((1, 2, 3), expected):
+            assert decode_neighbors(replies[request_id]["results"]) == want
+        assert "trace" not in replies[1] and "trace" not in replies[3]
+        spans = replies[2]["trace"]
+        queue_wait = find_span(spans, "batcher.queue_wait")["attributes"]
+        assert queue_wait["batch_size"] == 3
+        run = find_span(spans, "engine.run_batch")
+        assert run["attributes"]["kernel"] == "packed"
+        assert "kernel_fallback" not in run["attributes"]
+        searches = [c for c in run["children"] if c["name"] == "search.knn"]
+        assert sorted(
+            c["attributes"]["transactions_accessed"] for c in searches
+        ) == sorted(accessed)
+        own = searches[queue_wait["batch_index"]]["attributes"]
+        stats = replies[2]["stats"]
+        assert stats["transactions_accessed"] == accessed[1]
+        for name in ("entries_scanned", "entries_pruned", "transactions_accessed"):
+            assert own[name] == stats[name]
 
     def test_metrics_op_round_trips(self, tcp_server):
         from repro.obs.registry import parse_prometheus_text

@@ -4,8 +4,8 @@ Invariants the engine must satisfy for *any* batch:
 
 * a batch of one equals the single-query call;
 * permuting the batch permutes the answers (no cross-query leakage);
-* the worker count never changes results or statistics;
-* early-terminated batches keep the paper's per-query quality guarantee.
+* early-terminated batches keep the paper's per-query quality guarantee;
+* a traced batch records the same span forest under either kernel.
 """
 
 import numpy as np
@@ -13,10 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.core.engine import batch_key
 from repro.core.partitioning import random_partition
 from repro.core.search import SignatureTableSearcher
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase
+from repro.obs.trace import Tracer
+from tests.properties.test_kernels_property import (
+    MASK_KINDS,
+    SIMILARITIES,
+    candidate_mask,
+    scan_instance,
+)
 
 SIMS = [
     repro.HammingSimilarity(),
@@ -120,3 +128,60 @@ def test_range_batch_of_one_equals_single_query(batch, threshold):
         want, want_stats = _SEARCHER.range_query(target, sim, threshold)
         assert got == want
         assert got_stats == want_stats
+
+
+def _span_forest(spans):
+    """Names, nesting, order and every attribute in order — all of a
+    trace but its times and the ``kernel`` stamp."""
+    return [
+        (
+            node.name,
+            [(key, value) for key, value in node.attributes.items() if key != "kernel"],
+            _span_forest(node.children),
+        )
+        for node in spans
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mask_kind=st.sampled_from(MASK_KINDS),
+    as_tids=st.booleans(),
+    tolerance=st.sampled_from([None, 0.0, 0.25, 1.0]),
+    k=st.sampled_from([1, 3, 200]),  # 200 > any candidate count
+    similarity=st.sampled_from(SIMILARITIES),  # matches: ties at the k-th
+    threshold=st.sampled_from([0.0, 0.2, 0.5]),
+)
+def test_packed_trace_equals_python_trace(
+    seed, mask_kind, as_tids, tolerance, k, similarity, threshold
+):
+    """The trace is a by-product of whichever kernel ran the batch: the
+    span forests are equal, and tracing moves no result or statistic."""
+    rng, db, table, batch = scan_instance(seed)
+    mask = candidate_mask(rng, table, mask_kind)
+    rows = np.flatnonzero(mask) if as_tids and mask is not None else mask
+    knn_key = batch_key("knn", similarity, k=k, guarantee_tolerance=tolerance)
+    range_key = batch_key("range", similarity, threshold=threshold)
+
+    def run(engine):
+        return [
+            engine.run_batch(knn_key, similarity, batch),
+            engine.run_batch(range_key, similarity, batch),
+            engine.knn_batch(
+                batch, similarity, k=k, guarantee_tolerance=tolerance,
+                candidates=rows,
+            ),
+            engine.range_query_batch(batch, similarity, threshold, candidates=rows),
+        ]
+
+    forests = []
+    for kernel in ("packed", "python"):
+        engine = repro.QueryEngine.for_table(table, db, kernel=kernel)
+        plain = run(engine)
+        tracer = Tracer()
+        with tracer.activate():
+            assert run(engine) == plain
+        forests.append(_span_forest(tracer.roots))
+    assert forests[0] == forests[1]
+    assert len(forests[0]) == 2 + 2 * (1 + len(batch))  # nothing went unrecorded
