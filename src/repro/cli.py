@@ -1,58 +1,40 @@
-"""Command-line interface.
+"""Command-line interface: the full life cycle without writing Python.
 
-The subcommands cover the full life cycle without writing Python:
+* ``repro generate`` — synthesise a T·.I·.D· dataset (``.npz`` or FIMI text)
+* ``repro stats`` — print dataset statistics
+* ``repro build`` — build a signature table
+* ``repro advise`` — recommend K and the activation threshold
+* ``repro query`` — run a similarity query (k-NN or range) against a saved table
+* ``repro query-batch`` — run a file of queries through the batched engine
+* ``repro sketch`` — build or inspect the sketch candidate tier of a table
+* ``repro explain`` — run one query with a branch-and-bound explain report
+* ``repro metrics`` — fetch a running server's metric registry
+* ``repro profile`` — sample a running server's thread stacks (folded output)
+* ``repro top`` — live terminal dashboard over a server's aggregated metrics
+* ``repro serve`` — serve a table, or with ``--live`` a mutable live index,
+  to concurrent clients
+* ``repro node`` — serve a live-index directory as one cluster shard node
+* ``repro router`` — front a set of shard nodes with the consistent-hash router
+* ``repro ingest`` — create a live index and/or durably insert transactions
+* ``repro compact`` — fold a live index's delta and tombstones into the base
+* ``repro client`` — talk to a running repro server
+* ``repro experiment`` — reproduce one of the paper's figures/tables
 
-* ``repro generate`` — synthesise a ``T·.I·.D·`` dataset to ``.npz`` (or
-  FIMI text).
-* ``repro stats`` — print dataset statistics.
-* ``repro build`` — learn a signature scheme and build a table, saved to
-  ``.npz``.
-* ``repro query`` — run nearest-neighbour / k-NN / range queries against
-  a saved table with any built-in similarity function.
-* ``repro query-batch`` — run a whole file of queries through the batched
-  :class:`~repro.core.engine.QueryEngine`, optionally across worker
-  processes (``--output json`` emits one JSON object per query).
-* ``repro explain`` — run one query with full observability: an
-  entry-by-entry branch-and-bound report (why each signature-table entry
-  was scanned or pruned, the bound trajectory, the termination reason)
-  plus the span tree (see :mod:`repro.obs`).
-* ``repro serve`` — keep a table resident and serve concurrent clients
-  over the newline-delimited-JSON TCP protocol with dynamic
-  micro-batching (see :mod:`repro.service`); ``--live DIR`` serves a
-  mutable WAL-backed live index instead (see :mod:`repro.live`).
-* ``repro ingest`` — create a live-index directory and/or durably
-  insert transactions into it (reports ingest throughput).
-* ``repro compact`` — fold a live index's delta and tombstones into a
-  fresh base segment (``--repartition`` re-learns the partition first;
-  prints the drift advisor's recommendation).
-* ``repro node`` — serve a live-index directory as one cluster shard
-  node (owner or warm replica, with synchronous WAL shipping between
-  them; see :mod:`repro.cluster`).
-* ``repro router`` — front the shard nodes with the consistent-hash
-  router: scatter-gather queries, routed mutations, probe-driven
-  failover, online rebalance.
-* ``repro client`` — talk to a running server: ping, stats, graceful
-  shutdown, a query file, a closed-loop load burst, the mutation
-  ops (insert/delete/compact/checkpoint) against a live server, or
-  ``ring`` against a router.
-* ``repro metrics`` — fetch a running server's metric registry in
-  Prometheus text or JSON exposition (``--router`` asks a cluster
-  router for the exact merge of every node's registry).
-* ``repro profile`` — sample a running server's thread stacks into
-  flamegraph-compatible folded output (see :mod:`repro.obs.profiler`).
-* ``repro top`` — a live terminal dashboard over a server's (or, with
-  ``--router``, the whole cluster's) aggregated metrics.
-
-Invoke as ``python -m repro <subcommand> --help``.
+That list is the ``(name, help)`` column of ``_COMMANDS``, the table this
+module is built around: every flag is declared once, in a named group of
+``_GROUPS``, and a subcommand is one row naming the groups it takes, the
+flags only it has and its handler.  ``docs/api.md`` describes each command;
+``python -m repro <subcommand> --help`` prints its flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.search import SignatureTableSearcher
 from repro.core.similarity import SIMILARITY_FUNCTIONS, get_similarity
@@ -68,6 +50,15 @@ def _load_database(path: str) -> TransactionDatabase:
     if path.endswith(".txt"):
         return read_text(path)
     return TransactionDatabase.load(path)
+
+
+def _load_index(args: argparse.Namespace) -> Tuple[TransactionDatabase, SignatureTable]:
+    """The ``dataset`` and ``table`` positionals, loaded."""
+    return _load_database(args.database), SignatureTable.load(args.table)
+
+
+def _json_text(payload: object) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -138,24 +129,40 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
-    db = _load_database(args.database)
-    table = SignatureTable.load(args.table)
-    searcher = SignatureTableSearcher(table, db)
-    similarity = get_similarity(args.similarity)
-    target = [int(token) for token in args.items]
+def _run_queries(args: argparse.Namespace, queries: List[List[int]], **tier):
+    """Load the index and answer ``queries`` through the batched engine,
+    the path ``repro serve`` answers on: range queries with
+    ``--threshold``, k-NN otherwise.  ``tier`` is ``candidate_tier`` /
+    ``target_recall``.  Returns ``(db, results, stats, elapsed seconds of
+    the engine call)``."""
+    from repro.core.engine import QueryEngine
 
+    db, table = _load_index(args)
+    engine = QueryEngine.for_table(table, db)
+    similarity = get_similarity(args.similarity)
+    started = time.perf_counter()
     if args.threshold is not None:
-        results, stats = searcher.range_query(target, similarity, args.threshold)
-        print(f"{len(results)} transactions with {args.similarity} >= {args.threshold}")
-        shown = results[: args.k]
+        results, stats = engine.range_query_batch(
+            queries, similarity, args.threshold, **tier
+        )
     else:
-        shown, stats = searcher.knn(
-            target,
+        results, stats = engine.knn_batch(
+            queries,
             similarity,
             k=args.k,
             early_termination=args.early_termination,
+            **tier,
         )
+    return db, results, stats, time.perf_counter() - started
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    target = [int(token) for token in args.items]
+    db, results, batch_stats, _ = _run_queries(args, [target])
+    shown, stats = results[0], batch_stats[0]
+    if args.threshold is not None:
+        print(f"{len(shown)} transactions with {args.similarity} >= {args.threshold}")
+        shown = shown[: args.k]
     for rank, neighbor in enumerate(shown, start=1):
         items = sorted(db[neighbor.tid])
         print(
@@ -181,8 +188,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs import SearchTrace, Tracer, render_explain
     from repro.service.protocol import encode_neighbors, encode_search_stats
 
-    db = _load_database(args.database)
-    table = SignatureTable.load(args.table)
+    # The one command on the scalar searcher: only it records a
+    # SearchTrace and honours --sort-by.
+    db, table = _load_index(args)
     searcher = SignatureTableSearcher(table, db)
     similarity = get_similarity(args.similarity)
     target = [int(token) for token in args.items]
@@ -207,16 +215,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             )
 
     if args.output == "json":
-        print(
-            json.dumps(
-                {
-                    "explain": trace.to_dict(),
-                    "spans": tracer.to_dicts(),
-                    "results": encode_neighbors(results[: args.k]),
-                    "stats": encode_search_stats(stats),
-                }
-            )
-        )
+        # The whole answer: --k bounds a k-NN search, not a range answer;
+        # only the human report below caps what it lists.
+        document = {
+            "explain": trace.to_dict(),
+            "spans": tracer.to_dicts(),
+            "results": encode_neighbors(results),
+            "stats": encode_search_stats(stats),
+        }
+        print(json.dumps(document))
         return 0
     print(render_explain(trace, max_events=args.max_events))
     if results:
@@ -229,17 +236,20 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _metrics_scope(args: argparse.Namespace) -> str:
+    return "cluster" if args.router else "self"
+
+
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
 
-    scope = "cluster" if args.router else args.scope
     with ServiceClient(args.host, args.port) as client:
-        payload = client.metrics(args.format, scope=scope)
+        payload = client.metrics(args.format, scope=_metrics_scope(args))
     if args.format == "prometheus":
         # Exposition text already ends with a newline.
         sys.stdout.write(str(payload))
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     return 0
 
 
@@ -255,7 +265,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             reset=args.reset,
         )
     if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
         return 0
     profile = str(payload.get("profile", ""))
     if profile:
@@ -343,7 +353,7 @@ def _render_top_frame(metrics: Dict[str, object], scope: str) -> str:
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
 
-    scope = "cluster" if args.router else "self"
+    scope = _metrics_scope(args)
     try:
         while True:
             with ServiceClient(args.host, args.port) as client:
@@ -378,35 +388,13 @@ def _read_queries(path: str) -> List[List[int]]:
 
 
 def _cmd_query_batch(args: argparse.Namespace) -> int:
-    from repro.core.engine import QueryEngine, summarise_stats
+    from repro.core.engine import summarise_stats
 
-    db = _load_database(args.database)
-    table = SignatureTable.load(args.table)
-    engine = QueryEngine.for_table(table, db)
-    similarity = get_similarity(args.similarity)
     queries = _read_queries(args.queries)
-
-    tier = getattr(args, "candidate_tier", "exact")
-    recall = getattr(args, "target_recall", None)
-    started = time.perf_counter()
-    if args.threshold is not None:
-        results, stats = engine.range_query_batch(
-            queries,
-            similarity,
-            args.threshold,
-            candidate_tier=tier,
-            target_recall=recall,
-        )
-    else:
-        results, stats = engine.knn_batch(
-            queries,
-            similarity,
-            k=args.k,
-            early_termination=args.early_termination,
-            candidate_tier=tier,
-            target_recall=recall,
-        )
-    elapsed = time.perf_counter() - started
+    tier = args.candidate_tier
+    _, results, stats, elapsed = _run_queries(
+        args, queries, candidate_tier=tier, target_recall=args.target_recall
+    )
 
     if args.output == "json":
         # Machine-consumable NDJSON on stdout (one object per query);
@@ -416,17 +404,14 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
         for index, (query, neighbors, stat) in enumerate(
             zip(queries, results, stats)
         ):
-            print(
-                json.dumps(
-                    {
-                        "query": index,
-                        "items": query,
-                        "results": encode_neighbors(neighbors),
-                        "latency_ms": 1000.0 * stat.elapsed_seconds,
-                        "entries_scanned": stat.entries_scanned,
-                    }
-                )
-            )
+            record = {
+                "query": index,
+                "items": query,
+                "results": encode_neighbors(neighbors),
+                "latency_ms": 1000.0 * stat.elapsed_seconds,
+                "entries_scanned": stat.entries_scanned,
+            }
+            print(json.dumps(record))
         report = sys.stderr
     else:
         for index, neighbors in enumerate(results):
@@ -471,8 +456,7 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
 def _cmd_sketch_build(args: argparse.Namespace) -> int:
     from repro.sketch import SketchIndex
 
-    db = _load_database(args.database)
-    table = SignatureTable.load(args.table)
+    db, table = _load_index(args)
     started = time.perf_counter()
     sketch = SketchIndex.build(
         db,
@@ -536,90 +520,67 @@ def _cmd_sketch_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+@contextlib.contextmanager
+def _open_live(directory: str, *, base=None, fault_plan=None, **options):
+    """The live index in ``directory``, open; closed when the block ends.
 
-    from repro.service.server import QueryServer
+    ``base`` — the ``db``, ``scheme`` and ``page_size`` of
+    :meth:`LiveIndex.create` — creates the directory first.
+    ``fault_plan`` names a JSON :class:`~repro.faults.FaultPlan` whose
+    injector guards the index's WAL and checkpoint I/O; ``options`` go to
+    the index (``fsync_interval``, ``metrics_registry``).
+    """
+    from repro.live import LiveIndex
 
-    live_index = None
-    metrics_registry = None
-    if args.live is not None:
-        from repro.live import LiveIndex, LiveQueryEngine
-        from repro.obs import MetricRegistry
+    if fault_plan:
+        from repro.faults import FaultInjector, FaultPlan
 
-        # One registry carries both the service counters and the live
-        # index's WAL/compaction gauges, so a single scrape shows both.
-        metrics_registry = MetricRegistry()
-        injector = None
-        if getattr(args, "fault_plan", None):
-            from repro.faults import FaultInjector, FaultPlan
-
-            injector = FaultInjector(
-                FaultPlan.load(args.fault_plan),
-                metrics_registry=metrics_registry,
-            )
-            print(f"fault injection armed from {args.fault_plan}", flush=True)
-        live_index = LiveIndex.recover(
-            args.live, metrics_registry=metrics_registry, injector=injector
+        options["injector"] = FaultInjector(
+            FaultPlan.load(fault_plan),
+            metrics_registry=options.get("metrics_registry"),
         )
-        engine = LiveQueryEngine(live_index)
-        num_transactions = live_index.num_transactions
-        universe_size = live_index.scheme.universe_size
-        index_info = {"directory": args.live, **live_index.describe()}
-        index_info["universe_size"] = universe_size
-        source = args.live
+        print(f"fault injection armed from {fault_plan}", flush=True)
+    if base is not None:
+        index = LiveIndex.create(directory, **base, **options)
     else:
-        if args.database is None or args.table is None:
-            raise ValueError(
-                "serve needs either --live DIR or a database and a table"
-            )
-        from repro.core.engine import QueryEngine
+        index = LiveIndex.recover(directory, **options)
+    try:
+        yield index
+    finally:
+        index.close()
 
-        db = _load_database(args.database)
-        table = SignatureTable.load(args.table)
-        engine = QueryEngine.for_table(table, db, kernel=args.kernel)
-        num_transactions = len(db)
-        index_info = {
-            "database": args.database,
-            "table": args.table,
-            "num_transactions": len(db),
-            "universe_size": db.universe_size,
-            "num_signatures": table.scheme.num_signatures,
-        }
-        source = args.database
-    logger = None
-    if args.log_json:
-        from repro.obs import JsonLogger
 
-        logger = JsonLogger("server", enabled=True)
-    server = QueryServer(
-        engine,
-        host=args.host,
-        port=args.port,
-        logger=logger,
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        max_queue=args.max_queue,
-        default_timeout_ms=args.timeout_ms,
-        allow_remote_shutdown=not args.no_remote_shutdown,
-        index_info=index_info,
-        live_index=live_index,
-        metrics_registry=metrics_registry,
-        wire=args.wire,
-        profile_hz=args.profile_hz,
-    )
+def _live_index_info(directory: str, index, **extra) -> Dict[str, object]:
+    """The ``index`` block a live server reports in its ``stats``."""
+    info = {"directory": directory, **extra, **index.describe()}
+    info["universe_size"] = index.scheme.universe_size
+    return info
+
+
+def _server_options(args: argparse.Namespace) -> Dict[str, object]:
+    """The ``endpoint`` and ``batcher`` groups as server keyword arguments."""
+    return {
+        "host": args.host,
+        "port": args.port,
+        "max_batch_size": args.max_batch_size,
+        "max_wait_ms": args.max_wait_ms,
+        "wire": args.wire,
+        "profile_hz": args.profile_hz,
+    }
+
+
+def _serve_forever(server, what: str, tail: str = "") -> None:
+    """Run an already-configured server until SIGINT/SIGTERM/shutdown.
+
+    The banner is ``{what} on HOST:PORT{tail}``, printed once the port is
+    bound: ``--port 0`` callers read the port the kernel chose from it.
+    """
+    import asyncio
+    import signal
 
     async def _serve() -> None:
-        import signal
-
         host, port = await server.start()
-        mode = "live" if live_index is not None else "frozen"
-        print(
-            f"serving {source} ({num_transactions} transactions, {mode}) on "
-            f"{host}:{port}  [max_batch_size={args.max_batch_size}, "
-            f"max_wait_ms={args.max_wait_ms:g}, max_queue={args.max_queue}]",
-            flush=True,
-        )
+        print(f"{what} on {host}:{port}{tail}", flush=True)
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
@@ -629,20 +590,74 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 pass
         await server.wait_shutdown()
-        snapshot = server.metrics.snapshot()
-        requests = snapshot["requests"]
+
+    asyncio.run(_serve())
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.obs import JsonLogger
+    from repro.service.server import QueryServer
+
+    live, metrics_registry = contextlib.nullcontext(), None
+    if args.live is not None:
+        from repro.obs import MetricRegistry
+
+        # One registry carries both the service counters and the live
+        # index's WAL/compaction gauges, so a single scrape shows both.
+        metrics_registry = MetricRegistry()
+        live = _open_live(
+            args.live, fault_plan=args.fault_plan, metrics_registry=metrics_registry
+        )
+    elif args.fault_plan:
+        # The plan guards WAL and checkpoint I/O, which a frozen table has
+        # none of; serving with the flag ignored would only look armed.
+        raise ValueError("--fault-plan requires --live")
+    elif args.database is None or args.table is None:
+        raise ValueError("serve needs either --live DIR or a database and a table")
+    with live as live_index:
+        if live_index is not None:
+            from repro.live import LiveQueryEngine
+
+            engine = LiveQueryEngine(live_index)
+            index_info = _live_index_info(args.live, live_index)
+        else:
+            from repro.core.engine import QueryEngine
+
+            db, table = _load_index(args)
+            engine = QueryEngine.for_table(table, db)
+            index_info = {
+                "database": args.database,
+                "table": args.table,
+                "num_transactions": len(db),
+                "universe_size": db.universe_size,
+                "num_signatures": table.scheme.num_signatures,
+            }
+        server = QueryServer(
+            engine,
+            logger=JsonLogger("server", enabled=args.log_json),
+            max_queue=args.max_queue,
+            default_timeout_ms=args.timeout_ms,
+            allow_remote_shutdown=not args.no_remote_shutdown,
+            index_info=index_info,
+            live_index=live_index,
+            metrics_registry=metrics_registry,
+            **_server_options(args),
+        )
+        _serve_forever(
+            server,
+            f"serving {args.live or args.database} "
+            f"({index_info['num_transactions']} transactions, "
+            f"{'frozen' if live_index is None else 'live'})",
+            f"  [max_batch_size={args.max_batch_size}, "
+            f"max_wait_ms={args.max_wait_ms:g}, max_queue={args.max_queue}]",
+        )
+        requests = server.metrics.snapshot()["requests"]
         print(
             f"drained: {requests['completed']} completed, "
             f"{requests['rejected_overload']} overload rejections, "
             f"{requests['timeouts']} timeouts",
             flush=True,
         )
-
-    try:
-        asyncio.run(_serve())
-    finally:
-        if live_index is not None:
-            live_index.close()
     return 0
 
 
@@ -660,34 +675,9 @@ def _parse_shard_spec(text: str) -> tuple:
     return name, _parse_address(address)
 
 
-def _serve_forever(server, banner: str) -> None:
-    """Run an already-configured server until SIGINT/SIGTERM/shutdown."""
-    import asyncio
-    import signal
-
-    async def _serve() -> None:
-        host, port = await server.start()
-        print(banner.format(host=host, port=port), flush=True)
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    signum, lambda: loop.create_task(server.shutdown())
-                )
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        await server.wait_shutdown()
-
-    asyncio.run(_serve())
-
-
 def _cmd_node(args: argparse.Namespace) -> int:
-    from repro.cluster import (
-        ClusterNodeServer,
-        ReplicatedLiveIndex,
-        WalShipper,
-    )
-    from repro.live import LiveIndex, LiveQueryEngine
+    from repro.cluster import ClusterNodeServer, ReplicatedLiveIndex, WalShipper
+    from repro.live import LiveQueryEngine
     from repro.obs import MetricRegistry
 
     if args.replica and args.role != "owner":
@@ -696,43 +686,29 @@ def _cmd_node(args: argparse.Namespace) -> int:
             "receive the stream instead"
         )
     registry = MetricRegistry()
-    index = LiveIndex.recover(args.directory, metrics_registry=registry)
-    live = index
-    if args.replica:
-        live = ReplicatedLiveIndex(
-            index, WalShipper(args.shard, _parse_address(args.replica))
+    with _open_live(args.directory, metrics_registry=registry) as index:
+        live = index
+        if args.replica:
+            live = ReplicatedLiveIndex(
+                index, WalShipper(args.shard, _parse_address(args.replica))
+            )
+        server = ClusterNodeServer(
+            LiveQueryEngine(index),
+            shard=args.shard,
+            role=args.role,
+            live_index=live,
+            metrics_registry=registry,
+            index_info=_live_index_info(
+                args.directory, index, shard=args.shard, role=args.role
+            ),
+            **_server_options(args),
         )
-    index_info = {
-        "directory": args.directory,
-        "shard": args.shard,
-        "role": args.role,
-        **index.describe(),
-    }
-    index_info["universe_size"] = index.scheme.universe_size
-    server = ClusterNodeServer(
-        LiveQueryEngine(index),
-        shard=args.shard,
-        role=args.role,
-        host=args.host,
-        port=args.port,
-        live_index=live,
-        metrics_registry=registry,
-        index_info=index_info,
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        wire=args.wire,
-        profile_hz=args.profile_hz,
-    )
-    replicated = f" -> replica {args.replica}" if args.replica else ""
-    try:
         _serve_forever(
             server,
             f"cluster node shard={args.shard} role={args.role} serving "
-            f"{args.directory} ({index.num_transactions} transactions) on "
-            "{host}:{port}" + replicated,
+            f"{args.directory} ({index.num_transactions} transactions)",
+            f" -> replica {args.replica}" if args.replica else "",
         )
-    finally:
-        index.close()
     return 0
 
 
@@ -750,9 +726,7 @@ def _cmd_router(args: argparse.Namespace) -> int:
             ShardSpec(name, address, replica_address=replicas.pop(name, None))
         )
     if replicas:
-        raise ValueError(
-            f"--replica for unknown shards: {sorted(replicas)}"
-        )
+        raise ValueError(f"--replica for unknown shards: {sorted(replicas)}")
     router = ClusterRouter(
         specs,
         universe_size=args.universe_size,
@@ -786,26 +760,18 @@ def _cmd_router(args: argparse.Namespace) -> int:
         )
     server = RouterServer(
         router,
-        host=args.host,
-        port=args.port,
         index_info={
             "kind": "cluster_router",
             "shards": [spec.name for spec in specs],
         },
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        wire=args.wire,
-        profile_hz=args.profile_hz,
+        **_server_options(args),
     )
     shard_list = ", ".join(
         spec.name + ("+replica" if spec.replica_address else "")
         for spec in specs
     )
     try:
-        _serve_forever(
-            server,
-            f"cluster router over [{shard_list}] on " + "{host}:{port}",
-        )
+        _serve_forever(server, f"cluster router over [{shard_list}]")
     finally:
         router.close()
     return 0
@@ -814,15 +780,8 @@ def _cmd_router(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import os
 
-    from repro.live import LiveIndex
-
-    injector = None
-    if getattr(args, "fault_plan", None):
-        from repro.faults import FaultInjector, FaultPlan
-
-        injector = FaultInjector(FaultPlan.load(args.fault_plan))
-        print(f"fault injection armed from {args.fault_plan}", flush=True)
     exists = os.path.exists(os.path.join(args.directory, "manifest.json"))
+    base = None
     if args.init is not None:
         if exists:
             raise ValueError(
@@ -841,31 +800,24 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             activation_threshold=args.activation_threshold,
             rng=args.seed,
         )
-        index = LiveIndex.create(
-            args.directory,
-            db,
-            scheme=scheme,
-            page_size=args.page_size,
-            fsync_interval=args.fsync_interval,
-            injector=injector,
-        )
-        print(
-            f"created live index over {len(db)} transactions "
-            f"(K={scheme.num_signatures}, r={scheme.activation_threshold}) "
-            f"in {args.directory}"
-        )
+        base = {"db": db, "scheme": scheme, "page_size": args.page_size}
     elif not exists:
         raise ValueError(
             f"no live index at {args.directory!r}; pass --init DATABASE "
             "to create one"
         )
-    else:
-        index = LiveIndex.recover(
-            args.directory,
-            fsync_interval=args.fsync_interval,
-            injector=injector,
-        )
-    try:
+    with _open_live(
+        args.directory,
+        base=base,
+        fault_plan=args.fault_plan,
+        fsync_interval=args.fsync_interval,
+    ) as index:
+        if base is not None:
+            print(
+                f"created live index over {len(db)} transactions "
+                f"(K={scheme.num_signatures}, r={scheme.activation_threshold}) "
+                f"in {args.directory}"
+            )
         if args.transactions is not None:
             rows = _read_queries(args.transactions)
             started = time.perf_counter()
@@ -893,16 +845,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             f"-- {info['num_transactions']} logical transactions "
             f"({info['delta_size']} in delta, {info['tombstones']} tombstones)"
         )
-    finally:
-        index.close()
     return 0
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
-    from repro.live import LiveIndex
-
-    index = LiveIndex.recover(args.directory)
-    try:
+    with _open_live(args.directory) as index:
         drift = index.drift_report()
         if drift is not None:
             print(f"drift advisor: {drift.recommendation}")
@@ -925,125 +872,40 @@ def _cmd_compact(args: argparse.Namespace) -> int:
             f"{', repartitioned' if report.repartitioned else ''}); "
             f"WAL truncated through seqno {report.applied_seqno}"
         )
-    finally:
-        index.close()
     return 0
 
 
-def _cmd_client(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceError
+def _client_query(client, args: argparse.Namespace):
+    items = [int(i) for i in args.items]
+    tier = {
+        "timeout_ms": args.timeout_ms,
+        "candidate_tier": args.candidate_tier,
+        "target_recall": args.target_recall,
+    }
+    if args.threshold is not None:
+        return client.range_query(items, args.similarity, args.threshold, **tier)
+    return client.knn(items, args.similarity, k=args.k, **tier)
 
-    try:
-        return _run_client_action(args)
-    except ServiceError as exc:
-        print(f"error: server rejected the request: {exc}", file=sys.stderr)
-        return 1
-    except (ConnectionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
-
-def _run_client_action(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient as _RawClient
-    from repro.service.client import run_load, wait_ready
-
-    def ServiceClient(host, port):
-        return _RawClient(
-            host,
-            port,
-            retries=args.retries,
-            deadline=args.deadline,
-            wire=args.wire,
+def _render_client_query(answer, args: argparse.Namespace):
+    neighbors, stats = answer
+    lines = [
+        f"tid {neighbor.tid}  similarity {neighbor.similarity:.6f}"
+        for neighbor in neighbors
+    ]
+    if stats.get("candidate_tier", "exact") != "exact":
+        lines.append(
+            f"-- {stats['candidate_tier']} tier: "
+            f"{stats.get('sketch_candidates', '?')} sketch candidates, "
+            f"estimated recall {stats.get('estimated_recall', 0.0):.3f}"
         )
+    return "\n".join(lines), 0
 
-    if args.wait_ready is not None:
-        if not wait_ready(args.host, args.port, timeout=args.wait_ready):
-            print(
-                f"error: no server at {args.host}:{args.port} after "
-                f"{args.wait_ready:g}s",
-                file=sys.stderr,
-            )
-            return 2
 
-    if args.action == "ping":
-        with ServiceClient(args.host, args.port) as client:
-            print("pong" if client.ping() else "no answer")
-        return 0
-    if args.action == "health":
-        with ServiceClient(args.host, args.port) as client:
-            health = client.health()
-        print(json.dumps(health, indent=2, sort_keys=True))
-        return 0 if health.get("ready") and not health.get("degraded") else 1
-    if args.action == "stats":
-        with ServiceClient(args.host, args.port) as client:
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-        return 0
-    if args.action == "ring":
-        with ServiceClient(args.host, args.port) as client:
-            print(json.dumps(client.ring(), indent=2, sort_keys=True))
-        return 0
-    if args.action == "shutdown":
-        with ServiceClient(args.host, args.port) as client:
-            draining = client.shutdown()
-        print("server draining" if draining else "shutdown refused")
-        return 0 if draining else 1
-    if args.action == "insert":
-        if not args.items:
-            print("error: insert needs --items", file=sys.stderr)
-            return 2
-        with ServiceClient(args.host, args.port) as client:
-            tid = client.insert([int(i) for i in args.items])
-        print(f"inserted as logical tid {tid}")
-        return 0
-    if args.action == "delete":
-        if args.tid is None:
-            print("error: delete needs --tid", file=sys.stderr)
-            return 2
-        with ServiceClient(args.host, args.port) as client:
-            client.delete(args.tid)
-        print(f"deleted logical tid {args.tid}")
-        return 0
-    if args.action == "compact":
-        with ServiceClient(args.host, args.port) as client:
-            report = client.compact(repartition=args.repartition)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    if args.action == "checkpoint":
-        with ServiceClient(args.host, args.port) as client:
-            applied = client.checkpoint()
-        print(f"checkpointed through seqno {applied}")
-        return 0
-    if args.action == "query":
-        if not args.items:
-            print("error: query needs --items", file=sys.stderr)
-            return 2
-        items = [int(i) for i in args.items]
-        tier = getattr(args, "candidate_tier", None)
-        recall = getattr(args, "target_recall", None)
-        with ServiceClient(args.host, args.port) as client:
-            if args.threshold is not None:
-                neighbors, stats = client.range_query(
-                    items, args.similarity, args.threshold,
-                    timeout_ms=args.timeout_ms,
-                    candidate_tier=tier, target_recall=recall,
-                )
-            else:
-                neighbors, stats = client.knn(
-                    items, args.similarity, k=args.k,
-                    timeout_ms=args.timeout_ms,
-                    candidate_tier=tier, target_recall=recall,
-                )
-        for neighbor in neighbors:
-            print(f"tid {neighbor.tid}  similarity {neighbor.similarity:.6f}")
-        if stats.get("candidate_tier", "exact") != "exact":
-            print(
-                f"-- {stats['candidate_tier']} tier: "
-                f"{stats.get('sketch_candidates', '?')} sketch candidates, "
-                f"estimated recall {stats.get('estimated_recall', 0.0):.3f}"
-            )
-        return 0
+def _client_burst(client, args: argparse.Namespace):
+    """A closed-loop concurrent load burst."""
+    from repro.service.client import run_load
 
-    # action == "burst": a closed-loop concurrent load burst.
     if args.queries is not None:
         queries = _read_queries(args.queries)
     else:
@@ -1051,21 +913,15 @@ def _run_client_action(args: argparse.Namespace) -> int:
         # server reports in its stats payload.
         import random
 
-        with ServiceClient(args.host, args.port) as client:
-            index_info = client.stats()["index"]
-        universe = int(index_info.get("universe_size", 0))
+        universe = int(client.stats()["index"].get("universe_size", 0))
         if universe <= 0:
-            print(
-                "error: server reports no universe_size; pass --queries FILE",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError("server reports no universe_size; pass --queries FILE")
         rng = random.Random(args.seed)
         queries = [
             sorted(rng.sample(range(universe), k=min(universe, 10)))
             for _ in range(min(args.requests, 256))
         ]
-    result = run_load(
+    return run_load(
         args.host,
         args.port,
         queries,
@@ -1078,17 +934,94 @@ def _run_client_action(args: argparse.Namespace) -> int:
         retries=args.retries,
         wire=args.wire,
     )
+
+
+def _render_burst(result, args: argparse.Namespace):
     latencies = result.latencies_ms()
     mid = latencies[len(latencies) // 2] if latencies else float("nan")
     retried = f", {result.retried} retried" if result.retried else ""
-    print(
+    return (
         f"{result.completed}/{len(result.records)} requests ok "
         f"({result.rejected} rejected{retried}) in "
         f"{result.elapsed_seconds:.2f}s — "
         f"{result.qps:.1f} req/s at concurrency {result.concurrency} "
         f"over {result.wire}, ~p50 {mid:.1f} ms"
-    )
-    return 0 if result.completed else 1
+    ), 0 if result.completed else 1
+
+
+def _render_json(payload, args: argparse.Namespace):
+    return _json_text(payload), 0
+
+
+#: ``repro client`` actions: the flags (by dest) the action cannot run
+#: without, the ``(ServiceClient, args) -> answer`` call, and the renderer
+#: ``(answer, args) -> (stdout text, exit code)``.
+_CLIENT_ACTIONS = {
+    "ping": ((), lambda c, a: c.ping(), lambda r, a: ("pong" if r else "no answer", 0)),
+    "health": (
+        (),
+        lambda c, a: c.health(),
+        lambda r, a: (
+            _json_text(r), 0 if r.get("ready") and not r.get("degraded") else 1
+        ),
+    ),
+    "stats": ((), lambda c, a: c.stats(), _render_json),
+    "shutdown": (
+        (),
+        lambda c, a: c.shutdown(),
+        lambda r, a: ("server draining", 0) if r else ("shutdown refused", 1),
+    ),
+    "burst": ((), _client_burst, _render_burst),
+    "query": (("items",), _client_query, _render_client_query),
+    "insert": (
+        ("items",),
+        lambda c, a: c.insert([int(i) for i in a.items]),
+        lambda r, a: (f"inserted as logical tid {r}", 0),
+    ),
+    "delete": (
+        ("tid",),
+        lambda c, a: c.delete(a.tid),
+        lambda r, a: (f"deleted logical tid {a.tid}", 0),
+    ),
+    "compact": ((), lambda c, a: c.compact(repartition=a.repartition), _render_json),
+    "checkpoint": (
+        (),
+        lambda c, a: c.checkpoint(),
+        lambda r, a: (f"checkpointed through seqno {r}", 0),
+    ),
+    "ring": ((), lambda c, a: c.ring(), _render_json),
+}
+
+
+def _cmd_client(args: argparse.Namespace) -> int:
+    from repro.service.client import ServiceClient, ServiceError, wait_ready
+
+    ready = args.wait_ready
+    if ready is not None and not wait_ready(args.host, args.port, timeout=ready):
+        print(
+            f"error: no server at {args.host}:{args.port} after {ready:g}s",
+            file=sys.stderr,
+        )
+        return 2
+    needs, call, render = _CLIENT_ACTIONS[args.action]
+    for dest in needs:
+        if vars(args)[dest] is None:
+            print(f"error: {args.action} needs --{dest}", file=sys.stderr)
+            return 2
+    connect = {"retries": args.retries, "deadline": args.deadline, "wire": args.wire}
+    try:
+        with ServiceClient(args.host, args.port, **connect) as client:
+            answer = call(client, args)
+    except ServiceError as exc:
+        print(f"error: server rejected the request: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a dead port, a dropped connection
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    text, code = render(answer, args)
+    if text:
+        print(text)
+    return code
 
 
 _EXPERIMENTS = {
@@ -1144,6 +1077,348 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# The command table
+# ----------------------------------------------------------------------
+def _flag(*names: str, **spec) -> Tuple[Tuple[str, ...], Dict[str, object]]:
+    """One ``add_argument`` declaration, kept as data."""
+    return names, spec
+
+
+#: Flags more than one subcommand takes, declared once.  A command row
+#: that names a group's flag again refines the declaration (a default, a
+#: help text worded for that command) instead of repeating it.
+_GROUPS: Dict[str, list] = {
+    "dataset": [_flag("database", help="dataset path (.npz or .txt)")],
+    "table": [_flag("table", help="signature-table path (.npz)")],
+    "target": [_flag("items", nargs="+", help="target transaction as item ids")],
+    "query": [
+        _flag("--similarity", "-s", default="match_ratio",
+              choices=sorted(SIMILARITY_FUNCTIONS)),
+        _flag("--k", type=int, default=5),
+        _flag("--threshold", type=float,
+              help="run a range query with this similarity threshold instead of k-NN"),
+    ],
+    "budget": [
+        _flag("--early-termination", type=float,
+              help="stop after this fraction of the data (e.g. 0.02)"),
+    ],
+    "tier": [
+        _flag("--candidate-tier", choices=["exact", "lsh"], default="exact",
+              help="candidate tier: exact (default) or lsh (sketch prefilter; "
+              "table needs `repro sketch build` first)"),
+        _flag("--target-recall", type=float,
+              help="recall target for --candidate-tier lsh (default 0.9)"),
+    ],
+    "report": [
+        _flag("--output", "-o", choices=["human", "json"], default="human",
+              help="result format: human (default) or json (one object per "
+              "line on stdout, summary on stderr)"),
+    ],
+    "seed": [_flag("--seed", type=int, default=0)],
+    "endpoint": [
+        _flag("--host", default="127.0.0.1"),
+        _flag("--port", type=int, default=7807),
+    ],
+    "scope": [
+        _flag("--router", action="store_true",
+              help="poll the cluster-wide merged metrics of a router"),
+    ],
+    "batcher": [
+        _flag("--max-batch-size", type=int, default=32,
+              help="flush a micro-batch at this many coalesced requests (default 32)"),
+        _flag("--max-wait-ms", type=float, default=2.0,
+              help="flush a micro-batch after its oldest request waited this "
+              "long (default 2 ms)"),
+        _flag("--wire", choices=["auto", "ndjson"], default="auto",
+              help="wire policy: 'auto' lets clients negotiate the binary "
+              "frame protocol, 'ndjson' refuses it (default auto)"),
+        _flag("--profile-hz", type=float, metavar="HZ",
+              help="run a continuous sampling profiler at this rate; the "
+              "'profile' op returns its accumulated folded stacks "
+              "(default: off, 'profile' serves one-shot passes)"),
+    ],
+    "live-dir": [_flag("directory", help="live-index directory")],
+    "live-init": [
+        _flag("--signatures", "-K", type=int, default=15,
+              help="signature cardinality K (default 15)"),
+        _flag("--activation-threshold", "-r", type=int, default=1),
+        _flag("--page-size", type=int, default=64),
+    ],
+    "faults": [
+        _flag("--fault-plan", metavar="FILE",
+              help="inject deterministic faults into WAL and checkpoint I/O "
+              "from this JSON fault plan (testing only)"),
+    ],
+}
+
+
+class _Command(NamedTuple):
+    """One subcommand: the shared groups it takes, then its own flags."""
+
+    name: str
+    help: str
+    groups: Tuple[str, ...]
+    #: ``args -> exit code``; ``None`` for a row that only holds ``subcommands``.
+    handler: Optional[Callable[[argparse.Namespace], int]]
+    flags: tuple = ()
+    subcommands: tuple = ()
+
+
+_COMMANDS = (
+    _Command("generate", "synthesise a T·.I·.D· dataset", ("seed",), _cmd_generate, [
+        _flag("spec", help="dataset spec, e.g. T10.I6.D100K"),
+        _flag("output", help="output path (.npz, or .txt for FIMI)"),
+        _flag("--num-items", type=int, default=1000),
+        _flag("--num-patterns", type=int, default=2000),
+        _flag("--skew", type=float, default=0.0, metavar="S",
+              help="Zipf exponent skewing item popularity (0 = the paper's "
+              "uniform universe; try 1.0-2.0 for a hot-head catalogue)"),
+    ]),
+    _Command("stats", "print dataset statistics", ("dataset",), _cmd_stats),
+    _Command("build", "build a signature table", ("dataset", "live-init", "seed"),
+             _cmd_build, [
+        _flag("output", help="output table path (.npz)"),
+        _flag("--min-support", type=float, default=0.0),
+    ]),
+    _Command("advise", "recommend K and the activation threshold", ("dataset",),
+             _cmd_advise, [
+        _flag("--memory", type=int, default=1 << 20,
+              help="directory memory budget in bytes (default 1 MiB)"),
+    ]),
+    _Command("query", "run a similarity query against a saved table",
+             ("dataset", "table", "target", "query", "budget"), _cmd_query),
+    _Command("query-batch", "run a file of queries through the batched engine",
+             ("dataset", "table", "query", "budget", "report", "tier"),
+             _cmd_query_batch, [
+        _flag("queries",
+              help="query file: one transaction per line as space-separated item "
+              "ids ('-' reads stdin; '#' lines are comments)"),
+        _flag("--early-termination",
+              help="stop each query after this fraction of the data (e.g. 0.02)"),
+        _flag("--threshold",
+              help="run range queries with this similarity threshold instead of k-NN"),
+    ]),
+    _Command("sketch", "build or inspect the sketch candidate tier of a table",
+             (), None, subcommands=[
+        _Command("build", "sign the database and attach the sketch column to a table",
+                 ("dataset", "table", "seed"), _cmd_sketch_build, [
+            _flag("--out",
+                  help="output table path (default: overwrite the input table)"),
+            _flag("--num-hashes", type=int, default=128),
+            _flag("--bands", type=int, default=32),
+            _flag("--rows", type=int, default=2),
+            _flag("--design-similarity", type=float,
+                  help="similarity the band budget is calibrated against "
+                  "(default: calibrated from the data, skew-aware)"),
+        ]),
+        _Command("stats", "print a table's sketch parameters and band budgets",
+                 ("table",), _cmd_sketch_stats),
+    ]),
+    _Command("explain", "run one query with a branch-and-bound explain report",
+             ("dataset", "table", "target", "query", "budget", "report"),
+             _cmd_explain, [
+        _flag("--threshold",
+              help="explain a range query with this threshold instead of k-NN"),
+        _flag("--sort-by", default="optimistic",
+              choices=["optimistic", "supercoordinate"],
+              help="entry scan order for k-NN (default optimistic)"),
+        _flag("--max-events", type=int,
+              help="cap the per-entry rows in the human report"),
+        _flag("--output",
+              help="human-readable report (default) or one JSON object with "
+              "the explain record, span tree, results and stats"),
+    ]),
+    _Command("metrics", "fetch a running server's metric registry",
+             ("endpoint", "scope"), _cmd_metrics, [
+        _flag("--format", "-f", choices=["json", "prometheus"], default="prometheus",
+              help="exposition format (default prometheus)"),
+    ]),
+    _Command("profile", "sample a running server's thread stacks (folded output)",
+             ("endpoint",), _cmd_profile, [
+        _flag("--duration", "-d", type=float,
+              help="one-shot sampling window in seconds (server default 1s; "
+              "ignored by a continuous profiler)"),
+        _flag("--hz", type=float,
+              help="sampling rate for a one-shot profile (server default)"),
+        _flag("--reset", action="store_true",
+              help="clear a continuous profiler's accumulated stacks after "
+              "snapshotting"),
+        _flag("--output", "-o", choices=["folded", "json"], default="folded",
+              help="'folded' prints flamegraph-compatible stacks; 'json' the "
+              "raw snapshot (default folded)"),
+    ]),
+    _Command("top", "live terminal dashboard over a server's aggregated metrics",
+             ("endpoint", "scope"), _cmd_top, [
+        _flag("--interval", type=float, default=2.0,
+              help="refresh interval in seconds (default 2)"),
+        _flag("--once", action="store_true",
+              help="print one frame and exit (no screen clearing)"),
+    ]),
+    _Command("serve", "serve a table to concurrent clients (NDJSON over TCP)",
+             ("dataset", "table", "endpoint", "batcher", "faults"), _cmd_serve, [
+        _flag("database", nargs="?",
+              help="dataset path (.npz or .txt); omit with --live"),
+        _flag("table", nargs="?",
+              help="signature-table path (.npz); omit with --live"),
+        _flag("--live", metavar="DIR",
+              help="serve a mutable live index from this directory instead of a "
+              "frozen table; enables the insert/delete/compact/checkpoint ops "
+              "(create the directory with 'repro ingest DIR --init DATABASE')"),
+        _flag("--max-queue", type=int, default=1024,
+              help="admission bound on in-flight requests; beyond it the server "
+              "rejects with 'overloaded' (default 1024)"),
+        _flag("--timeout-ms", type=float, default=30_000.0,
+              help="default per-request deadline (default 30000)"),
+        _flag("--no-remote-shutdown", action="store_true",
+              help="refuse the protocol-level 'shutdown' op"),
+        _flag("--log-json", action="store_true",
+              help="emit structured JSON logs (one object per line, with "
+              "correlation ids) on stderr"),
+        _flag("--fault-plan",
+              help="inject deterministic faults into the live index's WAL and "
+              "checkpoint I/O from this JSON fault plan (testing only; "
+              "requires --live)"),
+    ]),
+    _Command("node", "serve a live-index directory as one cluster shard node",
+             ("live-dir", "endpoint", "batcher"), _cmd_node, [
+        _flag("directory", help="live-index directory "
+              "(create with 'repro ingest DIR --init DATABASE')"),
+        _flag("--shard", required=True, help="shard name this node carries"),
+        _flag("--role", choices=["owner", "replica"], default="owner",
+              help="owner accepts routed mutations; replica only applies the "
+              "owner's WAL stream until promoted (default owner)"),
+        _flag("--replica", metavar="HOST:PORT",
+              help="owner-side: ship every WAL record to this replica node "
+              "before acknowledging (synchronous replication)"),
+    ]),
+    _Command("router", "front a set of shard nodes with the consistent-hash router",
+             ("endpoint", "batcher"), _cmd_router, [
+        _flag("--shard", action="append", required=True, metavar="NAME=HOST:PORT",
+              help="one shard owner's address (repeat per shard)"),
+        _flag("--replica", action="append", metavar="NAME=HOST:PORT",
+              help="a shard's warm-replica address, enabling probe-driven "
+              "failover for it (repeat per replicated shard)"),
+        _flag("--universe-size", type=int,
+              help="item universe of the clustered dataset (queries naming an item "
+              "outside it are refused at the router)"),
+        _flag("--vnodes", type=int, default=64,
+              help="virtual nodes per shard on the hash ring (default 64)"),
+        _flag("--retries", type=int, default=3,
+              help="router->shard retry budget per forwarded request (default 3)"),
+        _flag("--probe-interval", type=float, metavar="SECONDS",
+              help="health-probe shard owners this often and fail over to their "
+              "replicas (default: probing off)"),
+        _flag("--probe-failures", type=int, default=2,
+              help="consecutive probe failures before promoting (default 2)"),
+    ]),
+    _Command("ingest", "create a live index and/or durably insert transactions",
+             ("live-dir", "live-init", "seed", "faults"), _cmd_ingest, [
+        _flag("transactions", nargs="?",
+              help="transactions to insert, one per line as space-separated item "
+              "ids ('-' reads stdin; '#' lines are comments)"),
+        _flag("--init", metavar="DATABASE",
+              help="create the live index over this base dataset first"),
+        _flag("--signatures", default=None,
+              help="signature cardinality K for --init (default: advisor pick)"),
+        _flag("--activation-threshold",
+              help="activation threshold r for --init (default 1)"),
+        _flag("--page-size",
+              help="transactions per simulated disk page for --init (default 64)"),
+        _flag("--seed", help="partitioning seed for --init"),
+        _flag("--fsync-interval", type=int, default=1,
+              help="fsync the WAL every N inserts (default 1 = every insert)"),
+        _flag("--checkpoint", action="store_true",
+              help="write a checkpoint and truncate the WAL after ingesting"),
+    ]),
+    _Command("compact", "fold a live index's delta and tombstones into the base",
+             ("live-dir",), _cmd_compact, [
+        _flag("--repartition", action="store_true",
+              help="re-learn the signature partition from the merged data"),
+        _flag("--auto-repartition", action="store_true",
+              help="repartition only if the drift advisor recommends it"),
+        _flag("--if-needed", action="store_true",
+              help="compact only when the compaction policy triggers"),
+    ]),
+    _Command("client", "talk to a running repro server",
+             ("endpoint", "query", "tier", "seed"), _cmd_client, [
+        _flag("action", choices=list(_CLIENT_ACTIONS),
+              help="ping/health/stats/shutdown, a single 'query', a closed-loop "
+              "'burst' of queries, a mutation against a live server, or 'ring' "
+              "for a cluster router's topology"),
+        _flag("--items", nargs="+", help="item ids for the insert action"),
+        _flag("--tid", type=int, help="logical tid for the delete action"),
+        _flag("--repartition", action="store_true",
+              help="ask the server to repartition during the compact action"),
+        _flag("--wait-ready", type=float, nargs="?", const=10.0, metavar="SECONDS",
+              help="poll until the server answers ping before acting "
+              "(bare flag waits up to 10s)"),
+        _flag("--queries",
+              help="query file for burst (one transaction per line; default: "
+              "random items over the server's universe)"),
+        _flag("--requests", type=int, default=64, help="burst size (default 64)"),
+        _flag("--concurrency", "-c", type=int, default=8,
+              help="concurrent closed-loop clients for burst (default 8)"),
+        _flag("--threshold",
+              help="send range queries with this threshold instead of k-NN"),
+        _flag("--timeout-ms", type=float,
+              help="per-request deadline forwarded to the server"),
+        _flag("--candidate-tier", default=None,
+              help="candidate tier for the query action (lsh needs a "
+              "sketch-enabled server)"),
+        _flag("--seed", help="seed for generated burst queries"),
+        _flag("--retries", type=int, default=0,
+              help="retry retryable failures (overloaded/unavailable, dropped "
+              "connections) up to this many times with jittered exponential "
+              "backoff (default 0 = no retries)"),
+        _flag("--deadline", type=float, metavar="SECONDS",
+              help="overall per-call deadline budget; retries never sleep past "
+              "it (default: unbounded)"),
+        _flag("--wire", choices=["auto", "binary", "ndjson"], default="auto",
+              help="wire protocol: 'binary' demands the frame protocol, "
+              "'ndjson' skips negotiation, 'auto' tries binary and falls "
+              "back (default auto)"),
+    ]),
+    _Command("experiment", "reproduce one of the paper's figures/tables", (),
+             _cmd_experiment, [
+        _flag("experiment", choices=sorted(_EXPERIMENTS, key=lambda e: (len(e), e))),
+        _flag("--profile", help="quick (default) or paper"),
+        _flag("--db-sizes", type=int, nargs="+",
+              help="override the profile's database-size sweep"),
+        _flag("--ks", type=int, nargs="+", help="override the profile's K sweep"),
+        _flag("--queries", type=int, help="queries per point"),
+        _flag("--output", help="directory to save the result table"),
+    ]),
+)
+
+
+def _declarations(command: _Command):
+    """``(names, spec)`` of a command: its groups' flags in group order,
+    then its own; an own flag that names a group's refines it in place."""
+    flags: Dict[str, Tuple[Tuple[str, ...], Dict[str, object]]] = {}
+    for group in command.groups:
+        for names, spec in _GROUPS[group]:
+            flags[names[0]] = (names, dict(spec))
+    for names, spec in command.flags:
+        if names[0] in flags:
+            flags[names[0]][1].update(spec)
+        else:
+            flags[names[0]] = (names, dict(spec))
+    return flags.values()
+
+
+def _add_commands(subparsers, commands) -> None:
+    for command in commands:
+        parser = subparsers.add_parser(command.name, help=command.help)
+        if command.subcommands:
+            holder = parser.add_subparsers(dest=f"{command.name}_action", required=True)
+            _add_commands(holder, command.subcommands)
+            continue
+        for names, spec in _declarations(command):
+            parser.add_argument(*names, **spec)
+        parser.set_defaults(func=command.handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -1151,719 +1426,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Signature-table similarity indexing of market basket data "
         "(Aggarwal, Wolf & Yu, SIGMOD 1999)",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = subparsers.add_parser(
-        "generate", help="synthesise a T·.I·.D· dataset"
-    )
-    p_gen.add_argument("spec", help="dataset spec, e.g. T10.I6.D100K")
-    p_gen.add_argument("output", help="output path (.npz, or .txt for FIMI)")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--num-items", type=int, default=1000)
-    p_gen.add_argument("--num-patterns", type=int, default=2000)
-    p_gen.add_argument(
-        "--skew",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="Zipf exponent skewing item popularity (0 = the paper's "
-        "uniform universe; try 1.0-2.0 for a hot-head catalogue)",
-    )
-    p_gen.set_defaults(func=_cmd_generate)
-
-    p_stats = subparsers.add_parser("stats", help="print dataset statistics")
-    p_stats.add_argument("database", help="dataset path (.npz or .txt)")
-    p_stats.set_defaults(func=_cmd_stats)
-
-    p_build = subparsers.add_parser("build", help="build a signature table")
-    p_build.add_argument("database", help="dataset path (.npz or .txt)")
-    p_build.add_argument("output", help="output table path (.npz)")
-    p_build.add_argument(
-        "--signatures", "-K", type=int, default=15,
-        help="signature cardinality K (default 15)",
-    )
-    p_build.add_argument("--activation-threshold", "-r", type=int, default=1)
-    p_build.add_argument("--min-support", type=float, default=0.0)
-    p_build.add_argument("--page-size", type=int, default=64)
-    p_build.add_argument("--seed", type=int, default=0)
-    p_build.set_defaults(func=_cmd_build)
-
-    p_advise = subparsers.add_parser(
-        "advise", help="recommend K and the activation threshold"
-    )
-    p_advise.add_argument("database", help="dataset path (.npz or .txt)")
-    p_advise.add_argument(
-        "--memory",
-        type=int,
-        default=1 << 20,
-        help="directory memory budget in bytes (default 1 MiB)",
-    )
-    p_advise.set_defaults(func=_cmd_advise)
-
-    p_query = subparsers.add_parser(
-        "query", help="run a similarity query against a saved table"
-    )
-    p_query.add_argument("database", help="dataset path (.npz or .txt)")
-    p_query.add_argument("table", help="signature-table path (.npz)")
-    p_query.add_argument(
-        "items", nargs="+", help="target transaction as item ids"
-    )
-    p_query.add_argument(
-        "--similarity",
-        "-s",
-        default="match_ratio",
-        choices=sorted(SIMILARITY_FUNCTIONS),
-    )
-    p_query.add_argument("--k", type=int, default=5)
-    p_query.add_argument(
-        "--early-termination",
-        type=float,
-        default=None,
-        help="stop after this fraction of the data (e.g. 0.02)",
-    )
-    p_query.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="run a range query with this similarity threshold instead of k-NN",
-    )
-    p_query.set_defaults(func=_cmd_query)
-
-    p_batch = subparsers.add_parser(
-        "query-batch",
-        help="run a file of queries through the batched engine",
-    )
-    p_batch.add_argument("database", help="dataset path (.npz or .txt)")
-    p_batch.add_argument("table", help="signature-table path (.npz)")
-    p_batch.add_argument(
-        "queries",
-        help="query file: one transaction per line as space-separated item "
-        "ids ('-' reads stdin; '#' lines are comments)",
-    )
-    p_batch.add_argument(
-        "--similarity",
-        "-s",
-        default="match_ratio",
-        choices=sorted(SIMILARITY_FUNCTIONS),
-    )
-    p_batch.add_argument("--k", type=int, default=5)
-    p_batch.add_argument(
-        "--early-termination",
-        type=float,
-        default=None,
-        help="stop each query after this fraction of the data (e.g. 0.02)",
-    )
-    p_batch.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="run range queries with this similarity threshold instead of k-NN",
-    )
-    p_batch.add_argument(
-        "--output",
-        "-o",
-        choices=["human", "json"],
-        default="human",
-        help="result format: human (default) or json (one object per "
-        "line on stdout, summary on stderr)",
-    )
-    p_batch.add_argument(
-        "--candidate-tier",
-        choices=["exact", "lsh"],
-        default="exact",
-        help="candidate tier: exact (default) or lsh (sketch prefilter; "
-        "table needs `repro sketch build` first)",
-    )
-    p_batch.add_argument(
-        "--target-recall",
-        type=float,
-        default=None,
-        help="recall target for --candidate-tier lsh (default 0.9)",
-    )
-    p_batch.set_defaults(func=_cmd_query_batch)
-
-    p_sketch = subparsers.add_parser(
-        "sketch",
-        help="build or inspect the sketch candidate tier of a table",
-    )
-    sketch_sub = p_sketch.add_subparsers(dest="sketch_action", required=True)
-    p_sk_build = sketch_sub.add_parser(
-        "build",
-        help="sign the database and attach the sketch column to a table",
-    )
-    p_sk_build.add_argument("database", help="dataset path (.npz or .txt)")
-    p_sk_build.add_argument("table", help="signature-table path (.npz)")
-    p_sk_build.add_argument(
-        "--out",
-        default=None,
-        help="output table path (default: overwrite the input table)",
-    )
-    p_sk_build.add_argument("--num-hashes", type=int, default=128)
-    p_sk_build.add_argument("--bands", type=int, default=32)
-    p_sk_build.add_argument("--rows", type=int, default=2)
-    p_sk_build.add_argument("--seed", type=int, default=0)
-    p_sk_build.add_argument(
-        "--design-similarity",
-        type=float,
-        default=None,
-        help="similarity the band budget is calibrated against "
-        "(default: calibrated from the data, skew-aware)",
-    )
-    p_sk_build.set_defaults(func=_cmd_sketch_build)
-    p_sk_stats = sketch_sub.add_parser(
-        "stats", help="print a table's sketch parameters and band budgets"
-    )
-    p_sk_stats.add_argument("table", help="signature-table path (.npz)")
-    p_sk_stats.set_defaults(func=_cmd_sketch_stats)
-
-    p_explain = subparsers.add_parser(
-        "explain",
-        help="run one query with a branch-and-bound explain report",
-    )
-    p_explain.add_argument("database", help="dataset path (.npz or .txt)")
-    p_explain.add_argument("table", help="signature-table path (.npz)")
-    p_explain.add_argument(
-        "items", nargs="+", help="target transaction as item ids"
-    )
-    p_explain.add_argument(
-        "--similarity",
-        "-s",
-        default="match_ratio",
-        choices=sorted(SIMILARITY_FUNCTIONS),
-    )
-    p_explain.add_argument("--k", type=int, default=5)
-    p_explain.add_argument(
-        "--early-termination",
-        type=float,
-        default=None,
-        help="stop after this fraction of the data (e.g. 0.02)",
-    )
-    p_explain.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="explain a range query with this threshold instead of k-NN",
-    )
-    p_explain.add_argument(
-        "--sort-by",
-        default="optimistic",
-        choices=["optimistic", "supercoordinate"],
-        help="entry scan order for k-NN (default optimistic)",
-    )
-    p_explain.add_argument(
-        "--max-events",
-        type=int,
-        default=None,
-        help="cap the per-entry rows in the human report",
-    )
-    p_explain.add_argument(
-        "--output",
-        "-o",
-        choices=["human", "json"],
-        default="human",
-        help="human-readable report (default) or one JSON object with "
-        "the explain record, span tree, results and stats",
-    )
-    p_explain.set_defaults(func=_cmd_explain)
-
-    p_metrics = subparsers.add_parser(
-        "metrics", help="fetch a running server's metric registry"
-    )
-    p_metrics.add_argument("--host", default="127.0.0.1")
-    p_metrics.add_argument("--port", type=int, default=7807)
-    p_metrics.add_argument(
-        "--format",
-        "-f",
-        choices=["json", "prometheus"],
-        default="prometheus",
-        help="exposition format (default prometheus)",
-    )
-    p_metrics.add_argument(
-        "--scope",
-        choices=["self", "cluster"],
-        default="self",
-        help="'self' is the answering server's registry; 'cluster' asks "
-        "a router for the exact merge of every node's (default self)",
-    )
-    p_metrics.add_argument(
-        "--router",
-        action="store_true",
-        help="shorthand for --scope cluster",
-    )
-    p_metrics.set_defaults(func=_cmd_metrics)
-
-    p_profile = subparsers.add_parser(
-        "profile",
-        help="sample a running server's thread stacks (folded output)",
-    )
-    p_profile.add_argument("--host", default="127.0.0.1")
-    p_profile.add_argument("--port", type=int, default=7807)
-    p_profile.add_argument(
-        "--duration",
-        "-d",
-        type=float,
-        default=None,
-        help="one-shot sampling window in seconds (server default 1s; "
-        "ignored by a continuous profiler)",
-    )
-    p_profile.add_argument(
-        "--hz",
-        type=float,
-        default=None,
-        help="sampling rate for a one-shot profile (server default)",
-    )
-    p_profile.add_argument(
-        "--reset",
-        action="store_true",
-        help="clear a continuous profiler's accumulated stacks after "
-        "snapshotting",
-    )
-    p_profile.add_argument(
-        "--output",
-        "-o",
-        choices=["folded", "json"],
-        default="folded",
-        help="'folded' prints flamegraph-compatible stacks; 'json' the "
-        "raw snapshot (default folded)",
-    )
-    p_profile.set_defaults(func=_cmd_profile)
-
-    p_top = subparsers.add_parser(
-        "top",
-        help="live terminal dashboard over a server's aggregated metrics",
-    )
-    p_top.add_argument("--host", default="127.0.0.1")
-    p_top.add_argument("--port", type=int, default=7807)
-    p_top.add_argument(
-        "--router",
-        action="store_true",
-        help="poll the cluster-wide merged metrics of a router",
-    )
-    p_top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="refresh interval in seconds (default 2)",
-    )
-    p_top.add_argument(
-        "--once",
-        action="store_true",
-        help="print one frame and exit (no screen clearing)",
-    )
-    p_top.set_defaults(func=_cmd_top)
-
-    p_serve = subparsers.add_parser(
-        "serve",
-        help="serve a table to concurrent clients (NDJSON over TCP)",
-    )
-    p_serve.add_argument(
-        "database", nargs="?", default=None,
-        help="dataset path (.npz or .txt); omit with --live",
-    )
-    p_serve.add_argument(
-        "table", nargs="?", default=None,
-        help="signature-table path (.npz); omit with --live",
-    )
-    p_serve.add_argument(
-        "--live",
-        default=None,
-        metavar="DIR",
-        help="serve a mutable live index from this directory instead of a "
-        "frozen table; enables the insert/delete/compact/checkpoint ops "
-        "(create the directory with 'repro ingest DIR --init DATABASE')",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=7807)
-    p_serve.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=32,
-        help="flush a micro-batch at this many coalesced requests (default 32)",
-    )
-    p_serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="flush a micro-batch after its oldest request waited this "
-        "long (default 2 ms)",
-    )
-    p_serve.add_argument(
-        "--max-queue",
-        type=int,
-        default=1024,
-        help="admission bound on in-flight requests; beyond it the server "
-        "rejects with 'overloaded' (default 1024)",
-    )
-    p_serve.add_argument(
-        "--timeout-ms",
-        type=float,
-        default=30_000.0,
-        help="default per-request deadline (default 30000)",
-    )
-    p_serve.add_argument(
-        "--no-remote-shutdown",
-        action="store_true",
-        help="refuse the protocol-level 'shutdown' op",
-    )
-    p_serve.add_argument(
-        "--log-json",
-        action="store_true",
-        help="emit structured JSON logs (one object per line, with "
-        "correlation ids) on stderr",
-    )
-    p_serve.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="FILE",
-        help="inject deterministic faults into the live index's WAL and "
-        "checkpoint I/O from this JSON fault plan (testing only; "
-        "requires --live)",
-    )
-    p_serve.add_argument(
-        "--wire",
-        choices=["auto", "ndjson"],
-        default="auto",
-        help="wire policy: 'auto' lets clients negotiate the binary "
-        "frame protocol, 'ndjson' refuses it (default auto)",
-    )
-    p_serve.add_argument(
-        "--kernel",
-        choices=["packed", "python"],
-        default="packed",
-        help="candidate-scan kernel for frozen tables: vectorized "
-        "bitset 'packed' or scalar 'python' (default packed)",
-    )
-    p_serve.add_argument(
-        "--profile-hz",
-        type=float,
-        default=None,
-        metavar="HZ",
-        help="run a continuous sampling profiler at this rate; the "
-        "'profile' op returns its accumulated folded stacks "
-        "(default: off, 'profile' serves one-shot passes)",
-    )
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_node = subparsers.add_parser(
-        "node",
-        help="serve a live-index directory as one cluster shard node",
-    )
-    p_node.add_argument("directory", help="live-index directory "
-                        "(create with 'repro ingest DIR --init DATABASE')")
-    p_node.add_argument(
-        "--shard", required=True, help="shard name this node carries"
-    )
-    p_node.add_argument(
-        "--role",
-        choices=["owner", "replica"],
-        default="owner",
-        help="owner accepts routed mutations; replica only applies the "
-        "owner's WAL stream until promoted (default owner)",
-    )
-    p_node.add_argument(
-        "--replica",
-        default=None,
-        metavar="HOST:PORT",
-        help="owner-side: ship every WAL record to this replica node "
-        "before acknowledging (synchronous replication)",
-    )
-    p_node.add_argument("--host", default="127.0.0.1")
-    p_node.add_argument("--port", type=int, default=7807)
-    p_node.add_argument("--max-batch-size", type=int, default=32)
-    p_node.add_argument("--max-wait-ms", type=float, default=2.0)
-    p_node.add_argument(
-        "--wire", choices=["auto", "ndjson"], default="auto"
-    )
-    p_node.add_argument(
-        "--profile-hz", type=float, default=None, metavar="HZ",
-        help="continuous sampling profiler rate (default: off)",
-    )
-    p_node.set_defaults(func=_cmd_node)
-
-    p_router = subparsers.add_parser(
-        "router",
-        help="front a set of shard nodes with the consistent-hash router",
-    )
-    p_router.add_argument(
-        "--shard",
-        action="append",
-        required=True,
-        metavar="NAME=HOST:PORT",
-        help="one shard owner's address (repeat per shard)",
-    )
-    p_router.add_argument(
-        "--replica",
-        action="append",
-        default=None,
-        metavar="NAME=HOST:PORT",
-        help="a shard's warm-replica address, enabling probe-driven "
-        "failover for it (repeat per replicated shard)",
-    )
-    p_router.add_argument("--host", default="127.0.0.1")
-    p_router.add_argument("--port", type=int, default=7807)
-    p_router.add_argument(
-        "--universe-size",
-        type=int,
-        default=None,
-        help="item universe of the clustered dataset (queries naming an item "
-        "outside it are refused at the router)",
-    )
-    p_router.add_argument(
-        "--vnodes",
-        type=int,
-        default=64,
-        help="virtual nodes per shard on the hash ring (default 64)",
-    )
-    p_router.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        help="router->shard retry budget per forwarded request (default 3)",
-    )
-    p_router.add_argument(
-        "--probe-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="health-probe shard owners this often and fail over to their "
-        "replicas (default: probing off)",
-    )
-    p_router.add_argument(
-        "--probe-failures",
-        type=int,
-        default=2,
-        help="consecutive probe failures before promoting (default 2)",
-    )
-    p_router.add_argument("--max-batch-size", type=int, default=32)
-    p_router.add_argument("--max-wait-ms", type=float, default=2.0)
-    p_router.add_argument(
-        "--wire", choices=["auto", "ndjson"], default="auto"
-    )
-    p_router.add_argument(
-        "--profile-hz", type=float, default=None, metavar="HZ",
-        help="continuous sampling profiler rate (default: off)",
-    )
-    p_router.set_defaults(func=_cmd_router)
-
-    p_ingest = subparsers.add_parser(
-        "ingest",
-        help="create a live index and/or durably insert transactions",
-    )
-    p_ingest.add_argument("directory", help="live-index directory")
-    p_ingest.add_argument(
-        "transactions",
-        nargs="?",
-        default=None,
-        help="transactions to insert, one per line as space-separated item "
-        "ids ('-' reads stdin; '#' lines are comments)",
-    )
-    p_ingest.add_argument(
-        "--init",
-        default=None,
-        metavar="DATABASE",
-        help="create the live index over this base dataset first",
-    )
-    p_ingest.add_argument(
-        "--signatures", "-K", type=int, default=None,
-        help="signature cardinality K for --init (default: advisor pick)",
-    )
-    p_ingest.add_argument(
-        "--activation-threshold", "-r", type=int, default=1,
-        help="activation threshold r for --init (default 1)",
-    )
-    p_ingest.add_argument(
-        "--page-size", type=int, default=64,
-        help="transactions per simulated disk page for --init (default 64)",
-    )
-    p_ingest.add_argument(
-        "--seed", type=int, default=0, help="partitioning seed for --init"
-    )
-    p_ingest.add_argument(
-        "--fsync-interval",
-        type=int,
-        default=1,
-        help="fsync the WAL every N inserts (default 1 = every insert)",
-    )
-    p_ingest.add_argument(
-        "--checkpoint",
-        action="store_true",
-        help="write a checkpoint and truncate the WAL after ingesting",
-    )
-    p_ingest.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="FILE",
-        help="inject deterministic faults into WAL and checkpoint I/O "
-        "from this JSON fault plan (testing only)",
-    )
-    p_ingest.set_defaults(func=_cmd_ingest)
-
-    p_compact = subparsers.add_parser(
-        "compact",
-        help="fold a live index's delta and tombstones into the base",
-    )
-    p_compact.add_argument("directory", help="live-index directory")
-    p_compact.add_argument(
-        "--repartition",
-        action="store_true",
-        help="re-learn the signature partition from the merged data",
-    )
-    p_compact.add_argument(
-        "--auto-repartition",
-        action="store_true",
-        help="repartition only if the drift advisor recommends it",
-    )
-    p_compact.add_argument(
-        "--if-needed",
-        action="store_true",
-        help="compact only when the compaction policy triggers",
-    )
-    p_compact.set_defaults(func=_cmd_compact)
-
-    p_client = subparsers.add_parser(
-        "client", help="talk to a running repro server"
-    )
-    p_client.add_argument(
-        "action",
-        choices=[
-            "ping", "health", "stats", "shutdown", "burst", "query",
-            "insert", "delete", "compact", "checkpoint", "ring",
-        ],
-        help="ping/health/stats/shutdown, a single 'query', a closed-loop "
-        "'burst' of queries, a mutation against a live server, or 'ring' "
-        "for a cluster router's topology",
-    )
-    p_client.add_argument(
-        "--items",
-        nargs="+",
-        default=None,
-        help="item ids for the insert action",
-    )
-    p_client.add_argument(
-        "--tid",
-        type=int,
-        default=None,
-        help="logical tid for the delete action",
-    )
-    p_client.add_argument(
-        "--repartition",
-        action="store_true",
-        help="ask the server to repartition during the compact action",
-    )
-    p_client.add_argument("--host", default="127.0.0.1")
-    p_client.add_argument("--port", type=int, default=7807)
-    p_client.add_argument(
-        "--wait-ready",
-        type=float,
-        nargs="?",
-        const=10.0,
-        default=None,
-        metavar="SECONDS",
-        help="poll until the server answers ping before acting "
-        "(bare flag waits up to 10s)",
-    )
-    p_client.add_argument(
-        "--queries",
-        default=None,
-        help="query file for burst (one transaction per line; default: "
-        "random items over the server's universe)",
-    )
-    p_client.add_argument(
-        "--requests", type=int, default=64, help="burst size (default 64)"
-    )
-    p_client.add_argument(
-        "--concurrency",
-        "-c",
-        type=int,
-        default=8,
-        help="concurrent closed-loop clients for burst (default 8)",
-    )
-    p_client.add_argument(
-        "--similarity",
-        "-s",
-        default="match_ratio",
-        choices=sorted(SIMILARITY_FUNCTIONS),
-    )
-    p_client.add_argument("--k", type=int, default=5)
-    p_client.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="send range queries with this threshold instead of k-NN",
-    )
-    p_client.add_argument(
-        "--timeout-ms",
-        type=float,
-        default=None,
-        help="per-request deadline forwarded to the server",
-    )
-    p_client.add_argument(
-        "--candidate-tier",
-        choices=["exact", "lsh"],
-        default=None,
-        help="candidate tier for the query action (lsh needs a "
-        "sketch-enabled server)",
-    )
-    p_client.add_argument(
-        "--target-recall",
-        type=float,
-        default=None,
-        help="recall target for --candidate-tier lsh (default 0.9)",
-    )
-    p_client.add_argument(
-        "--seed", type=int, default=0, help="seed for generated burst queries"
-    )
-    p_client.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retry retryable failures (overloaded/unavailable, dropped "
-        "connections) up to this many times with jittered exponential "
-        "backoff (default 0 = no retries)",
-    )
-    p_client.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="overall per-call deadline budget; retries never sleep past "
-        "it (default: unbounded)",
-    )
-    p_client.add_argument(
-        "--wire",
-        choices=["auto", "binary", "ndjson"],
-        default="auto",
-        help="wire protocol: 'binary' demands the frame protocol, "
-        "'ndjson' skips negotiation, 'auto' tries binary and falls "
-        "back (default auto)",
-    )
-    p_client.set_defaults(func=_cmd_client)
-
-    p_experiment = subparsers.add_parser(
-        "experiment",
-        help="reproduce one of the paper's figures/tables",
-    )
-    p_experiment.add_argument(
-        "experiment", choices=sorted(_EXPERIMENTS, key=lambda e: (len(e), e))
-    )
-    p_experiment.add_argument(
-        "--profile", default=None, help="quick (default) or paper"
-    )
-    p_experiment.add_argument(
-        "--db-sizes", type=int, nargs="+", default=None,
-        help="override the profile's database-size sweep",
-    )
-    p_experiment.add_argument(
-        "--ks", type=int, nargs="+", default=None,
-        help="override the profile's K sweep",
-    )
-    p_experiment.add_argument(
-        "--queries", type=int, default=None, help="queries per point"
-    )
-    p_experiment.add_argument(
-        "--output", default=None, help="directory to save the result table"
-    )
-    p_experiment.set_defaults(func=_cmd_experiment)
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS)
     return parser
 
 
@@ -1876,10 +1439,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early; not an error.
         return 0
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConnectionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # OSError covers a missing file and a dead or refused connection.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

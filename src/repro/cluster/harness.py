@@ -16,8 +16,8 @@ cluster starts logically empty.
 
 The subprocess path (``repro node`` / ``repro router``) reuses
 :func:`bootstrap_node_state` for its on-disk layout, so node
-directories created here can be served from real processes (CI's
-cluster smoke does).
+directories created here can be served from real processes
+(``tests/test_cli_served.py`` does).
 """
 
 from __future__ import annotations

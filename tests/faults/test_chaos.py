@@ -12,8 +12,8 @@ Two sweeps, both fully deterministic per seed:
   holds the same invariant — ambiguous outcomes are resolved through the
   dedupe table exactly as a resilient client resolves them.
 
-The sweeps carry the ``faults`` marker so CI can run them as a dedicated
-chaos job (``pytest -m faults``); they still run in the default suite.
+The sweeps carry the ``faults`` marker (``pytest -m faults`` selects
+them); they run in the default suite.
 """
 
 import random

@@ -1,11 +1,18 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro import cli
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +41,154 @@ def table_path(dataset_path, tmp_path_factory):
     code = main(["build", str(dataset_path), str(path), "-K", "8", "--seed", "1"])
     assert code == 0
     return path
+
+
+#: Flag surface of the parent of PR 24 (``26b80da``), written by
+#: ``surface(build_parser())`` at that commit.
+SURFACE_SNAPSHOT = Path(__file__).with_name("cli_surface.json")
+
+#: The two options PR 24 removed on purpose; nothing else may differ.
+REMOVED_OPTIONS = {("serve", "--kernel"), ("metrics", "--scope")}
+
+
+def surface(parser, prefix=""):
+    """``{subcommand: {flag: record}}`` for every leaf subcommand.
+
+    A flag is keyed by its first option string (positionals by dest); the
+    record holds everything of the declaration that changes parsing, plus
+    the help string, which is compared apart.
+    """
+    out = {}
+    records = {}
+    position = 0
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(surface(sub, f"{prefix}{name} "))
+            continue
+        record = {
+            "options": list(action.option_strings),
+            "dest": action.dest,
+            "type": getattr(action.type, "__name__", None),
+            "default": action.default,
+            "choices": None if action.choices is None else list(action.choices),
+            "nargs": action.nargs,
+            "const": action.const,
+            "required": action.required,
+            "action": type(action).__name__,
+            "metavar": action.metavar,
+            "help": action.help,
+        }
+        if not action.option_strings:
+            # Positionals are consumed in declaration order.
+            record["position"] = position
+            position += 1
+        records[(action.option_strings or [action.dest])[0]] = record
+    if records:
+        out[prefix.strip()] = records
+    return out
+
+
+class TestSurface:
+    """Every subcommand parses exactly what it parsed before PR 24."""
+
+    @pytest.fixture(scope="class")
+    def parent(self):
+        return json.loads(SURFACE_SNAPSHOT.read_text(encoding="utf-8"))
+
+    @pytest.fixture(scope="class")
+    def current(self):
+        # Through JSON, so tuples and lists compare as the snapshot's do.
+        return json.loads(json.dumps(surface(build_parser())))
+
+    def test_same_subcommands(self, parent, current):
+        assert sorted(current) == sorted(parent)
+
+    def test_same_flags_minus_the_two_removed(self, parent, current):
+        def parsing(command, flags):
+            return {
+                name: {k: v for k, v in record.items() if k != "help"}
+                for name, record in flags.items()
+                if (command, name) not in REMOVED_OPTIONS
+            }
+
+        for command, flags in parent.items():
+            assert parsing(command, current[command]) == parsing(command, flags)
+
+    def test_removed_options_are_gone(self, current):
+        for command, name in REMOVED_OPTIONS:
+            assert name not in current[command]
+
+    def test_no_flag_loses_its_help(self, parent, current):
+        """Wording may converge where one shared declaration replaced
+        per-command copies, but only onto a string the parent already
+        used for that flag."""
+        known = {}
+        for flags in parent.values():
+            for name, record in flags.items():
+                if record["help"]:
+                    known.setdefault(name, set()).add(record["help"])
+        for command, flags in current.items():
+            for name, record in flags.items():
+                if parent[command][name]["help"]:
+                    assert record["help"] in known[name], (command, name)
+        # node/router declared the batcher flags bare; they now inherit
+        # serve's descriptions.
+        for command in ("node", "router"):
+            for name in ("--max-batch-size", "--max-wait-ms", "--wire"):
+                assert current[command][name]["help"] == current["serve"][name]["help"]
+                assert current[command][name]["help"]
+
+
+#: Documents that quote command lines.
+DOCUMENTS = [
+    ROOT / "README.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+
+
+def documented_commands(path):
+    """``(line number, argv)`` of every ``repro ...`` line in a fenced
+    block of the document."""
+    names = "|".join(sorted({name.split()[0] for name in surface(build_parser())}))
+    pattern = re.compile(rf"^\s*(?:python -m )?repro ((?:{names})\b.*)")
+    fenced = False
+    text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip().startswith("```"):
+            fenced = not fenced
+        for segment in line.split("|") if fenced else ():
+            match = pattern.search(segment)
+            if match:
+                argv = shlex.split(match.group(1), comments=True)
+                for stop in ("&", ">"):
+                    if stop in argv:
+                        argv = argv[: argv.index(stop)]
+                yield number, argv
+
+
+class TestDocumentedCommands:
+    @pytest.mark.parametrize("path", DOCUMENTS, ids=lambda path: path.name)
+    def test_quoted_command_lines_parse(self, path):
+        """A quoted command line names only flags that exist."""
+        parser = build_parser()
+        for number, argv in documented_commands(path):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{path.name}:{number}: repro {' '.join(argv)}")
+
+    def test_documents_do_quote_commands(self):
+        quoted = {p.name: len(list(documented_commands(p))) for p in DOCUMENTS}
+        assert quoted["README.md"] >= 20 and quoted["api.md"] >= 30
+        assert quoted["SKILL.md"] >= 20
+
+    def test_module_docstring_lists_every_command(self):
+        for name in surface(build_parser()):
+            assert f"``repro {name.split()[0]}``" in cli.__doc__
 
 
 class TestParser:
@@ -177,6 +332,52 @@ class TestQuery:
             [1, 5, 9], repro.JaccardSimilarity()
         )
         assert f"jaccard={best:.4f}" in first_line
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--k", "4"],
+            ["--k", "3", "--early-termination", "0.05"],
+            ["--threshold", "0.2"],
+        ],
+    )
+    def test_lines_are_the_searchers_answer(
+        self, dataset_path, table_path, capsys, flags
+    ):
+        """``query`` answers on the engine path; its report is what the
+        scalar searcher, the oracle, gives for the same target."""
+        db = repro.TransactionDatabase.load(dataset_path)
+        searcher = repro.SignatureTableSearcher(
+            repro.SignatureTable.load(table_path), db
+        )
+        similarity = repro.JaccardSimilarity()
+        if "--threshold" in flags:
+            hits, stats = searcher.range_query([1, 5, 9], similarity, 0.2)
+            want = [f"{len(hits)} transactions with jaccard >= 0.2"]
+            hits = hits[:5]
+        else:
+            budget = 0.05 if "--early-termination" in flags else None
+            hits, stats = searcher.knn(
+                [1, 5, 9], similarity, k=int(flags[1]), early_termination=budget
+            )
+            want = []
+        want += [
+            f"#{rank:<3d} tid={nb.tid:<8d} jaccard={nb.similarity:.4f} "
+            f"items={sorted(db[nb.tid])}"
+            for rank, nb in enumerate(hits, start=1)
+        ]
+        want.append(
+            f"-- accessed {stats.transactions_accessed}/{stats.total_transactions} "
+            f"transactions (pruned {stats.pruning_efficiency:.1f}%), "
+            f"{stats.io.pages_read} pages, {stats.io.seeks} seeks"
+        )
+        argv = ["query", str(dataset_path), str(table_path), "1", "5", "9"]
+        assert main(argv + ["-s", "jaccard"] + flags) == 0
+        got = capsys.readouterr().out.splitlines()
+        assert got[: len(want)] == want
+        assert [line[:20] for line in got[len(want):]] == (
+            ["-- terminated early:"] if stats.terminated_early else []
+        )
 
     def test_early_termination_flag(self, dataset_path, table_path, capsys):
         code = main(
