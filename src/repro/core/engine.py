@@ -347,7 +347,7 @@ class QueryEngine:
         The packed-to-scalar downgrade changes no result, so throughput
         is the only place it shows; operators need it named.  The
         service server binds its registry here at startup; every
-        ``run_batch`` whose queries reach the scalar loop (an
+        ``knn_batch`` whose queries reach the scalar loop (an
         ``early_termination`` batch) then increments
         ``repro_kernel_fallbacks_total{reason}``.
         """
@@ -391,12 +391,13 @@ class QueryEngine:
         the table's sketch index and restricts the branch-and-bound scan
         to the returned candidates — approximate, with the estimated
         recall reported on each query's stats.  ``candidates`` (a boolean
-        mask over all tids or a unique-tid array) restricts every query
-        of the batch to those rows instead (the searcher's ``tid_mask``).
+        mask over all tids, a unique-tid array, or one boolean mask per
+        target stacked as a ``(len(targets), N)`` matrix) restricts the
+        queries to those rows instead (the searcher's ``tid_mask``).
         """
         check_positive(k, "k")
         candidate_tier, target_recall = self._canonical_candidates(
-            candidate_tier, target_recall, candidates
+            candidate_tier, target_recall, candidates, len(targets)
         )
         target_arrays = self._normalise(targets)
         if not target_arrays:
@@ -407,10 +408,10 @@ class QueryEngine:
         )
         # `knn_scan_batch` models an access budget too, but budgeted
         # batches keep to the reference loop for now (see CHANGES.md).
-        packed = (
-            self._kernel == "packed"
-            and self._fallback_reason(early_termination) is None
-        )
+        fallback = self._fallback_reason(early_termination)
+        if fallback is not None and self._fallback_counter is not None:
+            self._fallback_counter.labels(reason=fallback).inc()
+        packed = self._kernel == "packed" and fallback is None
         readable = self._readable_rows(per_query) if packed else None
         with span("engine.prepare_batch", batch_size=len(target_arrays)):
             prepared = self._prepare_batch(
@@ -483,7 +484,7 @@ class QueryEngine:
         :meth:`knn_batch`).
         """
         candidate_tier, target_recall = self._canonical_candidates(
-            candidate_tier, target_recall, candidates
+            candidate_tier, target_recall, candidates, len(targets)
         )
         target_arrays = self._normalise(targets)
         if not target_arrays:
@@ -555,11 +556,9 @@ class QueryEngine:
         ) as batch_span:
             fallback = self._fallback_reason(key.early_termination)
             if fallback is not None:
-                # Name the silent downgrade: span attribute for traces,
-                # counter for dashboards.
+                # Name the silent downgrade in the trace; `knn_batch`
+                # counts it for dashboards.
                 batch_span.set_attribute("kernel_fallback", fallback)
-                if self._fallback_counter is not None:
-                    self._fallback_counter.labels(reason=fallback).inc()
             if key.op == "knn":
                 return self.knn_batch(
                     targets,
@@ -714,6 +713,7 @@ class QueryEngine:
         candidate_tier: str,
         target_recall: Optional[float],
         candidates: Optional[np.ndarray],
+        num_queries: int,
     ) -> Tuple[str, Optional[float]]:
         """Validate a batch's tier and explicit candidate rows."""
         candidate_tier, target_recall = _canonical_tier(
@@ -729,7 +729,7 @@ class QueryEngine:
             total = len(self._searcher.db)
             rows = np.asarray(candidates)
             if rows.dtype == np.bool_:
-                valid = rows.shape == (total,)
+                valid = rows.shape in ((total,), (num_queries, total))
             else:
                 valid = (
                     rows.ndim == 1
@@ -740,7 +740,8 @@ class QueryEngine:
             if not valid:
                 raise ValueError(
                     f"candidates must be a boolean mask of shape ({total},) "
-                    f"or an array of distinct tids in [0, {total})"
+                    f"or ({num_queries}, {total}), or an array of distinct "
+                    f"tids in [0, {total})"
                 )
         return candidate_tier, target_recall
 
@@ -783,7 +784,10 @@ class QueryEngine:
             return probes, [probe.candidates for probe in probes]
         if candidates is None:
             return None, None
-        return None, [np.asarray(candidates)] * len(target_arrays)
+        rows = np.asarray(candidates)
+        if rows.ndim == 2:
+            return None, list(rows)
+        return None, [rows] * len(target_arrays)
 
     def _tid_mask(self, rows: Optional[np.ndarray]) -> Optional[np.ndarray]:
         """Candidate rows as the boolean mask the scalar searcher takes."""

@@ -8,10 +8,9 @@ top of it, LSM-style:
   inserts/deletes (length-prefixed, CRC32-protected records using the
   :mod:`repro.storage.codec` varint encoding) that makes every
   acknowledged mutation durable;
-* :class:`~repro.live.delta.DeltaIndex` — a small in-memory signature
-  table over recently inserted transactions, grouped by supercoordinate
-  under the *same* :class:`~repro.core.signature.SignatureScheme` as the
-  base so the branch-and-bound optimistic bounds stay valid;
+* :class:`~repro.live.delta.DeltaIndex` — recently inserted
+  transactions held in memory as packed bitset rows, read whole by one
+  AND + popcount pass per query;
 * :class:`~repro.live.index.LiveIndex` — the composite: base segment +
   delta + tombstones + WAL, with crash recovery
   (:meth:`~repro.live.index.LiveIndex.recover`), atomic checkpoints and
@@ -20,10 +19,11 @@ top of it, LSM-style:
   adapter that lets the query service's micro-batcher serve a live
   index exactly as it serves a frozen one.
 
-Queries fan out to base and delta, filter tombstones and merge under
-the deterministic ``(-similarity, tid)`` order — results are
-byte-identical to rebuilding a fresh table over the logically-current
-database (the differential oracle pinned by ``tests/live``).
+Queries scan the base on the packed kernels with the tombstones masked
+out, read the delta whole, and merge under the deterministic
+``(-similarity, tid)`` order — results are byte-identical to rebuilding
+a fresh table over the logically-current database (the differential
+oracle pinned by ``tests/live``).
 """
 
 from repro.live.delta import DeltaIndex

@@ -1,28 +1,30 @@
-"""In-memory delta index: a small mutable signature table over inserts.
+"""In-memory delta index: recent inserts as packed bitset rows.
 
 Recently inserted transactions live here until compaction folds them
-into the base segment.  Rows are grouped by supercoordinate under the
-*same* :class:`~repro.core.signature.SignatureScheme` as the base table,
-so the branch-and-bound optimistic bound of Lemma 2.1 applies to each
-group exactly as it applies to a base entry — a k-NN over the delta
-prunes groups whose bound cannot reach the current pessimistic bound.
+into the base segment.  The delta is small and memory-resident, so a
+query reads every live row: one AND + popcount pass over the rows held
+as ``uint64`` bitsets (:func:`repro.core.kernels.pack_rows`), then the
+exact top-k or a threshold filter.  A row is packed by the first
+:meth:`DeltaIndex.snapshot` that sees it, in one ``pack_rows`` call for
+every row appended since the previous snapshot, so an insert costs no
+more than appending its item array.
 
 Positions are insertion-order indices (0, 1, 2, ...) and are *stable*:
 deleting a delta row clears its live flag but never renumbers the rows,
 because WAL replay and the logical-tid mapping both rely on positions
 meaning the same thing across the index's lifetime.  Similarities are
-computed with the exact integer arithmetic of the base searcher
+computed with the exact integer arithmetic of the base scan
 (``x = |T ∩ target|``, ``y = |T| + |target| - 2x``), so a result merged
 from base + delta is bit-for-bit what a fresh build would return.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.bounds import BoundCalculator
+from repro.core import kernels
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import SimilarityFunction
 from repro.data.transaction import as_item_array
@@ -32,55 +34,35 @@ class DeltaSnapshot:
     """An immutable view of the delta taken under the swap lock.
 
     Queries run against a snapshot so a concurrent insert/delete (or the
-    compaction swap) cannot shift rows mid-scan.  The snapshot shares
-    the per-row item arrays (they are never mutated) and copies only the
-    cheap group structure.
+    compaction swap) cannot shift rows mid-scan.  The snapshot owns a
+    copy of the live rows' packed bitsets and sizes, in insertion order:
+    row ``i`` is the delta row of *rank* ``i``.
     """
 
-    __slots__ = ("scheme", "rows", "sizes", "groups")
+    __slots__ = ("scheme", "packed", "sizes")
 
     def __init__(
-        self,
-        scheme: SignatureScheme,
-        rows: List[np.ndarray],
-        groups: Dict[int, List[int]],
+        self, scheme: SignatureScheme, packed: np.ndarray, sizes: np.ndarray
     ) -> None:
         self.scheme = scheme
-        #: Item arrays of live rows, insertion order — index = delta rank.
-        self.rows = rows
-        self.sizes = np.fromiter(
-            (items.size for items in rows), dtype=np.int64, count=len(rows)
-        )
-        #: supercoordinate -> ranks (indices into ``rows``).
-        self.groups = groups
+        self.packed = packed
+        self.sizes = sizes
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return int(self.sizes.size)
 
     def _similarities(
-        self,
-        row_indices: np.ndarray,
-        target_mask: np.ndarray,
-        target_size: int,
-        bound_sim: SimilarityFunction,
+        self, target: Iterable[int], similarity: SimilarityFunction
     ) -> np.ndarray:
-        """Exact similarities of the target to the given rows."""
-        x = np.fromiter(
-            (int(target_mask[self.rows[i]].sum()) for i in row_indices),
-            dtype=np.int64,
-            count=row_indices.size,
+        """Exact similarities of the target to every live row."""
+        universe = self.scheme.universe_size
+        target_items = as_item_array(target, universe)
+        x = kernels.intersection_counts(
+            self.packed, kernels.pack_items(target_items, universe)
         )
-        y = self.sizes[row_indices] + target_size - 2 * x
+        y = self.sizes + target_items.size - 2 * x
+        bound_sim = similarity.bind(target_items.size)
         return np.asarray(bound_sim.evaluate(x, y), dtype=np.float64)
-
-    def _group_table(self) -> Tuple[List[int], np.ndarray]:
-        """Occupied group codes and their boolean bit matrix."""
-        codes = sorted(self.groups)
-        k = self.scheme.num_signatures
-        powers = 1 << np.arange(k, dtype=np.int64)
-        code_array = np.asarray(codes, dtype=np.int64)
-        bits = (code_array[:, None] & powers[None, :]) != 0
-        return codes, bits
 
     def knn_candidates(
         self,
@@ -92,43 +74,13 @@ class DeltaSnapshot:
 
         ``rank`` is the row's index among *live* rows in insertion order
         — exactly the offset the logical-tid mapping adds to the live
-        base count.  Groups are visited in decreasing optimistic-bound
-        order and pruned exactly like base entries (strict inferiority
-        only, so boundary ties survive — the same determinism contract
-        as :meth:`~repro.core.search.SignatureTableSearcher.knn`).  The
-        returned pairs are sorted by ``(-similarity, rank)``.
+        base count.  The pairs are sorted by ``(-similarity, rank)``.
         """
-        if not self.rows:
+        if not len(self):
             return []
-        target_items = as_item_array(target, self.scheme.universe_size)
-        bound_sim = similarity.bind(target_items.size)
-        target_mask = np.zeros(self.scheme.universe_size, dtype=np.int64)
-        target_mask[target_items] = 1
-        codes, bits = self._group_table()
-        calculator = BoundCalculator(self.scheme, target_items)
-        opts = np.asarray(
-            calculator.optimistic_similarity(bits, bound_sim), dtype=np.float64
-        )
-        order = np.argsort(-opts, kind="stable")
-
-        best: List[Tuple[int, float]] = []
-        floor = -np.inf
-        for group_rank in order:
-            if len(best) >= k and float(opts[group_rank]) < floor:
-                break  # groups sorted by bound: the rest are inferior too
-            row_indices = np.asarray(
-                self.groups[codes[int(group_rank)]], dtype=np.int64
-            )
-            sims = self._similarities(
-                row_indices, target_mask, target_items.size, bound_sim
-            )
-            for index, value in zip(row_indices.tolist(), sims.tolist()):
-                best.append((index, float(value)))
-            best.sort(key=lambda pair: (-pair[1], pair[0]))
-            del best[k:]
-            if len(best) >= k:
-                floor = best[-1][1]
-        return best
+        sims = self._similarities(target, similarity)
+        top = kernels._top_k_neighbors(sims, np.arange(sims.size), k)
+        return [(nb.tid, nb.similarity) for nb in top]
 
     def range_candidates(
         self,
@@ -136,39 +88,18 @@ class DeltaSnapshot:
         similarity: SimilarityFunction,
         threshold: float,
     ) -> List[Tuple[int, float]]:
-        """Delta rows with similarity >= ``threshold``, as ``(rank, sim)``.
-
-        Groups whose optimistic bound falls below the threshold are
-        pruned outright, mirroring the base range scan.
-        """
-        if not self.rows:
+        """Delta rows with similarity >= ``threshold``, as ``(rank, sim)``
+        sorted by ``(-similarity, rank)``."""
+        if not len(self):
             return []
-        target_items = as_item_array(target, self.scheme.universe_size)
-        bound_sim = similarity.bind(target_items.size)
-        target_mask = np.zeros(self.scheme.universe_size, dtype=np.int64)
-        target_mask[target_items] = 1
-        codes, bits = self._group_table()
-        calculator = BoundCalculator(self.scheme, target_items)
-        opts = np.asarray(
-            calculator.optimistic_similarity(bits, bound_sim), dtype=np.float64
-        )
-        results: List[Tuple[int, float]] = []
-        for group_index, code in enumerate(codes):
-            if float(opts[group_index]) < threshold:
-                continue
-            row_indices = np.asarray(self.groups[code], dtype=np.int64)
-            sims = self._similarities(
-                row_indices, target_mask, target_items.size, bound_sim
-            )
-            for index, value in zip(row_indices.tolist(), sims.tolist()):
-                if value >= threshold:
-                    results.append((index, float(value)))
-        results.sort(key=lambda pair: (-pair[1], pair[0]))
-        return results
+        sims = self._similarities(target, similarity)
+        hits = np.flatnonzero(sims >= threshold)
+        hits = hits[np.lexsort((hits, -sims[hits]))]
+        return [(int(rank), float(sims[rank])) for rank in hits]
 
 
 class DeltaIndex:
-    """Mutable signature-grouped store of inserted transactions.
+    """Mutable store of inserted transactions.
 
     Not thread-safe on its own — the owning
     :class:`~repro.live.index.LiveIndex` serialises mutations and takes
@@ -178,9 +109,14 @@ class DeltaIndex:
     def __init__(self, scheme: SignatureScheme) -> None:
         self.scheme = scheme
         self._items: List[np.ndarray] = []
-        self._codes: List[int] = []
         self._live: List[bool] = []
         self._live_count = 0
+        # Packed bitsets and sizes of positions [0, len(self._sizes)):
+        # every row some snapshot has seen, live or not.
+        self._packed = np.zeros(
+            (0, kernels.num_words(scheme.universe_size)), dtype=np.uint64
+        )
+        self._sizes = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -197,7 +133,6 @@ class DeltaIndex:
         array = as_item_array(items, self.scheme.universe_size)
         position = len(self._items)
         self._items.append(array)
-        self._codes.append(int(self.scheme.supercoordinate(array)))
         self._live.append(True)
         self._live_count += 1
         return position
@@ -213,10 +148,6 @@ class DeltaIndex:
         self._live[position] = False
         self._live_count -= 1
 
-    def items_at(self, position: int) -> np.ndarray:
-        """The item array of a (live or dead) row."""
-        return self._items[position]
-
     def is_live(self, position: int) -> bool:
         """Whether a row is still live."""
         return self._live[position]
@@ -231,28 +162,31 @@ class DeltaIndex:
             self._items[p] for p, live in enumerate(self._live) if live
         ]
 
-    def memory_bytes(self) -> int:
-        """Approximate in-memory footprint of the delta rows."""
-        return int(sum(items.nbytes for items in self._items))
-
     def clear(self) -> None:
         """Drop every row (after compaction folded them into the base)."""
         self._items.clear()
-        self._codes.clear()
         self._live.clear()
         self._live_count = 0
+        self._packed = self._packed[:0]
+        self._sizes = self._sizes[:0]
 
     # ------------------------------------------------------------------
     def snapshot(self) -> DeltaSnapshot:
         """An immutable view of the live rows for one query."""
-        rows: List[np.ndarray] = []
-        groups: Dict[int, List[int]] = {}
-        for position, live in enumerate(self._live):
-            if not live:
-                continue
-            groups.setdefault(self._codes[position], []).append(len(rows))
-            rows.append(self._items[position])
-        return DeltaSnapshot(self.scheme, rows, groups)
+        seen = self._sizes.size
+        if seen < len(self._items):
+            fresh = self._items[seen:]
+            self._packed = np.concatenate(
+                (self._packed, kernels.pack_rows(fresh, self.scheme.universe_size))
+            )
+            self._sizes = np.concatenate((
+                self._sizes,
+                np.fromiter((a.size for a in fresh), np.int64, len(fresh)),
+            ))
+        live = np.flatnonzero(
+            np.fromiter(self._live, dtype=bool, count=len(self._live))
+        )
+        return DeltaSnapshot(self.scheme, self._packed[live], self._sizes[live])
 
     def activation_fractions(self) -> Optional[np.ndarray]:
         """Per-signature activation fraction over live rows (drift input).

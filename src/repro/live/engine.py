@@ -4,10 +4,11 @@ The TCP service's micro-batcher (:mod:`repro.service.batcher`) needs
 only one engine hook — ``run_batch(key, similarity, targets)`` — so a
 :class:`LiveQueryEngine` wrapping a :class:`~repro.live.index.LiveIndex`
 drops into :class:`~repro.service.server.QueryServer` exactly where a
-frozen :class:`~repro.core.engine.QueryEngine` would.  Each target in a
-coalesced batch runs against one consistent snapshot of the live state
-(the snapshot is taken per target, so a batch interleaved with inserts
-observes each mutation atomically, never half of one).
+frozen :class:`~repro.core.engine.QueryEngine` would.  A coalesced batch
+is one :meth:`LiveIndex.knn_batch <repro.live.index.LiveIndex.knn_batch>`
+/ ``range_query_batch`` call: one snapshot of the live state and one
+packed engine call for the whole batch, so a batch interleaved with
+inserts observes each mutation entirely or not at all.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ class LiveQueryEngine:
         """Whether ``candidate_tier="lsh"`` batches can run here."""
         return self.index.sketch_enabled
 
+    def bind_metrics(self, registry) -> None:
+        """Account kernel fallbacks in ``registry``, as the frozen engine
+        does; the binding survives compactions."""
+        self.index.bind_engine_metrics(registry)
+
     def run_batch(
         self,
         key: BatchKey,
@@ -56,32 +62,20 @@ class LiveQueryEngine:
                 f"similarity {similarity_key(similarity)!r} does not match "
                 f"batch key {key.similarity!r}"
             )
-        results: List[List[Neighbor]] = []
-        stats: List[SearchStats] = []
         if key.op == "knn":
-            for target in targets:
-                neighbors, one = self.index.knn(
-                    target,
-                    similarity,
-                    k=key.k,
-                    early_termination=key.early_termination,
-                    guarantee_tolerance=key.guarantee_tolerance,
-                    candidate_tier=key.candidate_tier,
-                    target_recall=key.target_recall,
-                )
-                results.append(neighbors)
-                stats.append(one)
-        elif key.op == "range":
-            for target in targets:
-                neighbors, one = self.index.range_query(
-                    target,
-                    similarity,
-                    key.threshold,
-                    candidate_tier=key.candidate_tier,
-                    target_recall=key.target_recall,
-                )
-                results.append(neighbors)
-                stats.append(one)
-        else:  # pragma: no cover - batch_key rejects unknown ops
-            raise ValueError(f"unknown batch op {key.op!r}")
-        return results, stats
+            return self.index.knn_batch(
+                targets,
+                similarity,
+                k=key.k,
+                early_termination=key.early_termination,
+                guarantee_tolerance=key.guarantee_tolerance,
+                candidate_tier=key.candidate_tier,
+                target_recall=key.target_recall,
+            )
+        return self.index.range_query_batch(
+            targets,
+            similarity,
+            key.threshold,
+            candidate_tier=key.candidate_tier,
+            target_recall=key.target_recall,
+        )

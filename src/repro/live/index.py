@@ -4,16 +4,19 @@
 mutable without giving up its query algorithm or its results:
 
 * **Inserts** go to the in-memory :class:`~repro.live.delta.DeltaIndex`
-  (grouped by supercoordinate under the base's scheme) after being made
-  durable in the :class:`~repro.live.wal.WriteAheadLog`.
+  after being made durable in the
+  :class:`~repro.live.wal.WriteAheadLog`.
 * **Deletes** address *logical* tids — positions in the logically-current
   database (live base rows in tid order, then live delta rows in
   insertion order).  A base delete adds a tombstone; a delta delete
   drops the row directly.
-* **Queries** fan out: the base searcher answers with ``k`` widened by
-  the tombstone count (so dropping dead rows cannot starve the result),
-  the delta snapshot answers its own top-k, candidates are merged under
-  the deterministic ``(-similarity, logical_tid)`` order.  Exact results
+* **Queries** run a batch against one read state.  The base segment's
+  :class:`~repro.core.engine.QueryEngine` scans the packed kernels with
+  the live base rows as its candidate mask (intersected with each
+  query's sketch probe under the lsh tier), so tombstones are never
+  read; the delta snapshot answers with one packed pass over its rows;
+  the two lists merge under the router's ``(-similarity, logical_tid)``
+  rule (:func:`~repro.core.merge.merge_neighbor_lists`).  Exact results
   are byte-identical to a fresh :meth:`SignatureTable.build
   <repro.core.table.SignatureTable.build>` over the logical database —
   the differential oracle in ``tests/live`` pins it, including across
@@ -39,12 +42,14 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.advisor import DriftReport, activation_drift
-from repro.core.search import Neighbor, SearchStats, SignatureTableSearcher
+from repro.core.engine import QueryEngine
+from repro.core.merge import merge_neighbor_lists
+from repro.core.search import Neighbor, SearchStats
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
@@ -52,7 +57,7 @@ from repro.data.transaction import TransactionDatabase, as_item_array
 from repro.live.dedupe import DedupeTable
 from repro.live.delta import DeltaIndex
 from repro.live.wal import WriteAheadLog, replay_wal
-from repro.obs.trace import span
+from repro.obs.trace import current_tracer, span
 from repro.utils.validation import check_fraction, check_positive
 
 #: Manifest schema version for the index directory.
@@ -107,18 +112,88 @@ class CompactionReport:
 
 
 class _ReadState:
-    """Everything one query needs, snapshotted under the swap lock."""
+    """One batch's view of the live state, snapshotted under the swap
+    lock, and the base/delta plumbing of the queries that read it."""
 
-    __slots__ = (
-        "searcher", "base_live", "num_base_live", "num_dead", "delta",
-    )
+    __slots__ = ("engine", "base_live", "num_base_live", "num_dead", "delta")
 
-    def __init__(self, searcher, base_live, delta) -> None:
-        self.searcher = searcher
+    def __init__(self, engine: QueryEngine, base_live, delta) -> None:
+        self.engine = engine
         self.base_live = base_live
         self.num_base_live = int(base_live.sum())
         self.num_dead = int(base_live.size - self.num_base_live)
         self.delta = delta
+
+    def base_candidates(self, targets, candidate_tier, target_recall):
+        """``(probes, candidates)`` of the base scan.
+
+        The candidates are the live base rows (``None`` while nothing is
+        tombstoned); under the lsh tier, one row per query: its sketch
+        probe's candidates among them.  The delta is memory-resident and
+        always read whole, so approximation never touches it.
+        """
+        if candidate_tier == "exact":
+            return None, (self.base_live if self.num_dead else None)
+        if candidate_tier != "lsh":
+            raise ValueError(f"unknown candidate_tier {candidate_tier!r}")
+        if self.engine.sketch is None:
+            raise ValueError(
+                "candidate_tier='lsh' requires a sketch column; create the "
+                "live index with sketch=True (or attach one before the "
+                "initial snapshot)"
+            )
+        probes = self.engine.sketch.probe_batch(targets, target_recall)
+        masks = np.stack([probe.mask(self.base_live.size) for probe in probes])
+        return probes, masks & self.base_live
+
+    def merge(
+        self,
+        base_lists: List[List[Neighbor]],
+        stats: List[SearchStats],
+        delta_lists: List[List[Tuple[int, float]]],
+        probes,
+        candidates,
+        k: Optional[int] = None,
+    ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
+        """Per query: base tids to logical tids, delta ranks after the live
+        base rows, the router's ``(-similarity, tid)`` merge, and the
+        delta's rows charged to the stats."""
+        logical_of_base = np.cumsum(self.base_live) - 1 if self.num_dead else None
+        total = self.num_base_live + len(self.delta)
+        results = []
+        for q, (base, one, delta) in enumerate(zip(base_lists, stats, delta_lists)):
+            if logical_of_base is not None:
+                base = [
+                    Neighbor(int(logical_of_base[nb.tid]), nb.similarity)
+                    for nb in base
+                ]
+            merged = merge_neighbor_lists(
+                (base, [Neighbor(self.num_base_live + r, s) for r, s in delta]),
+                k,
+            )
+            one.total_transactions = total
+            one.transactions_accessed += len(self.delta)
+            if probes is not None:
+                kth = merged[-1].tid if k is not None and merged else None
+                self._finish_sketch_stats(one, probes[q], candidates[q], kth)
+            results.append(merged)
+        return results, stats
+
+    def _finish_sketch_stats(
+        self, stats: SearchStats, probe, candidates, kth_logical
+    ) -> None:
+        """Stamp the lossy-tier report onto merged stats, as the engine
+        does: the live candidates, and the recall estimate sharpened by
+        the k-th neighbour when that is a base row."""
+        stats.candidate_tier = "lsh"
+        stats.guaranteed_optimal = False
+        stats.sketch_candidates = int(np.count_nonzero(candidates)) + len(self.delta)
+        kth_tid = None
+        if kth_logical is not None and kth_logical < self.num_base_live:
+            kth_tid = int(np.flatnonzero(self.base_live)[kth_logical])
+        stats.estimated_recall = self.engine.sketch.estimate_result_recall(
+            probe, kth_tid
+        )
 
 
 def _fsync_file(path: str) -> None:
@@ -173,7 +248,10 @@ class LiveIndex:
         self._page_size = table.store.page_size
         self._base_table = table
         self._base_db = db
-        self._base_searcher = SignatureTableSearcher(table, db)
+        # Registry the base engine accounts kernel fallbacks in, bound
+        # again to every engine a compaction builds.
+        self._engine_registry = None
+        self._base_engine = self._engine_for(table, db)
         self._base_live = np.ones(len(db), dtype=bool)
         self._base_files = base_files
         self._delta = DeltaIndex(table.scheme)
@@ -341,14 +419,16 @@ class LiveIndex:
                 fsync_interval=index._wal.fsync_interval,
                 injector=index._injector,
             )
-        with span(
-            "live.recover",
-            replayed=replayed,
-            applied_seqno=applied,
-            wal_bytes=valid_bytes,
-        ):
-            pass
-        del started_s
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.record(
+                "live.recover",
+                started_s,
+                time.perf_counter(),
+                replayed=replayed,
+                applied_seqno=applied,
+                wal_bytes=valid_bytes,
+            )
         return index
 
     # ------------------------------------------------------------------
@@ -594,140 +674,99 @@ class LiveIndex:
     def _read_state(self) -> _ReadState:
         with self._swap_lock:
             return _ReadState(
-                self._base_searcher,
+                self._base_engine,
                 self._base_live.copy(),
                 self._delta.snapshot(),
             )
 
-    @staticmethod
-    def _merge(
-        base_neighbors: List[Neighbor],
-        base_live: np.ndarray,
-        delta_pairs: List[Tuple[int, float]],
-        num_base_live: int,
-    ) -> List[Neighbor]:
-        """Remap to logical tids, drop tombstones, merge deterministically."""
-        logical_of_base = np.cumsum(base_live) - 1
-        merged = [
-            Neighbor(tid=int(logical_of_base[nb.tid]), similarity=nb.similarity)
-            for nb in base_neighbors
-            if base_live[nb.tid]
-        ]
-        merged.extend(
-            Neighbor(tid=num_base_live + rank, similarity=value)
-            for rank, value in delta_pairs
-        )
-        merged.sort(key=lambda nb: (-nb.similarity, nb.tid))
-        return merged
-
-    def _sketch_probe(self, state: _ReadState, target, target_recall):
-        """Probe the base sketch for the lsh tier; returns (probe, mask).
-
-        The mask covers *base* tids only — the delta is memory-resident
-        and always scanned fully, so approximation never touches it.
-        """
-        sketch = state.searcher.table.sketch
-        if sketch is None:
-            raise ValueError(
-                "candidate_tier='lsh' requires a sketch column; create the "
-                "live index with sketch=True (or attach one before the "
-                "initial snapshot)"
-            )
-        probe = sketch.probe(target, target_recall)
-        return probe, probe.mask(state.base_live.size)
-
-    @staticmethod
-    def _finish_sketch_stats(stats: SearchStats, state: _ReadState, probe) -> None:
-        """Stamp lsh-tier fields onto merged live-query stats."""
-        sketch = state.searcher.table.sketch
-        stats.candidate_tier = "lsh"
-        stats.guaranteed_optimal = False
-        stats.sketch_candidates = int(probe.candidates.size) + len(state.delta)
-        stats.estimated_recall = sketch.estimate_result_recall(probe)
-
-    def knn(
+    def knn_batch(
         self,
-        target: Iterable[int],
+        targets: Sequence[Iterable[int]],
         similarity: SimilarityFunction,
         k: int = 1,
         early_termination: Optional[float] = None,
         guarantee_tolerance: Optional[float] = None,
         candidate_tier: str = "exact",
         target_recall: Optional[float] = None,
-    ) -> Tuple[List[Neighbor], SearchStats]:
-        """k-NN over the logical database; tids in results are logical.
+    ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
+        """k-NN over the logical database for every target; tids in
+        results are logical.
 
-        Exact queries (no ``early_termination``) are byte-identical to a
-        fresh build over the logical database.  The base is asked for
-        ``k`` plus the tombstone count so that filtering dead rows can
-        never surface fewer than the true top ``k`` live ones; the delta
-        snapshot contributes its own top ``k``.  With early termination
-        the base scan is approximate exactly as in the frozen searcher
-        (the delta, being memory-resident, is always scanned fully).
+        The batch reads one snapshot of the live state, so it sees each
+        concurrent mutation entirely or not at all.  Exact queries (no
+        ``early_termination``) are byte-identical to a fresh build over
+        the logical database: one base engine call scans the live base
+        rows, the delta snapshot contributes its own top ``k``.  With
+        early termination the base scan is approximate exactly as in the
+        frozen engine (the delta is always read whole).
 
-        ``candidate_tier="lsh"`` prefilters the *base* scan through the
-        sketch band index at ``target_recall`` (delta rows are always
-        scanned fully); results become approximate and the stats carry
-        ``estimated_recall`` with ``guaranteed_optimal=False``.
+        ``candidate_tier="lsh"`` restricts each base scan to its sketch
+        probe's live candidates at ``target_recall``; results become
+        approximate and the stats carry ``estimated_recall`` with
+        ``guaranteed_optimal=False``.
         """
         check_positive(k, "k")
+        targets = [as_item_array(t, self._scheme.universe_size) for t in targets]
+        if not targets:
+            return [], []
         state = self._read_state()
-        probe = tid_mask = None
-        if candidate_tier == "lsh":
-            probe, tid_mask = self._sketch_probe(state, target, target_recall)
-        elif candidate_tier != "exact":
-            raise ValueError(f"unknown candidate_tier {candidate_tier!r}")
-        base_neighbors, stats = state.searcher.knn(
-            target,
+        probes, candidates = state.base_candidates(
+            targets, candidate_tier, target_recall
+        )
+        base_lists, stats = state.engine.knn_batch(
+            targets,
             similarity,
-            k=k + state.num_dead,
+            k=k,
             early_termination=early_termination,
             guarantee_tolerance=guarantee_tolerance,
-            tid_mask=tid_mask,
+            candidates=candidates,
         )
-        delta_pairs = state.delta.knn_candidates(target, similarity, k)
-        merged = self._merge(
-            base_neighbors, state.base_live, delta_pairs, state.num_base_live
-        )
-        del merged[k:]
-        stats.total_transactions = state.num_base_live + len(state.delta)
-        stats.transactions_accessed += len(state.delta)
-        if probe is not None:
-            self._finish_sketch_stats(stats, state, probe)
-        return merged, stats
+        delta = [state.delta.knn_candidates(t, similarity, k) for t in targets]
+        return state.merge(base_lists, stats, delta, probes, candidates, k)
 
-    def range_query(
+    def range_query_batch(
         self,
-        target: Iterable[int],
+        targets: Sequence[Iterable[int]],
         similarity: SimilarityFunction,
         threshold: float,
         candidate_tier: str = "exact",
         target_recall: Optional[float] = None,
-    ) -> Tuple[List[Neighbor], SearchStats]:
-        """All logical transactions with similarity >= ``threshold``.
-
-        ``candidate_tier="lsh"`` behaves as in :meth:`knn`: the base scan
-        is restricted to sketch candidates, the delta is scanned fully,
-        and the stats report the estimated recall.
-        """
+    ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
+        """All logical transactions with similarity >= ``threshold``, for
+        every target; the read state and ``candidate_tier`` behave as in
+        :meth:`knn_batch`."""
+        targets = [as_item_array(t, self._scheme.universe_size) for t in targets]
+        if not targets:
+            return [], []
         state = self._read_state()
-        probe = tid_mask = None
-        if candidate_tier == "lsh":
-            probe, tid_mask = self._sketch_probe(state, target, target_recall)
-        elif candidate_tier != "exact":
-            raise ValueError(f"unknown candidate_tier {candidate_tier!r}")
-        base_neighbors, stats = state.searcher.range_query(
-            target, similarity, threshold, tid_mask=tid_mask
+        probes, candidates = state.base_candidates(
+            targets, candidate_tier, target_recall
         )
-        delta_pairs = state.delta.range_candidates(target, similarity, threshold)
-        merged = self._merge(
-            base_neighbors, state.base_live, delta_pairs, state.num_base_live
+        base_lists, stats = state.engine.range_query_batch(
+            targets, similarity, threshold, candidates=candidates
         )
-        stats.total_transactions = state.num_base_live + len(state.delta)
-        stats.transactions_accessed += len(state.delta)
-        if probe is not None:
-            self._finish_sketch_stats(stats, state, probe)
-        return merged, stats
+        delta = [
+            state.delta.range_candidates(t, similarity, threshold) for t in targets
+        ]
+        return state.merge(base_lists, stats, delta, probes, candidates)
+
+    def knn(
+        self, target: Iterable[int], similarity: SimilarityFunction, k: int = 1,
+        **options,
+    ) -> Tuple[List[Neighbor], SearchStats]:
+        """:meth:`knn_batch` for one target (same keyword options)."""
+        results, stats = self.knn_batch([target], similarity, k, **options)
+        return results[0], stats[0]
+
+    def range_query(
+        self, target: Iterable[int], similarity: SimilarityFunction,
+        threshold: float, **options,
+    ) -> Tuple[List[Neighbor], SearchStats]:
+        """:meth:`range_query_batch` for one target (same keyword options)."""
+        results, stats = self.range_query_batch(
+            [target], similarity, threshold, **options
+        )
+        return results[0], stats[0]
 
     def logical_db(self) -> TransactionDatabase:
         """Materialise the logically-current database.
@@ -737,7 +776,7 @@ class LiveIndex:
         """
         with self._swap_lock:
             live_tids = np.nonzero(self._base_live)[0]
-            delta_arrays = self._delta.snapshot().rows
+            delta_arrays = self._delta.live_arrays()
             base_db = self._base_db
         parts = [base_db.subset(live_tids)]
         if delta_arrays:
@@ -881,11 +920,11 @@ class LiveIndex:
                     dedupe=dedupe_file,
                 )
                 self._wal.reset()
-                new_searcher = SignatureTableSearcher(new_table, new_db)
+                new_engine = self._engine_for(new_table, new_db)
                 with self._swap_lock:
                     self._base_table = new_table
                     self._base_db = new_db
-                    self._base_searcher = new_searcher
+                    self._base_engine = new_engine
                     self._base_live = np.ones(len(new_db), dtype=bool)
                     self._base_files = base_files
                     self._delta.clear()
@@ -1060,6 +1099,24 @@ class LiveIndex:
         if self._metrics is not None:
             self._metrics["appends"].inc()
             self._metrics["bytes"].inc(appended_bytes)
+
+    def bind_engine_metrics(self, registry) -> None:
+        """Account the base engine's kernel fallbacks in ``registry``
+        (:meth:`QueryEngine.bind_metrics
+        <repro.core.engine.QueryEngine.bind_metrics>`), now and after
+        every compaction."""
+        with self._mutation_lock:  # a compaction cannot swap in between
+            self._engine_registry = registry
+            self._base_engine.bind_metrics(registry)
+
+    def _engine_for(
+        self, table: SignatureTable, db: TransactionDatabase
+    ) -> QueryEngine:
+        """A base segment's engine, bound to the engine registry."""
+        engine = QueryEngine.for_table(table, db)
+        if self._engine_registry is not None:
+            engine.bind_metrics(self._engine_registry)
+        return engine
 
     def probe(self) -> bool:
         """One durability probe: is the WAL writable and syncable again?

@@ -294,9 +294,10 @@ def test_traced_batch_identical_and_one_span_per_query(
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_explicit_candidates_identical_and_duplicates_rejected(instance, kernel):
-    """``candidates=`` is the searcher's ``tid_mask``, as a mask or as
-    distinct tids; a repeated tid would be scanned (and returned) once
-    per repeat by the packed kernels, so it is refused up front."""
+    """``candidates=`` is the searcher's ``tid_mask``, as a mask, as
+    distinct tids or as one mask per query; a repeated tid would be
+    scanned (and returned) once per repeat by the packed kernels, so it
+    is refused up front."""
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
     engine = repro.QueryEngine(searcher, kernel=kernel)
@@ -304,15 +305,20 @@ def test_explicit_candidates_identical_and_duplicates_rejected(instance, kernel)
     tids = np.array([5, 7, 9, 40, 41])
     mask = np.zeros(len(db), dtype=bool)
     mask[tids] = True
-    for rows in (tids, mask):
+    per_query = np.stack([mask if q % 2 else ~mask for q in range(len(queries))])
+    for rows, masks in (
+        (tids, [mask] * len(queries)),
+        (mask, [mask] * len(queries)),
+        (per_query, per_query),
+    ):
         got = engine.knn_batch(queries, sim, k=3, candidates=rows)
         hits = engine.range_query_batch(queries, sim, 0.0, candidates=rows)
         for q, query in enumerate(queries):
             assert (got[0][q], got[1][q]) == searcher.knn(
-                query, sim, k=3, tid_mask=mask
+                query, sim, k=3, tid_mask=masks[q]
             )
             assert (hits[0][q], hits[1][q]) == searcher.range_query(
-                query, sim, 0.0, tid_mask=mask
+                query, sim, 0.0, tid_mask=masks[q]
             )
     repeated = np.array([5, 5, 7, 7, 9])
     with pytest.raises(ValueError, match="distinct tids"):

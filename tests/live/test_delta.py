@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.similarity import get_similarity
 from repro.live.delta import DeltaIndex
@@ -68,7 +70,7 @@ class TestDeltaIndex:
                 target = random_transaction(rng)
                 k = int(rng.integers(1, 10))
                 expected = sorted(
-                    brute_force(snapshot.rows, target, similarity),
+                    brute_force(delta.live_arrays(), target, similarity),
                     key=lambda pair: (-pair[1], pair[0]),
                 )[:k]
                 got = delta.snapshot().knn_candidates(target, similarity, k)
@@ -87,7 +89,7 @@ class TestDeltaIndex:
                 expected = sorted(
                     (
                         pair
-                        for pair in brute_force(snapshot.rows, target, similarity)
+                        for pair in brute_force(delta.live_arrays(), target, similarity)
                         if pair[1] >= threshold
                     ),
                     key=lambda pair: (-pair[1], pair[0]),
@@ -121,3 +123,59 @@ class TestDeltaIndex:
         delta.clear()
         assert len(delta) == 0 and delta.total_rows == 0
         assert delta.insert([3]) == 0
+
+
+ITEMSETS = st.lists(
+    st.integers(0, UNIVERSE - 1), min_size=1, max_size=8, unique=True
+)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), ITEMSETS),
+        st.tuples(st.just("remove"), st.integers(0, 1000)),
+        st.tuples(st.sampled_from(["snapshot", "clear"]), st.none()),
+    ),
+    max_size=40,
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    ops=OPS,
+    target=ITEMSETS,
+    k=st.integers(1, 8),
+    threshold=st.floats(0.0, 1.0),
+    name=st.sampled_from(["jaccard", "match_ratio", "hamming", "cosine"]),
+)
+def test_snapshots_match_brute_force_over_any_history(
+    scheme, ops, target, k, threshold, name
+):
+    """Every snapshot — taken between arbitrary inserts, removes and
+    clears, and read after later ones — answers as the brute force over
+    the rows live when it was taken (the incremental pack cache)."""
+    similarity = get_similarity(name)
+    delta = DeltaIndex(scheme)
+    taken = []
+    for op, arg in ops:
+        if op == "insert":
+            delta.insert(arg)
+        elif op == "remove" and len(delta):
+            live = delta.live_positions()
+            delta.remove(live[arg % len(live)])
+        elif op == "clear":
+            delta.clear()
+        elif op == "snapshot":
+            taken.append((delta.snapshot(), delta.live_arrays()))
+    taken.append((delta.snapshot(), delta.live_arrays()))
+    for snapshot, rows in taken:
+        expected = sorted(
+            brute_force(rows, target, similarity),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+        assert snapshot.knn_candidates(target, similarity, k) == expected[:k]
+        assert snapshot.range_candidates(target, similarity, threshold) == [
+            pair for pair in expected if pair[1] >= threshold
+        ]

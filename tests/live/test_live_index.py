@@ -284,3 +284,28 @@ class TestObservability:
         assert "live.insert" in names
         assert "live.delete" in names
         assert "live.compact" in names
+
+    def test_recover_span_covers_the_replay(
+        self, tmp_path, base_db, scheme, monkeypatch
+    ):
+        import time
+
+        import repro.live.index as index_module
+        from repro.obs import Tracer
+
+        with LiveIndex.create(tmp_path / "idx", base_db, scheme=scheme) as live:
+            for items in ([1, 2], [3, 4], [5, 6]):
+                live.insert(items)
+        real_replay = index_module.replay_wal
+
+        def slow_replay(path):
+            time.sleep(0.05)
+            return real_replay(path)
+
+        monkeypatch.setattr(index_module, "replay_wal", slow_replay)
+        tracer = Tracer()
+        with tracer.activate():
+            LiveIndex.recover(tmp_path / "idx").close()
+        (recover,) = [s for s in tracer.roots if s.name == "live.recover"]
+        assert recover.duration_s >= 0.05
+        assert recover.attributes["replayed"] == 3

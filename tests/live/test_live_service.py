@@ -108,6 +108,36 @@ class TestMutationsOverTcp:
         assert "repro_requests_received_total" in metrics
 
 
+def test_served_fallbacks_counted_across_compaction(
+    tmp_path, base_db, scheme, monkeypatch
+):
+    """The server binds its registry through the live engine to the base
+    engine, and a compaction's new engine stays bound."""
+    monkeypatch.setenv("REPRO_KERNEL", "packed")
+    index = LiveIndex.create(tmp_path / "idx", base_db, scheme=scheme)
+    handle = serve_in_background(LiveQueryEngine(index), live_index=index)
+    try:
+        host, port = handle.address
+        with ServiceClient(host, port) as client:
+            counts = []
+            for _ in range(2):
+                client.knn([1, 2, 3], "jaccard", k=3)
+                client.knn([1, 2, 3], "jaccard", k=3, early_termination=0.2)
+                family = client.metrics("json")["repro_kernel_fallbacks_total"]
+                counts.append(
+                    [(s["labels"], s["value"]) for s in family["samples"]]
+                )
+                client.insert([4, 5, 6])
+                client.compact()
+        assert counts == [
+            [({"reason": "early_termination"}, 1.0)],
+            [({"reason": "early_termination"}, 2.0)],
+        ]
+    finally:
+        handle.stop()
+        index.close()
+
+
 class TestReadOnlyServer:
     def test_frozen_server_rejects_mutations(self, base_db, scheme):
         table = SignatureTable.build(base_db, scheme)
