@@ -15,7 +15,7 @@ Sub-modules follow the paper's structure:
 * :mod:`repro.core.search` — the branch-and-bound query algorithms
   (Sections 4, 4.2, 4.3).
 * :mod:`repro.core.builder` — one-call pipeline from a database to a ready
-  searcher.
+  index that takes inserts.
 * :mod:`repro.core.engine` — batched query execution (an engineering
   extension; exact by construction and by differential test).
 * :mod:`repro.core.merge` — the scatter-gather merge rule for answers

@@ -6,28 +6,37 @@ returns a :class:`MarketBasketIndex`, the friendly entry point used by the
 examples.
 
 The signature table itself is immutable (bulk-loaded); the facade adds
-incremental **inserts** with a classic main + delta design: new
-transactions accumulate in a small in-memory delta that every query scans
-exhaustively (it is tiny), and :meth:`MarketBasketIndex.compact` merges the
-delta into a rebuilt table.  ``auto_compact_fraction`` bounds the delta at
-a fraction of the indexed size, so query cost stays within a constant
-factor of the compacted index.
+incremental **inserts** with a classic main + delta design, reading
+through the same pieces as :class:`~repro.live.index.LiveIndex`: the
+table is queried by a :class:`~repro.core.engine.QueryEngine` (its
+``searcher`` for the multi-constraint and multi-target queries, which
+only the searcher has), new transactions accumulate in a
+:class:`~repro.live.delta.DeltaIndex` that every query reads whole with
+one packed AND + popcount pass (it is tiny), and the two answers merge
+under :func:`~repro.core.merge.merge_neighbor_lists`.
+:meth:`MarketBasketIndex.compact` merges the delta into a rebuilt table.
+``auto_compact_fraction`` bounds the delta at a fraction of the indexed
+size, so query cost stays within a constant factor of the compacted
+index.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.engine import QueryEngine
+from repro.core.merge import merge_neighbor_lists
 from repro.core.partitioning import partition_items
-from repro.core.search import Neighbor, SearchStats, SignatureTableSearcher
+from repro.core.search import Neighbor, SearchStats, target_aggregator
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase, as_item_array
+from repro.live.delta import DeltaIndex, DeltaSnapshot
 from repro.obs.trace import span
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_fraction
@@ -99,9 +108,10 @@ def build_index(
 class MarketBasketIndex:
     """A signature table plus its database, with incremental inserts.
 
-    All query methods mirror
-    :class:`~repro.core.search.SignatureTableSearcher` and transparently
-    include any not-yet-compacted inserted transactions.
+    The query methods answer as a fresh build over the indexed rows plus
+    the pending inserts would, tid for tid.  Their stats are the base
+    scan's, with every pending insert charged to
+    ``transactions_accessed`` and ``total_transactions``.
     """
 
     def __init__(
@@ -113,13 +123,19 @@ class MarketBasketIndex:
     ) -> None:
         check_fraction(auto_compact_fraction, "auto_compact_fraction")
         self._db = db
-        self._scheme = scheme
         self._page_size = int(page_size)
         self._auto_compact_fraction = float(auto_compact_fraction)
-        self._table = SignatureTable.build(db, scheme, page_size=page_size)
-        self._searcher = SignatureTableSearcher(self._table, db)
-        self._delta: List[np.ndarray] = []
         self._build_seconds = 0.0
+        self._index(scheme)
+
+    def _index(self, scheme: SignatureScheme) -> None:
+        """(Re)build the table over ``self._db`` with an empty delta."""
+        self._scheme = scheme
+        self._table = SignatureTable.build(
+            self._db, scheme, page_size=self._page_size
+        )
+        self._engine = QueryEngine.for_table(self._table, self._db)
+        self._delta = DeltaIndex(scheme)
 
     # ------------------------------------------------------------------
     @property
@@ -150,7 +166,7 @@ class MarketBasketIndex:
             return self._db[tid]
         offset = tid - len(self._db)
         if 0 <= offset < len(self._delta):
-            return frozenset(int(i) for i in self._delta[offset])
+            return frozenset(self._delta.live_arrays()[offset].tolist())
         raise IndexError(f"tid {tid} out of range [0, {len(self)})")
 
     def report(self) -> IndexBuildReport:
@@ -178,69 +194,60 @@ class MarketBasketIndex:
         automatically.
         """
         items = as_item_array(transaction, self._db.universe_size)
-        self._delta.append(items)
-        tid = len(self._db) + len(self._delta) - 1
+        tid = len(self._db) + self._delta.insert(items)
         if len(self._delta) > self._auto_compact_fraction * max(len(self._db), 1):
             self.compact()
         return tid
 
     def compact(self) -> None:
         """Merge the delta into a freshly built table (TIDs are preserved)."""
-        if not self._delta:
+        if not len(self._delta):
             return
         with span("builder.compact", delta_size=len(self._delta)):
-            self._compact()
-
-    def _compact(self) -> None:
-        old_items, old_indptr = self._db.csr()
-        delta_sizes = np.fromiter(
-            (a.size for a in self._delta), dtype=np.int64, count=len(self._delta)
-        )
-        items = np.concatenate([old_items] + self._delta)
-        indptr = np.concatenate(
-            [old_indptr, old_indptr[-1] + np.cumsum(delta_sizes)]
-        )
-        self._db = TransactionDatabase.from_arrays(
-            items, indptr, self._db.universe_size
-        )
-        self._delta = []
-        self._table = SignatureTable.build(
-            self._db, self._scheme, page_size=self._page_size
-        )
-        self._searcher = SignatureTableSearcher(self._table, self._db)
+            self._db = TransactionDatabase.concatenate([
+                self._db,
+                TransactionDatabase(
+                    self._delta.live_arrays(),
+                    universe_size=self._db.universe_size,
+                ),
+            ])
+            self._index(self._scheme)
 
     def rebuild(self, scheme: Optional[SignatureScheme] = None, **partition_kwargs) -> None:
         """Compact and optionally re-partition (after distribution drift).
 
         Without arguments this re-learns the partition from the current
-        data with the same ``K`` and activation threshold.
+        data with the same ``K`` and activation threshold; a
+        ``critical_mass`` in ``partition_kwargs`` lets ``K`` follow it.
         """
         self.compact()
         if scheme is None:
-            overrides = dict(
-                num_signatures=self._scheme.num_signatures,
-                activation_threshold=self._scheme.activation_threshold,
-            )
+            overrides = dict(activation_threshold=self._scheme.activation_threshold)
+            if "critical_mass" not in partition_kwargs:
+                overrides["num_signatures"] = self._scheme.num_signatures
             overrides.update(partition_kwargs)
             scheme = partition_items(self._db, **overrides)
-        self._scheme = scheme
-        self._table = SignatureTable.build(
-            self._db, scheme, page_size=self._page_size
-        )
-        self._searcher = SignatureTableSearcher(self._table, self._db)
+        self._index(scheme)
 
     # ------------------------------------------------------------------
-    # Queries (searcher + delta merge)
+    # Queries (base engine + delta merge)
     # ------------------------------------------------------------------
     def nearest(
         self,
         target: Iterable[int],
         similarity: SimilarityFunction,
-        **kwargs,
+        early_termination: Optional[float] = None,
+        guarantee_tolerance: Optional[float] = None,
     ) -> Tuple[Optional[Neighbor], SearchStats]:
-        """Most similar transaction (index + pending delta); see
-        :meth:`SignatureTableSearcher.nearest` for keyword options."""
-        neighbors, stats = self.knn(target, similarity, k=1, **kwargs)
+        """Most similar transaction (index + pending delta); the keywords
+        are those of :meth:`knn`."""
+        neighbors, stats = self.knn(
+            target,
+            similarity,
+            k=1,
+            early_termination=early_termination,
+            guarantee_tolerance=guarantee_tolerance,
+        )
         return (neighbors[0] if neighbors else None), stats
 
     def knn(
@@ -248,14 +255,29 @@ class MarketBasketIndex:
         target: Iterable[int],
         similarity: SimilarityFunction,
         k: int = 1,
-        **kwargs,
+        early_termination: Optional[float] = None,
+        guarantee_tolerance: Optional[float] = None,
     ) -> Tuple[List[Neighbor], SearchStats]:
-        """k most similar transactions (index + pending delta); see
-        :meth:`SignatureTableSearcher.knn` for keyword options."""
-        neighbors, stats = self._searcher.knn(target, similarity, k=k, **kwargs)
-        if self._delta:
-            neighbors = self._merge_delta_knn(target, similarity, k, neighbors, stats)
-        return neighbors, stats
+        """k most similar transactions (index + pending delta).
+
+        ``early_termination`` and ``guarantee_tolerance`` approximate the
+        scan of the index as in :meth:`SignatureTableSearcher.knn
+        <repro.core.search.SignatureTableSearcher.knn>`; the delta is
+        always read whole.
+        """
+        (neighbors,), (stats,) = self._engine.knn_batch(
+            [target],
+            similarity,
+            k=k,
+            early_termination=early_termination,
+            guarantee_tolerance=guarantee_tolerance,
+        )
+        return self._with_delta(
+            neighbors,
+            stats,
+            lambda delta: delta.knn_candidates(target, similarity, k),
+            k,
+        )
 
     def range_query(
         self,
@@ -265,13 +287,14 @@ class MarketBasketIndex:
     ) -> Tuple[List[Neighbor], SearchStats]:
         """All transactions with similarity >= ``threshold`` (index +
         pending delta)."""
-        results, stats = self._searcher.range_query(target, similarity, threshold)
-        if self._delta:
-            extra = self._delta_filter(target, [(similarity, threshold)], stats)
-            results = sorted(
-                results + extra, key=lambda nb: (-nb.similarity, nb.tid)
-            )
-        return results, stats
+        (results,), (stats,) = self._engine.range_query_batch(
+            [target], similarity, threshold
+        )
+        return self._with_delta(
+            results,
+            stats,
+            lambda delta: delta.range_candidates(target, similarity, threshold),
+        )
 
     def multi_range_query(
         self,
@@ -281,13 +304,18 @@ class MarketBasketIndex:
         """Conjunctive range query over several similarity functions
         (index + pending delta); see
         :meth:`SignatureTableSearcher.multi_range_query`."""
-        results, stats = self._searcher.multi_range_query(target, constraints)
-        if self._delta:
-            extra = self._delta_filter(target, constraints, stats)
-            results = sorted(
-                results + extra, key=lambda nb: (-nb.similarity, nb.tid)
+        results, stats = self._engine.searcher.multi_range_query(
+            target, constraints
+        )
+
+        def delta_hits(delta: DeltaSnapshot) -> List[Tuple[int, float]]:
+            values = [delta.similarities(target, sim) for sim, _ in constraints]
+            satisfied = np.logical_and.reduce(
+                [v >= float(t) for v, (_, t) in zip(values, constraints)]
             )
-        return results, stats
+            return [(int(r), float(values[0][r])) for r in np.flatnonzero(satisfied)]
+
+        return self._with_delta(results, stats, delta_hits)
 
     def multi_target_knn(
         self,
@@ -295,84 +323,46 @@ class MarketBasketIndex:
         similarity: SimilarityFunction,
         k: int = 1,
         aggregate: str = "mean",
-        **kwargs,
+        early_termination: Optional[float] = None,
+        weights: Optional[Sequence[float]] = None,
     ) -> Tuple[List[Neighbor], SearchStats]:
         """k-NN under an aggregate of similarities to several targets
         (index + pending delta); see
         :meth:`SignatureTableSearcher.multi_target_knn`."""
-        neighbors, stats = self._searcher.multi_target_knn(
-            targets, similarity, k=k, aggregate=aggregate, **kwargs
+        neighbors, stats = self._engine.searcher.multi_target_knn(
+            targets,
+            similarity,
+            k=k,
+            aggregate=aggregate,
+            early_termination=early_termination,
+            weights=weights,
         )
-        if self._delta:
-            aggregator = {"mean": np.mean, "min": np.min, "max": np.max}[aggregate]
-            target_sets = [frozenset(int(i) for i in t) for t in targets]
-            merged = list(neighbors)
-            for offset, items in enumerate(self._delta):
-                other = frozenset(int(i) for i in items)
-                values = [
-                    similarity.bind(len(ts)).evaluate(
-                        len(ts & other), len(ts ^ other)
-                    )
-                    for ts in target_sets
-                ]
-                merged.append(
-                    Neighbor(
-                        tid=len(self._db) + offset,
-                        similarity=float(aggregator(values)),
-                    )
-                )
-            stats.transactions_accessed += len(self._delta)
-            stats.total_transactions += len(self._delta)
-            merged.sort(key=lambda nb: (-nb.similarity, nb.tid))
-            neighbors = merged[:k]
-        return neighbors, stats
+
+        def delta_hits(delta: DeltaSnapshot) -> List[Tuple[int, float]]:
+            aggregator = target_aggregator(aggregate, len(targets), weights)
+            values = np.stack([delta.similarities(t, similarity) for t in targets])
+            return list(enumerate(aggregator(values).tolist()))
+
+        return self._with_delta(neighbors, stats, delta_hits, k)
 
     # ------------------------------------------------------------------
-    def _merge_delta_knn(
+    def _with_delta(
         self,
-        target: Iterable[int],
-        similarity: SimilarityFunction,
-        k: int,
-        neighbors: List[Neighbor],
+        base: List[Neighbor],
         stats: SearchStats,
-    ) -> List[Neighbor]:
-        target_set = frozenset(int(i) for i in target)
-        bound_sim = similarity.bind(len(target_set))
-        merged = list(neighbors)
-        for offset, items in enumerate(self._delta):
-            other = frozenset(int(i) for i in items)
-            x = len(target_set & other)
-            y = len(target_set ^ other)
-            merged.append(
-                Neighbor(
-                    tid=len(self._db) + offset,
-                    similarity=float(bound_sim.evaluate(x, y)),
-                )
-            )
-        stats.transactions_accessed += len(self._delta)
-        stats.total_transactions += len(self._delta)
-        merged.sort(key=lambda nb: (-nb.similarity, nb.tid))
-        return merged[:k]
-
-    def _delta_filter(
-        self,
-        target: Iterable[int],
-        constraints: Sequence[Tuple[SimilarityFunction, float]],
-        stats: SearchStats,
-    ) -> List[Neighbor]:
-        target_set = frozenset(int(i) for i in target)
-        bound_sims = [sim.bind(len(target_set)) for sim, _ in constraints]
-        thresholds = [float(t) for _, t in constraints]
-        extra: List[Neighbor] = []
-        for offset, items in enumerate(self._delta):
-            other = frozenset(int(i) for i in items)
-            x = len(target_set & other)
-            y = len(target_set ^ other)
-            values = [float(bs.evaluate(x, y)) for bs in bound_sims]
-            if all(v >= t for v, t in zip(values, thresholds)):
-                extra.append(
-                    Neighbor(tid=len(self._db) + offset, similarity=values[0])
-                )
-        stats.transactions_accessed += len(self._delta)
-        stats.total_transactions += len(self._delta)
-        return extra
+        delta_hits: Callable[[DeltaSnapshot], List[Tuple[int, float]]],
+        k: Optional[int] = None,
+    ) -> Tuple[List[Neighbor], SearchStats]:
+        """Merge a base answer with the delta's ``(rank, similarity)``
+        hits; every delta row is read, so every one is charged."""
+        pending = len(self._delta)
+        if not pending:
+            return base, stats
+        stats.transactions_accessed += pending
+        stats.total_transactions += pending
+        offset = len(self._db)
+        delta = [
+            Neighbor(offset + rank, value)
+            for rank, value in delta_hits(self._delta.snapshot())
+        ]
+        return merge_neighbor_lists((base, delta), k), stats

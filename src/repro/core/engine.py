@@ -14,23 +14,21 @@ and set-similarity joins).  :class:`QueryEngine` executes a batch with
    walks each distinct item's posting list once per batch instead of once
    per query.
 
-The scan itself runs in one of two interchangeable forms.  The default
-``kernel="packed"`` hands the whole prepared batch to
-:func:`repro.core.kernels.knn_scan_batch` /
+The scan itself is the packed one: the engine hands the whole prepared
+batch to :func:`repro.core.kernels.knn_scan_batch` /
 :func:`~repro.core.kernels.range_scan_batch`, which take the candidate
 sets (the LSH tier's, or explicit ``candidates``) and the guarantee
 tolerance as arguments, and record the per-query spans of a traced
-batch themselves.  ``kernel="python"`` and the one configuration the
-engine does not hand to the kernels (``early_termination``) inject the
-same prepared state into
-:meth:`SignatureTableSearcher.knn` /
-:meth:`SignatureTableSearcher.multi_range_query` through
-:class:`~repro.core.search.PreparedQuery`.  Every measured quantity
-(results, entries scanned/pruned, transactions accessed, pages read) is
-identical between the two and to the single-query searcher; all
-batch-side arithmetic is integer-exact (see ``BatchBoundCalculator``), so
-this is a bit-for-bit guarantee, pinned down by the differential and
-property test suites.
+batch themselves.  The one configuration the engine does not hand to
+the kernels yet (``early_termination``) injects the same prepared state
+into :meth:`SignatureTableSearcher.knn` through
+:class:`~repro.core.search.PreparedQuery`; that is the engine's only
+call into the searcher.  Every measured quantity (results, entries
+scanned/pruned, transactions accessed, pages read) is identical to the
+single-query searcher, the oracle the differential and property test
+suites check the engine against; all batch-side arithmetic is
+integer-exact (see ``BatchBoundCalculator``), so this is a bit-for-bit
+guarantee.
 
 The engine serves the searcher's default configuration only: a searcher
 with ``precompute=False`` or a buffer pool is rejected at construction,
@@ -257,31 +255,19 @@ class QueryEngine:
         similarities and model the per-query page cache only, so a
         searcher with ``precompute=False`` or a buffer pool raises
         ``ValueError`` (run those ablations on the searcher itself).
-    kernel:
-        ``"packed"`` (default) executes eligible batches through the
-        vectorised bitset kernels of :mod:`repro.core.kernels`;
-        ``"python"`` keeps every query on the scalar reference loop.
-        ``None`` consults the ``REPRO_KERNEL`` environment variable.
-        Results and stats are bit-identical either way — the knob trades
-        nothing but speed, and the differential tests pin the identity.
 
     All batch methods return ``(results, stats)`` lists indexed by query
     position, with each element exactly equal to the corresponding
     single-query call on ``searcher``.
     """
 
-    def __init__(
-        self,
-        searcher: SignatureTableSearcher,
-        kernel: Optional[str] = None,
-    ) -> None:
+    def __init__(self, searcher: SignatureTableSearcher) -> None:
         if not searcher.precompute or searcher.buffer_pool is not None:
             raise ValueError(
                 "QueryEngine needs a searcher with precompute=True and no "
                 "buffer pool; query such a searcher directly"
             )
         self._searcher = searcher
-        self._kernel = kernels.resolve_kernel(kernel)
         self._fallback_counter = None
         self._sketch_candidates_counter = None
         self._sketch_access_histogram = None
@@ -292,23 +278,15 @@ class QueryEngine:
         table: SignatureTable,
         db: TransactionDatabase,
         count_io: bool = True,
-        kernel: Optional[str] = None,
     ) -> "QueryEngine":
         """Build an engine (and its internal searcher) in one call."""
-        return cls(
-            SignatureTableSearcher(table, db, count_io=count_io), kernel=kernel
-        )
+        return cls(SignatureTableSearcher(table, db, count_io=count_io))
 
     # ------------------------------------------------------------------
     @property
     def searcher(self) -> SignatureTableSearcher:
         """The wrapped single-query searcher."""
         return self._searcher
-
-    @property
-    def kernel(self) -> str:
-        """The active kernel (``"packed"`` or ``"python"``)."""
-        return self._kernel
 
     @property
     def universe_size(self) -> int:
@@ -329,17 +307,14 @@ class QueryEngine:
     def _fallback_reason(
         self, early_termination: Optional[float]
     ) -> Optional[str]:
-        """Why a packed-kernel engine runs a batch with this
-        ``early_termination`` on the scalar loop, or ``None``.
+        """Why the engine runs a batch with this ``early_termination`` on
+        the scalar loop, or ``None``.
 
         ``"early_termination"`` is the one reason: the engine does not
         route an access budget to the kernels yet.  An active tracer is
-        none (the kernels record the spans), and choosing the python
-        kernel outright is configuration, not a fallback.
+        none (the kernels record the spans).
         """
-        if self._kernel == "packed" and early_termination is not None:
-            return "early_termination"
-        return None
+        return None if early_termination is None else "early_termination"
 
     def bind_metrics(self, registry) -> None:
         """Account kernel fallbacks in ``registry``.
@@ -411,7 +386,7 @@ class QueryEngine:
         fallback = self._fallback_reason(early_termination)
         if fallback is not None and self._fallback_counter is not None:
             self._fallback_counter.labels(reason=fallback).inc()
-        packed = self._kernel == "packed" and fallback is None
+        packed = fallback is None
         readable = self._readable_rows(per_query) if packed else None
         with span("engine.prepare_batch", batch_size=len(target_arrays)):
             prepared = self._prepare_batch(
@@ -494,35 +469,21 @@ class QueryEngine:
         probes, per_query = self._candidate_rows(
             target_arrays, candidate_tier, target_recall, candidates, op="range"
         )
-        packed = self._kernel == "packed"
-        readable = self._readable_rows(per_query) if packed else None
         with span("engine.prepare_batch", batch_size=len(target_arrays)):
             prepared = self._prepare_batch(
-                target_arrays, similarity, ordered=False, readable_rows=readable
+                target_arrays,
+                similarity,
+                ordered=False,
+                readable_rows=self._readable_rows(per_query),
             )
-        if packed:
-            results, stats = kernels.range_scan_batch(
-                searcher.table,
-                len(searcher.db),
-                [[prep] for prep in prepared],
-                [threshold],
-                searcher.count_io,
-                candidates=per_query,
-            )
-        else:
-            results, stats = [], []
-            for index, (items, prep) in enumerate(zip(target_arrays, prepared)):
-                hits, query_stats = searcher.multi_range_query(
-                    items,
-                    [(similarity, threshold)],
-                    prepared=[prep],
-                    tid_mask=(
-                        None if per_query is None
-                        else self._tid_mask(per_query[index])
-                    ),
-                )
-                results.append(hits)
-                stats.append(query_stats)
+        results, stats = kernels.range_scan_batch(
+            searcher.table,
+            len(searcher.db),
+            [[prep] for prep in prepared],
+            [threshold],
+            searcher.count_io,
+            candidates=per_query,
+        )
         if probes is not None:
             for query_stats, probe in zip(stats, probes):
                 self._finish_sketch_stats(query_stats, probe, None)
@@ -549,10 +510,7 @@ class QueryEngine:
                 f"batch key {key.similarity!r}"
             )
         with span(
-            "engine.run_batch",
-            op=key.op,
-            batch_size=len(targets),
-            kernel=self._kernel,
+            "engine.run_batch", op=key.op, batch_size=len(targets)
         ) as batch_span:
             fallback = self._fallback_reason(key.early_termination)
             if fallback is not None:
@@ -592,10 +550,7 @@ class QueryEngine:
     ) -> List[np.ndarray]:
         """Whole-database similarities per query."""
         db = self._searcher.db
-        matches = db.match_counts_batch(
-            target_arrays,
-            kernel="auto" if self._kernel == "packed" else "python",
-        )
+        matches = db.match_counts_batch(target_arrays)
         sims: List[np.ndarray] = []
         for q, (items, bound_sim) in enumerate(zip(target_arrays, bound_sims)):
             y = db.sizes + items.size - 2 * matches[q]
@@ -655,13 +610,12 @@ class QueryEngine:
         bits = searcher.table.bits_matrix
         bound_sims = [similarity.bind(t.size) for t in target_arrays]
         with span("engine.bound_matrix", entries=int(bits.shape[0])):
-            counts = (
-                kernels.batch_activation_counts(scheme, target_arrays)
-                if self._kernel == "packed"
-                else None
-            )
             calculator = BatchBoundCalculator(
-                scheme, target_arrays, activation_counts=counts
+                scheme,
+                target_arrays,
+                activation_counts=kernels.batch_activation_counts(
+                    scheme, target_arrays
+                ),
             )
             opts = calculator.optimistic_similarity(bits, bound_sims)
         orders: List[Optional[np.ndarray]]

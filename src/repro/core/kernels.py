@@ -13,27 +13,20 @@ because under the optimistic entry order the prune predicate is monotone
 
 Every kernel is *exact*: popcounts are integer arithmetic, and the scan
 kernels reproduce the reference loop's results, :class:`~repro.core.
-search.SearchStats` and simulated I/O counters element for element (the
-property and differential test tiers pin this down).  The ``packed``
-kernels therefore need no tolerance knobs — they are drop-in replacements
-selected by the ``kernel="packed"|"python"`` engine option.  That covers
-telemetry: under an active :class:`~repro.obs.trace.Tracer` the scan
-kernels record the loop's per-query ``search.knn`` / ``search.range``
-span (:func:`~repro.core.search.record_knn_span`) from the timings they
-take anyway, reading the tracer once per batch.
-
-Kernel selection
-----------------
-:func:`resolve_kernel` turns ``None`` into the environment override
-``REPRO_KERNEL`` (when set) or the default ``"packed"``.  ``"python"``
-keeps every loop on the scalar reference path; the CI matrix runs the
-test suites under both values.
+search.SearchStats` and simulated I/O counters element for element.
+These scans are the only ones the :class:`~repro.core.engine.QueryEngine`
+runs; the scalar :class:`~repro.core.search.SignatureTableSearcher` is
+their oracle, called from the property and differential tests, so no
+tolerance knob or kernel switch exists.  That covers telemetry: under an
+active :class:`~repro.obs.trace.Tracer` the scan kernels record the
+loop's per-query ``search.knn`` / ``search.range`` span
+(:func:`~repro.core.search.record_knn_span`) from the timings they take
+anyway, reading the tracer once per batch.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -52,29 +45,10 @@ from repro.storage.pages import IOCounters
 #: Bits per packed word.
 WORD_BITS = 64
 
-#: Recognised kernel names (the engine knob's domain).
-KERNELS = ("packed", "python")
-
-#: Environment variable consulted when no kernel is passed explicitly.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
 #: Per-byte popcount lookup table (the ``np.unpackbits`` 8-bit LUT).
 _POPCOUNT_LUT = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1
 ).sum(axis=1, dtype=np.int64)
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Normalise a kernel knob value.
-
-    ``None`` falls back to the ``REPRO_KERNEL`` environment variable and
-    then to ``"packed"``; anything outside :data:`KERNELS` raises.
-    """
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV_VAR) or "packed"
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    return kernel
 
 
 def num_words(universe_size: int) -> int:

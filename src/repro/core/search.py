@@ -151,20 +151,58 @@ def record_range_span(
     )
 
 
+_AGGREGATES = {"mean": np.mean, "min": np.min, "max": np.max}
+
+
+def target_aggregator(
+    aggregate: str,
+    num_targets: int,
+    weights: Optional[Sequence[float]] = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The multi-target objective of Section 4.3, as one function.
+
+    The returned callable folds a ``(num_targets, n)`` matrix of
+    per-target values (similarities or optimistic bounds) into the ``n``
+    aggregated values: their mean, min or max, or — with ``weights``,
+    which only ``"mean"`` takes — the weighted mean under the weights
+    normalised to sum 1.  Each is monotone in every argument, so the
+    aggregate of bounds bounds the aggregate of similarities.  Every
+    column is reduced on its own, in target order, so its value does not
+    depend on ``n``: the same row scores the same in any database.
+    """
+    if aggregate not in _AGGREGATES:
+        raise ValueError(
+            f"aggregate must be 'mean', 'min' or 'max', got {aggregate!r}"
+        )
+    if weights is None:
+        reduce = _AGGREGATES[aggregate]
+        return lambda values: reduce(values, axis=0)
+    if aggregate != "mean":
+        raise ValueError("weights are only supported with aggregate='mean'")
+    weight_array = np.asarray(weights, dtype=np.float64)
+    if weight_array.shape != (num_targets,):
+        raise ValueError(
+            f"weights must have one entry per target "
+            f"({num_targets}), got shape {weight_array.shape}"
+        )
+    if np.any(weight_array < 0) or weight_array.sum() <= 0:
+        raise ValueError("weights must be non-negative and not all zero")
+    weight_array = (weight_array / weight_array.sum())[:, None]
+    # Not a matrix product: BLAS may round a column differently with n.
+    return lambda values: (weight_array * values).sum(axis=0)
+
+
 @dataclass(frozen=True)
 class PreparedQuery:
     """Precomputed per-query state injected into the scan loop.
 
     The batched :class:`~repro.core.engine.QueryEngine` computes bounds,
     scan orders and precomputed similarities for a whole batch at once and
-    hands each query's slice to :meth:`SignatureTableSearcher.knn` /
-    :meth:`SignatureTableSearcher.multi_range_query` through this object,
-    so the batched paths execute the *identical* branch-and-bound loop as
-    single queries (the differential tests pin this down bit-for-bit).
+    hands each query's slice to the packed scans of
+    :mod:`repro.core.kernels` — or, for an ``early_termination`` batch, to
+    :meth:`SignatureTableSearcher.knn` — through this object.
 
-    ``order`` is ``None`` for range queries (they scan in entry order) and
-    ``sims_all`` is ``None`` when the searcher runs with
-    ``precompute=False``.
+    ``order`` is ``None`` for range queries (they scan in entry order).
 
     ``entry_reads`` is a dict shared by the *whole batch*, lazily mapping
     an entry id to its ``(tids, pages)`` pair.  Entry contents and page
@@ -603,7 +641,6 @@ class SignatureTableSearcher:
         self,
         target: Iterable[int],
         constraints: Sequence[Tuple[SimilarityFunction, float]],
-        prepared: Optional[Sequence[PreparedQuery]] = None,
         search_trace: Optional[SearchTrace] = None,
         tid_mask: Optional[np.ndarray] = None,
     ) -> Tuple[List[Neighbor], SearchStats]:
@@ -615,60 +652,31 @@ class SignatureTableSearcher:
         pruned as soon as any single constraint's optimistic bound falls
         below its threshold.
 
-        ``prepared`` optionally supplies one :class:`PreparedQuery` per
-        constraint (bounds + precomputed similarities), as produced by the
-        batched :class:`~repro.core.engine.QueryEngine`.  ``search_trace``
-        optionally records why each entry was scanned or pruned.
-        ``tid_mask`` optionally restricts evaluation to the sketch tier's
-        LSH candidates (see :meth:`knn`).
+        ``search_trace`` optionally records why each entry was scanned or
+        pruned.  ``tid_mask`` optionally restricts evaluation to the
+        sketch tier's LSH candidates (see :meth:`knn`).
         """
         if not constraints:
             raise ValueError("constraints must be non-empty")
         started_s = time.perf_counter()
-        if prepared is not None:
-            if len(prepared) != len(constraints):
-                raise ValueError(
-                    f"prepared must hold one entry per constraint "
-                    f"({len(constraints)}), got {len(prepared)}"
-                )
-            target_items = prepared[0].target_items
-            bound_sims = [p.bound_sim for p in prepared]
-            opts_list = [p.opts for p in prepared]
-            reads = prepared[0].entry_reads
-        else:
-            reads = None
-            target_items = as_item_array(target, self.db.universe_size)
-            calculator = BoundCalculator(self.table.scheme, target_items)
-            bound_sims = [
-                sim.bind(target_items.size) for sim, _ in constraints
-            ]
-            opts_list = None
+        target_items = as_item_array(target, self.db.universe_size)
+        calculator = BoundCalculator(self.table.scheme, target_items)
+        bound_sims = [sim.bind(target_items.size) for sim, _ in constraints]
         thresholds = [float(t) for _, t in constraints]
 
         bits = self.table.bits_matrix
         keep = np.ones(self.table.num_entries_occupied, dtype=bool)
         per_constraint_opts: List[np.ndarray] = []
-        for index, threshold in enumerate(thresholds):
-            opts = (
-                opts_list[index]
-                if opts_list is not None
-                else calculator.optimistic_similarity(bits, bound_sims[index])
-            )
+        for bound_sim, threshold in zip(bound_sims, thresholds):
+            opts = calculator.optimistic_similarity(bits, bound_sim)
             per_constraint_opts.append(opts)
             keep &= opts >= threshold
 
-        if prepared is not None:
-            sims_all_list = (
-                [p.sims_all for p in prepared]
-                if all(p.sims_all is not None for p in prepared)
-                else None
-            )
-        else:
-            sims_all_list = (
-                [self._all_similarities(target_items, bs) for bs in bound_sims]
-                if self._precompute
-                else None
-            )
+        sims_all_list = (
+            [self._all_similarities(target_items, bs) for bs in bound_sims]
+            if self._precompute
+            else None
+        )
 
         stats = self._new_stats()
         stats.entries_pruned = int((~keep).sum())
@@ -699,20 +707,14 @@ class SignatureTableSearcher:
         page_cache: set = set()
         results: List[Neighbor] = []
         for scan_rank, entry in enumerate(np.nonzero(keep)[0]):
-            tids, entry_pages = self._entry_read(int(entry), reads)
+            tids = self.table.entry_tids(int(entry))
             if tid_mask is not None:
                 tids = tids[tid_mask[tids]]
-                entry_pages = None
                 if tids.size == 0:
                     stats.entries_pruned += 1
                     continue
             if self._count_io:
-                if entry_pages is not None:
-                    self._charge_cached_read(
-                        entry_pages, int(tids.size), stats, page_cache
-                    )
-                else:
-                    self._read_tids(tids, stats, page_cache)
+                self._read_tids(tids, stats, page_cache)
             stats.transactions_accessed += int(tids.size)
             stats.entries_scanned += 1
             per_function = [
@@ -776,11 +778,7 @@ class SignatureTableSearcher:
         """
         if not targets:
             raise ValueError("targets must be non-empty")
-        if aggregate not in ("mean", "min", "max"):
-            raise ValueError(
-                f"aggregate must be 'mean', 'min' or 'max', got {aggregate!r}"
-            )
-        aggregator = {"mean": np.mean, "min": np.min, "max": np.max}[aggregate]
+        aggregator = target_aggregator(aggregate, len(targets))
         target_arrays = [
             as_item_array(t, self.db.universe_size) for t in targets
         ]
@@ -794,7 +792,7 @@ class SignatureTableSearcher:
                 for t, bs in zip(target_arrays, bound_sims)
             ]
         )
-        opts = aggregator(per_target_opts, axis=0)
+        opts = aggregator(per_target_opts)
         keep = opts >= threshold
 
         per_target_sims = np.stack(
@@ -803,7 +801,7 @@ class SignatureTableSearcher:
                 for t, bs in zip(target_arrays, bound_sims)
             ]
         )
-        aggregated = aggregator(per_target_sims, axis=0)
+        aggregated = aggregator(per_target_sims)
 
         stats = self._new_stats()
         stats.entries_pruned = int((~keep).sum())
@@ -893,32 +891,8 @@ class SignatureTableSearcher:
         """
         if not targets:
             raise ValueError("targets must be non-empty")
-        if aggregate not in ("mean", "min", "max"):
-            raise ValueError(
-                f"aggregate must be 'mean', 'min' or 'max', got {aggregate!r}"
-            )
+        aggregator = target_aggregator(aggregate, len(targets), weights)
         check_positive(k, "k")
-        if weights is not None:
-            if aggregate != "mean":
-                raise ValueError("weights are only supported with aggregate='mean'")
-            weight_array = np.asarray(weights, dtype=np.float64)
-            if weight_array.shape != (len(targets),):
-                raise ValueError(
-                    f"weights must have one entry per target "
-                    f"({len(targets)}), got shape {weight_array.shape}"
-                )
-            if np.any(weight_array < 0) or weight_array.sum() <= 0:
-                raise ValueError("weights must be non-negative and not all zero")
-            weight_array = weight_array / weight_array.sum()
-
-            def aggregator(values, axis=0):
-                return np.tensordot(weight_array, values, axes=(0, axis))
-
-        else:
-            aggregator = {"mean": np.mean, "min": np.min, "max": np.max}[
-                aggregate
-            ]
-
         target_arrays = [
             as_item_array(t, self.db.universe_size) for t in targets
         ]
@@ -932,7 +906,7 @@ class SignatureTableSearcher:
                 for t, bs in zip(target_arrays, bound_sims)
             ]
         )
-        opts = aggregator(per_target_opts, axis=0)
+        opts = aggregator(per_target_opts)
         order = np.argsort(-opts, kind="stable")
 
         per_target_sims = np.stack(
@@ -941,7 +915,7 @@ class SignatureTableSearcher:
                 for t, bs in zip(target_arrays, bound_sims)
             ]
         )
-        aggregated = aggregator(per_target_sims, axis=0)
+        aggregated = aggregator(per_target_sims)
 
         budget = self._budget(early_termination)
         stats = self._new_stats()

@@ -312,9 +312,7 @@ class TransactionDatabase:
         return num_rows * (words * 4 + 1) < whole
 
     def match_counts_batch(
-        self,
-        targets: Sequence[TransactionLike],
-        kernel: str = "python",
+        self, targets: Sequence[TransactionLike]
     ) -> np.ndarray:
         """Return the ``(len(targets), len(db))`` matrix of match counts.
 
@@ -323,28 +321,18 @@ class TransactionDatabase:
         identical).  Posting lists are traversed once per *distinct* item
         across the batch, so overlapping targets — the common case for
         query batches drawn from one distribution — amortise the traversal
-        the per-query loop would repeat.
-
-        ``kernel`` selects the execution strategy: ``"python"`` (default)
-        walks posting lists, ``"packed"`` forces the dense bitset
-        popcount kernel of :mod:`repro.core.kernels`, and ``"auto"``
-        picks the packed path only when its estimated cost beats the
-        output-sensitive posting walk (dense data, long targets).  All
-        strategies return identical matrices.
+        the per-query loop would repeat.  When :meth:`_packed_wins` says
+        the dense bitset popcount of :mod:`repro.core.kernels` is cheaper
+        (dense data, long targets), the batch runs that instead; both
+        return identical matrices.
         """
-        if kernel not in ("python", "packed", "auto"):
-            raise ValueError(
-                f"kernel must be 'python', 'packed' or 'auto', got {kernel!r}"
-            )
         target_arrays = [
             as_item_array(t, self._universe_size) for t in targets
         ]
         counts = np.zeros((len(target_arrays), len(self)), dtype=np.int64)
         if not target_arrays:
             return counts
-        if kernel == "packed" or (
-            kernel == "auto" and self._packed_wins(target_arrays)
-        ):
+        if self._packed_wins(target_arrays):
             from repro.core import kernels
 
             packed_targets = kernels.pack_rows(

@@ -51,7 +51,7 @@ class DeltaSnapshot:
     def __len__(self) -> int:
         return int(self.sizes.size)
 
-    def _similarities(
+    def similarities(
         self, target: Iterable[int], similarity: SimilarityFunction
     ) -> np.ndarray:
         """Exact similarities of the target to every live row."""
@@ -78,7 +78,7 @@ class DeltaSnapshot:
         """
         if not len(self):
             return []
-        sims = self._similarities(target, similarity)
+        sims = self.similarities(target, similarity)
         top = kernels._top_k_neighbors(sims, np.arange(sims.size), k)
         return [(nb.tid, nb.similarity) for nb in top]
 
@@ -92,7 +92,7 @@ class DeltaSnapshot:
         sorted by ``(-similarity, rank)``."""
         if not len(self):
             return []
-        sims = self._similarities(target, similarity)
+        sims = self.similarities(target, similarity)
         hits = np.flatnonzero(sims >= threshold)
         hits = hits[np.lexsort((hits, -sims[hits]))]
         return [(int(rank), float(sims[rank])) for rank in hits]

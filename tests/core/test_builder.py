@@ -79,6 +79,31 @@ class TestInserts:
         )
         assert neighbors[0].tid == tid
 
+    def test_weighted_multi_target_scores_inserts_by_the_weights(
+        self, small_index, small_db
+    ):
+        """A pending insert is scored as a fresh build scores it: under
+        weights [1, 0] only the first target counts, so a row equal to
+        the second target scores its similarity to the first (here 0)."""
+        targets = [[1, 2, 3, 4], [30, 31, 32, 33]]
+        similarity = repro.JaccardSimilarity()
+        tid = small_index.insert(targets[1])
+        got, _ = small_index.multi_target_knn(
+            targets, similarity, k=3, weights=[1, 0]
+        )
+        fresh = repro.MarketBasketIndex(
+            repro.TransactionDatabase.concatenate([
+                small_db,
+                repro.TransactionDatabase(
+                    [targets[1]], universe_size=small_db.universe_size
+                ),
+            ]),
+            small_index.scheme,
+        )
+        want, _ = fresh.multi_target_knn(targets, similarity, k=3, weights=[1, 0])
+        assert got == want
+        assert tid not in {n.tid for n in got}
+
     def test_getitem_covers_delta(self, small_index, small_db):
         tid = small_index.insert([7, 8])
         assert small_index[tid] == frozenset({7, 8})
@@ -134,6 +159,17 @@ class TestRebuild:
         new_scheme = repro.random_partition(small_db.universe_size, 4, rng=0)
         index.rebuild(scheme=new_scheme)
         assert index.scheme is new_scheme
+
+    def test_rebuild_with_critical_mass(self, small_db):
+        """``critical_mass`` picks ``K`` itself, so the old ``K`` is not
+        passed beside it."""
+        index = repro.build_index(small_db, num_signatures=6, rng=3)
+        index.insert([0, 1, 2, 3])
+        index.rebuild(critical_mass=0.1)
+        assert index.delta_size == 0
+        assert index.scheme == repro.partition_items(
+            index.db, critical_mass=0.1, activation_threshold=1
+        )
 
     def test_rebuild_can_change_k(self, small_db):
         index = repro.build_index(small_db, num_signatures=6, rng=3)

@@ -110,8 +110,6 @@ def test_range_query_batch_identical_to_single_queries(instance):
             ]
 
 
-KERNELS = ["packed", "python"]
-
 #: The approximate modes of Section 4.2, alone and combined.
 APPROXIMATE_MODES = [
     dict(early_termination=0.05),
@@ -124,25 +122,35 @@ APPROXIMATE_MODES = [
 def test_early_termination_batch_identical_to_single_queries(instance):
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
+    engine = repro.QueryEngine(searcher)
     sim = repro.MatchRatioSimilarity()
-    for kernel in KERNELS:
-        engine = repro.QueryEngine(searcher, kernel=kernel)
-        for kwargs in APPROXIMATE_MODES:
-            batch_results, batch_stats = engine.knn_batch(
-                queries, sim, k=3, **kwargs
-            )
-            for query, got, got_stats in zip(
-                queries, batch_results, batch_stats
-            ):
-                want, want_stats = searcher.knn(query, sim, k=3, **kwargs)
-                assert got == want
-                assert got_stats == want_stats
+    for kwargs in APPROXIMATE_MODES:
+        batch_results, batch_stats = engine.knn_batch(queries, sim, k=3, **kwargs)
+        for query, got, got_stats in zip(queries, batch_results, batch_stats):
+            want, want_stats = searcher.knn(query, sim, k=3, **kwargs)
+            assert got == want
+            assert got_stats == want_stats
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_lsh_tier_batch_identical_to_masked_single_queries(instance, kernel):
-    """The lsh tier is the scalar loop under the probe's ``tid_mask``
-    (plus the tier's report on the stats), whichever kernel scans."""
+#: The scan that answers a batch: the packed kernels, or the scalar loop
+#: of the searcher, which the engine still runs ``early_termination``
+#: batches on.  Range batches always run packed.
+SCANS = ["packed", "python"]
+
+
+def modes_on(scan, modes):
+    """The batch configurations in ``modes`` that the engine runs on
+    ``scan``."""
+    return [
+        kwargs for kwargs in modes
+        if ("early_termination" in kwargs) == (scan == "python")
+    ]
+
+
+@pytest.mark.parametrize("scan", SCANS)
+def test_lsh_tier_batch_identical_to_masked_single_queries(instance, scan):
+    """The lsh tier is the searcher under the probe's ``tid_mask`` (plus
+    the tier's report on the stats), whichever scan answers the batch."""
     from repro.sketch import SketchIndex
 
     db, table, queries = instance
@@ -150,9 +158,9 @@ def test_lsh_tier_batch_identical_to_masked_single_queries(instance, kernel):
     sketched = repro.SignatureTable.build(db, table.scheme)
     sketched.attach_sketch(sketch)
     searcher = repro.SignatureTableSearcher(sketched, db)
-    engine = repro.QueryEngine(searcher, kernel=kernel)
+    engine = repro.QueryEngine(searcher)
     sim = repro.JaccardSimilarity()
-    for kwargs in [dict()] + APPROXIMATE_MODES:
+    for kwargs in modes_on(scan, [dict()] + APPROXIMATE_MODES):
         batch_results, batch_stats = engine.knn_batch(
             queries, sim, k=3, candidate_tier="lsh", target_recall=0.9, **kwargs
         )
@@ -170,6 +178,8 @@ def test_lsh_tier_batch_identical_to_masked_single_queries(instance, kernel):
             want_stats.sketch_candidates = got_stats.sketch_candidates
             want_stats.estimated_recall = got_stats.estimated_recall
             assert got_stats == want_stats
+    if scan == "python":
+        return
     hits, range_stats = engine.range_query_batch(
         queries, sim, 0.2, candidate_tier="lsh", target_recall=0.9
     )
@@ -202,16 +212,25 @@ def spans_named(roots, name):
     return found
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+#: Every query method of the searcher: the guard patches them all.
+SEARCHER_QUERIES = (
+    "knn", "nearest", "range_query", "multi_range_query",
+    "multi_target_knn", "multi_target_range_query",
+)
+
+
+@pytest.mark.parametrize("scan", SCANS)
 def test_traced_batch_identical_and_one_span_per_query(
-    instance, kernel, monkeypatch
+    instance, scan, monkeypatch
 ):
     """An active tracer changes nothing but the spans: one
     ``search.knn`` / ``search.range`` span per query, carrying the
-    finished stats, from either kernel.  Under the packed kernel they
-    come from the kernels — the scalar searcher is patched to raise —
-    except for ``early_termination`` batches, the one configuration that
-    still reaches the loop and the only one stamped ``kernel_fallback``.
+    finished stats, from either scan.  On the packed kernels they come
+    from the kernels — every query method of the searcher is patched to
+    raise, for exact, lsh and ``candidates=`` batches of either op.  On
+    the scalar loop (``early_termination`` batches, the one
+    configuration that still reaches the searcher) they come from the
+    searcher, and the batch is the only one stamped ``kernel_fallback``.
     """
     from repro.core.engine import batch_key
     from repro.obs.trace import Tracer
@@ -222,18 +241,18 @@ def test_traced_batch_identical_and_one_span_per_query(
     sketched.attach_sketch(
         SketchIndex.build(db, num_hashes=32, num_bands=8, seed=1)
     )
-    engine = repro.QueryEngine.for_table(sketched, db, kernel=kernel)
+    engine = repro.QueryEngine.for_table(sketched, db)
     sim = repro.MatchRatioSimilarity()
     lsh = dict(candidate_tier="lsh", target_recall=0.9)
     rows = dict(candidates=np.array([5, 7, 9, 40, 41]))
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("scalar loop reached under the packed kernel")
+        raise AssertionError("the engine reached the scalar searcher")
 
     def traced_equals_plain(call, budgeted=False):
         with monkeypatch.context() as patch:
-            if kernel == "packed" and not budgeted:
-                for name in ("knn", "multi_range_query"):
+            if not budgeted:
+                for name in SEARCHER_QUERIES:
                     patch.setattr(repro.SignatureTableSearcher, name, unreachable)
             plain = call()
             tracer = Tracer()
@@ -241,14 +260,16 @@ def test_traced_batch_identical_and_one_span_per_query(
                 traced = call()
         assert traced == plain
         for batch_span in spans_named(tracer.roots, "engine.run_batch"):
-            assert batch_span.attributes["kernel"] == kernel
             assert batch_span.attributes.get("kernel_fallback") == (
-                "early_termination" if kernel == "packed" and budgeted else None
+                "early_termination" if budgeted else None
             )
         return tracer.roots, traced
 
-    for kwargs in [dict(), lsh, rows] + APPROXIMATE_MODES:
-        budgeted = "early_termination" in kwargs
+    budgeted = scan == "python"
+    knn_modes = [dict(), lsh, rows] + APPROXIMATE_MODES + [
+        dict(lsh, early_termination=0.2), dict(rows, early_termination=0.2)
+    ]
+    for kwargs in modes_on(scan, knn_modes):
         if "candidates" in kwargs:  # not a BatchKey parameter
             call = lambda: engine.knn_batch(queries, sim, k=3, **kwargs)
         else:
@@ -267,13 +288,13 @@ def test_traced_batch_identical_and_one_span_per_query(
                 terminated_early=stats.terminated_early,
                 guaranteed_optimal=stats.guaranteed_optimal,
             )
-            if kwargs is lsh:
+            if kwargs.get("candidate_tier") == "lsh":
                 # The span reports the scan; the tier clears the flag on
                 # the stats afterwards (a lossy answer proves nothing).
                 del want["guaranteed_optimal"]
                 del recorded.attributes["guaranteed_optimal"]
             assert recorded.attributes == want
-    for kwargs in [dict(), lsh, rows]:
+    for kwargs in modes_on(scan, [dict(), lsh, rows]):
         if "candidates" in kwargs:
             call = lambda: engine.range_query_batch(queries, sim, 0.3, **kwargs)
         else:
@@ -292,16 +313,17 @@ def test_traced_batch_identical_and_one_span_per_query(
             )
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_explicit_candidates_identical_and_duplicates_rejected(instance, kernel):
+@pytest.mark.parametrize("scan", SCANS)
+def test_explicit_candidates_identical_and_duplicates_rejected(instance, scan):
     """``candidates=`` is the searcher's ``tid_mask``, as a mask, as
-    distinct tids or as one mask per query; a repeated tid would be
-    scanned (and returned) once per repeat by the packed kernels, so it
-    is refused up front."""
+    distinct tids or as one mask per query, whichever scan answers the
+    batch; a repeated tid would be scanned (and returned) once per
+    repeat by the packed kernels, so it is refused up front."""
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
-    engine = repro.QueryEngine(searcher, kernel=kernel)
+    engine = repro.QueryEngine(searcher)
     sim = repro.JaccardSimilarity()
+    budget = dict(early_termination=0.3) if scan == "python" else dict()
     tids = np.array([5, 7, 9, 40, 41])
     mask = np.zeros(len(db), dtype=bool)
     mask[tids] = True
@@ -311,18 +333,21 @@ def test_explicit_candidates_identical_and_duplicates_rejected(instance, kernel)
         (mask, [mask] * len(queries)),
         (per_query, per_query),
     ):
-        got = engine.knn_batch(queries, sim, k=3, candidates=rows)
-        hits = engine.range_query_batch(queries, sim, 0.0, candidates=rows)
+        got = engine.knn_batch(queries, sim, k=3, candidates=rows, **budget)
         for q, query in enumerate(queries):
             assert (got[0][q], got[1][q]) == searcher.knn(
-                query, sim, k=3, tid_mask=masks[q]
+                query, sim, k=3, tid_mask=masks[q], **budget
             )
+        if scan == "python":
+            continue
+        hits = engine.range_query_batch(queries, sim, 0.0, candidates=rows)
+        for q, query in enumerate(queries):
             assert (hits[0][q], hits[1][q]) == searcher.range_query(
                 query, sim, 0.0, tid_mask=masks[q]
             )
     repeated = np.array([5, 5, 7, 7, 9])
     with pytest.raises(ValueError, match="distinct tids"):
-        engine.knn_batch(queries[:1], sim, k=3, candidates=repeated)
+        engine.knn_batch(queries[:1], sim, k=3, candidates=repeated, **budget)
     with pytest.raises(ValueError, match="distinct tids"):
         engine.range_query_batch(queries[:1], sim, 0.0, candidates=repeated)
 

@@ -1,6 +1,6 @@
-"""The packed→scalar kernel downgrade must be visible, not silent.
+"""The packed→scalar downgrade must be visible, not silent.
 
-Results are bit-identical either way (the kernel differential suites pin
+Results are bit-identical either way (the engine differential suites pin
 that), so the only way an operator learns the fast path stopped running
 is a ``kernel_fallback`` attribute on the ``engine.run_batch`` span and
 the ``repro_kernel_fallbacks_total{reason}`` counter.  One reason is
@@ -16,11 +16,6 @@ from repro.core.engine import QueryEngine, batch_key
 from repro.core.similarity import MatchRatioSimilarity
 from repro.obs.registry import MetricRegistry
 from repro.obs.trace import Tracer
-
-
-def make_engine(table, db, kernel="packed"):
-    # Explicit, so the suite means the same under a REPRO_KERNEL override.
-    return QueryEngine.for_table(table, db, kernel=kernel)
 
 
 def run_one_batch(engine, db, **params):
@@ -50,20 +45,14 @@ def scalar_calls(monkeypatch):
 
 class TestFallbackReasons:
     def test_packed_default_has_no_fallback(self, small_table, small_db):
-        engine = make_engine(small_table, small_db)
+        engine = QueryEngine.for_table(small_table, small_db)
         assert engine._fallback_reason(None) is None
         with Tracer().activate():  # tracing is not a reason
             assert engine._fallback_reason(None) is None
 
     def test_early_termination_is_the_one_reason(self, small_table, small_db):
-        engine = make_engine(small_table, small_db)
+        engine = QueryEngine.for_table(small_table, small_db)
         assert engine._fallback_reason(0.02) == "early_termination"
-
-    def test_python_kernel_is_configuration_not_fallback(
-        self, small_table, small_db
-    ):
-        engine = make_engine(small_table, small_db, kernel="python")
-        assert engine._fallback_reason(0.02) is None
 
     def test_pooled_and_reference_mode_searchers_rejected(
         self, small_table, small_db
@@ -81,15 +70,15 @@ class TestFallbackReasons:
 
 class TestFallbackObservability:
     def test_traced_batch_stamps_span_attribute(self, small_table, small_db):
-        """The span names the kernel, and the downgrade only where the
-        batch's queries reached the loop (no registry bound here: the
-        attribute does not need one)."""
-        engine = make_engine(small_table, small_db)
+        """The span names the downgrade only where the batch's queries
+        reached the loop (no registry bound here: the attribute does not
+        need one)."""
+        engine = QueryEngine.for_table(small_table, small_db)
         for params, attributes in (
-            (dict(), dict(kernel="packed")),
+            (dict(), dict()),
             (
                 dict(early_termination=0.02),
-                dict(kernel="packed", kernel_fallback="early_termination"),
+                dict(kernel_fallback="early_termination"),
             ),
         ):
             tracer = Tracer()
@@ -106,7 +95,7 @@ class TestFallbackObservability:
         """Counter and scalar loop move together: exactly the batches
         whose queries reach ``SignatureTableSearcher.knn`` are counted."""
         registry = MetricRegistry()
-        engine = make_engine(small_table, small_db)
+        engine = QueryEngine.for_table(small_table, small_db)
         engine.bind_metrics(registry)
         calls = scalar_calls(monkeypatch)
         run_one_batch(engine, small_db)
@@ -118,13 +107,3 @@ class TestFallbackObservability:
         run_one_batch(engine, small_db, early_termination=0.5)
         assert len(calls) == 8
         assert fallback_counts(registry) == {("early_termination",): 2.0}
-
-    def test_python_kernel_batches_never_count(self, small_table, small_db):
-        registry = MetricRegistry()
-        engine = make_engine(small_table, small_db, kernel="python")
-        engine.bind_metrics(registry)
-        tracer = Tracer()
-        with tracer.activate():
-            run_one_batch(engine, small_db, early_termination=0.02)
-        assert fallback_counts(registry) == {}
-        assert "kernel_fallback" not in tracer.roots[0].attributes

@@ -108,12 +108,9 @@ class TestMutationsOverTcp:
         assert "repro_requests_received_total" in metrics
 
 
-def test_served_fallbacks_counted_across_compaction(
-    tmp_path, base_db, scheme, monkeypatch
-):
+def test_served_fallbacks_counted_across_compaction(tmp_path, base_db, scheme):
     """The server binds its registry through the live engine to the base
     engine, and a compaction's new engine stays bound."""
-    monkeypatch.setenv("REPRO_KERNEL", "packed")
     index = LiveIndex.create(tmp_path / "idx", base_db, scheme=scheme)
     handle = serve_in_background(LiveQueryEngine(index), live_index=index)
     try:

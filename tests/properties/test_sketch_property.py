@@ -12,8 +12,9 @@ Four contracts:
 * **Monotonicity** — raising ``target_recall`` can only widen the
   candidate set: more bands are probed and buckets are only ever added.
 * **Exact-tier identity** — attaching a sketch changes nothing for
-  ``candidate_tier="exact"`` on either kernel; the wire encoding of the
-  stats is byte-identical with and without the sketch column.
+  ``candidate_tier="exact"`` on either scan: the engine and the searcher
+  over a sketched table answer as the searcher over the plain one, down
+  to the wire encoding of the stats.
 """
 
 import json
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import QueryEngine
 from repro.core.partitioning import partition_items
+from repro.core.search import SignatureTableSearcher
 from repro.core.similarity import JaccardSimilarity, MatchRatioSimilarity
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase
@@ -224,6 +226,11 @@ class TestMonotonicity:
             assert tid in probe.candidates.tolist()
 
 
+#: The scan under test: the engine's packed kernels, or the scalar loop
+#: of :class:`SignatureTableSearcher` (``repro explain``, the ablations).
+SCANS = ["packed", "python"]
+
+
 class TestExactTierIdentity:
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -238,40 +245,40 @@ class TestExactTierIdentity:
         ]
         return db, plain, sketched, targets
 
-    @pytest.mark.parametrize("kernel", ["packed", "python"])
-    def test_exact_results_and_wire_stats_identical(self, corpus, kernel):
+    @pytest.mark.parametrize("scan", SCANS)
+    def test_exact_results_and_wire_stats_identical(self, corpus, scan):
         db, plain, sketched, targets = corpus
-        engines = [
-            QueryEngine.for_table(table, db, kernel=kernel)
-            for table in (plain, sketched)
-        ]
-        outputs = []
-        for engine in engines:
-            results, stats = engine.knn_batch(
-                targets, MatchRatioSimilarity(), k=5, candidate_tier="exact"
+        similarity = MatchRatioSimilarity()
+        if scan == "packed":
+            results, stats = QueryEngine.for_table(sketched, db).knn_batch(
+                targets, similarity, k=5, candidate_tier="exact"
             )
-            outputs.append(
-                (
-                    [[(n.tid, n.similarity) for n in hits] for hits in results],
-                    [wire_stats(s) for s in stats],
-                )
+        else:
+            searcher = SignatureTableSearcher(sketched, db)
+            results, stats = zip(
+                *(searcher.knn(target, similarity, k=5) for target in targets)
             )
-        assert outputs[0] == outputs[1]
+        oracle = SignatureTableSearcher(plain, db)
+        for target, hits, query_stats in zip(targets, results, stats):
+            want, want_stats = oracle.knn(target, similarity, k=5)
+            assert hits == want
+            assert wire_stats(query_stats) == wire_stats(want_stats)
 
-    @pytest.mark.parametrize("kernel", ["packed", "python"])
-    def test_exact_range_identical(self, corpus, kernel):
+    @pytest.mark.parametrize("scan", SCANS)
+    def test_exact_range_identical(self, corpus, scan):
         db, plain, sketched, targets = corpus
-        outputs = []
-        for table in (plain, sketched):
-            engine = QueryEngine.for_table(table, db, kernel=kernel)
-            results, stats = engine.range_query_batch(
-                targets, JaccardSimilarity(), threshold=0.3
+        similarity = JaccardSimilarity()
+        if scan == "packed":
+            results, stats = QueryEngine.for_table(sketched, db).range_query_batch(
+                targets, similarity, threshold=0.3
             )
-            outputs.append(
-                (
-                    [sorted((n.tid, n.similarity) for n in hits)
-                     for hits in results],
-                    [wire_stats(s) for s in stats],
-                )
+        else:
+            searcher = SignatureTableSearcher(sketched, db)
+            results, stats = zip(
+                *(searcher.range_query(target, similarity, 0.3) for target in targets)
             )
-        assert outputs[0] == outputs[1]
+        oracle = SignatureTableSearcher(plain, db)
+        for target, hits, query_stats in zip(targets, results, stats):
+            want, want_stats = oracle.range_query(target, similarity, 0.3)
+            assert hits == want
+            assert wire_stats(query_stats) == wire_stats(want_stats)

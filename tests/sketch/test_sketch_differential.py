@@ -68,28 +68,43 @@ class TestStructural:
             assert s.sketch_candidates is not None
             assert 0.0 <= s.estimated_recall <= 1.0
 
-    @pytest.mark.parametrize("kernel", ["packed", "python"])
+    @pytest.mark.parametrize("scan", ["packed", "python"])
     def test_lsh_stats_account_for_every_entry(
-        self, sketch_corpus, sketched_engine, kernel
+        self, sketch_corpus, sketched_engine, scan
     ):
         """Every occupied entry is scanned, pruned (by its bound or
         because the mask emptied it) or left unexplored — the tail prune
-        must add to, not overwrite, the mask-emptied count."""
-        from repro.core.engine import QueryEngine
-
+        must add to, not overwrite, the mask-emptied count — in the
+        scalar searcher's stats under the probe mask, and in the engine's
+        packed stats, which must equal the searcher's."""
         db, queries = sketch_corpus
-        engine = QueryEngine.for_table(
-            sketched_engine.searcher.table, db, kernel=kernel
-        )
+        searcher = sketched_engine.searcher
+        sketch = sketched_engine.sketch
         similarity = get_similarity("jaccard")
-        _, knn_stats = engine.knn_batch(
-            queries, similarity, k=3, candidate_tier="lsh", target_recall=0.9
-        )
-        _, range_stats = engine.range_query_batch(
-            queries, similarity, threshold=0.4,
-            candidate_tier="lsh", target_recall=0.9,
-        )
-        for s in knn_stats + range_stats:
+        scalar = []
+        for query in queries:
+            mask = sketch.probe(query, 0.9).mask(len(db))
+            scalar.append(searcher.knn(query, similarity, k=3, tid_mask=mask)[1])
+            scalar.append(
+                searcher.range_query(query, similarity, 0.4, tid_mask=mask)[1]
+            )
+        checked = scalar
+        if scan == "packed":
+            _, knn_stats = sketched_engine.knn_batch(
+                queries, similarity, k=3, candidate_tier="lsh", target_recall=0.9
+            )
+            _, range_stats = sketched_engine.range_query_batch(
+                queries, similarity, threshold=0.4,
+                candidate_tier="lsh", target_recall=0.9,
+            )
+            checked = [s for pair in zip(knn_stats, range_stats) for s in pair]
+            for got, want in zip(checked, scalar):
+                assert (
+                    got.entries_scanned, got.entries_pruned, got.entries_unexplored
+                ) == (
+                    want.entries_scanned, want.entries_pruned, want.entries_unexplored
+                )
+        for s in checked:
             assert (
                 s.entries_scanned + s.entries_pruned + s.entries_unexplored
                 == s.entries_total

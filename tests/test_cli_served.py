@@ -36,13 +36,13 @@ ENV = dict(os.environ, PYTHONPATH=str(SRC))
 class Served:
     """A ``python -m repro serve|node|router ... --port 0`` subprocess."""
 
-    def __init__(self, line, **environ):
+    def __init__(self, line):
         # stderr goes to a file: nobody drains it while the server runs,
         # and --log-json can write more than a pipe holds.
         self._stderr = tempfile.TemporaryFile(mode="w+")
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro", *shlex.split(line), "--port", "0"],
-            env=dict(ENV, **environ),
+            env=ENV,
             stdout=subprocess.PIPE,
             stderr=self._stderr,
             text=True,
@@ -321,24 +321,6 @@ class TestServeArguments:
         assert err == (
             "error: serve needs either --live DIR or a database and a table\n"
         )
-
-    @pytest.mark.parametrize("kernel", ["packed", "python"])
-    def test_environment_selects_the_kernel(self, corpus, kernel):
-        """``serve`` builds its engine as ``query-batch`` does, so
-        ``REPRO_KERNEL`` reaches the served path (``--kernel`` pinned it)."""
-        from repro.service.client import ServiceClient
-
-        _, db, table = corpus
-        server = Served(f"serve {db} {table}", REPRO_KERNEL=kernel)
-        try:
-            with ServiceClient("127.0.0.1", int(server.port)) as client:
-                client.knn([3, 17, 42], "jaccard", k=3, trace=True)
-                trace = json.dumps(client.last_response["trace"])
-                assert f'"kernel": "{kernel}"' in trace
-                assert client.shutdown()
-            assert server.finish()[0] == 0
-        finally:
-            server.kill()
 
     def test_fault_plan_without_live_is_refused(self, corpus, tmp_path):
         """The plan guards WAL and checkpoint I/O, which a frozen table
