@@ -20,11 +20,11 @@ def test_ablation_activation_threshold(ctx, emit, timed):
     occupied = table.column("occupied entries")
     assert occupied[0] >= occupied[-1]
 
-    searcher = ctx.searcher(
+    engine = ctx.engine(
         ctx.profile["large_spec"], ctx.profile["default_k"], activation_threshold=2
     )
     target = ctx.queries(ctx.profile["large_spec"])[0]
-    timed(lambda: searcher.nearest(target, MatchRatioSimilarity()))
+    timed(lambda: engine.nearest_batch([target], MatchRatioSimilarity()))
 
 
 def test_ablation_activation_threshold_long_transactions(ctx, emit, timed):
@@ -42,6 +42,6 @@ def test_ablation_activation_threshold_long_transactions(ctx, emit, timed):
     # transactions (the paper's observation), with generous slack.
     assert max(values[1:]) >= values[0] - 10.0
 
-    searcher = ctx.searcher(spec, ctx.profile["default_k"], activation_threshold=2)
+    engine = ctx.engine(spec, ctx.profile["default_k"], activation_threshold=2)
     target = ctx.queries(spec)[0]
-    timed(lambda: searcher.nearest(target, MatchRatioSimilarity()))
+    timed(lambda: engine.nearest_batch([target], MatchRatioSimilarity()))

@@ -19,8 +19,7 @@ from repro.storage.buffer import BufferPool
 def test_ablation_buffer_capacity(ctx, emit, timed):
     spec = ctx.profile["large_spec"]
     indexed, _ = ctx.database(spec)
-    base_searcher = ctx.searcher(spec, ctx.profile["default_k"])
-    table = base_searcher.table
+    table = ctx.table(spec, ctx.profile["default_k"])
     queries = ctx.queries(spec)
     sim = MatchRatioSimilarity()
 

@@ -23,6 +23,6 @@ def test_ablation_memory_availability(ctx, emit, timed):
     # reports monotone improvement.
     assert prune[-1] >= prune[0] - 2.0
 
-    searcher = ctx.searcher(ctx.profile["large_spec"], 16)
+    engine = ctx.engine(ctx.profile["large_spec"], 16)
     target = ctx.queries(ctx.profile["large_spec"])[0]
-    timed(lambda: searcher.nearest(target, MatchRatioSimilarity()))
+    timed(lambda: engine.nearest_batch([target], MatchRatioSimilarity()))

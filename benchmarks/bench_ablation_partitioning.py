@@ -22,6 +22,6 @@ def test_ablation_partitioning(ctx, emit, timed):
     # (it usually wins clearly; small slack keeps the check robust).
     assert paper["prune%"] >= random_row["prune%"] - 5.0
 
-    searcher = ctx.searcher(ctx.profile["large_spec"], ctx.profile["default_k"])
+    engine = ctx.engine(ctx.profile["large_spec"], ctx.profile["default_k"])
     target = ctx.queries(ctx.profile["large_spec"])[0]
-    timed(lambda: searcher.nearest(target, MatchRatioSimilarity()))
+    timed(lambda: engine.nearest_batch([target], MatchRatioSimilarity()))

@@ -6,6 +6,7 @@ the performance when the sort criterion is a better indication of the
 average case similarity".  Pruning always uses the optimistic bounds.
 """
 
+from repro.core.search import SignatureTableSearcher
 from repro.core.similarity import MatchRatioSimilarity
 from repro.eval.harness import run_ablation_sort_order
 
@@ -20,8 +21,12 @@ def test_ablation_sort_order(ctx, emit, timed):
     for row in table.rows:
         assert row["prune%"] > 10.0
 
-    searcher = ctx.searcher(ctx.profile["large_spec"], ctx.profile["default_k"])
-    target = ctx.queries(ctx.profile["large_spec"])[0]
+    spec = ctx.profile["large_spec"]
+    indexed, _ = ctx.database(spec)
+    searcher = SignatureTableSearcher(
+        ctx.table(spec, ctx.profile["default_k"]), indexed
+    )
+    target = ctx.queries(spec)[0]
     timed(
         lambda: searcher.nearest(
             target, MatchRatioSimilarity(), sort_by="supercoordinate"

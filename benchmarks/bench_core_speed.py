@@ -28,38 +28,38 @@ def test_speed_table_build(ctx, benchmark):
 
 def test_speed_nearest_hamming(ctx, timed):
     spec = ctx.profile["large_spec"]
-    searcher = ctx.searcher(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
     target = ctx.queries(spec)[1]
-    timed(lambda: searcher.nearest(target, HammingSimilarity()))
+    timed(lambda: engine.nearest_batch([target], HammingSimilarity()))
 
 
 def test_speed_nearest_cosine(ctx, timed):
     spec = ctx.profile["large_spec"]
-    searcher = ctx.searcher(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
     target = ctx.queries(spec)[1]
-    timed(lambda: searcher.nearest(target, CosineSimilarity()))
+    timed(lambda: engine.nearest_batch([target], CosineSimilarity()))
 
 
 def test_speed_knn10(ctx, timed):
     spec = ctx.profile["large_spec"]
-    searcher = ctx.searcher(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
     target = ctx.queries(spec)[1]
-    timed(lambda: searcher.knn(target, MatchRatioSimilarity(), k=10))
+    timed(lambda: engine.knn_batch([target], MatchRatioSimilarity(), k=10))
 
 
 def test_speed_range_query(ctx, timed):
     spec = ctx.profile["large_spec"]
-    searcher = ctx.searcher(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
     target = ctx.queries(spec)[1]
-    timed(lambda: searcher.range_query(target, JaccardSimilarity(), 0.5))
+    timed(lambda: engine.range_query_batch([target], JaccardSimilarity(), 0.5))
 
 
 def test_speed_multi_target(ctx, timed):
     spec = ctx.profile["large_spec"]
-    searcher = ctx.searcher(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
     targets = ctx.queries(spec)[:3]
     timed(
-        lambda: searcher.multi_target_knn(
+        lambda: engine.multi_target_knn(
             targets, JaccardSimilarity(), k=5, aggregate="mean"
         )
     )

@@ -21,33 +21,27 @@ def test_ext_page_scattering(ctx, emit, timed):
     indexed, _ = ctx.database(spec)
     queries = ctx.queries(spec)
     sim = MatchRatioSimilarity()
-    searcher = ctx.searcher(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
     inverted = InvertedIndex(indexed)
     scan = LinearScanIndex(indexed)
     model = DiskModel()
 
-    def collect(run):
-        pages, seeks, costs = [], [], []
-        for target in queries:
-            _, stats = run(target)
-            pages.append(stats.io.pages_read)
-            seeks.append(stats.io.seeks)
-            costs.append(model.cost_ms(stats.io))
+    def collect(all_stats):
         return (
-            float(np.mean(pages)),
-            float(np.mean(seeks)),
-            float(np.mean(costs)),
+            float(np.mean([stats.io.pages_read for stats in all_stats])),
+            float(np.mean([stats.io.seeks for stats in all_stats])),
+            float(np.mean([model.cost_ms(stats.io) for stats in all_stats])),
         )
 
     rows = {
         "signature table @2%": collect(
-            lambda t: searcher.nearest(t, sim, early_termination=0.02)
+            engine.nearest_batch(queries, sim, early_termination=0.02)[1]
         ),
         "signature table (complete)": collect(
-            lambda t: searcher.nearest(t, sim)
+            engine.nearest_batch(queries, sim)[1]
         ),
-        "inverted index": collect(lambda t: inverted.nearest(t, sim)),
-        "sequential scan": collect(lambda t: scan.nearest(t, sim)),
+        "inverted index": collect([inverted.nearest(t, sim)[1] for t in queries]),
+        "sequential scan": collect([scan.nearest(t, sim)[1] for t in queries]),
     }
 
     table = ExperimentTable(

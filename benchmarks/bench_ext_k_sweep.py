@@ -15,7 +15,7 @@ from repro.eval.reporting import ExperimentTable
 def test_ext_k_sweep(ctx, emit, timed):
     spec = ctx.profile["large_spec"]
     indexed, _ = ctx.database(spec)
-    searcher = ctx.searcher(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
     scan = ctx.scan(spec)
     queries = ctx.queries(spec)
     sim = MatchRatioSimilarity()
@@ -28,8 +28,8 @@ def test_ext_k_sweep(ctx, emit, timed):
     prune_by_k = {}
     for k in [1, 5, 10, 25, 50]:
         prune, exact = [], 0
-        for target in queries:
-            neighbors, stats = searcher.knn(target, sim, k=k)
+        results, all_stats = engine.knn_batch(queries, sim, k=k)
+        for target, neighbors, stats in zip(queries, results, all_stats):
             prune.append(stats.pruning_efficiency)
             truth, _ = scan.knn(target, sim, k=k)
             if np.allclose(
@@ -52,4 +52,4 @@ def test_ext_k_sweep(ctx, emit, timed):
     assert prune_by_k[50] <= prune_by_k[1] + 1.0
 
     target = queries[0]
-    timed(lambda: searcher.knn(target, sim, k=25))
+    timed(lambda: engine.knn_batch([target], sim, k=25))

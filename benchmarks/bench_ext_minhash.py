@@ -22,7 +22,7 @@ def test_ext_minhash_vs_signature_table(ctx, emit, timed):
     queries = ctx.queries(spec)
     sim = JaccardSimilarity()
     truths = ctx.truths(spec, sim)
-    searcher = ctx.searcher(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
 
     table = ExperimentTable(
         title=f"MinHash/LSH vs signature table — jaccard ({spec})",
@@ -31,11 +31,9 @@ def test_ext_minhash_vs_signature_table(ctx, emit, timed):
     )
 
     # Signature table at 2% early termination.
-    found, access = [], []
-    for target in queries:
-        neighbor, stats = searcher.nearest(target, sim, early_termination=0.02)
-        found.append(neighbor.similarity if neighbor else float("-inf"))
-        access.append(100.0 * stats.access_fraction)
+    best, all_stats = engine.nearest_batch(queries, sim, early_termination=0.02)
+    found = [nb.similarity if nb else float("-inf") for nb in best]
+    access = [100.0 * stats.access_fraction for stats in all_stats]
     sig_acc = 100.0 * np.mean(
         [values_match(f, t) for f, t in zip(found, truths)]
     )

@@ -21,7 +21,7 @@ from repro.eval.workloads import mixed_workload
 def test_ext_target_robustness(ctx, emit, timed):
     spec = ctx.profile["large_spec"]
     indexed, holdout = ctx.database(spec)
-    searcher = ctx.searcher(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
     scan = LinearScanIndex(indexed)
     sim = MatchRatioSimilarity()
 
@@ -38,19 +38,17 @@ def test_ext_target_robustness(ctx, emit, timed):
         columns=["targets", "prune%", "acc% @ 2%"],
         notes=ctx.notes([f"similarity={sim.name}"]),
     )
-    measured = {}
+    measured, complete = {}, {}
     for kind, targets in by_kind.items():
-        prune, found, truths = [], [], []
-        for target in targets:
-            _, stats = searcher.nearest(target, sim)
-            prune.append(stats.pruning_efficiency)
-            neighbor, _ = searcher.nearest(target, sim, early_termination=0.02)
-            found.append(neighbor.similarity if neighbor else float("-inf"))
-            truths.append(scan.best_similarity(target, sim))
+        complete[kind], exact = engine.nearest_batch(targets, sim)
+        best, _ = engine.nearest_batch(targets, sim, early_termination=0.02)
+        found = [nb.similarity if nb else float("-inf") for nb in best]
+        truths = [scan.best_similarity(target, sim) for target in targets]
         accuracy = 100.0 * np.mean(
             [values_match(f, t) for f, t in zip(found, truths)]
         )
-        measured[kind] = (float(np.mean(prune)), accuracy)
+        prune = float(np.mean([stats.pruning_efficiency for stats in exact]))
+        measured[kind] = (prune, accuracy)
         result.add_row(
             targets=kind,
             **{"prune%": measured[kind][0], "acc% @ 2%": measured[kind][1]},
@@ -65,10 +63,9 @@ def test_ext_target_robustness(ctx, emit, timed):
     # degradation is in efficiency, never in exactness (checked via one
     # full-completion query per kind).
     for kind, targets in by_kind.items():
-        neighbor, stats = searcher.nearest(targets[0], sim)
         assert values_match(
-            neighbor.similarity, scan.best_similarity(targets[0], sim)
+            complete[kind][0].similarity, scan.best_similarity(targets[0], sim)
         )
 
     target = by_kind["random"][0]
-    timed(lambda: searcher.nearest(target, sim))
+    timed(lambda: engine.nearest_batch([target], sim))

@@ -54,9 +54,9 @@ def run_pruning_figure(similarity, ctx, emit, timed, name):
     table = run_pruning_vs_db_size(similarity, ctx)
     emit(table, name)
     check_pruning_shape(table, ctx.profile["ks"])
-    searcher = ctx.searcher(ctx.profile["large_spec"], ctx.profile["default_k"])
+    engine = ctx.engine(ctx.profile["large_spec"], ctx.profile["default_k"])
     target = ctx.queries(ctx.profile["large_spec"])[0]
-    timed(lambda: searcher.nearest(target, similarity))
+    timed(lambda: engine.nearest_batch([target], similarity))
     return table
 
 
@@ -64,10 +64,10 @@ def run_termination_figure(similarity, ctx, emit, timed, name):
     table = run_accuracy_vs_termination(similarity, ctx)
     emit(table, name)
     check_termination_shape(table, ctx.profile["ks"])
-    searcher = ctx.searcher(ctx.profile["large_spec"], ctx.profile["default_k"])
+    engine = ctx.engine(ctx.profile["large_spec"], ctx.profile["default_k"])
     target = ctx.queries(ctx.profile["large_spec"])[0]
     timed(
-        lambda: searcher.nearest(target, similarity, early_termination=0.02)
+        lambda: engine.nearest_batch([target], similarity, early_termination=0.02)
     )
     return table
 
@@ -80,9 +80,9 @@ def run_txn_size_figure(similarity, ctx, emit, timed, name):
     spec = (
         f"T{largest_t:g}.I6.D{ctx.profile['txn_size_db']}"
     )
-    searcher = ctx.searcher(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
     target = ctx.queries(spec)[0]
     timed(
-        lambda: searcher.nearest(target, similarity, early_termination=0.02)
+        lambda: engine.nearest_batch([target], similarity, early_termination=0.02)
     )
     return table

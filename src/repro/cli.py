@@ -129,6 +129,21 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_knn_flags_on_range(
+    args: argparse.Namespace, sort_by: str = "optimistic"
+) -> None:
+    """A ``--threshold`` range query has no row budget and no scan order:
+    ``--early-termination`` / ``--sort-by`` beside it are refused rather
+    than ignored, as the service refuses ``early_termination`` on
+    ``op='range'``."""
+    if args.threshold is None:
+        return
+    if args.early_termination is not None:
+        raise ValueError("--early-termination does not apply to --threshold")
+    if sort_by != "optimistic":
+        raise ValueError("--sort-by does not apply to --threshold")
+
+
 def _run_queries(args: argparse.Namespace, queries: List[List[int]], **tier):
     """Load the index and answer ``queries`` through the batched engine,
     the path ``repro serve`` answers on: range queries with
@@ -137,6 +152,7 @@ def _run_queries(args: argparse.Namespace, queries: List[List[int]], **tier):
     the engine call)``."""
     from repro.core.engine import QueryEngine
 
+    _refuse_knn_flags_on_range(args)
     db, table = _load_index(args)
     engine = QueryEngine.for_table(table, db)
     similarity = get_similarity(args.similarity)
@@ -190,6 +206,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     # The one command on the scalar searcher: only it records a
     # SearchTrace and honours --sort-by.
+    _refuse_knn_flags_on_range(args, args.sort_by)
     db, table = _load_index(args)
     searcher = SignatureTableSearcher(table, db)
     similarity = get_similarity(args.similarity)

@@ -8,9 +8,9 @@ examples.
 The signature table itself is immutable (bulk-loaded); the facade adds
 incremental **inserts** with a classic main + delta design, reading
 through the same pieces as :class:`~repro.live.index.LiveIndex`: the
-table is queried by a :class:`~repro.core.engine.QueryEngine` (its
-``searcher`` for the multi-constraint and multi-target queries, which
-only the searcher has), new transactions accumulate in a
+table is queried by a :class:`~repro.core.engine.QueryEngine` (every
+query, the multi-constraint and multi-target ones included), new
+transactions accumulate in a
 :class:`~repro.live.delta.DeltaIndex` that every query reads whole with
 one packed AND + popcount pass (it is tiny), and the two answers merge
 under :func:`~repro.core.merge.merge_neighbor_lists`.
@@ -303,10 +303,9 @@ class MarketBasketIndex:
     ) -> Tuple[List[Neighbor], SearchStats]:
         """Conjunctive range query over several similarity functions
         (index + pending delta); see
-        :meth:`SignatureTableSearcher.multi_range_query`."""
-        results, stats = self._engine.searcher.multi_range_query(
-            target, constraints
-        )
+        :meth:`QueryEngine.multi_range_query
+        <repro.core.engine.QueryEngine.multi_range_query>`."""
+        results, stats = self._engine.multi_range_query(target, constraints)
 
         def delta_hits(delta: DeltaSnapshot) -> List[Tuple[int, float]]:
             values = [delta.similarities(target, sim) for sim, _ in constraints]
@@ -328,8 +327,9 @@ class MarketBasketIndex:
     ) -> Tuple[List[Neighbor], SearchStats]:
         """k-NN under an aggregate of similarities to several targets
         (index + pending delta); see
-        :meth:`SignatureTableSearcher.multi_target_knn`."""
-        neighbors, stats = self._engine.searcher.multi_target_knn(
+        :meth:`QueryEngine.multi_target_knn
+        <repro.core.engine.QueryEngine.multi_target_knn>`."""
+        neighbors, stats = self._engine.multi_target_knn(
             targets,
             similarity,
             k=k,

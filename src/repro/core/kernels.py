@@ -342,7 +342,6 @@ def knn_scan_batch(
     db_size: int,
     prepared: Sequence[PreparedQuery],
     k: int,
-    count_io: bool,
     candidates: Optional[Sequence[Optional[np.ndarray]]] = None,
     budget: Optional[int] = None,
     tolerance: Optional[float] = None,
@@ -505,15 +504,14 @@ def knn_scan_batch(
                 stats.entries_unexplored = num_entries - rank
                 stats.best_possible_remaining = bound
                 stats.guaranteed_optimal = bound <= pessimistic
-        if count_io:
-            whole = layout.slots is None and not partial
-            stats.io = _charge_io(
-                layout,
-                page_size,
-                np.asarray(order[:ranks], dtype=np.int64),
-                None if whole else prefix_rows[:accessed],
-                accessed,
-            )
+        whole = layout.slots is None and not partial
+        stats.io = _charge_io(
+            layout,
+            page_size,
+            np.asarray(order[:ranks], dtype=np.int64),
+            None if whole else prefix_rows[:accessed],
+            accessed,
+        )
         results.append(
             _top_k_neighbors(prefix_sims[:accessed], prefix_tids[:accessed], k)
         )
@@ -529,7 +527,6 @@ def range_scan_batch(
     db_size: int,
     prepared: Sequence[Sequence[PreparedQuery]],
     thresholds: Sequence[float],
-    count_io: bool,
     candidates: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
     """Vectorised conjunctive range scan for a prepared batch.
@@ -576,14 +573,13 @@ def range_scan_batch(
             entries_scanned=int(kept.size),
             entries_pruned=num_entries - int(kept.size),
         )
-        if count_io:
-            stats.io = _charge_io(
-                layout,
-                page_size,
-                kept,
-                None if layout.slots is None else rows,
-                accessed,
-            )
+        stats.io = _charge_io(
+            layout,
+            page_size,
+            kept,
+            None if layout.slots is None else rows,
+            accessed,
+        )
         hits = np.nonzero(satisfied)[0]
         assert first_sims is not None or hits.size == 0
         if hits.size:

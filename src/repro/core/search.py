@@ -25,15 +25,24 @@ LinearScanIndex` ground-truth ordering exactly.
 
 Supported queries (Sections 2.1, 4.2, 4.3): nearest neighbour, k-NN,
 early-terminated approximate k-NN with an a-posteriori quality guarantee,
-guarantee-tolerance termination, range queries, conjunctive multi-function
-range queries, and multi-target queries under mean/min/max aggregation.
+guarantee-tolerance termination, range queries and conjunctive
+multi-function range queries.  Multi-target queries are a
+:class:`PreparedQuery` whose bounds and similarities are the
+:func:`target_aggregator` of the per-target ones; the
+:class:`~repro.core.engine.QueryEngine` builds and scans them.
 
-Implementation note (see DESIGN.md): by default the per-transaction
-similarities are precomputed for the whole database with one vectorised
-pass when a query arrives and the scan then *reads* them per entry.  This
-changes no measured quantity — transactions accessed, entries scanned or
-pruned, pages read, results — and is cross-checked in the tests against the
-pure per-transaction evaluation path (``precompute=False``).
+This loop is the reference the packed scans of :mod:`repro.core.kernels`
+are tested against.  The engine serves queries and runs the paper's
+experiments; the searcher is what the tests, ``repro explain``
+(``search_trace=``, ``sort_by=``) and the sort-order and buffer-pool
+ablations (``sort_by=``, ``buffer_pool=``) call.
+
+Implementation note (see DESIGN.md): the per-transaction similarities are
+computed for the whole database with one vectorised pass when a query
+arrives and the scan then *reads* them per entry.  This changes no
+measured quantity — transactions accessed, entries scanned or pruned,
+pages read, results — and the property tests check the values against a
+per-transaction brute force.
 """
 
 from __future__ import annotations
@@ -200,7 +209,9 @@ class PreparedQuery:
     scan orders and precomputed similarities for a whole batch at once and
     hands each query's slice to the packed scans of
     :mod:`repro.core.kernels` — or, for an ``early_termination`` batch, to
-    :meth:`SignatureTableSearcher.knn` — through this object.
+    :meth:`SignatureTableSearcher.knn` — through this object.  A
+    multi-target query is one of these too: ``opts`` and ``sims_all`` are
+    the :func:`target_aggregator` of its targets' rows.
 
     ``order`` is ``None`` for range queries (they scan in entry order).
 
@@ -219,7 +230,6 @@ class PreparedQuery:
     """
 
     target_items: np.ndarray
-    bound_sim: SimilarityFunction
     opts: np.ndarray
     order: Optional[np.ndarray] = None
     sims_all: Optional[np.ndarray] = None
@@ -267,12 +277,6 @@ class SignatureTableSearcher:
         A built signature table.
     db:
         The database the table was built over (TIDs must agree).
-    precompute:
-        Use the vectorised whole-database similarity precomputation
-        (default).  ``False`` evaluates transactions one by one through the
-        set representation — the slow reference path used in tests.
-    count_io:
-        Maintain the simulated page/seek counters (small extra cost).
     buffer_pool:
         Optional :class:`~repro.storage.buffer.BufferPool` shared across
         queries.  Without one, each query gets its own unbounded page
@@ -284,8 +288,6 @@ class SignatureTableSearcher:
         self,
         table: SignatureTable,
         db: TransactionDatabase,
-        precompute: bool = True,
-        count_io: bool = True,
         buffer_pool: Optional[BufferPool] = None,
     ) -> None:
         if table.num_transactions != len(db):
@@ -299,19 +301,7 @@ class SignatureTableSearcher:
             )
         self.table = table
         self.db = db
-        self._precompute = bool(precompute)
-        self._count_io = bool(count_io)
         self._buffer_pool = buffer_pool
-
-    @property
-    def precompute(self) -> bool:
-        """Whether this searcher precomputes whole-database similarities."""
-        return self._precompute
-
-    @property
-    def count_io(self) -> bool:
-        """Whether this searcher maintains the simulated I/O counters."""
-        return self._count_io
 
     @property
     def buffer_pool(self) -> Optional[BufferPool]:
@@ -446,7 +436,6 @@ class SignatureTableSearcher:
         started_s = time.perf_counter()
         if prepared is not None and prepared.order is not None:
             target_items = prepared.target_items
-            bound_sim = prepared.bound_sim
             opts = prepared.opts
             order = prepared.order
             sims_all = prepared.sims_all
@@ -455,11 +444,7 @@ class SignatureTableSearcher:
             target_items, bound_sim, opts, order = self._prepare(
                 target, similarity, sort_by
             )
-            sims_all = (
-                self._all_similarities(target_items, bound_sim)
-                if self._precompute
-                else None
-            )
+            sims_all = self._all_similarities(target_items, bound_sim)
             reads = None
         budget = self._budget(early_termination)
         stats = self._new_stats()
@@ -570,19 +555,17 @@ class SignatureTableSearcher:
                 truncated = False
                 take = tids
 
-            sims = self._entry_similarities(take, sims_all, target_items, bound_sim)
-            if self._count_io:
-                if entry_pages is not None and not truncated:
-                    self._charge_cached_read(
-                        entry_pages, int(take.size), stats, page_cache
-                    )
-                else:
-                    self._read_tids(take, stats, page_cache)
+            if entry_pages is not None and not truncated:
+                self._charge_cached_read(
+                    entry_pages, int(take.size), stats, page_cache
+                )
+            else:
+                self._read_tids(take, stats, page_cache)
             stats.transactions_accessed += int(take.size)
             stats.entries_scanned += 1
 
             pessimistic_before = pessimistic
-            self._update_heap(heap, k, sims, take)
+            self._update_heap(heap, k, sims_all[take], take)
             if len(heap) >= k:
                 pessimistic = heap[0][0]
             if trace is not None:
@@ -672,11 +655,9 @@ class SignatureTableSearcher:
             per_constraint_opts.append(opts)
             keep &= opts >= threshold
 
-        sims_all_list = (
-            [self._all_similarities(target_items, bs) for bs in bound_sims]
-            if self._precompute
-            else None
-        )
+        sims_all_list = [
+            self._all_similarities(target_items, bs) for bs in bound_sims
+        ]
 
         stats = self._new_stats()
         stats.entries_pruned = int((~keep).sum())
@@ -713,22 +694,13 @@ class SignatureTableSearcher:
                 if tids.size == 0:
                     stats.entries_pruned += 1
                     continue
-            if self._count_io:
-                self._read_tids(tids, stats, page_cache)
+            self._read_tids(tids, stats, page_cache)
             stats.transactions_accessed += int(tids.size)
             stats.entries_scanned += 1
-            per_function = [
-                self._entry_similarities(
-                    tids,
-                    sims_all_list[i] if sims_all_list is not None else None,
-                    target_items,
-                    bound_sims[i],
-                )
-                for i in range(len(bound_sims))
-            ]
+            per_function = [sims_all[tids] for sims_all in sims_all_list]
             satisfied = np.ones(tids.size, dtype=bool)
             for values, threshold in zip(per_function, thresholds):
-                satisfied &= np.asarray(values) >= threshold
+                satisfied &= values >= threshold
             if trace is not None:
                 entry_index = int(entry)
                 trace.record_scan(
@@ -759,69 +731,6 @@ class SignatureTableSearcher:
             record_range_span(
                 tracer, started_s, len(constraints), len(results), stats
             )
-        return results, stats
-
-    def multi_target_range_query(
-        self,
-        targets: Sequence[Iterable[int]],
-        similarity: SimilarityFunction,
-        threshold: float,
-        aggregate: str = "mean",
-    ) -> Tuple[List[Neighbor], SearchStats]:
-        """All transactions whose aggregate similarity to the targets is at
-        least ``threshold`` (the remaining Section 4.3 combination:
-        multiple targets *and* a range predicate).
-
-        An entry is pruned when the aggregate of its per-target optimistic
-        bounds falls below the threshold — valid because mean/min/max are
-        monotone in every argument.
-        """
-        if not targets:
-            raise ValueError("targets must be non-empty")
-        aggregator = target_aggregator(aggregate, len(targets))
-        target_arrays = [
-            as_item_array(t, self.db.universe_size) for t in targets
-        ]
-        bound_sims = [similarity.bind(t.size) for t in target_arrays]
-        bits = self.table.bits_matrix
-        per_target_opts = np.stack(
-            [
-                BoundCalculator(self.table.scheme, t).optimistic_similarity(
-                    bits, bs
-                )
-                for t, bs in zip(target_arrays, bound_sims)
-            ]
-        )
-        opts = aggregator(per_target_opts)
-        keep = opts >= threshold
-
-        per_target_sims = np.stack(
-            [
-                np.asarray(self._all_similarities(t, bs))
-                for t, bs in zip(target_arrays, bound_sims)
-            ]
-        )
-        aggregated = aggregator(per_target_sims)
-
-        stats = self._new_stats()
-        stats.entries_pruned = int((~keep).sum())
-        page_cache: set = set()
-        results: List[Neighbor] = []
-        for entry in np.nonzero(keep)[0]:
-            tids = self.table.entry_tids(int(entry))
-            if self._count_io:
-                self._read_tids(tids, stats, page_cache)
-            stats.transactions_accessed += int(tids.size)
-            stats.entries_scanned += 1
-            values = aggregated[tids]
-            for position in np.nonzero(values >= threshold)[0]:
-                results.append(
-                    Neighbor(
-                        tid=int(tids[position]),
-                        similarity=float(values[position]),
-                    )
-                )
-        results.sort(key=lambda nb: (-nb.similarity, nb.tid))
         return results, stats
 
     def explain(
@@ -863,104 +772,6 @@ class SignatureTableSearcher:
             median_bound=float(np.median(opts)) if opts.size else float("-inf"),
             top_entries=preview,
         )
-
-    def multi_target_knn(
-        self,
-        targets: Sequence[Iterable[int]],
-        similarity: SimilarityFunction,
-        k: int = 1,
-        aggregate: str = "mean",
-        early_termination: Optional[float] = None,
-        weights: Optional[Sequence[float]] = None,
-    ) -> Tuple[List[Neighbor], SearchStats]:
-        """k-NN under an aggregate of similarities to several targets.
-
-        The paper's multi-target extension (Section 4.3): the objective for
-        a transaction is the mean (or min / max) of its similarities to the
-        ``n`` targets, and an entry's optimistic bound is the same
-        aggregate of its per-target optimistic bounds — a valid upper bound
-        because mean, min and max are monotone in every argument.
-
-        Parameters
-        ----------
-        weights:
-            Optional non-negative per-target weights for
-            ``aggregate="mean"`` (a weighted mean is still monotone in
-            every argument, so the bound stays valid).  Normalised
-            internally.
-        """
-        if not targets:
-            raise ValueError("targets must be non-empty")
-        aggregator = target_aggregator(aggregate, len(targets), weights)
-        check_positive(k, "k")
-        target_arrays = [
-            as_item_array(t, self.db.universe_size) for t in targets
-        ]
-        bound_sims = [similarity.bind(t.size) for t in target_arrays]
-        bits = self.table.bits_matrix
-        per_target_opts = np.stack(
-            [
-                BoundCalculator(self.table.scheme, t).optimistic_similarity(
-                    bits, bs
-                )
-                for t, bs in zip(target_arrays, bound_sims)
-            ]
-        )
-        opts = aggregator(per_target_opts)
-        order = np.argsort(-opts, kind="stable")
-
-        per_target_sims = np.stack(
-            [
-                np.asarray(self._all_similarities(t, bs))
-                for t, bs in zip(target_arrays, bound_sims)
-            ]
-        )
-        aggregated = aggregator(per_target_sims)
-
-        budget = self._budget(early_termination)
-        stats = self._new_stats()
-        page_cache: set = set()
-        heap: List[Tuple[float, int]] = []
-        pessimistic = -math.inf
-        num_entries = order.size
-        rank = 0
-        while rank < num_entries:
-            entry = int(order[rank])
-            opt_entry = float(opts[entry])
-            if len(heap) >= k and opt_entry < pessimistic:
-                stats.entries_pruned = num_entries - rank
-                break
-            if budget is not None and stats.transactions_accessed >= budget:
-                self._record_cutoff(stats, opt_entry, num_entries - rank, pessimistic)
-                break
-            tids = self.table.entry_tids(entry)
-            if budget is not None:
-                remaining = budget - stats.transactions_accessed
-                truncated = tids.size > remaining
-                take = tids[:remaining] if truncated else tids
-            else:
-                truncated = False
-                take = tids
-            if self._count_io:
-                self._read_tids(take, stats, page_cache)
-            stats.transactions_accessed += int(take.size)
-            stats.entries_scanned += 1
-            self._update_heap(heap, k, aggregated[take], take)
-            if len(heap) >= k:
-                pessimistic = heap[0][0]
-            if truncated:
-                self._record_cutoff(
-                    stats, opt_entry, num_entries - rank - 1, pessimistic,
-                    partial_entry=True,
-                )
-                break
-            rank += 1
-
-        neighbors = sorted(
-            (Neighbor(tid=-negative_tid, similarity=value) for value, negative_tid in heap),
-            key=lambda nb: (-nb.similarity, nb.tid),
-        )
-        return neighbors, stats
 
     # ------------------------------------------------------------------
     # Internals
@@ -1081,22 +892,3 @@ class SignatureTableSearcher:
         x = self.db.match_counts(target_items)
         y = self.db.sizes + target_items.size - 2 * x
         return np.asarray(bound_sim.evaluate(x, y), dtype=np.float64)
-
-    def _entry_similarities(
-        self,
-        tids: np.ndarray,
-        sims_all: Optional[np.ndarray],
-        target_items: np.ndarray,
-        bound_sim: SimilarityFunction,
-    ) -> np.ndarray:
-        """Similarities of the target to the given entry transactions."""
-        if sims_all is not None:
-            return sims_all[tids]
-        target_set = frozenset(int(i) for i in target_items)
-        values = np.empty(tids.size, dtype=np.float64)
-        for position, tid in enumerate(tids):
-            other = self.db[int(tid)]
-            x = len(target_set & other)
-            y = len(target_set ^ other)
-            values[position] = float(bound_sim.evaluate(x, y))
-        return values

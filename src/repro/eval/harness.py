@@ -22,7 +22,13 @@ signature table was used in order to test all the three similarity
 functions").
 
 Queries are held-out transactions drawn from the same generator (the same
-consumer-behaviour pattern pool) as the indexed data.
+consumer-behaviour pattern pool) as the indexed data.  Each runner answers
+a point's query set as one batch on the
+:class:`~repro.core.engine.QueryEngine` (the served path), once run to
+completion and once under the early-termination budget; per query, that
+is exactly what the scalar searcher returns.  Only the sort-order
+ablation calls the searcher itself, since the supercoordinate scan order
+exists there alone.
 
 Nothing here starts a server, a live index or a cluster: how fast the
 *system* runs is measured by ``bench/run.py`` and recorded in the
@@ -38,13 +44,13 @@ import numpy as np
 
 from repro.baselines.inverted import InvertedIndex
 from repro.baselines.linear_scan import LinearScanIndex
-from repro.core.engine import similarity_key
+from repro.core.engine import QueryEngine, similarity_key
 from repro.core.partitioning import (
     balanced_support_partition,
     partition_items,
     random_partition,
 )
-from repro.core.search import SignatureTableSearcher
+from repro.core.search import Neighbor, SearchStats
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
@@ -90,7 +96,8 @@ def active_profile() -> str:
 
 
 class ExperimentContext:
-    """Memoised datasets, schemes, tables and ground truths for experiments.
+    """Memoised datasets, schemes, tables, engines and ground truths for
+    experiments.
 
     Parameters
     ----------
@@ -113,7 +120,7 @@ class ExperimentContext:
         self._databases: Dict[str, Tuple[TransactionDatabase, TransactionDatabase]] = {}
         self._schemes: Dict[Tuple[str, int], SignatureScheme] = {}
         self._tables: Dict[Tuple[str, int, int], SignatureTable] = {}
-        self._searchers: Dict[Tuple[str, int, int], SignatureTableSearcher] = {}
+        self._engines: Dict[Tuple[str, int, int], QueryEngine] = {}
         self._scans: Dict[str, LinearScanIndex] = {}
         self._truths: Dict[Tuple[str, str], List[float]] = {}
 
@@ -144,19 +151,29 @@ class ExperimentContext:
             )
         return self._schemes[key]
 
-    def searcher(
+    def table(
         self, spec: str, num_signatures: int, activation_threshold: int = 1
-    ) -> SignatureTableSearcher:
+    ) -> SignatureTable:
+        """The signature table over ``spec``'s indexed data; every
+        activation threshold shares the scheme's partition."""
         key = (spec, num_signatures, activation_threshold)
-        if key not in self._searchers:
+        if key not in self._tables:
             indexed, _ = self.database(spec)
             scheme = self.scheme(spec, num_signatures)
             if activation_threshold != 1:
                 scheme = scheme.with_activation_threshold(activation_threshold)
-            table = SignatureTable.build(indexed, scheme)
-            self._tables[key] = table
-            self._searchers[key] = SignatureTableSearcher(table, indexed)
-        return self._searchers[key]
+            self._tables[key] = SignatureTable.build(indexed, scheme)
+        return self._tables[key]
+
+    def engine(
+        self, spec: str, num_signatures: int, activation_threshold: int = 1
+    ) -> QueryEngine:
+        """The query engine over :meth:`table`."""
+        key = (spec, num_signatures, activation_threshold)
+        if key not in self._engines:
+            indexed, _ = self.database(spec)
+            self._engines[key] = QueryEngine.for_table(self.table(*key), indexed)
+        return self._engines[key]
 
     def scan(self, spec: str) -> LinearScanIndex:
         if spec not in self._scans:
@@ -189,6 +206,31 @@ class ExperimentContext:
         return base + list(extra)
 
 
+def _mean_pruning(stats: Sequence[SearchStats]) -> float:
+    return float(np.mean([s.pruning_efficiency for s in stats]))
+
+
+def _found(best: Sequence[Optional[Neighbor]]) -> List[float]:
+    """The similarity each query's answer reached (-inf for none)."""
+    return [nb.similarity if nb else float("-inf") for nb in best]
+
+
+def _prune_and_accuracy(
+    engine: QueryEngine,
+    queries: List[List[int]],
+    similarity: SimilarityFunction,
+    termination: float,
+    truths: List[float],
+) -> Tuple[float, float]:
+    """Mean pruning efficiency run to completion, and accuracy against
+    ``truths`` at the ``termination`` budget: one batch each."""
+    _, exact = engine.nearest_batch(queries, similarity)
+    best, _ = engine.nearest_batch(
+        queries, similarity, early_termination=termination
+    )
+    return _mean_pruning(exact), accuracy_against_truth(_found(best), truths)
+
+
 # ----------------------------------------------------------------------
 # Figure families (Figs 6-14)
 # ----------------------------------------------------------------------
@@ -217,12 +259,10 @@ def run_pruning_vs_db_size(
         spec = f"{base}.D{size}"
         row: Dict[str, object] = {"db_size": size}
         for k in ks:
-            searcher = ctx.searcher(spec, k)
-            efficiencies = []
-            for target in ctx.queries(spec):
-                _, stats = searcher.nearest(target, similarity)
-                efficiencies.append(stats.pruning_efficiency)
-            row[f"K={k} prune%"] = float(np.mean(efficiencies))
+            _, stats = ctx.engine(spec, k).nearest_batch(
+                ctx.queries(spec), similarity
+            )
+            row[f"K={k} prune%"] = _mean_pruning(stats)
         table.add_row(**row)
     return table
 
@@ -252,14 +292,10 @@ def run_accuracy_vs_termination(
     for level in levels:
         row: Dict[str, object] = {"termination%": 100.0 * level}
         for k in ks:
-            searcher = ctx.searcher(spec, k)
-            found = []
-            for target in ctx.queries(spec):
-                neighbor, _ = searcher.nearest(
-                    target, similarity, early_termination=level
-                )
-                found.append(neighbor.similarity if neighbor else float("-inf"))
-            row[f"K={k} acc%"] = accuracy_against_truth(found, truths)
+            best, _ = ctx.engine(spec, k).nearest_batch(
+                ctx.queries(spec), similarity, early_termination=level
+            )
+            row[f"K={k} acc%"] = accuracy_against_truth(_found(best), truths)
         table.add_row(**row)
     return table
 
@@ -293,23 +329,16 @@ def run_accuracy_vs_transaction_size(
     )
     for t in txn_sizes:
         spec = f"T{t:g}.I{pattern_size:g}.D{db_size}"
-        searcher = ctx.searcher(spec, num_signatures)
-        truths = ctx.truths(spec, similarity)
-        found = []
-        efficiencies = []
-        for target in ctx.queries(spec):
-            neighbor, _ = searcher.nearest(
-                target, similarity, early_termination=termination
-            )
-            found.append(neighbor.similarity if neighbor else float("-inf"))
-            _, full_stats = searcher.nearest(target, similarity)
-            efficiencies.append(full_stats.pruning_efficiency)
+        prune, accuracy = _prune_and_accuracy(
+            ctx.engine(spec, num_signatures),
+            ctx.queries(spec),
+            similarity,
+            termination,
+            ctx.truths(spec, similarity),
+        )
         table.add_row(
             avg_txn_size=t,
-            **{
-                "accuracy%": accuracy_against_truth(found, truths),
-                "prune% (to completion)": float(np.mean(efficiencies)),
-            },
+            **{"accuracy%": accuracy, "prune% (to completion)": prune},
         )
     return table
 
@@ -412,26 +441,15 @@ def run_ablation_partitioning(
         notes=ctx.notes([f"similarity={similarity.name}"]),
     )
     for label, scheme in schemes.items():
-        searcher = SignatureTableSearcher(
+        engine = QueryEngine.for_table(
             SignatureTable.build(indexed, scheme), indexed
         )
-        efficiencies = []
-        found = []
-        for target in ctx.queries(spec):
-            _, stats = searcher.nearest(target, similarity)
-            efficiencies.append(stats.pruning_efficiency)
-            neighbor, _ = searcher.nearest(
-                target, similarity, early_termination=termination
-            )
-            found.append(neighbor.similarity if neighbor else float("-inf"))
+        prune, accuracy = _prune_and_accuracy(
+            engine, ctx.queries(spec), similarity, termination, truths
+        )
         table.add_row(
             partitioning=label,
-            **{
-                "prune%": float(np.mean(efficiencies)),
-                f"acc% @ {100 * termination:g}%": accuracy_against_truth(
-                    found, truths
-                ),
-            },
+            **{"prune%": prune, f"acc% @ {100 * termination:g}%": accuracy},
         )
     return table
 
@@ -462,24 +480,21 @@ def run_ablation_activation_threshold(
         notes=ctx.notes([f"similarity={similarity.name}"]),
     )
     for r in thresholds:
-        searcher = ctx.searcher(spec, num_signatures, activation_threshold=r)
-        efficiencies = []
-        found = []
-        for target in ctx.queries(spec):
-            _, stats = searcher.nearest(target, similarity)
-            efficiencies.append(stats.pruning_efficiency)
-            neighbor, _ = searcher.nearest(
-                target, similarity, early_termination=termination
-            )
-            found.append(neighbor.similarity if neighbor else float("-inf"))
+        prune, accuracy = _prune_and_accuracy(
+            ctx.engine(spec, num_signatures, activation_threshold=r),
+            ctx.queries(spec),
+            similarity,
+            termination,
+            truths,
+        )
         table.add_row(
             r=r,
             **{
-                "prune%": float(np.mean(efficiencies)),
-                f"acc% @ {100 * termination:g}%": accuracy_against_truth(
-                    found, truths
-                ),
-                "occupied entries": searcher.table.num_entries_occupied,
+                "prune%": prune,
+                f"acc% @ {100 * termination:g}%": accuracy,
+                "occupied entries": ctx.table(
+                    spec, num_signatures, activation_threshold=r
+                ).num_entries_occupied,
             },
         )
     return table
@@ -498,9 +513,12 @@ def run_ablation_sort_order(
     supercoordinate order "can improve the performance when the sort
     criterion is a better indication of the average case similarity".
     """
+    from repro.core.search import SignatureTableSearcher
+
     spec = spec or ctx.profile["large_spec"]
     num_signatures = num_signatures or ctx.profile["default_k"]
-    searcher = ctx.searcher(spec, num_signatures)
+    indexed, _ = ctx.database(spec)
+    searcher = SignatureTableSearcher(ctx.table(spec, num_signatures), indexed)
     truths = ctx.truths(spec, similarity)
     table = ExperimentTable(
         title=f"Sort-order ablation — {similarity.name} ({spec}, K={num_signatures})",
@@ -508,21 +526,20 @@ def run_ablation_sort_order(
         notes=ctx.notes([f"similarity={similarity.name}"]),
     )
     for mode in ("optimistic", "supercoordinate"):
-        efficiencies = []
-        found = []
+        exact, best = [], []
         for target in ctx.queries(spec):
-            _, stats = searcher.nearest(target, similarity, sort_by=mode)
-            efficiencies.append(stats.pruning_efficiency)
-            neighbor, _ = searcher.nearest(
-                target, similarity, early_termination=termination, sort_by=mode
+            exact.append(searcher.nearest(target, similarity, sort_by=mode)[1])
+            best.append(
+                searcher.nearest(
+                    target, similarity, early_termination=termination, sort_by=mode
+                )[0]
             )
-            found.append(neighbor.similarity if neighbor else float("-inf"))
         table.add_row(
             sort_by=mode,
             **{
-                "prune%": float(np.mean(efficiencies)),
+                "prune%": _mean_pruning(exact),
                 f"acc% @ {100 * termination:g}%": accuracy_against_truth(
-                    found, truths
+                    _found(best), truths
                 ),
             },
         )
@@ -554,24 +571,15 @@ def run_memory_ablation(
         notes=ctx.notes([f"similarity={similarity.name}"]),
     )
     for k in ks:
-        searcher = ctx.searcher(spec, k)
-        efficiencies = []
-        found = []
-        for target in ctx.queries(spec):
-            _, stats = searcher.nearest(target, similarity)
-            efficiencies.append(stats.pruning_efficiency)
-            neighbor, _ = searcher.nearest(
-                target, similarity, early_termination=termination
-            )
-            found.append(neighbor.similarity if neighbor else float("-inf"))
+        prune, accuracy = _prune_and_accuracy(
+            ctx.engine(spec, k), ctx.queries(spec), similarity, termination, truths
+        )
         table.add_row(
             K=k,
             **{
-                "directory KiB": searcher.table.memory_bytes(dense=True) / 1024.0,
-                "prune%": float(np.mean(efficiencies)),
-                f"acc% @ {100 * termination:g}%": accuracy_against_truth(
-                    found, truths
-                ),
+                "directory KiB": ctx.table(spec, k).memory_bytes(dense=True) / 1024.0,
+                "prune%": prune,
+                f"acc% @ {100 * termination:g}%": accuracy,
             },
         )
     return table

@@ -14,6 +14,34 @@ import pytest
 
 import repro
 
+#: Every query method of the scalar searcher.  A guard patches them all
+#: to raise, so a test can prove a path runs on the packed kernels.
+SEARCHER_QUERIES = ("knn", "nearest", "range_query", "multi_range_query")
+
+
+def forbid_scalar_loop(patch, allow_budgeted=False):
+    """Make every searcher query method raise under ``patch`` (a
+    ``monkeypatch`` or one of its contexts).  ``allow_budgeted`` lets
+    ``knn`` through for an ``early_termination`` query, the one
+    configuration the engine still runs on the scalar loop."""
+
+    scalar_knn = repro.SignatureTableSearcher.knn
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the scalar loop was reached")
+
+    def budgeted_only(self, *args, early_termination=None, **kwargs):
+        if early_termination is None:
+            unreachable()
+        return scalar_knn(
+            self, *args, early_termination=early_termination, **kwargs
+        )
+
+    for name in SEARCHER_QUERIES:
+        patch.setattr(repro.SignatureTableSearcher, name, unreachable)
+    if allow_budgeted:
+        patch.setattr(repro.SignatureTableSearcher, "knn", budgeted_only)
+
 
 def make_similarities():
     """One instance of every built-in similarity function."""
@@ -100,3 +128,13 @@ def small_table(small_db, small_scheme):
 @pytest.fixture(scope="session")
 def small_searcher(small_table, small_db):
     return repro.SignatureTableSearcher(small_table, small_db)
+
+
+@pytest.fixture(scope="session")
+def medium_engine(medium_searcher):
+    return repro.QueryEngine(medium_searcher)
+
+
+@pytest.fixture(scope="session")
+def small_engine(small_searcher):
+    return repro.QueryEngine(small_searcher)

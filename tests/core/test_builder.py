@@ -3,6 +3,7 @@
 import pytest
 
 import repro
+from tests.conftest import forbid_scalar_loop
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,26 @@ class TestInserts:
         want, _ = fresh.multi_target_knn(targets, similarity, k=3, weights=[1, 0])
         assert got == want
         assert tid not in {n.tid for n in got}
+
+    def test_multi_queries_never_reach_the_scalar_loop(
+        self, small_index, small_db, monkeypatch
+    ):
+        """Conjunctive and multi-target queries run on the engine's packed
+        scans, budgeted or not, with inserts pending."""
+        small_index.insert([1, 3, 5, 7, 11])
+        targets = [sorted(small_db[1]), sorted(small_db[7])]
+        jaccard = repro.JaccardSimilarity()
+        forbid_scalar_loop(monkeypatch)
+        hits, _ = small_index.multi_range_query(
+            targets[0],
+            [(repro.MatchCountSimilarity(), 1.0), (repro.DiceSimilarity(), 0.3)],
+        )
+        assert hits
+        for budget in (None, 0.05):
+            neighbors, _ = small_index.multi_target_knn(
+                targets, jaccard, k=3, early_termination=budget
+            )
+            assert len(neighbors) == 3
 
     def test_getitem_covers_delta(self, small_index, small_db):
         tid = small_index.insert([7, 8])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro
-from tests.conftest import make_similarities
+from tests.conftest import forbid_scalar_loop, make_similarities
 
 SEEDS = [3, 17, 101]
 
@@ -212,13 +212,6 @@ def spans_named(roots, name):
     return found
 
 
-#: Every query method of the searcher: the guard patches them all.
-SEARCHER_QUERIES = (
-    "knn", "nearest", "range_query", "multi_range_query",
-    "multi_target_knn", "multi_target_range_query",
-)
-
-
 @pytest.mark.parametrize("scan", SCANS)
 def test_traced_batch_identical_and_one_span_per_query(
     instance, scan, monkeypatch
@@ -246,14 +239,10 @@ def test_traced_batch_identical_and_one_span_per_query(
     lsh = dict(candidate_tier="lsh", target_recall=0.9)
     rows = dict(candidates=np.array([5, 7, 9, 40, 41]))
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the engine reached the scalar searcher")
-
     def traced_equals_plain(call, budgeted=False):
         with monkeypatch.context() as patch:
             if not budgeted:
-                for name in SEARCHER_QUERIES:
-                    patch.setattr(repro.SignatureTableSearcher, name, unreachable)
+                forbid_scalar_loop(patch)
             plain = call()
             tracer = Tracer()
             with tracer.activate():

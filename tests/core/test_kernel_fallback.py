@@ -57,15 +57,15 @@ class TestFallbackReasons:
     def test_pooled_and_reference_mode_searchers_rejected(
         self, small_table, small_db
     ):
-        """The batch paths model neither a buffer pool nor per-transaction
-        reads: refused at construction, not silently run scalar."""
+        """The batch paths do not model a buffer pool: a pooled searcher is
+        refused at construction, not silently run scalar.  The
+        per-transaction reference mode is gone from the searcher itself."""
         pool = repro.BufferPool(small_table.store, capacity=8)
-        for searcher in (
-            repro.SignatureTableSearcher(small_table, small_db, buffer_pool=pool),
-            repro.SignatureTableSearcher(small_table, small_db, precompute=False),
-        ):
-            with pytest.raises(ValueError, match="no buffer pool"):
-                QueryEngine(searcher)
+        pooled = repro.SignatureTableSearcher(small_table, small_db, buffer_pool=pool)
+        with pytest.raises(ValueError, match="no buffer pool"):
+            QueryEngine(pooled)
+        with pytest.raises(TypeError, match="precompute"):
+            repro.SignatureTableSearcher(small_table, small_db, precompute=False)
 
 
 class TestFallbackObservability:

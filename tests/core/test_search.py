@@ -59,19 +59,6 @@ class TestNearestOptimality:
             efficiencies.append(stats.pruning_efficiency)
         assert np.mean(efficiencies) > 30.0
 
-    def test_precompute_false_agrees(
-        self, medium_table, medium_indexed, medium_queries
-    ):
-        fast = SignatureTableSearcher(medium_table, medium_indexed, precompute=True)
-        slow = SignatureTableSearcher(medium_table, medium_indexed, precompute=False)
-        sim = repro.CosineSimilarity()
-        for target in medium_queries[:5]:
-            nb_fast, st_fast = fast.nearest(target, sim)
-            nb_slow, st_slow = slow.nearest(target, sim)
-            assert nb_fast.similarity == pytest.approx(nb_slow.similarity)
-            assert nb_fast.tid == nb_slow.tid
-            assert st_fast.transactions_accessed == st_slow.transactions_accessed
-
     def test_supercoordinate_sort_still_exact(
         self, medium_searcher, medium_scan, medium_queries
     ):
@@ -297,6 +284,8 @@ class TestRangeQueries:
 
 
 class TestMultiTarget:
+    """Multi-target k-NN (Section 4.3) on the engine's packed scan."""
+
     def brute_force(self, db, targets, sim, aggregate):
         import numpy as np
 
@@ -310,11 +299,11 @@ class TestMultiTarget:
 
     @pytest.mark.parametrize("aggregate", ["mean", "min", "max"])
     def test_matches_brute_force(
-        self, small_searcher, small_db, aggregate
+        self, small_engine, small_db, aggregate
     ):
         sim = repro.JaccardSimilarity()
         targets = [sorted(small_db[1]), sorted(small_db[7]), sorted(small_db[19])]
-        neighbors, stats = small_searcher.multi_target_knn(
+        neighbors, stats = small_engine.multi_target_knn(
             targets, sim, k=3, aggregate=aggregate
         )
         truth = self.brute_force(small_db, targets, sim, aggregate)
@@ -324,28 +313,28 @@ class TestMultiTarget:
         )
 
     def test_single_target_agrees_with_knn(
-        self, medium_searcher, medium_queries
+        self, medium_engine, medium_queries
     ):
+        """One target's mean is its similarity: neighbours and stats are
+        the single-target k-NN's."""
         sim = repro.DiceSimilarity()
         target = medium_queries[0]
-        multi, _ = medium_searcher.multi_target_knn([target], sim, k=5)
-        single, _ = medium_searcher.knn(target, sim, k=5)
-        assert [n.similarity for n in multi] == pytest.approx(
-            [n.similarity for n in single]
-        )
+        multi = medium_engine.multi_target_knn([target], sim, k=5)
+        (single,), (stats,) = medium_engine.knn_batch([target], sim, k=5)
+        assert multi == (single, stats)
 
-    def test_empty_targets_rejected(self, medium_searcher):
+    def test_empty_targets_rejected(self, medium_engine):
         with pytest.raises(ValueError):
-            medium_searcher.multi_target_knn([], repro.DiceSimilarity())
+            medium_engine.multi_target_knn([], repro.DiceSimilarity())
 
-    def test_bad_aggregate_rejected(self, medium_searcher, medium_queries):
+    def test_bad_aggregate_rejected(self, medium_engine, medium_queries):
         with pytest.raises(ValueError, match="aggregate"):
-            medium_searcher.multi_target_knn(
+            medium_engine.multi_target_knn(
                 [medium_queries[0]], repro.DiceSimilarity(), aggregate="median"
             )
 
-    def test_early_termination_supported(self, medium_searcher, medium_queries):
-        neighbors, stats = medium_searcher.multi_target_knn(
+    def test_early_termination_supported(self, medium_engine, medium_queries):
+        neighbors, stats = medium_engine.multi_target_knn(
             [medium_queries[0], medium_queries[1]],
             repro.JaccardSimilarity(),
             k=2,
@@ -356,8 +345,8 @@ class TestMultiTarget:
             0.02 * stats.total_transactions
         )
 
-    def test_prunes(self, medium_searcher, medium_queries):
-        _, stats = medium_searcher.multi_target_knn(
+    def test_prunes(self, medium_engine, medium_queries):
+        _, stats = medium_engine.multi_target_knn(
             [medium_queries[0], medium_queries[1]],
             repro.MatchRatioSimilarity(),
             k=1,

@@ -1,4 +1,5 @@
-"""Tests for multi-target range queries and the query explain facility."""
+"""Tests for multi-target range queries (on the engine) and the
+searcher's query explain facility."""
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ class TestMultiTargetRange:
         return hits
 
     @pytest.mark.parametrize("aggregate", ["mean", "min", "max"])
-    def test_matches_brute_force(self, small_searcher, small_db, aggregate):
+    def test_matches_brute_force(self, small_engine, small_db, aggregate):
         sim = repro.JaccardSimilarity()
         targets = [sorted(small_db[3]), sorted(small_db[11])]
         for threshold in [0.2, 0.5]:
-            results, _ = small_searcher.multi_target_range_query(
+            results, _ = small_engine.multi_target_range_query(
                 targets, sim, threshold, aggregate=aggregate
             )
             expected = self.brute_force(
@@ -31,8 +32,8 @@ class TestMultiTargetRange:
             )
             assert {n.tid for n in results} == expected
 
-    def test_results_sorted(self, medium_searcher, medium_queries):
-        results, _ = medium_searcher.multi_target_range_query(
+    def test_results_sorted(self, medium_engine, medium_queries):
+        results, _ = medium_engine.multi_target_range_query(
             [medium_queries[0], medium_queries[1]],
             repro.DiceSimilarity(),
             0.2,
@@ -41,32 +42,31 @@ class TestMultiTargetRange:
         assert values == sorted(values, reverse=True)
         assert all(v >= 0.2 for v in values)
 
-    def test_prunes_entries(self, medium_searcher, medium_queries):
-        _, stats = medium_searcher.multi_target_range_query(
+    def test_prunes_entries(self, medium_engine, medium_queries):
+        _, stats = medium_engine.multi_target_range_query(
             [medium_queries[0]], repro.JaccardSimilarity(), 0.7
         )
         assert stats.entries_pruned > 0
 
     def test_single_target_equals_range_query(
-        self, medium_searcher, medium_queries
+        self, medium_searcher, medium_engine, medium_queries
     ):
+        """One target's mean is its similarity: hits and stats are the
+        searcher's single-target range query's."""
         sim = repro.JaccardSimilarity()
         target = medium_queries[2]
-        multi, _ = medium_searcher.multi_target_range_query([target], sim, 0.4)
-        single, _ = medium_searcher.range_query(target, sim, 0.4)
-        assert [(n.tid, n.similarity) for n in multi] == [
-            (n.tid, n.similarity) for n in single
-        ]
+        multi = medium_engine.multi_target_range_query([target], sim, 0.4)
+        assert multi == medium_searcher.range_query(target, sim, 0.4)
 
-    def test_empty_targets_rejected(self, medium_searcher):
+    def test_empty_targets_rejected(self, medium_engine):
         with pytest.raises(ValueError):
-            medium_searcher.multi_target_range_query(
+            medium_engine.multi_target_range_query(
                 [], repro.JaccardSimilarity(), 0.5
             )
 
-    def test_bad_aggregate_rejected(self, medium_searcher, medium_queries):
+    def test_bad_aggregate_rejected(self, medium_engine, medium_queries):
         with pytest.raises(ValueError, match="aggregate"):
-            medium_searcher.multi_target_range_query(
+            medium_engine.multi_target_range_query(
                 [medium_queries[0]],
                 repro.JaccardSimilarity(),
                 0.5,

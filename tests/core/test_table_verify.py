@@ -55,11 +55,11 @@ class TestVerify:
 
 
 class TestWeightedMultiTarget:
-    def test_weighted_mean_matches_brute_force(self, small_searcher, small_db):
+    def test_weighted_mean_matches_brute_force(self, small_engine, small_db):
         sim = repro.JaccardSimilarity()
         targets = [sorted(small_db[1]), sorted(small_db[7])]
         weights = [0.8, 0.2]
-        neighbors, _ = small_searcher.multi_target_knn(
+        neighbors, _ = small_engine.multi_target_knn(
             targets, sim, k=3, aggregate="mean", weights=weights
         )
         values = []
@@ -72,37 +72,37 @@ class TestWeightedMultiTarget:
             expected.tolist()
         )
 
-    def test_uniform_weights_match_plain_mean(self, small_searcher, small_db):
+    def test_uniform_weights_match_plain_mean(self, small_engine, small_db):
         sim = repro.DiceSimilarity()
         targets = [sorted(small_db[2]), sorted(small_db[9])]
-        weighted, _ = small_searcher.multi_target_knn(
+        weighted, _ = small_engine.multi_target_knn(
             targets, sim, k=4, weights=[1.0, 1.0]
         )
-        plain, _ = small_searcher.multi_target_knn(targets, sim, k=4)
+        plain, _ = small_engine.multi_target_knn(targets, sim, k=4)
         assert [n.similarity for n in weighted] == pytest.approx(
             [n.similarity for n in plain]
         )
 
-    def test_weights_require_mean(self, small_searcher, small_db):
+    def test_weights_require_mean(self, small_engine, small_db):
         with pytest.raises(ValueError, match="aggregate='mean'"):
-            small_searcher.multi_target_knn(
+            small_engine.multi_target_knn(
                 [sorted(small_db[0])],
                 repro.DiceSimilarity(),
                 aggregate="max",
                 weights=[1.0],
             )
 
-    def test_weight_shape_checked(self, small_searcher, small_db):
+    def test_weight_shape_checked(self, small_engine, small_db):
         with pytest.raises(ValueError, match="one entry per target"):
-            small_searcher.multi_target_knn(
+            small_engine.multi_target_knn(
                 [sorted(small_db[0])],
                 repro.DiceSimilarity(),
                 weights=[0.5, 0.5],
             )
 
-    def test_negative_weights_rejected(self, small_searcher, small_db):
+    def test_negative_weights_rejected(self, small_engine, small_db):
         with pytest.raises(ValueError, match="non-negative"):
-            small_searcher.multi_target_knn(
+            small_engine.multi_target_knn(
                 [sorted(small_db[0])],
                 repro.DiceSimilarity(),
                 weights=[-1.0],

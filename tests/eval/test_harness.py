@@ -5,6 +5,7 @@ These run the real experiment code at miniature scale (1-2 K transactions,
 trends themselves are asserted at full scale by the benchmarks.
 """
 
+import numpy as np
 import pytest
 
 import repro
@@ -21,6 +22,8 @@ from repro.eval.harness import (
     run_memory_ablation,
     run_pruning_vs_db_size,
 )
+from repro.eval.metrics import accuracy_against_truth
+from tests.conftest import forbid_scalar_loop
 
 
 @pytest.fixture(scope="module")
@@ -88,14 +91,18 @@ class TestExperimentContext:
         # Holdout comes from the same pattern pool but is a separate draw.
         assert holdout != indexed.subset(range(20))
 
-    def test_searcher_memoised(self, ctx):
-        a = ctx.searcher("T10.I6.D1K", 8)
-        b = ctx.searcher("T10.I6.D1K", 8)
-        assert a is b
+    def test_table_and_engine_memoised(self, ctx):
+        table = ctx.table("T10.I6.D1K", 8)
+        engine = ctx.engine("T10.I6.D1K", 8)
+        assert ctx.table("T10.I6.D1K", 8) is table
+        assert ctx.engine("T10.I6.D1K", 8) is engine
+        assert engine.searcher.table is table
+        raised = ctx.engine("T10.I6.D1K", 8, activation_threshold=2)
+        assert raised.searcher.table is not table
 
     def test_scheme_shared_across_thresholds(self, ctx):
-        base = ctx.searcher("T10.I6.D1K", 8).table.scheme
-        raised = ctx.searcher("T10.I6.D1K", 8, activation_threshold=2).table.scheme
+        base = ctx.table("T10.I6.D1K", 8).scheme
+        raised = ctx.table("T10.I6.D1K", 8, activation_threshold=2).scheme
         assert raised.activation_threshold == 2
         assert raised.signatures == base.signatures
 
@@ -185,3 +192,58 @@ class TestAblationRunners:
         )
         kib = table.column("directory KiB")
         assert kib[1] > kib[0]
+
+
+class TestRunnersOnTheEngine:
+    """Each runner answers a query set as one batch on the engine: the
+    figures are the per-query searcher loop's, value for value, and no
+    exact phase reaches the scalar loop."""
+
+    @staticmethod
+    def searcher_loop(ctx, spec, k, similarity, **options):
+        indexed, _ = ctx.database(spec)
+        searcher = repro.SignatureTableSearcher(ctx.table(spec, k), indexed)
+        return [
+            searcher.nearest(target, similarity, **options)
+            for target in ctx.queries(spec)
+        ]
+
+    def test_pruning_vs_db_size_equals_searcher_loop(self, ctx):
+        sim = repro.HammingSimilarity()
+        table = run_pruning_vs_db_size(sim, ctx)
+        for row in table.rows:
+            spec = f"T10.I6.D{row['db_size']}"
+            for k in ctx.profile["ks"]:
+                answers = self.searcher_loop(ctx, spec, k, sim)
+                assert row[f"K={k} prune%"] == float(
+                    np.mean([stats.pruning_efficiency for _, stats in answers])
+                )
+
+    def test_accuracy_vs_termination_equals_searcher_loop(self, ctx):
+        sim = repro.MatchRatioSimilarity()
+        spec = ctx.profile["large_spec"]
+        table = run_accuracy_vs_termination(sim, ctx)
+        for row, level in zip(table.rows, ctx.profile["termination_levels"]):
+            for k in ctx.profile["ks"]:
+                answers = self.searcher_loop(
+                    ctx, spec, k, sim, early_termination=level
+                )
+                found = [nb.similarity if nb else float("-inf") for nb, _ in answers]
+                assert row[f"K={k} acc%"] == accuracy_against_truth(
+                    found, ctx.truths(spec, sim)
+                )
+
+    def test_exact_phases_never_reach_the_scalar_loop(self, ctx, monkeypatch):
+        """Only budgeted queries (the engine's ``early_termination``
+        branch) and the sort-order ablation still run the searcher."""
+        forbid_scalar_loop(monkeypatch, allow_budgeted=True)
+        sim = repro.MatchRatioSimilarity()
+        small = dict(spec="T10.I6.D1K", num_signatures=8)
+        run_pruning_vs_db_size(sim, ctx)
+        run_accuracy_vs_termination(sim, ctx)
+        run_accuracy_vs_transaction_size(sim, ctx, termination=0.1)
+        run_ablation_partitioning(sim, ctx, **small)
+        run_ablation_activation_threshold(sim, ctx, thresholds=(1, 2), **small)
+        run_memory_ablation(sim, ctx, spec="T10.I6.D1K", ks=(6, 10))
+        with pytest.raises(AssertionError, match="scalar loop"):
+            run_ablation_sort_order(sim, ctx, **small)

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from repro.core.engine import QueryEngine
-from repro.core.search import SignatureTableSearcher
 from repro.core.similarity import get_similarity
 from repro.live import LiveIndex
 from repro.service.protocol import encode_search_stats
 
+from tests.conftest import forbid_scalar_loop
 from tests.live.conftest import random_transaction
 from tests.live.test_differential import fresh_searcher
 
@@ -42,12 +42,8 @@ def test_live_reads_never_reach_the_scalar_loop(
             pairs(oracle.range_query(t, similarity, 0.3)[0]) for t in targets
         ]
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("scalar loop reached by a live read")
-
         with monkeypatch.context() as patch:
-            for name in ("knn", "range_query", "multi_range_query"):
-                patch.setattr(SignatureTableSearcher, name, unreachable)
+            forbid_scalar_loop(patch)
             exact, _ = live.knn_batch(targets, similarity, k=5)
             ranged, _ = live.range_query_batch(targets, similarity, 0.3)
             for tier in ("exact", "lsh"):

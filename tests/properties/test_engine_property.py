@@ -5,7 +5,8 @@ Invariants the engine must satisfy for *any* batch:
 * a batch of one equals the single-query call;
 * permuting the batch permutes the answers (no cross-query leakage);
 * early-terminated batches keep the paper's per-query quality guarantee;
-* a traced batch records, per query, the span the searcher records.
+* a traced batch records, per query, the span the searcher records;
+* the conjunctive and multi-target queries equal the searcher's loops.
 """
 
 import numpy as np
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 import repro
 from repro.core.engine import batch_key
 from repro.core.partitioning import random_partition
-from repro.core.search import SignatureTableSearcher
+from repro.core.search import (
+    Neighbor,
+    PreparedQuery,
+    SearchStats,
+    SignatureTableSearcher,
+    target_aggregator,
+)
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase
 from repro.obs.trace import Tracer
@@ -200,3 +207,93 @@ def test_packed_trace_equals_python_trace(
         assert traced == plain
         assert len(spans) == len(batch)  # nothing went unrecorded
         assert spans == [_traced(lambda: searcher_call(t))[1][0] for t in batch]
+
+
+def aggregated_query(searcher, targets, similarity, aggregator):
+    """A multi-target objective as one :class:`PreparedQuery`, from the
+    searcher's own per-target bounds and similarities."""
+    prepared = [searcher._prepare(t, similarity, "optimistic") for t in targets]
+    opts = aggregator(np.stack([opts for _, _, opts, _ in prepared]))
+    sims = [searcher._all_similarities(items, bound) for items, bound, _, _ in prepared]
+    return PreparedQuery(
+        target_items=np.unique(np.concatenate([items for items, *_ in prepared])),
+        opts=opts,
+        order=np.argsort(-opts, kind="stable"),
+        sims_all=aggregator(np.stack(sims)),
+    )
+
+
+def scalar_range(searcher, prepared, threshold):
+    """The searcher's range loop over one prepared query: every entry
+    whose bound reaches ``threshold`` is read whole, in entry order,
+    through a per-query page cache."""
+    table = searcher.table
+    stats = SearchStats(
+        total_transactions=len(searcher.db),
+        entries_total=table.num_entries_occupied,
+    )
+    keep = prepared.opts >= threshold
+    stats.entries_pruned = int((~keep).sum())
+    page_cache = set()
+    hits = []
+    for entry in np.flatnonzero(keep):
+        tids = table.entry_tids(int(entry))
+        table.store.read(tids, stats.io, page_cache)
+        stats.transactions_accessed += int(tids.size)
+        stats.entries_scanned += 1
+        values = prepared.sims_all[tids]
+        hits += [
+            Neighbor(int(tid), float(value))
+            for tid, value in zip(tids, values)
+            if value >= threshold
+        ]
+    return sorted(hits, key=lambda nb: (-nb.similarity, nb.tid)), stats
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_targets=st.integers(1, 4),
+    aggregate=st.sampled_from(["mean", "min", "max", "weighted"]),
+    k=st.sampled_from([1, 5]),
+    early_termination=st.sampled_from([None, 0.02, 0.2]),
+    similarity=st.sampled_from(SIMS + [SIMILARITIES[0]]),  # + match count
+    threshold=st.sampled_from([0.0, 0.2, 0.5]),
+    num_constraints=st.integers(1, 2),
+)
+def test_multi_queries_equal_searcher_oracle(
+    seed, num_targets, aggregate, k, early_termination, similarity, threshold,
+    num_constraints,
+):
+    """The engine's multi-target k-NN is the searcher's k-NN loop over the
+    aggregated query, its multi-target range the range loop over it, and
+    its conjunctive range the searcher's: neighbours and full stats."""
+    rng, db, table, targets = scan_instance(seed)
+    targets = targets[:num_targets]
+    weights = None
+    if aggregate == "weighted":
+        aggregate = "mean"
+        weights = rng.integers(0, 4, size=num_targets).astype(float)
+        weights[0] += 1.0
+    engine = repro.QueryEngine.for_table(table, db)
+    searcher = engine.searcher
+    oracle = aggregated_query(
+        searcher, targets, similarity,
+        target_aggregator(aggregate, num_targets, weights),
+    )
+    assert engine.multi_target_knn(
+        targets, similarity, k=k, aggregate=aggregate,
+        early_termination=early_termination, weights=weights,
+    ) == searcher.knn(
+        targets[0], similarity, k=k,
+        early_termination=early_termination, prepared=oracle,
+    )
+    if weights is None:
+        assert engine.multi_target_range_query(
+            targets, similarity, threshold, aggregate=aggregate
+        ) == scalar_range(searcher, oracle, threshold)
+    constraints = [(similarity, threshold), (repro.MatchCountSimilarity(), 1.0)]
+    constraints = constraints[:num_constraints]
+    assert engine.multi_range_query(
+        targets[0], constraints
+    ) == searcher.multi_range_query(targets[0], constraints)

@@ -290,7 +290,6 @@ class TestMaskedBudgetedScan:
                 packed._normalise(targets), similarity, "optimistic"
             ),
             k,
-            True,
             candidates=None if candidates is None else [candidates] * len(targets),
             budget=searcher._budget(fraction),
             tolerance=tolerance,
@@ -354,10 +353,8 @@ class TestMaskedBudgetedScan:
             np.testing.assert_array_equal(lazy.row_sims(tids), full.sims_all[tids])
         few = [np.sort(tids[:3])] * len(targets)
         assert kernels.knn_scan_batch(
-            table, len(db), sparse, 2, True, candidates=few
-        ) == kernels.knn_scan_batch(
-            table, len(db), dense, 2, True, candidates=few
-        )
+            table, len(db), sparse, 2, candidates=few
+        ) == kernels.knn_scan_batch(table, len(db), dense, 2, candidates=few)
 
     def test_query_independent_state_is_built_once(self):
         """Signature masks and the tid -> entry map are cached like

@@ -118,15 +118,14 @@ def test_early_termination_never_beats_optimum(instance):
 
 @settings(max_examples=20, deadline=None)
 @given(search_instances())
-def test_precompute_paths_agree(instance):
+def test_similarities_equal_brute_force(instance):
+    """The searcher's vectorised similarities are the per-transaction set
+    arithmetic, value for value: a k-NN over every row returns each tid
+    once, with exactly its brute-force similarity."""
     scheme, db, target = instance
-    table = SignatureTable.build(db, scheme)
-    fast = SignatureTableSearcher(table, db, precompute=True)
-    slow = SignatureTableSearcher(table, db, precompute=False)
+    searcher = SignatureTableSearcher(SignatureTable.build(db, scheme), db)
     for sim in SIMS:
-        nb_fast, st_fast = fast.nearest(target, sim)
-        nb_slow, st_slow = slow.nearest(target, sim)
-        assert nb_fast.tid == nb_slow.tid
-        assert nb_fast.similarity == nb_slow.similarity
-        assert st_fast.transactions_accessed == st_slow.transactions_accessed
-        assert st_fast.entries_scanned == st_slow.entries_scanned
+        neighbors, _ = searcher.knn(target, sim, k=len(db))
+        truth = brute_force_values(db, target, sim)
+        assert sorted(n.tid for n in neighbors) == list(range(len(db)))
+        assert all(n.similarity == truth[n.tid] for n in neighbors)

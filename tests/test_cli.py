@@ -425,6 +425,39 @@ class TestQuery:
             )
 
 
+class TestRangeRefusesKnnFlags:
+    """``--threshold`` asks for a range query, which has no row budget and
+    no scan order: a k-NN flag beside it is refused (exit 2, nothing on
+    stdout), not silently dropped."""
+
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("query", ["--early-termination", "0.01"], "--early-termination"),
+            ("query-batch", ["--early-termination", "0.01"], "--early-termination"),
+            ("explain", ["--early-termination", "0.01"], "--early-termination"),
+            ("explain", ["--sort-by", "supercoordinate"], "--sort-by"),
+        ],
+    )
+    def test_refused(
+        self, dataset_path, table_path, tmp_path, capsys, command, flags, named
+    ):
+        if command == "query-batch":
+            queries = tmp_path / "queries.txt"
+            queries.write_text("1 2 3\n")
+            target = [str(queries)]
+        else:
+            target = ["1", "2", "3"]
+        argv = [command, str(dataset_path), str(table_path), *target]
+        assert main(argv + ["--threshold", "0.2"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {named} does not apply to --threshold" in err
+        # Either flag alone still answers.
+        assert main(argv + ["--threshold", "0.2"]) == 0
+        assert main(argv + flags) == 0
+
+
 class TestQueryBatch:
     @pytest.fixture(scope="class")
     def queries_path(self, tmp_path_factory):
