@@ -538,14 +538,17 @@ def _cmd_sketch_stats(args: argparse.Namespace) -> int:
 
 
 @contextlib.contextmanager
-def _open_live(directory: str, *, base=None, fault_plan=None, **options):
+def _open_live(
+    directory: str, *, base=None, fault_plan=None, fault_metrics=None, **options
+):
     """The live index in ``directory``, open; closed when the block ends.
 
     ``base`` — the ``db``, ``scheme`` and ``page_size`` of
     :meth:`LiveIndex.create` — creates the directory first.
     ``fault_plan`` names a JSON :class:`~repro.faults.FaultPlan` whose
-    injector guards the index's WAL and checkpoint I/O; ``options`` go to
-    the index (``fsync_interval``, ``metrics_registry``).
+    injector guards the index's WAL and checkpoint I/O and counts into
+    the ``fault_metrics`` registry; ``options`` go to the index
+    (``fsync_interval``).
     """
     from repro.live import LiveIndex
 
@@ -553,8 +556,7 @@ def _open_live(directory: str, *, base=None, fault_plan=None, **options):
         from repro.faults import FaultInjector, FaultPlan
 
         options["injector"] = FaultInjector(
-            FaultPlan.load(fault_plan),
-            metrics_registry=options.get("metrics_registry"),
+            FaultPlan.load(fault_plan), metrics_registry=fault_metrics
         )
         print(f"fault injection armed from {fault_plan}", flush=True)
     if base is not None:
@@ -565,13 +567,6 @@ def _open_live(directory: str, *, base=None, fault_plan=None, **options):
         yield index
     finally:
         index.close()
-
-
-def _live_index_info(directory: str, index, **extra) -> Dict[str, object]:
-    """The ``index`` block a live server reports in its ``stats``."""
-    info = {"directory": directory, **extra, **index.describe()}
-    info["universe_size"] = index.scheme.universe_size
-    return info
 
 
 def _server_options(args: argparse.Namespace) -> Dict[str, object]:
@@ -617,13 +612,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     live, metrics_registry = contextlib.nullcontext(), None
     if args.live is not None:
-        from repro.obs import MetricRegistry
+        if args.fault_plan:
+            from repro.obs import MetricRegistry
 
-        # One registry carries both the service counters and the live
-        # index's WAL/compaction gauges, so a single scrape shows both.
-        metrics_registry = MetricRegistry()
+            # The injector counts into the server's registry, beside the
+            # service and live-index metrics the server binds there.
+            metrics_registry = MetricRegistry()
         live = _open_live(
-            args.live, fault_plan=args.fault_plan, metrics_registry=metrics_registry
+            args.live, fault_plan=args.fault_plan, fault_metrics=metrics_registry
         )
     elif args.fault_plan:
         # The plan guards WAL and checkpoint I/O, which a frozen table has
@@ -633,15 +629,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ValueError("serve needs either --live DIR or a database and a table")
     with live as live_index:
         if live_index is not None:
-            from repro.live import LiveQueryEngine
-
-            engine = LiveQueryEngine(live_index)
-            index_info = _live_index_info(args.live, live_index)
+            index, index_info = live_index, {"directory": args.live}
+            served = f"{live_index.num_transactions} transactions, live"
         else:
             from repro.core.engine import QueryEngine
 
             db, table = _load_index(args)
-            engine = QueryEngine.for_table(table, db)
+            index = QueryEngine.for_table(table, db)
             index_info = {
                 "database": args.database,
                 "table": args.table,
@@ -649,22 +643,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "universe_size": db.universe_size,
                 "num_signatures": table.scheme.num_signatures,
             }
+            served = f"{len(db)} transactions, frozen"
         server = QueryServer(
-            engine,
+            index,
             logger=JsonLogger("server", enabled=args.log_json),
             max_queue=args.max_queue,
             default_timeout_ms=args.timeout_ms,
             allow_remote_shutdown=not args.no_remote_shutdown,
             index_info=index_info,
-            live_index=live_index,
             metrics_registry=metrics_registry,
             **_server_options(args),
         )
         _serve_forever(
             server,
-            f"serving {args.live or args.database} "
-            f"({index_info['num_transactions']} transactions, "
-            f"{'frozen' if live_index is None else 'live'})",
+            f"serving {args.live or args.database} ({served})",
             f"  [max_batch_size={args.max_batch_size}, "
             f"max_wait_ms={args.max_wait_ms:g}, max_queue={args.max_queue}]",
         )
@@ -694,30 +686,27 @@ def _parse_shard_spec(text: str) -> tuple:
 
 def _cmd_node(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterNodeServer, ReplicatedLiveIndex, WalShipper
-    from repro.live import LiveQueryEngine
-    from repro.obs import MetricRegistry
 
     if args.replica and args.role != "owner":
         raise ValueError(
             "--replica names the owner's ship target; replica-role nodes "
             "receive the stream instead"
         )
-    registry = MetricRegistry()
-    with _open_live(args.directory, metrics_registry=registry) as index:
-        live = index
+    with _open_live(args.directory) as index:
+        served = index
         if args.replica:
-            live = ReplicatedLiveIndex(
+            served = ReplicatedLiveIndex(
                 index, WalShipper(args.shard, _parse_address(args.replica))
             )
         server = ClusterNodeServer(
-            LiveQueryEngine(index),
+            served,
             shard=args.shard,
             role=args.role,
-            live_index=live,
-            metrics_registry=registry,
-            index_info=_live_index_info(
-                args.directory, index, shard=args.shard, role=args.role
-            ),
+            index_info={
+                "directory": args.directory,
+                "shard": args.shard,
+                "role": args.role,
+            },
             **_server_options(args),
         )
         _serve_forever(
@@ -775,14 +764,7 @@ def _cmd_router(args: argparse.Namespace) -> int:
             interval=args.probe_interval,
             failure_threshold=args.probe_failures,
         )
-    server = RouterServer(
-        router,
-        index_info={
-            "kind": "cluster_router",
-            "shards": [spec.name for spec in specs],
-        },
-        **_server_options(args),
-    )
+    server = RouterServer(router, **_server_options(args))
     shard_list = ", ".join(
         spec.name + ("+replica" if spec.replica_address else "")
         for spec in specs

@@ -29,7 +29,6 @@ from repro.cluster.node import ClusterNodeServer
 from repro.cluster.replication import ReplicatedLiveIndex
 from repro.cluster.router import ClusterRouter, RouterServer, ShardSpec
 from repro.data.transaction import TransactionDatabase
-from repro.live.engine import LiveQueryEngine
 from repro.live.index import LiveIndex
 from repro.service.client import ServiceClient
 from repro.service.server import serve_in_background
@@ -195,9 +194,8 @@ class ClusterHarness:
                     sketch=sketch,
                 )
                 replica_server = serve_in_background(
-                    LiveQueryEngine(replica_index),
+                    replica_index,
                     server_cls=ClusterNodeServer,
-                    live_index=replica_index,
                     shard=name,
                     role="replica",
                     **node_options,
@@ -219,9 +217,8 @@ class ClusterHarness:
                 self._shippers.append(shipper)
                 live = ReplicatedLiveIndex(owner_index, shipper)
             owner_server = serve_in_background(
-                LiveQueryEngine(owner_index),
+                live,
                 server_cls=ClusterNodeServer,
-                live_index=live,
                 shard=name,
                 role="owner",
                 **node_options,

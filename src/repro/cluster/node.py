@@ -1,12 +1,13 @@
 """Shard-node server: a :class:`QueryServer` that speaks the cluster ops.
 
-A :class:`ClusterNodeServer` fronts one shard's live index.  Owners
-serve queries and mutations exactly like a single-node server (their
-``live_index`` is usually a
+A :class:`ClusterNodeServer` serves one shard's live index.  Owners
+serve queries and mutations exactly like a single-node server (the
+served index is usually a
 :class:`~repro.cluster.replication.ReplicatedLiveIndex`, so acks imply
-replica durability).  Replicas serve queries but answer every client
-mutation ``unavailable`` until promoted — their state advances only
-through ``replicate`` batches from the owner.
+replica durability).  Replicas serve their plain
+:class:`~repro.live.index.LiveIndex` and answer every client mutation
+``unavailable`` until promoted — their state advances only through
+``replicate`` batches from the owner.
 
 ``promote`` flips a replica to owner during failover.  From that
 moment it accepts mutations — and *refuses* further ``replicate``
@@ -27,6 +28,7 @@ from typing import Optional, Tuple
 
 from repro.cluster.replication import ReplicaApplier
 from repro.service import frames
+from repro.service.protocol import MUTATION_OPS
 from repro.service.server import QueryServer
 
 __all__ = ["ClusterNodeServer"]
@@ -47,15 +49,15 @@ class ClusterNodeServer(QueryServer):
         frames.FRAME_REPLICATE,
     )
 
-    def __init__(self, engine, shard: str = "shard", role: str = "owner",
+    def __init__(self, index, shard: str = "shard", role: str = "owner",
                  **options) -> None:
         if role not in ("owner", "replica"):
             raise ValueError(f"role must be 'owner' or 'replica', got {role!r}")
-        super().__init__(engine, **options)
+        super().__init__(index, **options)
         self.shard = str(shard)
         self.role = role
         self.applier: Optional[ReplicaApplier] = (
-            ReplicaApplier(self.live_index) if role == "replica" else None
+            ReplicaApplier(index) if role == "replica" else None
         )
         registry = self.metrics.registry
         node = f"{self.shard}/{role}"
@@ -80,8 +82,7 @@ class ClusterNodeServer(QueryServer):
     # ------------------------------------------------------------------
     async def _dispatch(self, message, writer, write_lock, conn) -> None:
         op = message["op"]
-        if self.role == "replica" and op in ("insert", "delete", "compact",
-                                             "checkpoint"):
+        if self.role == "replica" and op in MUTATION_OPS:
             # Warm replicas advance only through replication; a direct
             # mutation would fork them from the owner.  ``unavailable``
             # is deliberate — it is retryable, so a client that keeps
@@ -122,8 +123,8 @@ class ClusterNodeServer(QueryServer):
             payload = {
                 "role": self.role,
                 "shard": self.shard,
-                "applied_seqno": int(self.live_index.applied_seqno),
-                "num_transactions": int(self.live_index.num_transactions),
+                "applied_seqno": int(self.index.applied_seqno),
+                "num_transactions": int(self.index.num_transactions),
             }
             if self.applier is not None:
                 payload["source_seqno"] = int(self.applier.source_seqno or 0)
@@ -225,7 +226,7 @@ class ClusterNodeServer(QueryServer):
         loop = asyncio.get_running_loop()
 
         def fetch():
-            db = self.live_index.logical_db()
+            db = self.index.logical_db()
             return [[int(i) for i in db.items_of(int(t))] for t in tids]
 
         try:

@@ -1,11 +1,12 @@
 """The cluster front-end: consistent-hash routing plus scatter-gather.
 
-:class:`ClusterRouter` presents the *engine* surface (``run_batch``)
-and the *live-index* surface (``insert`` / ``delete`` / ``compact`` /
-``checkpoint`` / ``probe``) a :class:`~repro.service.server.QueryServer`
-expects, so :class:`RouterServer` is a near-stock server whose "engine"
-fans every coalesced batch out to the shard-owner nodes and whose
-"index" routes every mutation to the owning shard.
+:class:`ClusterRouter` is an object a
+:class:`~repro.service.server.QueryServer` serves like any live index:
+``run_batch`` fans every coalesced batch out to the shard-owner nodes,
+and the mutation surface (``insert`` / ``delete`` / ``compact`` /
+``checkpoint`` / ``probe``) routes every mutation to the owning shard.
+:class:`RouterServer` is the stock server around it plus the cluster
+ops.
 
 Correctness contract (the differential suite pins this down): on a
 quiescent cluster, kNN and range answers are **byte-identical** to a
@@ -44,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.engine import similarity_key
+from repro.core.engine import check_batch_similarity
 from repro.core.search import Neighbor, SearchStats
 from repro.core.merge import merge_neighbor_lists, merge_search_stats
 from repro.cluster.directory import TidDirectory
@@ -301,11 +302,7 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     def run_batch(self, key, similarity, targets):
         """Scatter one coalesced batch to every shard and merge exactly."""
-        if similarity_key(similarity) != key.similarity:
-            raise ValueError(
-                f"similarity {similarity_key(similarity)!r} does not match "
-                f"batch key {key.similarity!r}"
-            )
+        check_batch_similarity(key, similarity)
         if key.op == "knn" and key.guarantee_tolerance is not None:
             raise ValueError(
                 "guarantee_tolerance is not supported by the cluster merge"
@@ -912,21 +909,20 @@ class ClusterRouter:
 
 
 class RouterServer(QueryServer):
-    """A :class:`QueryServer` whose engine *and* live index are the router.
+    """A :class:`QueryServer` serving a :class:`ClusterRouter`.
 
-    Construct with ``RouterServer(router, live_index=router, ...)`` —
-    queries micro-batch as usual and scatter through
-    :meth:`ClusterRouter.run_batch`; mutations route through the
-    directory.  Adds the ``ring`` and ``rebalance`` cluster ops.
+    Construct with ``RouterServer(router, ...)`` — queries micro-batch as
+    usual and scatter through :meth:`ClusterRouter.run_batch`; mutations
+    route through the directory; the router's registry is the server's.
+    Adds the ``ring`` and ``rebalance`` cluster ops.
     """
 
-    def __init__(self, engine, **options) -> None:
-        if not isinstance(engine, ClusterRouter):
-            raise TypeError("RouterServer fronts a ClusterRouter engine")
-        options.setdefault("live_index", engine)
-        options.setdefault("metrics_registry", engine.registry)
-        super().__init__(engine, **options)
-        self.router: ClusterRouter = engine
+    def __init__(self, router, **options) -> None:
+        if not isinstance(router, ClusterRouter):
+            raise TypeError("RouterServer fronts a ClusterRouter")
+        options.setdefault("metrics_registry", router.registry)
+        super().__init__(router, **options)
+        self.router: ClusterRouter = router
 
     async def _metrics_registry(self, scope: str):
         """``scope="cluster"`` scatter-gathers every node's registry."""

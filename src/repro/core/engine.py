@@ -191,6 +191,41 @@ def similarity_key(similarity: SimilarityFunction) -> str:
     return f"{similarity.name}:{similarity!r}"
 
 
+def check_batch_similarity(key: BatchKey, similarity: SimilarityFunction) -> None:
+    """Raise ``ValueError`` unless ``similarity`` is the function ``key``
+    describes — the key is hashable metadata, the instance does the
+    arithmetic."""
+    if similarity_key(similarity) != key.similarity:
+        raise ValueError(
+            f"similarity {similarity_key(similarity)!r} does not match "
+            f"batch key {key.similarity!r}"
+        )
+
+
+def dispatch_batch(
+    index,
+    key: BatchKey,
+    similarity: SimilarityFunction,
+    targets: Sequence[Iterable[int]],
+) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
+    """Run one coalesced batch on ``index``'s ``knn_batch`` /
+    ``range_query_batch`` with the parameters ``key`` carries: the one
+    mapping from a :class:`BatchKey` to the batch methods, behind
+    :meth:`QueryEngine.run_batch` and
+    :meth:`LiveIndex.run_batch <repro.live.index.LiveIndex.run_batch>`."""
+    tier = dict(candidate_tier=key.candidate_tier, target_recall=key.target_recall)
+    if key.op == "knn":
+        return index.knn_batch(
+            targets,
+            similarity,
+            k=key.k,
+            early_termination=key.early_termination,
+            guarantee_tolerance=key.guarantee_tolerance,
+            **tier,
+        )
+    return index.range_query_batch(targets, similarity, key.threshold, **tier)
+
+
 def batch_key(
     op: str,
     similarity: SimilarityFunction,
@@ -588,11 +623,7 @@ class QueryEngine:
         coalesced service traffic runs the exact batch methods the
         differential tests pin down.
         """
-        if similarity_key(similarity) != key.similarity:
-            raise ValueError(
-                f"similarity {similarity_key(similarity)!r} does not match "
-                f"batch key {key.similarity!r}"
-            )
+        check_batch_similarity(key, similarity)
         with span(
             "engine.run_batch", op=key.op, batch_size=len(targets)
         ) as batch_span:
@@ -601,23 +632,7 @@ class QueryEngine:
                 # Name the silent downgrade in the trace; `knn_batch`
                 # counts it for dashboards.
                 batch_span.set_attribute("kernel_fallback", fallback)
-            if key.op == "knn":
-                return self.knn_batch(
-                    targets,
-                    similarity,
-                    k=key.k,
-                    early_termination=key.early_termination,
-                    guarantee_tolerance=key.guarantee_tolerance,
-                    candidate_tier=key.candidate_tier,
-                    target_recall=key.target_recall,
-                )
-            return self.range_query_batch(
-                targets,
-                similarity,
-                key.threshold,
-                candidate_tier=key.candidate_tier,
-                target_recall=key.target_recall,
-            )
+            return dispatch_batch(self, key, similarity, targets)
 
     # ------------------------------------------------------------------
     # Batch preparation

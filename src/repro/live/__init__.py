@@ -14,10 +14,10 @@ top of it, LSM-style:
 * :class:`~repro.live.index.LiveIndex` — the composite: base segment +
   delta + tombstones + WAL, with crash recovery
   (:meth:`~repro.live.index.LiveIndex.recover`), atomic checkpoints and
-  background compaction that swaps segments without blocking readers;
-* :class:`~repro.live.engine.LiveQueryEngine` — the ``run_batch``
-  adapter that lets the query service's micro-batcher serve a live
-  index exactly as it serves a frozen one.
+  background compaction that swaps segments without blocking readers.
+  The query service serves it as it is: ``run_batch`` takes the
+  micro-batcher's coalesced batches exactly as a frozen engine's does,
+  and ``bind_metrics`` is its one metrics binding.
 
 Queries scan the base on the packed kernels with the tombstones masked
 out, read the delta whole, and merge under the deterministic
@@ -27,7 +27,6 @@ oracle pinned by ``tests/live``).
 """
 
 from repro.live.delta import DeltaIndex
-from repro.live.engine import LiveQueryEngine
 from repro.live.index import CompactionPolicy, CompactionReport, LiveIndex
 from repro.live.wal import WalRecord, WriteAheadLog, replay_wal
 
@@ -36,7 +35,6 @@ __all__ = [
     "CompactionReport",
     "DeltaIndex",
     "LiveIndex",
-    "LiveQueryEngine",
     "WalRecord",
     "WriteAheadLog",
     "replay_wal",

@@ -28,6 +28,10 @@ mutable without giving up its query algorithm or its results:
 * **Recovery** (:meth:`LiveIndex.recover`) loads the newest checkpoint
   and replays the WAL tail past its sequence number; a torn tail from a
   crash is truncated away.
+* **Serving**: a :class:`~repro.service.server.QueryServer` serves the
+  index itself — batches through :meth:`LiveIndex.run_batch`, ``stats``
+  from :meth:`LiveIndex.describe`, metrics through
+  :meth:`LiveIndex.bind_metrics`.
 
 Concurrency model: one re-entrant *mutation lock* serialises
 insert/delete/compact/checkpoint; a short *swap lock* guards the
@@ -47,7 +51,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.advisor import DriftReport, activation_drift
-from repro.core.engine import QueryEngine
+from repro.core.engine import (
+    BatchKey,
+    QueryEngine,
+    _canonical_tier,
+    check_batch_similarity,
+    dispatch_batch,
+)
 from repro.core.merge import merge_neighbor_lists
 from repro.core.search import Neighbor, SearchStats
 from repro.core.signature import SignatureScheme
@@ -124,25 +134,20 @@ class _ReadState:
         self.num_dead = int(base_live.size - self.num_base_live)
         self.delta = delta
 
-    def base_candidates(self, targets, candidate_tier, target_recall):
-        """``(probes, candidates)`` of the base scan.
+    def base_candidates(self, targets, candidate_tier, target_recall, op):
+        """``(probes, candidates)`` of the base scan, for a tier the
+        engine's ``_canonical_tier`` has validated.
 
         The candidates are the live base rows (``None`` while nothing is
         tombstoned); under the lsh tier, one row per query: its sketch
-        probe's candidates among them.  The delta is memory-resident and
-        always read whole, so approximation never touches it.
+        probe's candidates among them, probed through the engine so
+        ``repro_sketch_candidates_total{op}`` counts them.  The delta is
+        memory-resident and always read whole, so approximation never
+        touches it.
         """
         if candidate_tier == "exact":
             return None, (self.base_live if self.num_dead else None)
-        if candidate_tier != "lsh":
-            raise ValueError(f"unknown candidate_tier {candidate_tier!r}")
-        if self.engine.sketch is None:
-            raise ValueError(
-                "candidate_tier='lsh' requires a sketch column; create the "
-                "live index with sketch=True (or attach one before the "
-                "initial snapshot)"
-            )
-        probes = self.engine.sketch.probe_batch(targets, target_recall)
+        probes = self.engine._probe_batch(targets, target_recall, op=op)
         masks = np.stack([probe.mask(self.base_live.size) for probe in probes])
         return probes, masks & self.base_live
 
@@ -182,18 +187,16 @@ class _ReadState:
     def _finish_sketch_stats(
         self, stats: SearchStats, probe, candidates, kth_logical
     ) -> None:
-        """Stamp the lossy-tier report onto merged stats, as the engine
-        does: the live candidates, and the recall estimate sharpened by
-        the k-th neighbour when that is a base row."""
-        stats.candidate_tier = "lsh"
-        stats.guaranteed_optimal = False
-        stats.sketch_candidates = int(np.count_nonzero(candidates)) + len(self.delta)
+        """Stamp the lossy-tier report onto merged stats through the
+        engine's own helper, which also observes the merged access
+        fraction in ``repro_sketch_access_fraction``: the recall estimate
+        is sharpened by the k-th neighbour when that is a base row, and
+        the candidates are the live ones."""
         kth_tid = None
         if kth_logical is not None and kth_logical < self.num_base_live:
             kth_tid = int(np.flatnonzero(self.base_live)[kth_logical])
-        stats.estimated_recall = self.engine.sketch.estimate_result_recall(
-            probe, kth_tid
-        )
+        self.engine._finish_sketch_stats(stats, probe, kth_tid)
+        stats.sketch_candidates = int(np.count_nonzero(candidates)) + len(self.delta)
 
 
 def _fsync_file(path: str) -> None:
@@ -238,7 +241,6 @@ class LiveIndex:
         applied_seqno: int,
         fsync_interval: int = 1,
         policy: Optional[CompactionPolicy] = None,
-        metrics_registry=None,
         injector=None,
         dedupe: Optional[DedupeTable] = None,
     ) -> None:
@@ -248,9 +250,10 @@ class LiveIndex:
         self._page_size = table.store.page_size
         self._base_table = table
         self._base_db = db
-        # Registry the base engine accounts kernel fallbacks in, bound
-        # again to every engine a compaction builds.
-        self._engine_registry = None
+        # The registry of bind_metrics, bound again to every engine a
+        # compaction builds; `_metrics` holds its WAL/compaction series.
+        self._registry = None
+        self._metrics = None
         self._base_engine = self._engine_for(table, db)
         self._base_live = np.ones(len(db), dtype=bool)
         self._base_files = base_files
@@ -280,9 +283,6 @@ class LiveIndex:
         self._closed = False
         self._base_fractions: Optional[np.ndarray] = None
         self.compactions = 0
-        self._metrics = None
-        if metrics_registry is not None:
-            self._bind_metrics(metrics_registry)
 
     # ------------------------------------------------------------------
     # Construction
@@ -461,8 +461,14 @@ class LiveIndex:
         return int(self._base_live.size - self._base_live.sum())
 
     @property
-    def sketch_enabled(self) -> bool:
-        """Whether the base table carries a sketch column (lsh tier usable)."""
+    def universe_size(self) -> int:
+        """Targets and inserts may name items in ``[0, universe_size)`` only."""
+        return self._scheme.universe_size
+
+    @property
+    def supports_lsh_tier(self) -> bool:
+        """Whether the base table carries a sketch column, so
+        ``candidate_tier="lsh"`` queries can run."""
         return self._base_table.sketch is not None
 
     def logical_sketch_signatures(self) -> Optional[np.ndarray]:
@@ -510,7 +516,8 @@ class LiveIndex:
             "compactions": self.compactions,
             "dedupe_entries": len(self.dedupe),
             "num_signatures": self._scheme.num_signatures,
-            "sketch_enabled": self.sketch_enabled,
+            "universe_size": self._scheme.universe_size,
+            "sketch_enabled": self.supports_lsh_tier,
         }
 
     # ------------------------------------------------------------------
@@ -706,12 +713,13 @@ class LiveIndex:
         ``guaranteed_optimal=False``.
         """
         check_positive(k, "k")
+        candidate_tier, target_recall = _canonical_tier(candidate_tier, target_recall)
         targets = [as_item_array(t, self._scheme.universe_size) for t in targets]
         if not targets:
             return [], []
         state = self._read_state()
         probes, candidates = state.base_candidates(
-            targets, candidate_tier, target_recall
+            targets, candidate_tier, target_recall, op="knn"
         )
         base_lists, stats = state.engine.knn_batch(
             targets,
@@ -735,12 +743,13 @@ class LiveIndex:
         """All logical transactions with similarity >= ``threshold``, for
         every target; the read state and ``candidate_tier`` behave as in
         :meth:`knn_batch`."""
+        candidate_tier, target_recall = _canonical_tier(candidate_tier, target_recall)
         targets = [as_item_array(t, self._scheme.universe_size) for t in targets]
         if not targets:
             return [], []
         state = self._read_state()
         probes, candidates = state.base_candidates(
-            targets, candidate_tier, target_recall
+            targets, candidate_tier, target_recall, op="range"
         )
         base_lists, stats = state.engine.range_query_batch(
             targets, similarity, threshold, candidates=candidates
@@ -767,6 +776,20 @@ class LiveIndex:
             [target], similarity, threshold, **options
         )
         return results[0], stats[0]
+
+    def run_batch(
+        self,
+        key: BatchKey,
+        similarity: SimilarityFunction,
+        targets: Sequence[Iterable[int]],
+    ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
+        """Execute one coalesced service batch, the contract of
+        :meth:`QueryEngine.run_batch
+        <repro.core.engine.QueryEngine.run_batch>`: one
+        :meth:`knn_batch` / :meth:`range_query_batch` call, so the batch
+        sees each concurrent mutation entirely or not at all."""
+        check_batch_similarity(key, similarity)
+        return dispatch_batch(self, key, similarity, targets)
 
     def logical_db(self) -> TransactionDatabase:
         """Materialise the logically-current database.
@@ -1067,7 +1090,13 @@ class LiveIndex:
     # ------------------------------------------------------------------
     # Metrics / lifecycle
     # ------------------------------------------------------------------
-    def _bind_metrics(self, registry) -> None:
+    def bind_metrics(self, registry) -> None:
+        """Export this index's metrics into ``registry``: the WAL,
+        delta and compaction series, and the base engine's
+        (:meth:`QueryEngine.bind_metrics
+        <repro.core.engine.QueryEngine.bind_metrics>`: kernel fallbacks,
+        sketch candidates and access fraction), now and after every
+        compaction.  A server binds its registry here at startup."""
         self._metrics = {
             "appends": registry.counter(
                 "repro_wal_appends_total", "WAL records appended"
@@ -1094,28 +1123,23 @@ class LiveIndex:
         registry.gauge(
             "repro_wal_fsyncs", "fsync calls issued by the WAL"
         ).set_function(lambda: float(self._wal.counters.fsyncs))
+        with self._mutation_lock:  # a compaction cannot swap in between
+            self._registry = registry
+            self._base_engine.bind_metrics(registry)
 
     def _record_wal_metrics(self, appended_bytes: int) -> None:
         if self._metrics is not None:
             self._metrics["appends"].inc()
             self._metrics["bytes"].inc(appended_bytes)
 
-    def bind_engine_metrics(self, registry) -> None:
-        """Account the base engine's kernel fallbacks in ``registry``
-        (:meth:`QueryEngine.bind_metrics
-        <repro.core.engine.QueryEngine.bind_metrics>`), now and after
-        every compaction."""
-        with self._mutation_lock:  # a compaction cannot swap in between
-            self._engine_registry = registry
-            self._base_engine.bind_metrics(registry)
-
     def _engine_for(
         self, table: SignatureTable, db: TransactionDatabase
     ) -> QueryEngine:
-        """A base segment's engine, bound to the engine registry."""
+        """A base segment's engine, bound to the :meth:`bind_metrics`
+        registry."""
         engine = QueryEngine.for_table(table, db)
-        if self._engine_registry is not None:
-            engine.bind_metrics(self._engine_registry)
+        if self._registry is not None:
+            engine.bind_metrics(self._registry)
         return engine
 
     def probe(self) -> bool:

@@ -1,9 +1,9 @@
 """Online query serving: async server, micro-batcher, metrics, client.
 
-The serving subsystem keeps one batched engine
-(:class:`~repro.core.engine.QueryEngine`, or the live-index and cluster
-router adapters with the same ``run_batch``) resident and exposes it
-to concurrent clients over a newline-delimited-JSON TCP protocol:
+The serving subsystem keeps one index resident — a frozen
+:class:`~repro.core.engine.QueryEngine`, a live index or a cluster
+router, each with the same ``run_batch`` — and exposes it to concurrent
+clients over a newline-delimited-JSON TCP protocol:
 
 * :mod:`repro.service.protocol` — the NDJSON wire format and error
   codes;

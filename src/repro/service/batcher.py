@@ -3,13 +3,15 @@
 The server's throughput lever: concurrent requests whose parameters are
 *compatible* — equal :class:`~repro.core.engine.BatchKey`, i.e. same
 operation, similarity function, ``k``/``threshold``, termination and
-candidate-tier settings — are coalesced into one
-:meth:`~repro.core.engine.QueryEngine.run_batch` call, so online
-traffic inherits the batched engine's amortised bound pass, batched
-posting walks and shared entry reads, while results are de-multiplexed
-back to each caller unchanged (the engine guarantees per-query results
-identical to single-query execution, so coalescing is invisible to
-clients).
+candidate-tier settings — are coalesced into one ``run_batch`` call on
+the served index (:meth:`QueryEngine.run_batch
+<repro.core.engine.QueryEngine.run_batch>`, :meth:`LiveIndex.run_batch
+<repro.live.index.LiveIndex.run_batch>` or the cluster router's), so
+online traffic inherits the batched engine's amortised bound pass,
+batched posting walks and shared entry reads, while results are
+de-multiplexed back to each caller unchanged (the engine guarantees
+per-query results identical to single-query execution, so coalescing is
+invisible to clients).
 
 A batch closes when it reaches ``max_batch_size`` *or* when its oldest
 request has waited ``max_wait_ms`` — the classic dynamic-batching
@@ -28,8 +30,7 @@ unblocked with a ``timeout`` error even if its batch is still running.
 Batches execute on a dedicated single worker thread
 (:class:`~concurrent.futures.ThreadPoolExecutor`), keeping the event
 loop free to accept connections and serve ``stats`` while the engine
-crunches; one executing batch at a time also keeps the engine's shared
-buffer pool single-threaded.
+crunches.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ class MicroBatcher:
     Parameters
     ----------
     engine:
-        Any engine exposing ``run_batch(key, similarity, targets)`` —
+        Any object exposing ``run_batch(key, similarity, targets)`` —
         :class:`~repro.core.engine.QueryEngine`,
-        :class:`~repro.live.engine.LiveQueryEngine` or
+        :class:`~repro.live.index.LiveIndex` or
         :class:`~repro.cluster.router.ClusterRouter`.
     max_batch_size:
         Flush a batch as soon as it holds this many requests.

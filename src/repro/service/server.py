@@ -1,12 +1,17 @@
-"""Asyncio TCP server keeping one query engine resident for many clients.
+"""Asyncio TCP server keeping one index resident for many clients.
 
-:class:`QueryServer` accepts newline-delimited-JSON connections (see
-:mod:`repro.service.protocol`), funnels every ``knn``/``range`` request
-through the shared :class:`~repro.service.batcher.MicroBatcher`, and
-answers control operations inline:
+:class:`QueryServer` serves one index — a frozen query engine, a live
+index or a cluster router — as it is.  It accepts
+newline-delimited-JSON connections (see :mod:`repro.service.protocol`),
+funnels every ``knn``/``range`` request through the shared
+:class:`~repro.service.batcher.MicroBatcher` into the index's
+``run_batch``, serves the mutation ops exactly when the index has a
+method for each (:attr:`QueryServer.mutable`), and answers control
+operations inline:
 
 * ``stats`` — the live :class:`~repro.service.metrics.ServiceMetrics`
-  snapshot plus a description of the resident index;
+  snapshot plus the index's current ``describe()`` over the static
+  ``index_info``;
 * ``ping`` — liveness;
 * ``shutdown`` — graceful drain (can be disabled with
   ``allow_remote_shutdown=False`` when the socket is not trusted).
@@ -95,7 +100,7 @@ class _Connection:
 
 
 class QueryServer:
-    """One resident engine, many concurrent TCP clients.
+    """One resident index, many concurrent TCP clients.
 
     Connections speak NDJSON (:mod:`repro.service.protocol`) by default
     and may negotiate the length-prefixed binary frame protocol
@@ -103,9 +108,19 @@ class QueryServer:
 
     Parameters
     ----------
-    engine:
-        :class:`~repro.core.engine.QueryEngine`, or anything else with
-        its ``run_batch`` (the live-index and cluster-router adapters).
+    index:
+        The served object, anything with ``run_batch``: a
+        :class:`~repro.core.engine.QueryEngine`, a
+        :class:`~repro.live.index.LiveIndex` (or the owner's
+        :class:`~repro.cluster.replication.ReplicatedLiveIndex`) or a
+        :class:`~repro.cluster.router.ClusterRouter`.  With ``insert``,
+        ``delete``, ``compact``, ``checkpoint`` and ``probe`` methods its
+        mutation ops are served (on the default executor, since WAL
+        appends block); otherwise they are rejected ``bad_request`` as
+        read-only, and during a drain ``shutting_down``.  Optional:
+        ``universe_size``,
+        ``supports_lsh_tier``, ``bind_metrics`` (called at :meth:`start`)
+        and ``describe`` (merged into every ``stats``).
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`address`).
     max_batch_size, max_wait_ms, max_queue, default_timeout_ms:
@@ -115,21 +130,14 @@ class QueryServer:
         Whether the ``shutdown`` op is honoured (default True; the CI
         smoke test and the closed-loop harness rely on it).
     index_info:
-        Optional static description of the resident index, echoed in
-        the ``stats`` payload (e.g. dataset spec, K, num transactions).
-    live_index:
-        Optional :class:`~repro.live.index.LiveIndex` behind the engine.
-        When given, the ``insert``/``delete``/``compact``/``checkpoint``
-        mutation ops are served (on the default executor, since WAL
-        appends block); without it they are rejected with
-        ``bad_request`` — the index is read-only.  During a graceful
-        drain mutations are rejected with ``shutting_down`` exactly
-        like queries.
+        Optional static description of the resident index (e.g. its
+        paths), echoed in the ``stats`` payload under the index's own
+        ``describe()``, which wins on shared keys.
     metrics_registry:
         Optional shared :class:`~repro.obs.registry.MetricRegistry` for
-        :class:`~repro.service.metrics.ServiceMetrics` — pass the same
-        registry the live index exports its WAL/compaction gauges to so
-        one ``metrics`` scrape shows both.
+        :class:`~repro.service.metrics.ServiceMetrics`; by default the
+        server makes its own.  The index's ``bind_metrics`` exports
+        into the same registry, so one ``metrics`` scrape shows both.
     logger:
         Optional structured :class:`~repro.obs.log.JsonLogger` (disabled
         by default).  The batcher logs through a child of it, and every
@@ -166,7 +174,7 @@ class QueryServer:
 
     def __init__(
         self,
-        engine,
+        index,
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch_size: int = 32,
@@ -176,7 +184,6 @@ class QueryServer:
         allow_remote_shutdown: bool = True,
         index_info: Optional[Dict[str, object]] = None,
         logger: Optional[JsonLogger] = None,
-        live_index=None,
         metrics_registry=None,
         breaker_threshold: int = 3,
         breaker_reset_seconds: float = 30.0,
@@ -190,11 +197,17 @@ class QueryServer:
                 f"wire policy must be 'auto' or 'ndjson', got {wire!r}"
             )
         self._wire_policy = wire
-        self._engine = engine
+        self.index = index
+        #: The one rule for serving the mutation ops: the index has a
+        #: method for each, and ``probe`` to re-admit them after a
+        #: durable-write failure (a frozen query engine has none).
+        self.mutable = all(
+            callable(getattr(index, name, None))
+            for name in MUTATION_OPS + ("probe",)
+        )
         self._host = host
         self._port = port
         self._log = logger if logger is not None else JsonLogger("server")
-        self.live_index = live_index
         self.metrics = ServiceMetrics(registry=metrics_registry)
         #: True after a durable-write failure: mutations are rejected
         #: ``unavailable`` (reads keep serving from the consistent
@@ -250,14 +263,14 @@ class QueryServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self.batcher = MicroBatcher(
-            self._engine,
+            self.index,
             metrics=self.metrics,
             logger=self._log.child("batcher"),
             **self._batcher_options,
         )
-        # Engines that can account kernel fallbacks get the registry
-        # (duck-typed so live/router engines need not care).
-        bind = getattr(self._engine, "bind_metrics", None)
+        # An index that exports metrics does so into the server's
+        # registry (duck-typed: the router's registry already is it).
+        bind = getattr(self.index, "bind_metrics", None)
         if bind is not None:
             bind(self.metrics.registry)
         slo_kwargs = {"logger": self._log.child("slo")}
@@ -458,7 +471,16 @@ class QueryServer:
             )
             return
         if op == "stats":
-            payload = {"stats": self.metrics.snapshot(), "index": self.index_info}
+            index_info = self.index_info
+            describe = getattr(self.index, "describe", None)
+            if describe is not None:
+                # Off the loop: a router's describe waits out a routed
+                # delete holding its topology lock.
+                current = await asyncio.get_running_loop().run_in_executor(
+                    None, describe
+                )
+                index_info = {**index_info, **current}
+            payload = {"stats": self.metrics.snapshot(), "index": index_info}
             if self.slo is not None:
                 payload["slo"] = self.slo.report()
             await self._send(
@@ -470,7 +492,7 @@ class QueryServer:
                 "ready": not self._shutdown_started,
                 "degraded": bool(self.degraded),
                 "draining": bool(self._shutdown_started),
-                "mutable": self.live_index is not None,
+                "mutable": self.mutable,
                 "breaker": self.compaction_breaker.state,
             }
             await self._send(
@@ -529,7 +551,7 @@ class QueryServer:
                     raise ProtocolError(
                         "shutting_down", "server is draining; mutation rejected"
                     )
-                if self.live_index is None:
+                if not self.mutable:
                     raise ProtocolError(
                         "bad_request",
                         f"op {op!r} requires a live index; this server is "
@@ -555,7 +577,7 @@ class QueryServer:
         self.metrics.record_received()
         try:
             request = parse_query(
-                message, getattr(self._engine, "universe_size", None)
+                message, getattr(self.index, "universe_size", None)
             )
         except ProtocolError as exc:
             self.metrics.record_rejection(exc.code)
@@ -789,7 +811,7 @@ class QueryServer:
         """
         cid = uuid.uuid4().hex[:16]
         loop = asyncio.get_running_loop()
-        live = self.live_index
+        index = self.index
         maintenance = mutation.op in ("compact", "checkpoint")
         with with_correlation_id(cid):
             self._log.info("mutation.received", op=mutation.op)
@@ -798,7 +820,7 @@ class QueryServer:
                     # One durability probe re-admits mutations after a
                     # write failure; until it succeeds every mutation
                     # fails fast with the same retryable code.
-                    if await loop.run_in_executor(None, live.probe):
+                    if await loop.run_in_executor(None, index.probe):
                         self.degraded = False
                         self._log.info("mutation.degraded_recovered")
                     else:
@@ -813,7 +835,7 @@ class QueryServer:
                     tid = await loop.run_in_executor(
                         None,
                         functools.partial(
-                            live.insert,
+                            index.insert,
                             mutation.items,
                             client_id=mutation.client_id,
                             request_id=mutation.request_id,
@@ -824,7 +846,7 @@ class QueryServer:
                     await loop.run_in_executor(
                         None,
                         functools.partial(
-                            live.delete,
+                            index.delete,
                             mutation.tid,
                             client_id=mutation.client_id,
                             request_id=mutation.request_id,
@@ -833,11 +855,11 @@ class QueryServer:
                     payload = {"deleted": int(mutation.tid)}
                 elif mutation.op == "compact":
                     report = await loop.run_in_executor(
-                        None, live.compact, mutation.repartition
+                        None, index.compact, mutation.repartition
                     )
                     payload = {"compaction": dataclasses.asdict(report)}
                 else:  # checkpoint
-                    applied = await loop.run_in_executor(None, live.checkpoint)
+                    applied = await loop.run_in_executor(None, index.checkpoint)
                     payload = {"applied_seqno": int(applied)}
                 if maintenance:
                     self.compaction_breaker.record_success()
@@ -917,7 +939,7 @@ class QueryServer:
             )
             try:
                 if request.key.candidate_tier != "exact" and not getattr(
-                    self._engine, "supports_lsh_tier", False
+                    self.index, "supports_lsh_tier", False
                 ):
                     raise ProtocolError(
                         "bad_request",
@@ -999,9 +1021,9 @@ class BackgroundServer:
         self._startup_error: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
 
-    async def _amain(self, engine, options: Dict[str, object]) -> None:
+    async def _amain(self, index, options: Dict[str, object]) -> None:
         try:
-            self.server = self._server_cls(engine, **options)
+            self.server = self._server_cls(index, **options)
             self.address = await self.server.start()
             self._loop = asyncio.get_running_loop()
         except BaseException as exc:
@@ -1011,8 +1033,8 @@ class BackgroundServer:
             self._ready.set()
         await self.server.wait_shutdown()
 
-    def _run(self, engine, options: Dict[str, object]) -> None:
-        asyncio.run(self._amain(engine, options))
+    def _run(self, index, options: Dict[str, object]) -> None:
+        asyncio.run(self._amain(index, options))
 
     @property
     def running(self) -> bool:
@@ -1042,8 +1064,9 @@ class BackgroundServer:
         self.stop()
 
 
-def serve_in_background(engine, server_cls=None, **options) -> BackgroundServer:
-    """Start a :class:`QueryServer` in a daemon thread; returns its handle.
+def serve_in_background(index, server_cls=None, **options) -> BackgroundServer:
+    """Serve ``index`` from a :class:`QueryServer` in a daemon thread;
+    returns its handle.
 
     Blocks until the listening socket is bound, so ``handle.address`` is
     immediately usable.  Keyword options are passed through to
@@ -1053,7 +1076,7 @@ def serve_in_background(engine, server_cls=None, **options) -> BackgroundServer:
     handle = BackgroundServer(server_cls=server_cls)
     thread = threading.Thread(
         target=handle._run,
-        args=(engine, options),
+        args=(index, options),
         name="repro-query-server",
         daemon=True,
     )

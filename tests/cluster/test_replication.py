@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
+    ClusterHarness,
     ClusterNodeServer,
     ReplicaApplier,
     ReplicatedLiveIndex,
     bootstrap_node_state,
 )
-from repro.live.engine import LiveQueryEngine
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import serve_in_background
 
@@ -129,9 +129,8 @@ class TestNodeRoles:
             str(tmp_path / "n"), cluster_scheme, rows=rows
         )
         handle = serve_in_background(
-            LiveQueryEngine(index),
+            index,
             server_cls=ClusterNodeServer,
-            live_index=index,
             shard="s0",
             role="replica",
         )
@@ -156,9 +155,8 @@ class TestNodeRoles:
     ):
         index = bootstrap_node_state(str(tmp_path / "n"), cluster_scheme)
         handle = serve_in_background(
-            LiveQueryEngine(index),
+            index,
             server_cls=ClusterNodeServer,
-            live_index=index,
             shard="s0",
             role="replica",
         )
@@ -175,9 +173,8 @@ class TestNodeRoles:
         """Fencing: a promoted node never accepts a stale owner's stream."""
         index = bootstrap_node_state(str(tmp_path / "n"), cluster_scheme)
         handle = serve_in_background(
-            LiveQueryEngine(index),
+            index,
             server_cls=ClusterNodeServer,
-            live_index=index,
             shard="s0",
             role="owner",
         )
@@ -190,6 +187,26 @@ class TestNodeRoles:
             handle.stop()
             index.close()
 
+    def test_every_cluster_server_is_mutable_and_describes_itself(
+        self, tmp_path, cluster_db, cluster_scheme
+    ):
+        """The owner serves its ReplicatedLiveIndex, the replica its plain
+        index and the router itself: all three have the mutation surface,
+        and ``stats`` describes each as it is after an insert."""
+        rows = [sorted(cluster_db[g]) for g in range(6)]
+        with ClusterHarness(
+            str(tmp_path), cluster_scheme, shards=("s0",), replicas=("s0",),
+            rows=rows, assignment=["s0"] * len(rows),
+        ) as harness:
+            with harness.client() as client:
+                client.insert([1, 2, 3])
+            for name, handle in [
+                *harness.servers.items(), ("router", harness.router_server)
+            ]:
+                with ServiceClient(*handle.address, retries=0) as client:
+                    assert client.health()["mutable"] is True
+                    assert client.stats()["index"]["num_transactions"] == 7, name
+
     def test_replicate_over_the_wire(self, tmp_path, cluster_scheme):
         """Real WAL bytes stream through the replicate op end-to-end."""
         owner = bootstrap_node_state(str(tmp_path / "owner"), cluster_scheme)
@@ -197,9 +214,8 @@ class TestNodeRoles:
             str(tmp_path / "replica"), cluster_scheme
         )
         handle = serve_in_background(
-            LiveQueryEngine(replica),
+            replica,
             server_cls=ClusterNodeServer,
-            live_index=replica,
             shard="s0",
             role="replica",
         )

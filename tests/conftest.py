@@ -10,9 +10,13 @@ Session-scoped pipelines over two synthetic datasets:
 Everything is seeded; test outcomes are deterministic.
 """
 
+import socket
+
 import pytest
 
 import repro
+from repro.service import frames
+from repro.service.protocol import decode_response, encode_request
 
 #: Every query method of the scalar searcher.  A guard patches them all
 #: to raise, so a test can prove a path runs on the packed kernels.
@@ -41,6 +45,62 @@ def forbid_scalar_loop(patch, allow_budgeted=False):
         patch.setattr(repro.SignatureTableSearcher, name, unreachable)
     if allow_budgeted:
         patch.setattr(repro.SignatureTableSearcher, "knn", budgeted_only)
+
+
+class RawWire:
+    """A raw socket to a server, for tests that own the bytes (pipelined
+    batches, corrupt frames).  ``send`` encodes requests for the wire,
+    ``read`` decodes the next reply; ``wire="binary"`` negotiates with a
+    ``hello`` first.  ``sock`` stays reachable for raw bytes; its
+    ``timeout`` bounds every blocking read, so a hang fails the test
+    instead of wedging the suite."""
+
+    def __init__(self, address, wire="ndjson", timeout=10.0):
+        self.sock = socket.create_connection(address, timeout=timeout)
+        self.wire = "ndjson"
+        if wire == "binary":
+            self.send({"id": 0, "op": "hello", "wire": "binary"})
+            reply = self.read()
+            assert reply["ok"], reply
+            self.wire = "binary"
+
+    def encode(self, message) -> bytes:
+        if self.wire == "binary":
+            return frames.encode_request_frame(message)
+        return encode_request(message)
+
+    def send(self, *messages):
+        self.sock.sendall(b"".join(self.encode(m) for m in messages))
+
+    def read(self):
+        return self.read_frame() if self.wire == "binary" else self.read_line()
+
+    def read_line(self):
+        line = b""
+        while not line.endswith(b"\n"):
+            line += self._recv_exact(1)
+        return decode_response(line.decode("utf-8"))
+
+    def read_frame(self):
+        frame_type, length = frames.decode_header(
+            self._recv_exact(frames.HEADER.size)
+        )
+        return frames.decode_payload(frame_type, self._recv_exact(length))
+
+    def _recv_exact(self, count):
+        data = b""
+        while len(data) < count:
+            chunk = self.sock.recv(count - len(data))
+            if not chunk:
+                raise ConnectionError("closed")
+            data += chunk
+        return data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.sock.close()
 
 
 def make_similarities():

@@ -29,7 +29,7 @@ from repro.faults import (
     FaultProxy,
     run_errfs_schedule,
 )
-from repro.live import LiveIndex, LiveQueryEngine
+from repro.live import LiveIndex
 from repro.service.client import ServiceClient
 from repro.service.server import serve_in_background
 
@@ -103,7 +103,7 @@ def _run_proxy_schedule(seed, root, base_db, scheme, num_ops=12):
     injector = FaultInjector(FaultPlan(specs=tuple(specs), seed=seed))
 
     index = LiveIndex.create(root, base_db, scheme=scheme)
-    handle = serve_in_background(LiveQueryEngine(index), live_index=index)
+    handle = serve_in_background(index)
     oracle = AckedOracle(base_db)
     ambiguous = retried = 0
     try:

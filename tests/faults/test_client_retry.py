@@ -16,8 +16,7 @@ import threading
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan, FaultProxy, FaultSpec
-from repro.live import LiveIndex, LiveQueryEngine
-from repro.obs import MetricRegistry
+from repro.live import LiveIndex
 from repro.service.client import ServiceClient, ServiceError, run_load
 from repro.service.server import serve_in_background
 
@@ -28,21 +27,13 @@ def live_server_factory(tmp_path, base_db, scheme):
     cleanups = []
 
     def build(injector=None, **server_options):
-        registry = MetricRegistry()
         index = LiveIndex.create(
             tmp_path / f"idx-{len(cleanups)}",
             base_db,
             scheme=scheme,
-            metrics_registry=registry,
             injector=injector,
         )
-        handle = serve_in_background(
-            LiveQueryEngine(index),
-            live_index=index,
-            metrics_registry=registry,
-            index_info=index.describe(),
-            **server_options,
-        )
+        handle = serve_in_background(index, **server_options)
         cleanups.append((handle, index))
         return handle, index
 

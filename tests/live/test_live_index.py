@@ -123,6 +123,21 @@ class TestLogicalTids:
         assert info["tombstones"] == live.tombstone_count
 
 
+class TestCandidateTier:
+    def test_exact_tier_refuses_target_recall(self, live):
+        """The engine's rule: ``target_recall`` applies to the lsh tier
+        only, and a live read does not answer in spite of it."""
+        similarity = get_similarity("jaccard")
+        for read in (
+            lambda: live.knn_batch([[1, 2]], similarity, k=3, target_recall=0.9),
+            lambda: live.range_query_batch(
+                [[1, 2]], similarity, 0.2, target_recall=0.9
+            ),
+        ):
+            with pytest.raises(ValueError, match="target_recall only applies"):
+                read()
+
+
 class TestCompactionPolicy:
     def test_thresholds(self):
         policy = CompactionPolicy(
@@ -244,9 +259,8 @@ class TestObservability:
         from repro.obs import MetricRegistry
 
         registry = MetricRegistry()
-        with LiveIndex.create(
-            tmp_path / "idx", base_db, scheme=scheme, metrics_registry=registry
-        ) as live:
+        with LiveIndex.create(tmp_path / "idx", base_db, scheme=scheme) as live:
+            live.bind_metrics(registry)
             live.insert([1, 2, 3])
             live.delete(0)
             live.compact()

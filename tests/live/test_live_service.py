@@ -6,8 +6,7 @@ import pytest
 from repro.core.engine import QueryEngine
 from repro.core.similarity import get_similarity
 from repro.core.table import SignatureTable
-from repro.live import LiveIndex, LiveQueryEngine
-from repro.obs import MetricRegistry
+from repro.live import LiveIndex
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import serve_in_background
 
@@ -16,16 +15,8 @@ from tests.live.conftest import random_transaction
 
 @pytest.fixture()
 def live_server(tmp_path, base_db, scheme):
-    registry = MetricRegistry()
-    index = LiveIndex.create(
-        tmp_path / "idx", base_db, scheme=scheme, metrics_registry=registry
-    )
-    handle = serve_in_background(
-        LiveQueryEngine(index),
-        live_index=index,
-        metrics_registry=registry,
-        index_info=index.describe(),
-    )
+    index = LiveIndex.create(tmp_path / "idx", base_db, scheme=scheme)
+    handle = serve_in_background(index)
     try:
         yield handle, index
     finally:
@@ -96,6 +87,25 @@ class TestMutationsOverTcp:
                 client.request({"op": "delete", "tid": -3})
             assert excinfo.value.code == "bad_request"
 
+    def test_stats_describe_the_index_after_every_mutation(self, live_server):
+        """``stats.index`` follows the served index through insert, delete
+        and compaction."""
+        handle, index = live_server
+        keys = (
+            "num_transactions", "delta_size", "tombstones", "wal_bytes",
+            "applied_seqno",
+        )
+        with ServiceClient(*handle.address) as client:
+            assert client.health()["mutable"] is True
+            for step in (
+                lambda: client.insert([1, 2, 3]),
+                lambda: client.delete(0),
+                client.compact,
+            ):
+                step()
+                served, want = client.stats()["index"], index.describe()
+                assert {k: served[k] for k in keys} == {k: want[k] for k in keys}
+
     def test_shared_registry_exposes_wal_metrics(self, live_server):
         handle, _ = live_server
         host, port = handle.address
@@ -109,10 +119,10 @@ class TestMutationsOverTcp:
 
 
 def test_served_fallbacks_counted_across_compaction(tmp_path, base_db, scheme):
-    """The server binds its registry through the live engine to the base
-    engine, and a compaction's new engine stays bound."""
+    """The server binds its registry through ``LiveIndex.bind_metrics`` to
+    the base engine, and a compaction's new engine stays bound."""
     index = LiveIndex.create(tmp_path / "idx", base_db, scheme=scheme)
-    handle = serve_in_background(LiveQueryEngine(index), live_index=index)
+    handle = serve_in_background(index)
     try:
         host, port = handle.address
         with ServiceClient(host, port) as client:
@@ -142,6 +152,7 @@ class TestReadOnlyServer:
         with serve_in_background(engine) as handle:
             host, port = handle.address
             with ServiceClient(host, port) as client:
+                assert client.health()["mutable"] is False
                 with pytest.raises(ServiceError) as excinfo:
                     client.insert([1, 2])
                 assert excinfo.value.code == "bad_request"
@@ -154,9 +165,7 @@ class TestReadOnlyServer:
 class TestDrainRejection:
     def test_mutations_rejected_while_draining(self, tmp_path, base_db, scheme):
         index = LiveIndex.create(tmp_path / "idx", base_db, scheme=scheme)
-        handle = serve_in_background(
-            LiveQueryEngine(index), live_index=index
-        )
+        handle = serve_in_background(index)
         try:
             host, port = handle.address
             with ServiceClient(host, port) as client:

@@ -12,6 +12,7 @@ import pytest
 from repro.core.engine import QueryEngine
 from repro.core.similarity import get_similarity
 from repro.live import LiveIndex
+from repro.obs import MetricRegistry
 from repro.service.protocol import encode_search_stats
 
 from tests.conftest import forbid_scalar_loop
@@ -76,3 +77,27 @@ def test_unmutated_lsh_reads_report_as_the_engine(tmp_path, base_db, scheme):
                 expected_wire = encode_search_stats(expected)
                 expected_wire.pop("latency_ms")
                 assert wire == expected_wire
+
+
+def test_unmutated_lsh_batches_feed_the_sketch_metrics(tmp_path, base_db, scheme):
+    """A live lsh batch moves ``repro_sketch_candidates_total{op}`` and
+    ``repro_sketch_access_fraction`` exactly as the engine's does."""
+    similarity = get_similarity("jaccard")
+    targets = [base_db.items_of(tid) for tid in range(0, len(base_db), 5)]
+    names = ("repro_sketch_candidates_total", "repro_sketch_access_fraction")
+    with LiveIndex.create(
+        tmp_path / "idx", base_db, scheme=scheme, sketch={"seed": 5}
+    ) as live:
+        engine = QueryEngine.for_table(live.base_table, base_db)
+        scrapes = []
+        for index in (engine, live):
+            registry = MetricRegistry()
+            index.bind_metrics(registry)
+            index.knn_batch(targets, similarity, k=3, candidate_tier="lsh")
+            index.range_query_batch(targets, similarity, 0.3, candidate_tier="lsh")
+            scrape = registry.to_json()
+            scrapes.append({name: scrape[name]["samples"] for name in names})
+    want, got = scrapes
+    assert got == want
+    assert {s["labels"]["op"] for s in got[names[0]]} == {"knn", "range"}
+    assert got[names[1]][0]["value"]["count"] == 2 * len(targets)

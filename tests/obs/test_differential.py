@@ -5,22 +5,17 @@ similarities, and every comparable SearchStats counter — at both the
 engine layer and over the TCP service.
 """
 
-import socket
-
 import pytest
 
 import repro
 from repro.core.engine import batch_key
 from repro.obs.search_trace import SearchTrace
 from repro.obs.trace import Tracer
-from repro.service import frames
 from repro.service.client import ServiceClient
-from repro.service.protocol import (
-    decode_neighbors,
-    decode_response,
-    encode_request,
-)
+from repro.service.protocol import decode_neighbors
 from repro.service.server import serve_in_background
+
+from tests.conftest import RawWire
 
 
 SIM = repro.MatchRatioSimilarity()
@@ -192,32 +187,13 @@ class TestServiceDifferential:
             )
 
         with serve_in_background(engine, max_wait_ms=50.0) as handle:
-            with socket.create_connection(handle.address, timeout=10) as sock:
-                reader = sock.makefile("rb")
-
-                def read_line():
-                    return decode_response(reader.readline().decode("utf-8"))
-
-                def read_frame():
-                    frame_type, length = frames.decode_header(
-                        reader.read(frames.HEADER.size)
-                    )
-                    return frames.decode_payload(frame_type, reader.read(length))
-
-                if wire == "binary":
-                    sock.sendall(
-                        encode_request({"id": 0, "op": "hello", "wire": "binary"})
-                    )
-                    assert read_line()["ok"] is True
-                    encode, read = frames.encode_request_frame, read_frame
-                else:
-                    encode, read = encode_request, read_line
-                sock.sendall(
-                    encode(message(1, batch[0]))
-                    + encode(message(2, batch[1], trace=True))
-                    + encode(message(3, batch[2]))
+            with RawWire(handle.address, wire) as conn:
+                conn.send(
+                    message(1, batch[0]),
+                    message(2, batch[1], trace=True),
+                    message(3, batch[2]),
                 )
-                replies = {r["id"]: r for r in (read(), read(), read())}
+                replies = {r["id"]: r for r in (conn.read(), conn.read(), conn.read())}
         for request_id, want in zip((1, 2, 3), expected):
             assert decode_neighbors(replies[request_id]["results"]) == want
         assert "trace" not in replies[1] and "trace" not in replies[3]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.partitioning import partition_items
 from repro.data.transaction import TransactionDatabase
-from repro.live import LiveIndex, LiveQueryEngine
+from repro.live import LiveIndex
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import serve_in_background
 
@@ -29,7 +29,7 @@ def control_server(tmp_path):
     index = LiveIndex.create(
         tmp_path / "idx", db, scheme=partition_items(db, num_signatures=3, rng=0)
     )
-    handle = serve_in_background(LiveQueryEngine(index), live_index=index)
+    handle = serve_in_background(index)
     try:
         yield handle
     finally:
@@ -59,8 +59,9 @@ class TestControlParity:
     def test_stats_same_shape_and_index_info(self, wire_pair):
         ndjson, binary = wire_pair
         a, b = ndjson.stats(), binary.stats()
-        # The index description is static; the counters tick between the
-        # two calls, so compare their schema rather than their values.
+        # No mutation runs between the two calls, so the index describes
+        # itself the same to both wires; the counters tick in between,
+        # so compare their schema rather than their values.
         assert a["index"] == b["index"]
         assert set(a["stats"]) == set(b["stats"])
 

@@ -10,7 +10,6 @@ crashing.  Mid-stream protocol renegotiation is a protocol error on both
 wires.
 """
 
-import socket
 import struct
 
 import pytest
@@ -19,12 +18,10 @@ from hypothesis import strategies as st
 
 import repro
 from repro.service import frames
-from repro.service.protocol import ERROR_CODES, decode_response, encode_request
+from repro.service.protocol import ERROR_CODES
 from repro.service.server import serve_in_background
 
-#: Socket timeout bounding every blocking read — a hang fails the test
-#: instead of wedging the suite.
-TIMEOUT = 10.0
+from tests.conftest import RawWire
 
 
 # ----------------------------------------------------------------------
@@ -238,47 +235,6 @@ def server(engine):
         yield handle
 
 
-def _connect(handle):
-    sock = socket.create_connection(handle.address, timeout=TIMEOUT)
-    sock.settimeout(TIMEOUT)
-    return sock
-
-
-def _negotiate(sock):
-    sock.sendall(encode_request({"op": "hello", "wire": "binary", "id": 0}))
-    line = _read_line(sock)
-    response = decode_response(line)
-    assert response["ok"], response
-    return sock
-
-
-def _read_line(sock):
-    chunks = []
-    while True:
-        byte = sock.recv(1)
-        if not byte:
-            raise ConnectionError("closed")
-        chunks.append(byte)
-        if byte == b"\n":
-            return b"".join(chunks).decode("utf-8")
-
-
-def _recv_exact(sock, count):
-    data = b""
-    while len(data) < count:
-        chunk = sock.recv(count - len(data))
-        if not chunk:
-            raise ConnectionError("closed")
-        data += chunk
-    return data
-
-
-def _read_frame(sock):
-    header = _recv_exact(sock, frames.HEADER.size)
-    frame_type, length = frames.decode_header(header)
-    return frames.decode_payload(frame_type, _recv_exact(sock, length))
-
-
 def _knn_frame(request_id, items, k=3):
     return frames.encode_request_frame(
         {
@@ -293,25 +249,25 @@ def _knn_frame(request_id, items, k=3):
 
 class TestServerUnderCorruption:
     def test_garbage_magic_answered_and_closed(self, server):
-        with _negotiate(_connect(server)) as sock:
-            sock.sendall(b"\x00" * frames.HEADER.size)
-            response = _read_frame(sock)
+        with RawWire(server.address, "binary") as conn:
+            conn.sock.sendall(b"\x00" * frames.HEADER.size)
+            response = conn.read_frame()
             assert response["ok"] is False
             assert response["error"]["code"] == "bad_request"
             # Unsynchronisable stream: the server must close.
-            assert sock.recv(1) == b""
+            assert conn.sock.recv(1) == b""
 
     def test_huge_length_prefix_rejected_without_payload(self, server):
         """The server answers from the header alone — it never waits for
         (or allocates) the advertised gigabytes."""
-        with _negotiate(_connect(server)) as sock:
-            sock.sendall(
+        with RawWire(server.address, "binary") as conn:
+            conn.sock.sendall(
                 frames.HEADER.pack(frames.MAGIC, frames.FRAME_JSON, 2**31)
             )
-            response = _read_frame(sock)
+            response = conn.read_frame()
             assert response["ok"] is False
             assert response["error"]["code"] == "bad_request"
-            assert sock.recv(1) == b""
+            assert conn.sock.recv(1) == b""
 
     def test_bad_payload_in_valid_frame_keeps_connection(self, server):
         # Well-formed header around a truncated QUERY payload, then a
@@ -320,74 +276,66 @@ class TestServerUnderCorruption:
         reserved = bytearray(_knn_frame(6, [1, 2, 3]))
         # flags is the last byte of the (op, id, flags) block
         reserved[frames.HEADER.size + frames._QUERY_FIXED.size - 1] |= 8
-        with _negotiate(_connect(server)) as sock:
+        with RawWire(server.address, "binary") as conn:
             for bad in (
                 frames.HEADER.pack(frames.MAGIC, frames.FRAME_QUERY, 3)
                 + b"\x00\x01\x02",
                 bytes(reserved),
             ):
-                sock.sendall(bad)
-                response = _read_frame(sock)
+                conn.sock.sendall(bad)
+                response = conn.read_frame()
                 assert response["ok"] is False
                 assert response["error"]["code"] == "bad_request"
-            sock.sendall(_knn_frame(7, [1, 2, 3]))
-            response = _read_frame(sock)
+            conn.sock.sendall(_knn_frame(7, [1, 2, 3]))
+            response = conn.read_frame()
             assert response["ok"] is True
             assert response["id"] == 7
             assert response["results"]
 
     def test_response_frame_types_from_client_rejected(self, server):
         for frame_type in (frames.FRAME_RESULT, frames.FRAME_ERROR):
-            with _negotiate(_connect(server)) as sock:
-                sock.sendall(frames.HEADER.pack(frames.MAGIC, frame_type, 0))
-                response = _read_frame(sock)
+            with RawWire(server.address, "binary") as conn:
+                conn.sock.sendall(frames.HEADER.pack(frames.MAGIC, frame_type, 0))
+                response = conn.read_frame()
                 assert response["ok"] is False
                 assert response["error"]["code"] == "bad_request"
-                assert sock.recv(1) == b""
+                assert conn.sock.recv(1) == b""
 
     def test_midstream_hello_rejected_on_ndjson(self, server):
-        with _connect(server) as sock:
-            sock.sendall(encode_request({"op": "ping", "id": 1}))
-            assert decode_response(_read_line(sock))["ok"]
-            sock.sendall(
-                encode_request({"op": "hello", "wire": "binary", "id": 2})
-            )
-            response = decode_response(_read_line(sock))
+        with RawWire(server.address) as conn:
+            conn.send({"op": "ping", "id": 1})
+            assert conn.read_line()["ok"]
+            conn.send({"op": "hello", "wire": "binary", "id": 2})
+            response = conn.read_line()
             assert response["ok"] is False
             assert response["error"]["code"] == "bad_request"
             assert "first request" in response["error"]["message"]
             # The connection itself survives (stream still aligned).
-            sock.sendall(encode_request({"op": "ping", "id": 3}))
-            assert decode_response(_read_line(sock))["ok"]
+            conn.send({"op": "ping", "id": 3})
+            assert conn.read_line()["ok"]
 
     def test_midstream_hello_rejected_on_binary(self, server):
-        with _negotiate(_connect(server)) as sock:
-            sock.sendall(
-                frames.encode_request_frame(
-                    {"op": "hello", "wire": "binary", "id": 5}
-                )
-            )
-            response = _read_frame(sock)
+        with RawWire(server.address, "binary") as conn:
+            conn.send({"op": "hello", "wire": "binary", "id": 5})
+            response = conn.read_frame()
             assert response["ok"] is False
             assert response["error"]["code"] == "bad_request"
-            sock.sendall(_knn_frame(6, [1, 2]))
-            assert _read_frame(sock)["ok"] is True
+            conn.sock.sendall(_knn_frame(6, [1, 2]))
+            assert conn.read_frame()["ok"] is True
 
     def test_unknown_wire_in_hello_rejected(self, server):
-        with _connect(server) as sock:
-            sock.sendall(
-                encode_request({"op": "hello", "wire": "carrier-pigeon", "id": 1})
-            )
-            response = decode_response(_read_line(sock))
+        with RawWire(server.address) as conn:
+            conn.send({"op": "hello", "wire": "carrier-pigeon", "id": 1})
+            response = conn.read_line()
             assert response["ok"] is False
             assert response["error"]["code"] == "bad_request"
 
     def test_oversized_ndjson_line_closes_without_hang(self, server):
         # Frame bytes (no newline) at an NDJSON server: readline hits its
         # limit; the server must close, not wedge.
-        with _connect(server) as sock:
-            sock.sendall(b"\x52\x46" + b"\xff" * (2**16 + 1024))
-            assert sock.recv(1) == b""
+        with RawWire(server.address) as conn:
+            conn.sock.sendall(b"\x52\x46" + b"\xff" * (2**16 + 1024))
+            assert conn.sock.recv(1) == b""
 
     def test_fresh_connections_still_served_after_abuse(self, server, engine):
         from repro.core.similarity import get_similarity

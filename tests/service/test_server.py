@@ -21,13 +21,10 @@ from repro.service.client import (
     wait_ready,
 )
 from repro.obs.registry import parse_prometheus_text
-from repro.service import frames
-from repro.service.protocol import (
-    decode_neighbors,
-    decode_response,
-    encode_request,
-)
+from repro.service.protocol import decode_neighbors
 from repro.service.server import serve_in_background
+
+from tests.conftest import RawWire
 
 
 class SlowEngine:
@@ -189,47 +186,39 @@ class TestShutdown:
 class TestWireErrors:
     def test_malformed_and_invalid_lines_get_structured_errors(self, engine):
         with serve_in_background(engine) as handle:
-            host, port = handle.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                reader = sock.makefile("r", encoding="utf-8", newline="\n")
+            with RawWire(handle.address) as conn:
                 # Malformed JSON: no id to echo.
-                sock.sendall(b"{not json\n")
-                response = decode_response(reader.readline())
+                conn.sock.sendall(b"{not json\n")
+                response = conn.read()
                 assert response["ok"] is False
                 assert response["error"]["code"] == "bad_request"
                 assert response["id"] is None
                 # Unknown op keeps the id.
-                sock.sendall(encode_request({"id": 9, "op": "explode"}))
-                response = decode_response(reader.readline())
+                conn.send({"id": 9, "op": "explode"})
+                response = conn.read()
                 assert response["id"] is None or response["id"] == 9
                 assert response["error"]["code"] == "bad_request"
                 # Invalid query parameters.
-                sock.sendall(
-                    encode_request(
-                        {"id": 10, "op": "knn", "items": [], "k": 3}
-                    )
-                )
-                response = decode_response(reader.readline())
+                conn.send({"id": 10, "op": "knn", "items": [], "k": 3})
+                response = conn.read()
                 assert response["id"] == 10
                 assert response["error"]["code"] == "bad_request"
                 # A scan order the service does not offer.
-                sock.sendall(
-                    encode_request(
-                        {
-                            "id": 12,
-                            "op": "knn",
-                            "items": [1, 2],
-                            "k": 3,
-                            "sort_by": "supercoordinate",
-                        }
-                    )
+                conn.send(
+                    {
+                        "id": 12,
+                        "op": "knn",
+                        "items": [1, 2],
+                        "k": 3,
+                        "sort_by": "supercoordinate",
+                    }
                 )
-                response = decode_response(reader.readline())
+                response = conn.read()
                 assert response["id"] == 12
                 assert response["error"]["code"] == "bad_request"
                 # The connection survives all of it.
-                sock.sendall(encode_request({"id": 11, "op": "ping"}))
-                assert decode_response(reader.readline())["ok"] is True
+                conn.send({"id": 11, "op": "ping"})
+                assert conn.read()["ok"] is True
 
     @pytest.mark.parametrize(
         "wire, bad_item",
@@ -260,35 +249,16 @@ class TestWireErrors:
             message(3, queries[1]),
         ]
         with serve_in_background(engine, max_wait_ms=50.0) as handle:
-            with socket.create_connection(handle.address, timeout=10) as sock:
-                reader = sock.makefile("rb")
-
-                def read_line():
-                    return decode_response(reader.readline().decode("utf-8"))
-
-                def read_frame():
-                    frame_type, length = frames.decode_header(
-                        reader.read(frames.HEADER.size)
-                    )
-                    return frames.decode_payload(frame_type, reader.read(length))
-
-                if wire == "binary":
-                    sock.sendall(
-                        encode_request({"id": 0, "op": "hello", "wire": "binary"})
-                    )
-                    assert read_line()["ok"] is True
-                    encode, read = frames.encode_request_frame, read_frame
-                else:
-                    encode, read = encode_request, read_line
-                sock.sendall(b"".join(encode(m) for m in batch))
-                replies = {r["id"]: r for r in (read(), read(), read())}
+            with RawWire(handle.address, wire) as conn:
+                conn.send(*batch)
+                replies = {r["id"]: r for r in (conn.read(), conn.read(), conn.read())}
                 assert replies[2]["ok"] is False
                 assert replies[2]["error"]["code"] == "bad_request"
                 assert decode_neighbors(replies[1]["results"]) == expected[0]
                 assert decode_neighbors(replies[3]["results"]) == expected[1]
                 # The connection keeps serving.
-                sock.sendall(encode(message(4, queries[0])))
-                assert decode_neighbors(read()["results"]) == expected[0]
+                conn.send(message(4, queries[0]))
+                assert decode_neighbors(conn.read()["results"]) == expected[0]
             samples = parse_prometheus_text(
                 handle.server.metrics.to_prometheus_text()
             )

@@ -15,7 +15,7 @@ from repro.core.partitioning import partition_items
 from repro.core.similarity import get_similarity
 from repro.data.transaction import TransactionDatabase
 from repro.faults import AckedOracle
-from repro.live import LiveIndex, LiveQueryEngine
+from repro.live import LiveIndex
 from repro.service.client import ServiceClient
 from repro.service.server import serve_in_background
 
@@ -39,7 +39,7 @@ def live_server(tmp_path):
         base_db,
         scheme=partition_items(base_db, num_signatures=6, rng=0),
     )
-    handle = serve_in_background(LiveQueryEngine(index), live_index=index)
+    handle = serve_in_background(index)
     try:
         yield handle, index, base_db
     finally:

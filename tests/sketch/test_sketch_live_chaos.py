@@ -41,7 +41,7 @@ def live(tmp_path, base_db, scheme):
 class TestMutation:
     def test_signatures_track_inserts_and_deletes(self, live):
         rng = np.random.default_rng(5)
-        assert live.sketch_enabled
+        assert live.supports_lsh_tier
         assert_signatures_fresh(live)
         for step in range(30):
             if rng.random() < 0.3 and live.num_transactions > 1:
@@ -60,7 +60,7 @@ class TestMutation:
             live.delete(tid)
         report = live.compact()
         assert report.merged_inserts == 20
-        assert live.sketch_enabled
+        assert live.supports_lsh_tier
         assert_signatures_fresh(live)
         # And the compacted sketch still answers lsh queries.
         hits, stats = live.knn(
@@ -84,7 +84,7 @@ class TestMutation:
     ):
         plain = LiveIndex.create(tmp_path / "plain", base_db, scheme=scheme)
         try:
-            assert not plain.sketch_enabled
+            assert not plain.supports_lsh_tier
             assert plain.logical_sketch_signatures() is None
             with pytest.raises(ValueError, match="sketch"):
                 plain.knn(
@@ -108,7 +108,7 @@ class TestRecovery:
         live.close()
         recovered = LiveIndex.recover(path)
         try:
-            assert recovered.sketch_enabled
+            assert recovered.supports_lsh_tier
             assert_signatures_fresh(recovered)
         finally:
             recovered.close()
@@ -160,7 +160,7 @@ class TestRecovery:
             (path / "wal.log").write_bytes(wal_bytes[:cut])
             recovered = LiveIndex.recover(path)
             try:
-                assert recovered.sketch_enabled, f"truncation at byte {cut}"
+                assert recovered.supports_lsh_tier, f"truncation at byte {cut}"
                 assert_signatures_fresh(recovered)
             finally:
                 recovered.close()

@@ -7,11 +7,13 @@ These keep the codebase consistent without external tooling:
   only sanctioned exceptions);
 * no library module imports the test suite or the benchmarks;
 * public modules avoid ``from x import *``;
-* every repository path a document or docstring cites exists.
+* every repository path a document or docstring cites exists;
+* every API name ``docs/api.md`` tabulates exists.
 """
 
 import ast
 import glob
+import importlib
 import re
 from pathlib import Path
 
@@ -27,6 +29,18 @@ PRINT_ALLOWED = {"cli.py", "__main__.py"}
 
 def module_id(path: Path) -> str:
     return str(path.relative_to(SRC.parent))
+
+
+def module_name(path: Path) -> str:
+    """The dotted import name of a library module path."""
+    dotted = str(path.relative_to(SRC.parent).with_suffix("")).replace("/", ".")
+    return dotted[: -len(".__init__")] if dotted.endswith(".__init__") else dotted
+
+
+#: Importable library modules (``__main__`` runs the CLI on import).
+MODULE_NAMES = [
+    module_name(path) for path in MODULES if path.name != "__main__.py"
+]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=module_id)
@@ -91,16 +105,59 @@ class TestPublicApiSurface:
     def test_every_module_reachable_from_package(self):
         """Import every module explicitly — catches syntax errors in files
         no test happens to touch."""
-        import importlib
-
-        for path in MODULES:
-            relative = path.relative_to(SRC.parent)
-            dotted = str(relative.with_suffix("")).replace("/", ".")
-            if dotted.endswith(".__init__"):
-                dotted = dotted[: -len(".__init__")]
-            if dotted.endswith("__main__"):
-                continue
+        for dotted in MODULE_NAMES:
             importlib.import_module(dotted)
+
+
+def _documented_api_names(path: Path):
+    """The capitalised or ``repro.``-qualified dotted names opening the
+    code spans of the first column of every table in ``path``."""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|"):
+            continue
+        for span in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            name = re.match(r"[A-Za-z_][\w.]*", span)
+            if name is None:
+                continue
+            dotted = name.group().rstrip(".")
+            if dotted[0].isupper() or dotted.startswith("repro."):
+                yield dotted
+
+
+def _has_path(target, attributes) -> bool:
+    for attribute in attributes:
+        if not hasattr(target, attribute):
+            return False
+        target = getattr(target, attribute)
+    return True
+
+
+def _resolves(dotted: str, modules) -> bool:
+    """Whether ``dotted`` names something in ``repro``: a qualified name
+    through its longest importable module prefix, a bare one as an
+    attribute path of any library module."""
+    parts = dotted.split(".")
+    if parts[0] != "repro":
+        return any(_has_path(module, parts) for module in modules)
+    for cut in range(len(parts), 0, -1):
+        try:
+            module = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        return _has_path(module, parts[cut:])
+    return False
+
+
+class TestDocumentedApi:
+    def test_every_documented_api_name_exists(self):
+        """A class or qualified name cited in the first column of an API
+        table is there to be called — a removal has to take its row
+        with it."""
+        modules = [importlib.import_module(dotted) for dotted in MODULE_NAMES]
+        names = sorted(set(_documented_api_names(ROOT / "docs" / "api.md")))
+        assert len(names) > 50, "the API tables were not found"
+        missing = [name for name in names if not _resolves(name, modules)]
+        assert not missing, f"docs/api.md cites names that do not exist: {missing}"
 
 
 #: A cited repository path: one of the tracked top-level directories,
