@@ -341,12 +341,6 @@ def _render_top_frame(metrics: Dict[str, object], scope: str) -> str:
     depth = total("repro_queue_depth")
     batches = total("repro_batches_total")
     lines.append(f"  queue depth: {depth:.0f}, batches executed: {batches:.0f}")
-    fallbacks = total("repro_kernel_fallbacks_total")
-    if fallbacks:
-        lines.append(
-            f"  kernel fallbacks: {fallbacks:.0f} early_termination batches"
-            " on the scalar loop"
-        )
     budget = samples("repro_slo_error_budget_remaining")
     if budget:
         parts = []

@@ -23,14 +23,15 @@ batch themselves.  The paper's multi-query forms run there too: a
 conjunctive range query (Section 2.1) is one prepared query per
 constraint, and a multi-target query (Section 4.3) is one
 :class:`~repro.core.search.PreparedQuery` whose bounds and similarities
-are the aggregate of its targets' rows.  The one configuration the
-engine does not hand to the kernels yet (an ``early_termination`` k-NN
-batch) injects the same prepared state into
-:meth:`SignatureTableSearcher.knn`; that is the engine's only call into
-the searcher.  Every measured quantity (results, entries scanned/pruned,
-transactions accessed, pages read) is identical to the single-query
-searcher, the oracle the differential and property test suites check the
-engine against; all batch-side arithmetic is integer-exact (see
+are the aggregate of its targets' rows.  An ``early_termination`` k-NN
+batch is the same scan with a row budget (:func:`~repro.core.search.
+row_budget`), so every batch runs on the kernels and the engine never
+calls the searcher's query methods; ``repro explain`` and the
+sort-order ablation are the only callers of those left in the package.
+Every measured quantity (results, entries scanned/pruned, transactions
+accessed, pages read) is identical to the single-query searcher, the
+oracle the differential and property test suites check the engine
+against; all batch-side arithmetic is integer-exact (see
 ``BatchBoundCalculator``), so this is a bit-for-bit guarantee.
 
 The engine serves the searcher's default configuration only: a searcher
@@ -55,6 +56,7 @@ from repro.core.search import (
     PreparedQuery,
     SearchStats,
     SignatureTableSearcher,
+    row_budget,
     target_aggregator,
 )
 from repro.core.similarity import SimilarityFunction
@@ -305,7 +307,6 @@ class QueryEngine:
                 "such a searcher directly"
             )
         self._searcher = searcher
-        self._fallback_counter = None
         self._sketch_candidates_counter = None
         self._sketch_access_histogram = None
 
@@ -338,34 +339,14 @@ class QueryEngine:
         """Whether ``candidate_tier="lsh"`` requests can be served."""
         return self.sketch is not None
 
-    def _fallback_reason(
-        self, early_termination: Optional[float]
-    ) -> Optional[str]:
-        """Why the engine runs a batch with this ``early_termination`` on
-        the scalar loop, or ``None``.
-
-        ``"early_termination"`` is the one reason: the engine does not
-        route an access budget to the kernels yet.  An active tracer is
-        none (the kernels record the spans).
-        """
-        return None if early_termination is None else "early_termination"
-
     def bind_metrics(self, registry) -> None:
-        """Account kernel fallbacks in ``registry``.
+        """Account the sketch tier in ``registry``.
 
-        The packed-to-scalar downgrade changes no result, so throughput
-        is the only place it shows; operators need it named.  The
-        service server binds its registry here at startup; every
-        ``knn_batch`` whose queries reach the scalar loop (an
-        ``early_termination`` batch) then increments
-        ``repro_kernel_fallbacks_total{reason}``.
+        The service server binds its registry here at startup; every
+        ``candidate_tier="lsh"`` batch then adds its probes' candidates
+        to ``repro_sketch_candidates_total{op}`` and observes each
+        query's access fraction in ``repro_sketch_access_fraction``.
         """
-        self._fallback_counter = registry.counter(
-            "repro_kernel_fallbacks_total",
-            "Batches that requested the packed kernel but fell back to "
-            "the scalar reference loop, by reason",
-            labelnames=("reason",),
-        )
         self._sketch_candidates_counter = registry.counter(
             "repro_sketch_candidates_total",
             "Candidate tids returned by sketch-tier LSH probes, by op",
@@ -394,8 +375,9 @@ class QueryEngine:
         """k-NN for every target in the batch.
 
         Semantics per query are exactly those of
-        :meth:`SignatureTableSearcher.knn` (including early termination and
-        the a-posteriori guarantee); only the preparation is amortised.
+        :meth:`SignatureTableSearcher.knn` (including early termination,
+        whose row budget the packed scan enforces, and the a-posteriori
+        guarantee); only the preparation is amortised.
         ``candidate_tier="lsh"`` prefixes each query with an LSH probe of
         the table's sketch index and restricts the branch-and-bound scan
         to the returned candidates — approximate, with the estimated
@@ -415,43 +397,20 @@ class QueryEngine:
         probes, per_query = self._candidate_rows(
             target_arrays, candidate_tier, target_recall, candidates, op="knn"
         )
-        # `knn_scan_batch` models an access budget too, but budgeted
-        # batches keep to the reference loop for now (see CHANGES.md).
-        fallback = self._fallback_reason(early_termination)
-        if fallback is not None and self._fallback_counter is not None:
-            self._fallback_counter.labels(reason=fallback).inc()
-        packed = fallback is None
-        readable = self._readable_rows(per_query) if packed else None
+        readable = self._readable_rows(per_query)
         with span("engine.prepare_batch", batch_size=len(target_arrays)):
             prepared = self._prepare_batch(
                 target_arrays, similarity, ordered=True, readable_rows=readable
             )
-        if packed:
-            results, stats = kernels.knn_scan_batch(
-                searcher.table,
-                len(searcher.db),
-                prepared,
-                k,
-                candidates=per_query,
-                tolerance=guarantee_tolerance,
-            )
-        else:
-            results, stats = [], []
-            for index, (items, prep) in enumerate(zip(target_arrays, prepared)):
-                neighbors, query_stats = searcher.knn(
-                    items,
-                    similarity,
-                    k=k,
-                    early_termination=early_termination,
-                    guarantee_tolerance=guarantee_tolerance,
-                    prepared=prep,
-                    tid_mask=(
-                        None if per_query is None
-                        else self._tid_mask(per_query[index])
-                    ),
-                )
-                results.append(neighbors)
-                stats.append(query_stats)
+        results, stats = kernels.knn_scan_batch(
+            searcher.table,
+            len(searcher.db),
+            prepared,
+            k,
+            candidates=per_query,
+            budget=row_budget(early_termination, len(searcher.db)),
+            tolerance=guarantee_tolerance,
+        )
         if probes is not None:
             for neighbors, query_stats, probe in zip(results, stats, probes):
                 self._finish_sketch_stats(
@@ -581,7 +540,7 @@ class QueryEngine:
             len(self._searcher.db),
             [prepared],
             k,
-            budget=self._searcher._budget(early_termination),
+            budget=row_budget(early_termination, len(self._searcher.db)),
         )
         return neighbors, stats
 
@@ -624,14 +583,7 @@ class QueryEngine:
         differential tests pin down.
         """
         check_batch_similarity(key, similarity)
-        with span(
-            "engine.run_batch", op=key.op, batch_size=len(targets)
-        ) as batch_span:
-            fallback = self._fallback_reason(key.early_termination)
-            if fallback is not None:
-                # Name the silent downgrade in the trace; `knn_batch`
-                # counts it for dashboards.
-                batch_span.set_attribute("kernel_fallback", fallback)
+        with span("engine.run_batch", op=key.op, batch_size=len(targets)):
             return dispatch_batch(self, key, similarity, targets)
 
     # ------------------------------------------------------------------
@@ -870,14 +822,6 @@ class QueryEngine:
         if rows.ndim == 2:
             return None, list(rows)
         return None, [rows] * len(target_arrays)
-
-    def _tid_mask(self, rows: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """Candidate rows as the boolean mask the scalar searcher takes."""
-        if rows is None or rows.dtype == np.bool_:
-            return rows
-        mask = np.zeros(len(self._searcher.db), dtype=bool)
-        mask[rows] = True
-        return mask
 
     def _finish_sketch_stats(
         self, stats: SearchStats, probe, kth_tid: Optional[int]

@@ -15,8 +15,11 @@ Every kernel is *exact*: popcounts are integer arithmetic, and the scan
 kernels reproduce the reference loop's results, :class:`~repro.core.
 search.SearchStats` and simulated I/O counters element for element.
 These scans are the only ones the :class:`~repro.core.engine.QueryEngine`
-runs; the scalar :class:`~repro.core.search.SignatureTableSearcher` is
-their oracle, called from the property and differential tests, so no
+runs, an ``early_termination`` batch included (its row budget is the
+``budget`` argument of :func:`knn_scan_batch`).  The scalar
+:class:`~repro.core.search.SignatureTableSearcher` is their oracle,
+called from the property and differential tests; in the package only
+``repro explain`` and the sort-order ablation still query it.  No
 tolerance knob or kernel switch exists.  That covers telemetry: under an
 active :class:`~repro.obs.trace.Tracer` the scan kernels record the
 loop's per-query ``search.knn`` / ``search.range`` span

@@ -201,6 +201,18 @@ def target_aggregator(
     return lambda values: (weight_array * values).sum(axis=0)
 
 
+def row_budget(
+    early_termination: Optional[float], num_rows: int
+) -> Optional[int]:
+    """The rows an ``early_termination`` scan may read (Section 4.2): the
+    fraction of ``num_rows`` rounded up, at least one; ``None`` (no
+    budget) for ``None``."""
+    if early_termination is None:
+        return None
+    check_fraction(early_termination, "early_termination")
+    return max(1, int(math.ceil(early_termination * num_rows)))
+
+
 @dataclass(frozen=True)
 class PreparedQuery:
     """Precomputed per-query state injected into the scan loop.
@@ -446,7 +458,7 @@ class SignatureTableSearcher:
             )
             sims_all = self._all_similarities(target_items, bound_sim)
             reads = None
-        budget = self._budget(early_termination)
+        budget = row_budget(early_termination, len(self.db))
         stats = self._new_stats()
         page_cache: set = set()
 
@@ -825,12 +837,6 @@ class SignatureTableSearcher:
             total_transactions=len(self.db),
             entries_total=self.table.num_entries_occupied,
         )
-
-    def _budget(self, early_termination: Optional[float]) -> Optional[int]:
-        if early_termination is None:
-            return None
-        check_fraction(early_termination, "early_termination")
-        return max(1, int(math.ceil(early_termination * len(self.db))))
 
     @staticmethod
     def _record_cutoff(

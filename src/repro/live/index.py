@@ -1094,9 +1094,9 @@ class LiveIndex:
         """Export this index's metrics into ``registry``: the WAL,
         delta and compaction series, and the base engine's
         (:meth:`QueryEngine.bind_metrics
-        <repro.core.engine.QueryEngine.bind_metrics>`: kernel fallbacks,
-        sketch candidates and access fraction), now and after every
-        compaction.  A server binds its registry here at startup."""
+        <repro.core.engine.QueryEngine.bind_metrics>`: sketch candidates
+        and access fraction), now and after every compaction.  A server
+        binds its registry here at startup."""
         self._metrics = {
             "appends": registry.counter(
                 "repro_wal_appends_total", "WAL records appended"

@@ -23,28 +23,15 @@ from repro.service.protocol import decode_response, encode_request
 SEARCHER_QUERIES = ("knn", "nearest", "range_query", "multi_range_query")
 
 
-def forbid_scalar_loop(patch, allow_budgeted=False):
+def forbid_scalar_loop(patch):
     """Make every searcher query method raise under ``patch`` (a
-    ``monkeypatch`` or one of its contexts).  ``allow_budgeted`` lets
-    ``knn`` through for an ``early_termination`` query, the one
-    configuration the engine still runs on the scalar loop."""
-
-    scalar_knn = repro.SignatureTableSearcher.knn
+    ``monkeypatch`` or one of its contexts)."""
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the scalar loop was reached")
 
-    def budgeted_only(self, *args, early_termination=None, **kwargs):
-        if early_termination is None:
-            unreachable()
-        return scalar_knn(
-            self, *args, early_termination=early_termination, **kwargs
-        )
-
     for name in SEARCHER_QUERIES:
         patch.setattr(repro.SignatureTableSearcher, name, unreachable)
-    if allow_budgeted:
-        patch.setattr(repro.SignatureTableSearcher, "knn", budgeted_only)
 
 
 class RawWire:

@@ -6,7 +6,11 @@ to running each query through :meth:`SignatureTableSearcher.knn` /
 similarities), same :class:`SearchStats` down to every measured counter —
 and, in exact mode, identical to the brute-force
 :class:`~repro.baselines.linear_scan.LinearScanIndex`.  These tests
-enforce that over randomised databases and query batches.
+enforce that over randomised databases and query batches.  Every
+approximate mode, ``early_termination`` budgets included, runs its batch
+with the searcher's query methods patched to raise
+(:func:`~tests.conftest.forbid_scalar_loop`), so the batch is the packed
+scan's answer and the searcher only the oracle.
 """
 
 import numpy as np
@@ -54,6 +58,13 @@ def random_batch(db, rng, size):
 @pytest.fixture(scope="module", params=SEEDS)
 def instance(request):
     return random_instance(request.param)
+
+
+def on_kernels(monkeypatch, call):
+    """``call()`` with every query method of the searcher raising."""
+    with monkeypatch.context() as patch:
+        forbid_scalar_loop(patch)
+        return call()
 
 
 @pytest.mark.parametrize("sim", make_similarities(), ids=lambda s: repr(s))
@@ -119,38 +130,47 @@ APPROXIMATE_MODES = [
 ]
 
 
-def test_early_termination_batch_identical_to_single_queries(instance):
+def test_early_termination_batch_identical_to_single_queries(
+    instance, monkeypatch
+):
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
     engine = repro.QueryEngine(searcher)
     sim = repro.MatchRatioSimilarity()
     for kwargs in APPROXIMATE_MODES:
-        batch_results, batch_stats = engine.knn_batch(queries, sim, k=3, **kwargs)
+        batch_results, batch_stats = on_kernels(
+            monkeypatch, lambda: engine.knn_batch(queries, sim, k=3, **kwargs)
+        )
         for query, got, got_stats in zip(queries, batch_results, batch_stats):
             want, want_stats = searcher.knn(query, sim, k=3, **kwargs)
             assert got == want
             assert got_stats == want_stats
 
 
-#: The scan that answers a batch: the packed kernels, or the scalar loop
-#: of the searcher, which the engine still runs ``early_termination``
-#: batches on.  Range batches always run packed.
-SCANS = ["packed", "python"]
+#: The tests below run once over the modes without a row budget and once
+#: over the ``early_termination`` ones (range queries take no budget, so
+#: only the first half checks them).  Both halves run on the packed
+#: kernels; the ids keep the names "packed" / "python" from when the
+#: budgeted half ran on the searcher.
+BUDGETED = pytest.mark.parametrize(
+    "budgeted", [False, True], ids=["packed", "python"]
+)
 
 
-def modes_on(scan, modes):
-    """The batch configurations in ``modes`` that the engine runs on
-    ``scan``."""
+def modes_on(budgeted, modes):
+    """The batch configurations in ``modes`` with (``budgeted``) or
+    without an ``early_termination`` budget."""
     return [
-        kwargs for kwargs in modes
-        if ("early_termination" in kwargs) == (scan == "python")
+        kwargs for kwargs in modes if ("early_termination" in kwargs) == budgeted
     ]
 
 
-@pytest.mark.parametrize("scan", SCANS)
-def test_lsh_tier_batch_identical_to_masked_single_queries(instance, scan):
+@BUDGETED
+def test_lsh_tier_batch_identical_to_masked_single_queries(
+    instance, budgeted, monkeypatch
+):
     """The lsh tier is the searcher under the probe's ``tid_mask`` (plus
-    the tier's report on the stats), whichever scan answers the batch."""
+    the tier's report on the stats), with or without a row budget."""
     from repro.sketch import SketchIndex
 
     db, table, queries = instance
@@ -160,9 +180,13 @@ def test_lsh_tier_batch_identical_to_masked_single_queries(instance, scan):
     searcher = repro.SignatureTableSearcher(sketched, db)
     engine = repro.QueryEngine(searcher)
     sim = repro.JaccardSimilarity()
-    for kwargs in modes_on(scan, [dict()] + APPROXIMATE_MODES):
-        batch_results, batch_stats = engine.knn_batch(
-            queries, sim, k=3, candidate_tier="lsh", target_recall=0.9, **kwargs
+    for kwargs in modes_on(budgeted, [dict()] + APPROXIMATE_MODES):
+        batch_results, batch_stats = on_kernels(
+            monkeypatch,
+            lambda: engine.knn_batch(
+                queries, sim, k=3, candidate_tier="lsh", target_recall=0.9,
+                **kwargs,
+            ),
         )
         for query, got, got_stats in zip(queries, batch_results, batch_stats):
             probe = sketch.probe(query, 0.9)
@@ -178,10 +202,13 @@ def test_lsh_tier_batch_identical_to_masked_single_queries(instance, scan):
             want_stats.sketch_candidates = got_stats.sketch_candidates
             want_stats.estimated_recall = got_stats.estimated_recall
             assert got_stats == want_stats
-    if scan == "python":
+    if budgeted:
         return
-    hits, range_stats = engine.range_query_batch(
-        queries, sim, 0.2, candidate_tier="lsh", target_recall=0.9
+    hits, range_stats = on_kernels(
+        monkeypatch,
+        lambda: engine.range_query_batch(
+            queries, sim, 0.2, candidate_tier="lsh", target_recall=0.9
+        ),
     )
     for query, got, got_stats in zip(queries, hits, range_stats):
         probe = sketch.probe(query, 0.9)
@@ -212,18 +239,16 @@ def spans_named(roots, name):
     return found
 
 
-@pytest.mark.parametrize("scan", SCANS)
+@BUDGETED
 def test_traced_batch_identical_and_one_span_per_query(
-    instance, scan, monkeypatch
+    instance, budgeted, monkeypatch
 ):
     """An active tracer changes nothing but the spans: one
     ``search.knn`` / ``search.range`` span per query, carrying the
-    finished stats, from either scan.  On the packed kernels they come
-    from the kernels — every query method of the searcher is patched to
-    raise, for exact, lsh and ``candidates=`` batches of either op.  On
-    the scalar loop (``early_termination`` batches, the one
-    configuration that still reaches the searcher) they come from the
-    searcher, and the batch is the only one stamped ``kernel_fallback``.
+    finished stats, recorded by the packed kernels — every query method
+    of the searcher is patched to raise, for exact, lsh and
+    ``candidates=`` batches of either op, with or without a row budget.
+    The ``engine.run_batch`` span carries the op and batch size only.
     """
     from repro.core.engine import batch_key
     from repro.obs.trace import Tracer
@@ -239,32 +264,28 @@ def test_traced_batch_identical_and_one_span_per_query(
     lsh = dict(candidate_tier="lsh", target_recall=0.9)
     rows = dict(candidates=np.array([5, 7, 9, 40, 41]))
 
-    def traced_equals_plain(call, budgeted=False):
+    def traced_equals_plain(call):
         with monkeypatch.context() as patch:
-            if not budgeted:
-                forbid_scalar_loop(patch)
+            forbid_scalar_loop(patch)
             plain = call()
             tracer = Tracer()
             with tracer.activate():
                 traced = call()
         assert traced == plain
         for batch_span in spans_named(tracer.roots, "engine.run_batch"):
-            assert batch_span.attributes.get("kernel_fallback") == (
-                "early_termination" if budgeted else None
-            )
+            assert set(batch_span.attributes) == {"op", "batch_size"}
         return tracer.roots, traced
 
-    budgeted = scan == "python"
     knn_modes = [dict(), lsh, rows] + APPROXIMATE_MODES + [
         dict(lsh, early_termination=0.2), dict(rows, early_termination=0.2)
     ]
-    for kwargs in modes_on(scan, knn_modes):
+    for kwargs in modes_on(budgeted, knn_modes):
         if "candidates" in kwargs:  # not a BatchKey parameter
             call = lambda: engine.knn_batch(queries, sim, k=3, **kwargs)
         else:
             key = batch_key("knn", sim, k=3, **kwargs)
             call = lambda: engine.run_batch(key, sim, queries)
-        roots, (_, all_stats) = traced_equals_plain(call, budgeted)
+        roots, (_, all_stats) = traced_equals_plain(call)
         spans = spans_named(roots, "search.knn")
         assert len(spans) == len(queries)
         for recorded, stats in zip(spans, all_stats):
@@ -283,7 +304,7 @@ def test_traced_batch_identical_and_one_span_per_query(
                 del want["guaranteed_optimal"]
                 del recorded.attributes["guaranteed_optimal"]
             assert recorded.attributes == want
-    for kwargs in modes_on(scan, [dict(), lsh, rows]):
+    for kwargs in modes_on(budgeted, [dict(), lsh, rows]):
         if "candidates" in kwargs:
             call = lambda: engine.range_query_batch(queries, sim, 0.3, **kwargs)
         else:
@@ -302,17 +323,19 @@ def test_traced_batch_identical_and_one_span_per_query(
             )
 
 
-@pytest.mark.parametrize("scan", SCANS)
-def test_explicit_candidates_identical_and_duplicates_rejected(instance, scan):
+@BUDGETED
+def test_explicit_candidates_identical_and_duplicates_rejected(
+    instance, budgeted, monkeypatch
+):
     """``candidates=`` is the searcher's ``tid_mask``, as a mask, as
-    distinct tids or as one mask per query, whichever scan answers the
-    batch; a repeated tid would be scanned (and returned) once per
+    distinct tids or as one mask per query, with or without a row
+    budget; a repeated tid would be scanned (and returned) once per
     repeat by the packed kernels, so it is refused up front."""
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
     engine = repro.QueryEngine(searcher)
     sim = repro.JaccardSimilarity()
-    budget = dict(early_termination=0.3) if scan == "python" else dict()
+    budget = dict(early_termination=0.3) if budgeted else dict()
     tids = np.array([5, 7, 9, 40, 41])
     mask = np.zeros(len(db), dtype=bool)
     mask[tids] = True
@@ -322,14 +345,20 @@ def test_explicit_candidates_identical_and_duplicates_rejected(instance, scan):
         (mask, [mask] * len(queries)),
         (per_query, per_query),
     ):
-        got = engine.knn_batch(queries, sim, k=3, candidates=rows, **budget)
+        got = on_kernels(
+            monkeypatch,
+            lambda: engine.knn_batch(queries, sim, k=3, candidates=rows, **budget),
+        )
         for q, query in enumerate(queries):
             assert (got[0][q], got[1][q]) == searcher.knn(
                 query, sim, k=3, tid_mask=masks[q], **budget
             )
-        if scan == "python":
+        if budgeted:
             continue
-        hits = engine.range_query_batch(queries, sim, 0.0, candidates=rows)
+        hits = on_kernels(
+            monkeypatch,
+            lambda: engine.range_query_batch(queries, sim, 0.0, candidates=rows),
+        )
         for q, query in enumerate(queries):
             assert (hits[0][q], hits[1][q]) == searcher.range_query(
                 query, sim, 0.0, tid_mask=masks[q]

@@ -1,4 +1,4 @@
-"""BatchKey normalisation and ``run_batch`` dispatch."""
+"""Engine construction, BatchKey normalisation and ``run_batch`` dispatch."""
 
 import pytest
 
@@ -14,6 +14,21 @@ def engine(small_searcher):
 @pytest.fixture(scope="module")
 def queries(small_db):
     return [sorted(small_db[t]) for t in range(0, 30, 2)]
+
+
+class TestConstruction:
+    def test_pooled_and_reference_mode_searchers_rejected(
+        self, small_table, small_db
+    ):
+        """The batch paths do not model a buffer pool: a pooled searcher is
+        refused at construction, not silently run scalar.  The
+        per-transaction reference mode is gone from the searcher itself."""
+        pool = repro.BufferPool(small_table.store, capacity=8)
+        pooled = repro.SignatureTableSearcher(small_table, small_db, buffer_pool=pool)
+        with pytest.raises(ValueError, match="no buffer pool"):
+            repro.QueryEngine(pooled)
+        with pytest.raises(TypeError, match="precompute"):
+            repro.SignatureTableSearcher(small_table, small_db, precompute=False)
 
 
 class TestBatchKey:

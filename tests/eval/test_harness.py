@@ -234,9 +234,9 @@ class TestRunnersOnTheEngine:
                 )
 
     def test_exact_phases_never_reach_the_scalar_loop(self, ctx, monkeypatch):
-        """Only budgeted queries (the engine's ``early_termination``
-        branch) and the sort-order ablation still run the searcher."""
-        forbid_scalar_loop(monkeypatch, allow_budgeted=True)
+        """Every phase, budgeted ones included, runs on the packed
+        kernels; only the sort-order ablation still runs the searcher."""
+        forbid_scalar_loop(monkeypatch)
         sim = repro.MatchRatioSimilarity()
         small = dict(spec="T10.I6.D1K", num_signatures=8)
         run_pruning_vs_db_size(sim, ctx)

@@ -118,28 +118,36 @@ class TestMutationsOverTcp:
         assert "repro_requests_received_total" in metrics
 
 
-def test_served_fallbacks_counted_across_compaction(tmp_path, base_db, scheme):
+def test_served_sketch_metrics_counted_across_compaction(
+    tmp_path, base_db, scheme
+):
     """The server binds its registry through ``LiveIndex.bind_metrics`` to
-    the base engine, and a compaction's new engine stays bound."""
-    index = LiveIndex.create(tmp_path / "idx", base_db, scheme=scheme)
+    the base engine, and a compaction's new engine stays bound: each lsh
+    read adds its probe's candidates to ``repro_sketch_candidates_total``,
+    before and after every compaction."""
+    target = [1, 2, 3]
+    index = LiveIndex.create(
+        tmp_path / "idx", base_db, scheme=scheme, sketch={"seed": 5}
+    )
     handle = serve_in_background(index)
     try:
-        host, port = handle.address
-        with ServiceClient(host, port) as client:
-            counts = []
-            for _ in range(2):
-                client.knn([1, 2, 3], "jaccard", k=3)
-                client.knn([1, 2, 3], "jaccard", k=3, early_termination=0.2)
-                family = client.metrics("json")["repro_kernel_fallbacks_total"]
+        with ServiceClient(*handle.address) as client:
+            counts, want = [], []
+            for _ in range(3):
+                probe = index.base_table.sketch.probe(target, 0.9)
+                want.append((want[-1] if want else 0) + probe.candidates.size)
+                client.knn(
+                    target, "jaccard", k=3, candidate_tier="lsh",
+                    target_recall=0.9,
+                )
+                family = client.metrics("json")["repro_sketch_candidates_total"]
                 counts.append(
                     [(s["labels"], s["value"]) for s in family["samples"]]
                 )
                 client.insert([4, 5, 6])
                 client.compact()
-        assert counts == [
-            [({"reason": "early_termination"}, 1.0)],
-            [({"reason": "early_termination"}, 2.0)],
-        ]
+        assert index.compactions == 3
+        assert counts == [[({"op": "knn"}, float(n))] for n in want]
     finally:
         handle.stop()
         index.close()

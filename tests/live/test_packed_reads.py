@@ -2,12 +2,11 @@
 
 The base segment is scanned by a :class:`~repro.core.engine.QueryEngine`
 with the live rows as its candidate mask, so the scalar searcher is the
-oracle here, never the path: only an ``early_termination`` batch still
-reaches it, through the engine's named fallback.
+oracle here, never the path, for ``early_termination`` reads as for
+every other.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.engine import QueryEngine
 from repro.core.similarity import get_similarity
@@ -22,6 +21,26 @@ from tests.live.test_differential import fresh_searcher
 
 def pairs(neighbors):
     return [(n.tid, n.similarity) for n in neighbors]
+
+
+def budgeted_oracle(live, targets, similarity, tier, k, fraction):
+    """A budgeted live k-NN batch assembled from the base table's
+    searcher, under the live tombstone mask (and each query's sketch
+    probe), plus the live index's delta merge."""
+    state = live._read_state()
+    searcher = state.engine.searcher
+    recall = 0.9 if tier == "lsh" else None
+    probes, candidates = state.base_candidates(targets, tier, recall, op="knn")
+    masks = [candidates] * len(targets) if tier == "exact" else list(candidates)
+    base_lists, stats = [], []
+    for target, mask in zip(targets, masks):
+        hits, one = searcher.knn(
+            target, similarity, k=k, early_termination=fraction, tid_mask=mask
+        )
+        base_lists.append(hits)
+        stats.append(one)
+    delta = [state.delta.knn_candidates(t, similarity, k) for t in targets]
+    return state.merge(base_lists, stats, delta, probes, candidates, k)
 
 
 def test_live_reads_never_reach_the_scalar_loop(
@@ -47,13 +66,21 @@ def test_live_reads_never_reach_the_scalar_loop(
             forbid_scalar_loop(patch)
             exact, _ = live.knn_batch(targets, similarity, k=5)
             ranged, _ = live.range_query_batch(targets, similarity, 0.3)
+            budgeted = {}
             for tier in ("exact", "lsh"):
                 live.knn(targets[0], similarity, k=5, candidate_tier=tier)
                 live.range_query(targets[0], similarity, 0.3, candidate_tier=tier)
-            with pytest.raises(AssertionError, match="scalar loop"):
-                live.knn(targets[0], similarity, k=5, early_termination=0.2)
+                budgeted[tier] = live.knn_batch(
+                    targets, similarity, k=5, early_termination=0.1,
+                    candidate_tier=tier,
+                    target_recall=0.9 if tier == "lsh" else None,
+                )
         assert [pairs(hits) for hits in exact] == want_knn
         assert [pairs(hits) for hits in ranged] == want_range
+        for tier, got in budgeted.items():
+            want = budgeted_oracle(live, targets, similarity, tier, 5, 0.1)
+            assert got == want
+            assert any(stats.terminated_early for stats in got[1])  # cut short
 
 
 def test_unmutated_lsh_reads_report_as_the_engine(tmp_path, base_db, scheme):

@@ -201,7 +201,8 @@ class TestServiceDifferential:
         queue_wait = find_span(spans, "batcher.queue_wait")["attributes"]
         assert queue_wait["batch_size"] == 3
         run = find_span(spans, "engine.run_batch")
-        assert "kernel_fallback" not in run["attributes"]
+        attributes = run["attributes"]
+        assert (attributes["op"], attributes["batch_size"]) == ("knn", 3)
         searches = [c for c in run["children"] if c["name"] == "search.knn"]
         assert sorted(
             c["attributes"]["transactions_accessed"] for c in searches

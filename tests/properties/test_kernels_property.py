@@ -24,7 +24,7 @@ from repro.core.bounds import (
 )
 from repro.core.engine import QueryEngine
 from repro.core.partitioning import partition_items
-from repro.core.search import SignatureTableSearcher
+from repro.core.search import SignatureTableSearcher, row_budget
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import (
     JaccardSimilarity,
@@ -281,8 +281,7 @@ class TestMaskedBudgetedScan:
         candidates = (
             np.flatnonzero(mask) if as_tids and mask is not None else mask
         )
-        # Straight to the kernel: the engine keeps budgeted batches on
-        # the reference loop.
+        # The kernel itself, fed the engine's prepared batch.
         got, got_stats = kernels.knn_scan_batch(
             table,
             len(db),
@@ -291,7 +290,7 @@ class TestMaskedBudgetedScan:
             ),
             k,
             candidates=None if candidates is None else [candidates] * len(targets),
-            budget=searcher._budget(fraction),
+            budget=row_budget(fraction, len(db)),
             tolerance=tolerance,
         )
         for target, hits, stats in zip(targets, got, got_stats):

@@ -8,7 +8,8 @@ These keep the codebase consistent without external tooling:
 * no library module imports the test suite or the benchmarks;
 * public modules avoid ``from x import *``;
 * every repository path a document or docstring cites exists;
-* every API name ``docs/api.md`` tabulates exists.
+* every API name ``docs/api.md`` tabulates exists;
+* every ``repro_*`` metric name the documents cite is registered.
 """
 
 import ast
@@ -109,6 +110,16 @@ class TestPublicApiSurface:
             importlib.import_module(dotted)
 
 
+#: The prose documents: every path and metric name they cite must exist.
+DOCUMENTS = [
+    ROOT / "README.md",
+    ROOT / "DESIGN.md",
+    ROOT / "EXPERIMENTS.md",
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+
+
 def _documented_api_names(path: Path):
     """The capitalised or ``repro.``-qualified dotted names opening the
     code spans of the first column of every table in ``path``."""
@@ -160,6 +171,32 @@ class TestDocumentedApi:
         assert not missing, f"docs/api.md cites names that do not exist: {missing}"
 
 
+#: A cited metric name: the ``repro_`` prefix and lower-case words.
+METRIC_NAME = re.compile(r"\brepro_[a-z_]+")
+
+
+def _string_literals(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+class TestDocumentedMetrics:
+    def test_every_documented_metric_name_exists(self):
+        """A metric the docs tell an operator to scrape is registered
+        under that name somewhere in the library — a removed series has
+        to take its mentions with it."""
+        cited = {
+            name
+            for path in DOCUMENTS
+            for name in METRIC_NAME.findall(path.read_text(encoding="utf-8"))
+        }
+        assert len(cited) > 15, "the metric names were not found"
+        literals = {text for path in MODULES for text in _string_literals(path)}
+        missing = sorted(cited - literals)
+        assert not missing, f"documented metrics that do not exist: {missing}"
+
+
 #: A cited repository path: one of the tracked top-level directories,
 #: not preceded by a longer path, up to the first character a path
 #: cannot hold.
@@ -168,13 +205,6 @@ CITED_PATH = re.compile(
     r"(?:results_paper|results|benchmarks|bench|scripts|examples|docs)"
     r"/[\w.*/<>-]+"
 )
-DOCUMENTS = [
-    ROOT / "README.md",
-    ROOT / "DESIGN.md",
-    ROOT / "EXPERIMENTS.md",
-    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
-    *sorted((ROOT / "docs").glob("*.md")),
-]
 
 
 def _docstrings(path: Path):
