@@ -5,12 +5,13 @@ table with a buffer pool.  Because the signature table clusters
 transactions by supercoordinate and repeated queries revisit the
 high-bound entries, even a modest LRU pool absorbs a large share of the
 page traffic.  This sweep measures pages read per query and hit rate as a
-function of pool capacity, over the profile's query workload.
+function of pool capacity, over the profile's query workload: each
+query's read list comes from the packed scan once, and is replayed
+through a pool of every capacity.
 """
 
 import numpy as np
 
-from repro.core.search import SignatureTableSearcher
 from repro.core.similarity import MatchRatioSimilarity
 from repro.eval.reporting import ExperimentTable
 from repro.storage.buffer import BufferPool
@@ -18,10 +19,14 @@ from repro.storage.buffer import BufferPool
 
 def test_ablation_buffer_capacity(ctx, emit, timed):
     spec = ctx.profile["large_spec"]
-    indexed, _ = ctx.database(spec)
-    table = ctx.table(spec, ctx.profile["default_k"])
+    engine = ctx.engine(spec, ctx.profile["default_k"])
+    table = engine.searcher.table
     queries = ctx.queries(spec)
     sim = MatchRatioSimilarity()
+    reads = [
+        engine.explain(target, sim, early_termination=0.02).reads
+        for target in queries
+    ]
 
     result = ExperimentTable(
         title=f"Buffer-pool ablation — {spec}, K={ctx.profile['default_k']}",
@@ -33,11 +38,7 @@ def test_ablation_buffer_capacity(ctx, emit, timed):
     for fraction in [0.02, 0.05, 0.1, 0.25, 0.5, 1.0]:
         capacity = max(1, int(fraction * total_pages))
         pool = BufferPool(table.store, capacity=capacity)
-        searcher = SignatureTableSearcher(table, indexed, buffer_pool=pool)
-        pages = []
-        for target in queries:
-            _, stats = searcher.nearest(target, sim, early_termination=0.02)
-            pages.append(stats.io.pages_read)
+        pages = [engine.replay_reads(query, pool).pages_read for query in reads]
         result.add_row(
             **{
                 "capacity (pages)": capacity,
@@ -56,6 +57,9 @@ def test_ablation_buffer_capacity(ctx, emit, timed):
     assert hit_rates[-1] > 20.0
 
     pool = BufferPool(table.store, capacity=total_pages)
-    searcher = SignatureTableSearcher(table, indexed, buffer_pool=pool)
     target = queries[0]
-    timed(lambda: searcher.nearest(target, sim, early_termination=0.02))
+    timed(
+        lambda: engine.replay_reads(
+            engine.explain(target, sim, early_termination=0.02).reads, pool
+        )
+    )

@@ -44,13 +44,15 @@ def main() -> None:
     sim = repro.MatchRatioSimilarity()
 
     # --- 2. buffer pool ----------------------------------------------------
+    # Each query's read list comes from the packed scan; replaying it
+    # through the pool charges only the pages the pool misses.
+    engine = repro.QueryEngine.for_table(table, db)
     pool = BufferPool(table.store, capacity=table.store.num_pages // 4)
-    searcher = repro.SignatureTableSearcher(db=db, table=table, buffer_pool=pool)
     pages = []
     for q in range(len(queries)):
         target = sorted(queries[q])
-        _, stats = searcher.nearest(target, sim, early_termination=0.02)
-        pages.append(stats.io.pages_read)
+        reads = engine.explain(target, sim, early_termination=0.02).reads
+        pages.append(engine.replay_reads(reads, pool).pages_read)
     print(
         f"\nBuffer pool (25% of pages): {np.mean(pages):.1f} pages/query, "
         f"hit rate {100 * pool.stats.hit_rate:.1f}% over the workload"

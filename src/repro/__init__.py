@@ -47,7 +47,6 @@ from repro.core import (
     PartitioningError,
     PreparedQuery,
     QueryEngine,
-    QueryPlan,
     SearchStats,
     SignatureScheme,
     SignatureTable,
@@ -152,7 +151,6 @@ __all__ = [
     "suggest_parameters",
     "max_k_for_memory",
     "Neighbor",
-    "QueryPlan",
     "PreparedQuery",
     "SearchStats",
     "QueryEngine",

@@ -36,7 +36,6 @@ import sys
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.core.search import SignatureTableSearcher
 from repro.core.similarity import SIMILARITY_FUNCTIONS, get_similarity
 from repro.core.table import SignatureTable
 from repro.core.partitioning import partition_items
@@ -129,19 +128,12 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     return 0
 
 
-def _refuse_knn_flags_on_range(
-    args: argparse.Namespace, sort_by: str = "optimistic"
-) -> None:
-    """A ``--threshold`` range query has no row budget and no scan order:
-    ``--early-termination`` / ``--sort-by`` beside it are refused rather
-    than ignored, as the service refuses ``early_termination`` on
-    ``op='range'``."""
-    if args.threshold is None:
-        return
-    if args.early_termination is not None:
+def _refuse_knn_flags_on_range(args: argparse.Namespace) -> None:
+    """A ``--threshold`` range query has no row budget: an
+    ``--early-termination`` beside it is refused rather than ignored, as
+    the service refuses ``early_termination`` on ``op='range'``."""
+    if args.threshold is not None and args.early_termination is not None:
         raise ValueError("--early-termination does not apply to --threshold")
-    if sort_by != "optimistic":
-        raise ValueError("--sort-by does not apply to --threshold")
 
 
 def _run_queries(args: argparse.Namespace, queries: List[List[int]], **tier):
@@ -201,35 +193,23 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.obs import SearchTrace, Tracer, render_explain
+    from repro.core.engine import QueryEngine
+    from repro.obs import Tracer, render_explain
     from repro.service.protocol import encode_neighbors, encode_search_stats
 
-    # The one command on the scalar searcher: only it records a
-    # SearchTrace and honours --sort-by.
-    _refuse_knn_flags_on_range(args, args.sort_by)
+    _refuse_knn_flags_on_range(args)
     db, table = _load_index(args)
-    searcher = SignatureTableSearcher(table, db)
-    similarity = get_similarity(args.similarity)
+    engine = QueryEngine.for_table(table, db)
     target = [int(token) for token in args.items]
-
-    trace = SearchTrace()
     tracer = Tracer(correlation_id="explain")
     with tracer.activate():
-        if args.threshold is not None:
-            results, stats = searcher.multi_range_query(
-                target,
-                [(similarity, args.threshold)],
-                search_trace=trace,
-            )
-        else:
-            results, stats = searcher.knn(
-                target,
-                similarity,
-                k=args.k,
-                early_termination=args.early_termination,
-                sort_by=args.sort_by,
-                search_trace=trace,
-            )
+        results, stats, trace, _ = engine.explain(
+            target,
+            get_similarity(args.similarity),
+            k=args.k,
+            early_termination=args.early_termination,
+            threshold=args.threshold,
+        )
 
     if args.output == "json":
         # The whole answer: --k bounds a k-NN search, not a range answer;
@@ -1213,9 +1193,6 @@ _COMMANDS = (
              _cmd_explain, [
         _flag("--threshold",
               help="explain a range query with this threshold instead of k-NN"),
-        _flag("--sort-by", default="optimistic",
-              choices=["optimistic", "supercoordinate"],
-              help="entry scan order for k-NN (default optimistic)"),
         _flag("--max-events", type=int,
               help="cap the per-entry rows in the human report"),
         _flag("--output",

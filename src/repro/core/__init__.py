@@ -50,7 +50,6 @@ from repro.core.partitioning import (
 from repro.core.search import (
     Neighbor,
     PreparedQuery,
-    QueryPlan,
     SearchStats,
     SignatureTableSearcher,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "merge_neighbor_lists",
     "merge_search_stats",
     "Neighbor",
-    "QueryPlan",
     "PreparedQuery",
     "SearchStats",
     "QueryEngine",

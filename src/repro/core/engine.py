@@ -26,26 +26,31 @@ constraint, and a multi-target query (Section 4.3) is one
 are the aggregate of its targets' rows.  An ``early_termination`` k-NN
 batch is the same scan with a row budget (:func:`~repro.core.search.
 row_budget`), so every batch runs on the kernels and the engine never
-calls the searcher's query methods; ``repro explain`` and the
-sort-order ablation are the only callers of those left in the package.
+calls the searcher's query methods; the sort-order ablation is the only
+caller of those left in the package.  :meth:`QueryEngine.explain` runs
+one query on the same kernels and rebuilds ``repro explain``'s
+:class:`~repro.obs.search_trace.SearchTrace` from the scan's read list
+(:class:`~repro.core.kernels.ScanReads`) and the query's bounds;
+:meth:`QueryEngine.replay_reads` charges a read list to a cross-query
+:class:`~repro.storage.buffer.BufferPool` (the buffer-pool ablation).
 Every measured quantity (results, entries scanned/pruned, transactions
 accessed, pages read) is identical to the single-query searcher, the
 oracle the differential and property test suites check the engine
 against; all batch-side arithmetic is integer-exact (see
 ``BatchBoundCalculator``), so this is a bit-for-bit guarantee.
 
-The engine serves the searcher's default configuration only: a searcher
-with a buffer pool is rejected at construction, and the supercoordinate
-scan order exists on :meth:`SignatureTableSearcher.knn` alone (its
-ablation runs there).  Scale-out is the cluster router's job
+The supercoordinate scan order exists on
+:meth:`SignatureTableSearcher.knn` alone (its ablation runs there).
+Scale-out is the cluster router's job
 (:mod:`repro.cluster`), whose scatter-gather merges per-shard answers
 with :func:`repro.core.merge.merge_neighbor_lists`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +67,9 @@ from repro.core.search import (
 from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase, as_item_array
+from repro.obs.search_trace import EntryEvent, SearchTrace
 from repro.obs.trace import span
+from repro.storage.buffer import BufferPool
 from repro.storage.pages import IOCounters
 from repro.utils.validation import check_positive
 
@@ -284,16 +291,23 @@ def batch_key(
     )
 
 
+class ExplainedQuery(NamedTuple):
+    """One query's answer with its scan record (:meth:`QueryEngine.explain`)."""
+
+    results: List[Neighbor]
+    stats: SearchStats
+    trace: SearchTrace
+    reads: kernels.ScanReads
+
+
 class QueryEngine:
     """Batched execution of similarity queries over one signature table.
 
     Parameters
     ----------
     searcher:
-        The single-query searcher to amortise over batches.  The batch
-        paths model the per-query page cache only, so a searcher with a
-        buffer pool raises ``ValueError`` (run that ablation on the
-        searcher itself).
+        The single-query searcher to amortise over batches; the engine
+        reads its table and database.
 
     All batch methods return ``(results, stats)`` lists indexed by query
     position, with each element exactly equal to the corresponding
@@ -301,11 +315,6 @@ class QueryEngine:
     """
 
     def __init__(self, searcher: SignatureTableSearcher) -> None:
-        if searcher.buffer_pool is not None:
-            raise ValueError(
-                "QueryEngine needs a searcher with no buffer pool; query "
-                "such a searcher directly"
-            )
         self._searcher = searcher
         self._sketch_candidates_counter = None
         self._sketch_access_histogram = None
@@ -402,7 +411,7 @@ class QueryEngine:
             prepared = self._prepare_batch(
                 target_arrays, similarity, ordered=True, readable_rows=readable
             )
-        results, stats = kernels.knn_scan_batch(
+        results, stats, _ = kernels.knn_scan_batch(
             searcher.table,
             len(searcher.db),
             prepared,
@@ -468,7 +477,7 @@ class QueryEngine:
                 ordered=False,
                 readable_rows=self._readable_rows(per_query),
             )
-        results, stats = kernels.range_scan_batch(
+        results, stats, _ = kernels.range_scan_batch(
             searcher.table,
             len(searcher.db),
             [[prep] for prep in prepared],
@@ -504,7 +513,7 @@ class QueryEngine:
             self._prepare_batch(target_arrays, similarity, ordered=False)[0]
             for similarity, _ in constraints
         ]
-        (results,), (stats,) = kernels.range_scan_batch(
+        (results,), (stats,), _ = kernels.range_scan_batch(
             self._searcher.table,
             len(self._searcher.db),
             [prepared],
@@ -535,7 +544,7 @@ class QueryEngine:
         prepared = self._aggregated_query(
             targets, similarity, aggregate, weights, ordered=True
         )
-        (neighbors,), (stats,) = kernels.knn_scan_batch(
+        (neighbors,), (stats,), _ = kernels.knn_scan_batch(
             self._searcher.table,
             len(self._searcher.db),
             [prepared],
@@ -559,7 +568,7 @@ class QueryEngine:
         prepared = self._aggregated_query(
             targets, similarity, aggregate, None, ordered=False
         )
-        (results,), (stats,) = kernels.range_scan_batch(
+        (results,), (stats,), _ = kernels.range_scan_batch(
             self._searcher.table,
             len(self._searcher.db),
             [[prepared]],
@@ -585,6 +594,174 @@ class QueryEngine:
         check_batch_similarity(key, similarity)
         with span("engine.run_batch", op=key.op, batch_size=len(targets)):
             return dispatch_batch(self, key, similarity, targets)
+
+    # ------------------------------------------------------------------
+    # Explain and buffer-pool replay
+    # ------------------------------------------------------------------
+    def explain(
+        self,
+        target: Iterable[int],
+        similarity: SimilarityFunction,
+        k: int = 1,
+        early_termination: Optional[float] = None,
+        guarantee_tolerance: Optional[float] = None,
+        threshold: Optional[float] = None,
+    ) -> ExplainedQuery:
+        """Run one query on the packed scan and explain it entry by entry.
+
+        A k-NN query, or with ``threshold`` a range query.  Results and
+        stats are those :meth:`knn_batch` / :meth:`range_query_batch`
+        return for the same query.  The :class:`SearchTrace` is rebuilt
+        from the scan's read list and the query's bounds: every entry
+        read, in scan order, with its optimistic bound and the
+        pessimistic bound (the k-th best similarity of the rows read so
+        far) before and after it, then the tail the scan left and why.
+        A range query lists its pruned entries, then its scanned ones,
+        each against the threshold.
+        """
+        ordered = threshold is None
+        if ordered:
+            check_positive(k, "k")
+        table = self._searcher.table
+        db_size = len(self._searcher.db)
+        (prep,) = self._prepare_batch(
+            self._normalise([target]), similarity, ordered=ordered
+        )
+        if ordered:
+            (results,), (stats,), (reads,) = kernels.knn_scan_batch(
+                table, db_size, [prep], k,
+                budget=row_budget(early_termination, db_size),
+                tolerance=guarantee_tolerance,
+            )
+            trace = self._knn_trace(prep, k, reads, stats, guarantee_tolerance)
+        else:
+            threshold = float(threshold)
+            (results,), (stats,), (reads,) = kernels.range_scan_batch(
+                table, db_size, [[prep]], [threshold]
+            )
+            trace = self._range_trace(prep, threshold, reads)
+        return ExplainedQuery(results, stats, trace, reads)
+
+    def replay_reads(
+        self, reads: kernels.ScanReads, pool: BufferPool
+    ) -> IOCounters:
+        """Charge one scan's read list to a cross-query buffer pool.
+
+        Entry by entry in scan order, each entry's rows go through
+        :meth:`BufferPool.read`, so misses are charged and the pool keeps
+        its recency across queries.  ``reads`` is an unrestricted scan's
+        (no candidate rows).  Returns the query's I/O counters.
+        """
+        table = self._searcher.table
+        if pool.store is not table.store:
+            raise ValueError("the pool must wrap the table's own store")
+        io = IOCounters()
+        for entry, rows in zip(reads.entries.tolist(), reads.rows.tolist()):
+            if rows:
+                pool.read(table.entry_tids(entry)[:rows], io)
+        return io
+
+    def _event(
+        self, action: str, rank: int, entry: int, opts: np.ndarray, **fields
+    ) -> EntryEvent:
+        """One entry's event, with its supercoordinate and bound."""
+        return EntryEvent(
+            action=action,
+            rank=rank,
+            entry=entry,
+            code=int(self._searcher.table.entry_codes[entry]),
+            optimistic=float(opts[entry]),
+            **fields,
+        )
+
+    def _knn_trace(
+        self,
+        prep: PreparedQuery,
+        k: int,
+        reads: kernels.ScanReads,
+        stats: SearchStats,
+        tolerance: Optional[float],
+    ) -> SearchTrace:
+        table = self._searcher.table
+        order, opts = prep.order, prep.opts
+        num_entries = int(order.size)
+        events: List[EntryEvent] = []
+        best = np.empty(0, dtype=np.float64)  # top k of the rows read so far
+        pessimistic = -math.inf
+        for rank, (entry, rows) in enumerate(
+            zip(reads.entries.tolist(), reads.rows.tolist())
+        ):
+            tids = table.entry_tids(entry)[:rows]
+            best = np.concatenate((best, prep.sims_all[tids]))
+            before = pessimistic
+            if best.size >= k:
+                best = np.partition(best, best.size - k)[best.size - k:]
+                pessimistic = float(best[0])
+            events.append(self._event(
+                "scanned", rank, entry, opts, pessimistic_before=before,
+                pessimistic_after=pessimistic, transactions=rows,
+            ))
+        ranks = len(events)
+        termination = "exhausted"
+        if stats.terminated_early:
+            # A budget that ran out inside an entry leaves it unexplored too.
+            rank = num_entries - stats.entries_unexplored
+            if rank < ranks:
+                termination = "budget_partial_entry"
+            elif (
+                tolerance is not None
+                and stats.best_possible_remaining - pessimistic <= tolerance
+            ):
+                termination = "guarantee_tolerance"
+            else:
+                termination = "budget"
+            events.append(EntryEvent(
+                action="unexplored", rank=rank, count=num_entries - rank,
+                optimistic=stats.best_possible_remaining,
+                pessimistic_before=pessimistic,
+            ))
+        elif ranks < num_entries:
+            termination = "pruned_tail"
+            events.append(EntryEvent(
+                action="pruned_tail", rank=ranks, count=num_entries - ranks,
+                optimistic=float(opts[order[ranks]]),
+                pessimistic_before=pessimistic,
+            ))
+        query = {
+            "op": "knn",
+            "k": k,
+            "target_items": int(prep.target_items.size),
+            "entries_total": num_entries,
+        }
+        return SearchTrace(query=query, events=events, termination=termination)
+
+    def _range_trace(
+        self, prep: PreparedQuery, threshold: float, reads: kernels.ScanReads
+    ) -> SearchTrace:
+        opts = prep.opts
+        scanned = np.zeros(opts.size, dtype=bool)
+        scanned[reads.entries] = True
+        events = [
+            self._event("pruned", rank, entry, opts, pessimistic_before=threshold)
+            for rank, entry in enumerate(np.flatnonzero(~scanned).tolist())
+        ]
+        events += [
+            self._event(
+                "scanned", rank, entry, opts, pessimistic_before=threshold,
+                pessimistic_after=threshold, transactions=rows,
+            )
+            for rank, (entry, rows) in enumerate(
+                zip(reads.entries.tolist(), reads.rows.tolist())
+            )
+        ]
+        query = {
+            "op": "range",
+            "constraints": 1,
+            "thresholds": [threshold],
+            "target_items": int(prep.target_items.size),
+            "entries_total": int(opts.size),
+        }
+        return SearchTrace(query=query, events=events)
 
     # ------------------------------------------------------------------
     # Batch preparation
@@ -688,16 +865,12 @@ class QueryEngine:
                 row_sims = self._row_similarities(target_arrays, bound_sims)
             else:
                 sims = self._batch_similarities(target_arrays, bound_sims)
-        # One (tids, pages) cache for the whole batch: entry contents are
-        # query-independent, so each entry is resolved at most once.
-        entry_reads: dict = {}
         return [
             PreparedQuery(
                 target_items=target_arrays[q],
                 opts=opts[q],
                 order=orders[q],
                 sims_all=sims[q],
-                entry_reads=entry_reads,
                 row_sims=row_sims[q],
             )
             for q in range(len(target_arrays))

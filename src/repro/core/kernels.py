@@ -19,12 +19,22 @@ runs, an ``early_termination`` batch included (its row budget is the
 ``budget`` argument of :func:`knn_scan_batch`).  The scalar
 :class:`~repro.core.search.SignatureTableSearcher` is their oracle,
 called from the property and differential tests; in the package only
-``repro explain`` and the sort-order ablation still query it.  No
-tolerance knob or kernel switch exists.  That covers telemetry: under an
-active :class:`~repro.obs.trace.Tracer` the scan kernels record the
-loop's per-query ``search.knn`` / ``search.range`` span
-(:func:`~repro.core.search.record_knn_span`) from the timings they take
-anyway, reading the tracer once per batch.
+the sort-order ablation still queries it, because the binary search
+below holds in bound order alone.  No tolerance knob or kernel switch
+exists.
+
+Each scan also returns its read list (:class:`ScanReads`: the entries
+entered, in scan order, and the rows read from each).  The per-query
+I/O charge is computed from it here, ``repro explain``'s
+:class:`~repro.obs.search_trace.SearchTrace` from it and the query's
+bounds (:meth:`~repro.core.engine.QueryEngine.explain`), and the
+buffer-pool ablation replays it through a
+:class:`~repro.storage.buffer.BufferPool`
+(:meth:`~repro.core.engine.QueryEngine.replay_reads`).  Telemetry rides
+the same scan: under an active :class:`~repro.obs.trace.Tracer` the
+kernels record the loop's per-query ``search.knn`` / ``search.range``
+span (:func:`~repro.core.search.record_knn_span`) from the timings they
+take anyway, reading the tracer once per batch.
 """
 
 from __future__ import annotations
@@ -264,25 +274,40 @@ def _concat_segments(
     return np.arange(total, dtype=np.int64) + shifts
 
 
+class ScanReads(NamedTuple):
+    """The read list of one scan: the entries it entered, in scan order,
+    and how many rows it read from each.
+
+    Entry ``entries[i]`` contributed its first ``rows[i]`` rows in
+    storage order (``table.entry_tids(entry)[:rows[i]]``).  Only a row
+    budget cuts an entry short, and only the last one.  On a scan over
+    candidate rows, ``rows`` counts the entry's candidate rows, and an
+    entry the candidates leave empty counts 0.
+    """
+
+    entries: np.ndarray
+    rows: np.ndarray
+
+
 def _charge_io(
     layout: _Layout,
     page_size: int,
-    entry_ids: np.ndarray,
+    reads: ScanReads,
     rows: Optional[np.ndarray],
     transactions_read: int,
 ) -> IOCounters:
-    """Replicate the per-entry page-cache I/O charges of the scan loop.
+    """Charge a scan's read list to a per-query page cache.
 
-    ``entry_ids`` are the entries read, in scan order.  ``rows=None``
-    reads each of them whole: an entry of the table occupies a contiguous
-    page range (storage is clustered by supercoordinate).  Otherwise
-    ``rows`` indexes the rows actually read (a masked or truncated scan)
-    and each is charged the page its slot lies on.  A page is charged the
-    first time any entry touches it, and each entry contributes one seek
-    per maximal run of contiguous *fresh* pages — exactly the arithmetic
-    of ``PagedStore.read`` / ``SignatureTableSearcher._charge_cached_read``
-    with a per-query page cache.
+    ``rows=None`` reads each entry of ``reads`` whole: an entry of the
+    table occupies a contiguous page range (storage is clustered by
+    supercoordinate).  Otherwise ``rows`` indexes the rows actually read
+    (a masked or truncated scan) and each is charged the page its slot
+    lies on.  A page is charged the first time any entry touches it, and
+    each entry contributes one seek per maximal run of contiguous *fresh*
+    pages: exactly the arithmetic of ``PagedStore.read`` called entry by
+    entry with one page cache for the query.
     """
+    entry_ids = reads.entries
     if rows is None:
         first_page = layout.offsets[entry_ids] // page_size
         counts = (layout.offsets[entry_ids + 1] - 1) // page_size - first_page + 1
@@ -291,9 +316,7 @@ def _charge_io(
     else:
         slots = rows if layout.slots is None else layout.slots[rows]
         pages = slots // page_size
-        segments = np.repeat(
-            np.arange(entry_ids.size, dtype=np.int64), layout.sizes[entry_ids]
-        )[: rows.size]
+        segments = np.repeat(np.arange(entry_ids.size, dtype=np.int64), reads.rows)
         # An entry's rows come in slot order, so equal pages are adjacent.
         distinct = np.ones(pages.size, dtype=bool)
         distinct[1:] = (pages[1:] != pages[:-1]) | (segments[1:] != segments[:-1])
@@ -348,7 +371,7 @@ def knn_scan_batch(
     candidates: Optional[Sequence[Optional[np.ndarray]]] = None,
     budget: Optional[int] = None,
     tolerance: Optional[float] = None,
-) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
+) -> Tuple[List[List[Neighbor]], List[SearchStats], List[ScanReads]]:
     """Vectorised k-NN scan for a prepared batch.
 
     Equivalent, result- and stats-wise, to running
@@ -368,6 +391,8 @@ def knn_scan_batch(
     handful of array operations per query.  As in the loop, the tests
     run at every rank, entries a mask emptied included, in the order
     prune, tolerance, budget, and a budget can cut an entry short.
+
+    Returns per-query neighbours, stats and :class:`ScanReads`.
     """
     full = _table_layout(table)
     page_size = int(table.store.page_size)
@@ -376,6 +401,7 @@ def knn_scan_batch(
     tracer = current_tracer()
     results: List[List[Neighbor]] = []
     stats_list: List[SearchStats] = []
+    reads_list: List[ScanReads] = []
     for query, prep in enumerate(prepared):
         started_s = time.perf_counter()
         layout = _layout_for(table, full, candidates, query)
@@ -507,11 +533,16 @@ def knn_scan_batch(
                 stats.entries_unexplored = num_entries - rank
                 stats.best_possible_remaining = bound
                 stats.guaranteed_optimal = bound <= pessimistic
+        read_rows = sizes_in_order[:ranks].copy()
+        if ranks:
+            # A budget cuts the last entry short.
+            read_rows[-1] -= int(cumulative[ranks - 1]) - accessed
+        reads = ScanReads(np.asarray(order[:ranks], dtype=np.int64), read_rows)
         whole = layout.slots is None and not partial
         stats.io = _charge_io(
             layout,
             page_size,
-            np.asarray(order[:ranks], dtype=np.int64),
+            reads,
             None if whole else prefix_rows[:accessed],
             accessed,
         )
@@ -522,7 +553,8 @@ def knn_scan_batch(
         if tracer is not None:
             record_knn_span(tracer, started_s, k, stats)
         stats_list.append(stats)
-    return results, stats_list
+        reads_list.append(reads)
+    return results, stats_list, reads_list
 
 
 def range_scan_batch(
@@ -531,7 +563,7 @@ def range_scan_batch(
     prepared: Sequence[Sequence[PreparedQuery]],
     thresholds: Sequence[float],
     candidates: Optional[Sequence[Optional[np.ndarray]]] = None,
-) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
+) -> Tuple[List[List[Neighbor]], List[SearchStats], List[ScanReads]]:
     """Vectorised conjunctive range scan for a prepared batch.
 
     ``prepared[q]`` holds one :class:`PreparedQuery` per constraint for
@@ -542,7 +574,8 @@ def range_scan_batch(
     meeting all thresholds, sorted by ``(-similarity, tid)``.
     ``candidates`` is the searcher's ``tid_mask``, as in
     :func:`knn_scan_batch`: only candidate rows are read, and an entry
-    left without any counts as pruned.
+    left without any counts as pruned.  Returns per-query results, stats
+    and :class:`ScanReads`, as :func:`knn_scan_batch` does.
     """
     full = _table_layout(table)
     page_size = int(table.store.page_size)
@@ -552,6 +585,7 @@ def range_scan_batch(
     tracer = current_tracer()
     results: List[List[Neighbor]] = []
     stats_list: List[SearchStats] = []
+    reads_list: List[ScanReads] = []
     for query, per_constraint in enumerate(prepared):
         started_s = time.perf_counter()
         layout = _layout_for(table, full, candidates, query)
@@ -576,10 +610,11 @@ def range_scan_batch(
             entries_scanned=int(kept.size),
             entries_pruned=num_entries - int(kept.size),
         )
+        reads = ScanReads(kept, layout.sizes[kept])
         stats.io = _charge_io(
             layout,
             page_size,
-            kept,
+            reads,
             None if layout.slots is None else rows,
             accessed,
         )
@@ -605,4 +640,5 @@ def range_scan_batch(
                 tracer, started_s, len(per_constraint), int(hits.size), stats
             )
         stats_list.append(stats)
-    return results, stats_list
+        reads_list.append(reads)
+    return results, stats_list, reads_list

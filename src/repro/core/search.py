@@ -32,10 +32,10 @@ multi-function range queries.  Multi-target queries are a
 :class:`~repro.core.engine.QueryEngine` builds and scans them.
 
 This loop is the reference the packed scans of :mod:`repro.core.kernels`
-are tested against.  The engine serves queries and runs the paper's
-experiments; the searcher is what the tests, ``repro explain``
-(``search_trace=``, ``sort_by=``) and the sort-order and buffer-pool
-ablations (``sort_by=``, ``buffer_pool=``) call.
+are tested against.  The engine serves queries, runs the paper's
+experiments and answers ``repro explain``; in the package only the
+sort-order ablation calls the searcher (``sort_by=``), because the
+packed k-NN scan needs bound order.  Each query gets its own page cache.
 
 Implementation note (see DESIGN.md): the per-transaction similarities are
 computed for the whole database with one vectorised pass when a query
@@ -59,9 +59,7 @@ from repro.core.bounds import BoundCalculator
 from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase, as_item_array
-from repro.obs.search_trace import SearchTrace
 from repro.obs.trace import Tracer, current_tracer
-from repro.storage.buffer import BufferPool
 from repro.storage.pages import IOCounters
 from repro.utils.validation import check_fraction, check_positive
 
@@ -215,25 +213,17 @@ def row_budget(
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """Precomputed per-query state injected into the scan loop.
+    """Precomputed per-query state for the packed scans.
 
     The batched :class:`~repro.core.engine.QueryEngine` computes bounds,
     scan orders and precomputed similarities for a whole batch at once and
     hands each query's slice to the packed scans of
-    :mod:`repro.core.kernels` — or, for an ``early_termination`` batch, to
-    :meth:`SignatureTableSearcher.knn` — through this object.  A
-    multi-target query is one of these too: ``opts`` and ``sims_all`` are
-    the :func:`target_aggregator` of its targets' rows.
+    :mod:`repro.core.kernels` through this object, an ``early_termination``
+    batch included.  A multi-target query is one of these too: ``opts``
+    and ``sims_all`` are the :func:`target_aggregator` of its targets'
+    rows.
 
     ``order`` is ``None`` for range queries (they scan in entry order).
-
-    ``entry_reads`` is a dict shared by the *whole batch*, lazily mapping
-    an entry id to its ``(tids, pages)`` pair.  Entry contents and page
-    placement are query-independent, so the first query of a batch to
-    scan an entry computes them once and every later query reuses them;
-    the I/O counters are still charged per query with increments
-    identical to the unshared path (sharing saves recomputation, never
-    accounting).
 
     ``row_sims`` stands in for ``sims_all`` on packed batches whose
     candidate sets bound the rows a scan can read: it
@@ -245,39 +235,7 @@ class PreparedQuery:
     opts: np.ndarray
     order: Optional[np.ndarray] = None
     sims_all: Optional[np.ndarray] = None
-    entry_reads: Optional[dict] = None
     row_sims: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-
-@dataclass(frozen=True)
-class QueryPlan:
-    """The pre-execution view of a query (see ``SignatureTableSearcher.explain``).
-
-    ``top_entries`` lists the first entries the scan would visit as
-    ``(supercoordinate, optimistic_bound, entry_size)`` triples.
-    """
-
-    target_size: int
-    activation_counts: List[int]
-    activated_signatures: int
-    num_entries: int
-    max_bound: float
-    median_bound: float
-    top_entries: List[Tuple[int, float, int]]
-
-    def __str__(self) -> str:
-        lines = [
-            f"target: {self.target_size} items, activates "
-            f"{self.activated_signatures}/{len(self.activation_counts)} signatures",
-            f"occupied entries: {self.num_entries} "
-            f"(max bound {self.max_bound:.4f}, median {self.median_bound:.4f})",
-            "scan preview (supercoordinate, bound, size):",
-        ]
-        lines.extend(
-            f"  0b{code:b}: bound={bound:.4f}, {size} transactions"
-            for code, bound, size in self.top_entries
-        )
-        return "\n".join(lines)
 
 
 class SignatureTableSearcher:
@@ -289,85 +247,16 @@ class SignatureTableSearcher:
         A built signature table.
     db:
         The database the table was built over (TIDs must agree).
-    buffer_pool:
-        Optional :class:`~repro.storage.buffer.BufferPool` shared across
-        queries.  Without one, each query gets its own unbounded page
-        cache (pages are never double-charged within a query but nothing
-        persists between queries).
     """
 
-    def __init__(
-        self,
-        table: SignatureTable,
-        db: TransactionDatabase,
-        buffer_pool: Optional[BufferPool] = None,
-    ) -> None:
+    def __init__(self, table: SignatureTable, db: TransactionDatabase) -> None:
         if table.num_transactions != len(db):
             raise ValueError(
                 f"table indexes {table.num_transactions} transactions but the "
                 f"database holds {len(db)}"
             )
-        if buffer_pool is not None and buffer_pool.store is not table.store:
-            raise ValueError(
-                "buffer_pool must wrap the table's own store"
-            )
         self.table = table
         self.db = db
-        self._buffer_pool = buffer_pool
-
-    @property
-    def buffer_pool(self) -> Optional[BufferPool]:
-        """The cross-query buffer pool, if one was supplied."""
-        return self._buffer_pool
-
-    def _read_tids(self, tids, stats: SearchStats, page_cache: set) -> None:
-        """Charge a transaction read to the right cache layer."""
-        if self._buffer_pool is not None:
-            self._buffer_pool.read(tids, stats.io)
-        else:
-            self.table.store.read(tids, stats.io, page_cache)
-
-    def _entry_read(self, entry: int, reads: Optional[dict]):
-        """The entry's ``(tids, pages)``, via the shared batch cache if any.
-
-        ``pages`` is ``None`` exactly when no cache is in play; callers
-        then fall back to :meth:`_read_tids` for I/O accounting.
-        """
-        if reads is None:
-            return self.table.entry_tids(entry), None
-        cached = reads.get(entry)
-        if cached is None:
-            tids = self.table.entry_tids(entry)
-            cached = (tids, self.table.store.pages_for(tids).tolist())
-            reads[entry] = cached
-        return cached
-
-    def _charge_cached_read(
-        self, pages: List[int], num_tids: int, stats: SearchStats, page_cache: set
-    ) -> None:
-        """Charge a read whose page set is already known.
-
-        Produces exactly the counter increments of
-        :meth:`PagedStore.read` / :meth:`BufferPool.read` without
-        recomputing the page set (``pages`` is sorted, as ``pages_for``
-        returns it).
-        """
-        if self._buffer_pool is not None:
-            self._buffer_pool.read_pages(pages, num_tids, stats.io)
-            return
-        io = stats.io
-        io.transactions_read += num_tids
-        fresh = [page for page in pages if page not in page_cache]
-        if fresh:
-            page_cache.update(fresh)
-            io.pages_read += len(fresh)
-            seeks = 1
-            previous = fresh[0]
-            for page in fresh[1:]:
-                if page - previous > 1:
-                    seeks += 1
-                previous = page
-            io.seeks += seeks
 
     # ------------------------------------------------------------------
     # Public queries
@@ -403,8 +292,6 @@ class SignatureTableSearcher:
         early_termination: Optional[float] = None,
         guarantee_tolerance: Optional[float] = None,
         sort_by: str = "optimistic",
-        prepared: Optional[PreparedQuery] = None,
-        search_trace: Optional[SearchTrace] = None,
         tid_mask: Optional[np.ndarray] = None,
     ) -> Tuple[List[Neighbor], SearchStats]:
         """k-nearest-neighbour search (Section 4.3 generalisation).
@@ -425,17 +312,6 @@ class SignatureTableSearcher:
         sort_by:
             ``"optimistic"`` (paper default) or ``"supercoordinate"``
             (Section 4's alternative order; bounds still drive pruning).
-        prepared:
-            Precomputed :class:`PreparedQuery` state (bounds, order,
-            similarities), normally supplied by the batched
-            :class:`~repro.core.engine.QueryEngine`.  Must have been
-            computed for this exact target/similarity/sort order.
-        search_trace:
-            Optional :class:`~repro.obs.search_trace.SearchTrace` that
-            records, entry by entry, why the scan visited or pruned each
-            signature-table entry (the query-explain facility).  Tracing
-            never changes results or stats — the differential tests pin
-            byte-identical output with and without it.
         tid_mask:
             Optional boolean candidate mask over all tids (the sketch
             tier's LSH prefilter).  Only tids with a ``True`` mask value
@@ -446,18 +322,10 @@ class SignatureTableSearcher:
         """
         check_positive(k, "k")
         started_s = time.perf_counter()
-        if prepared is not None and prepared.order is not None:
-            target_items = prepared.target_items
-            opts = prepared.opts
-            order = prepared.order
-            sims_all = prepared.sims_all
-            reads = prepared.entry_reads
-        else:
-            target_items, bound_sim, opts, order = self._prepare(
-                target, similarity, sort_by
-            )
-            sims_all = self._all_similarities(target_items, bound_sim)
-            reads = None
+        target_items, bound_sim, opts, order = self._prepare(
+            target, similarity, sort_by
+        )
+        sims_all = self._all_similarities(target_items, bound_sim)
         budget = row_budget(early_termination, len(self.db))
         stats = self._new_stats()
         page_cache: set = set()
@@ -470,16 +338,6 @@ class SignatureTableSearcher:
         # entry prunable too and the scan can stop; under the alternative
         # supercoordinate order only the individual entry may be skipped.
         sorted_by_bound = sort_by == "optimistic"
-
-        trace = search_trace
-        if trace is not None and not trace.query:
-            trace.query = {
-                "op": "knn",
-                "k": k,
-                "target_items": int(target_items.size),
-                "sort_by": sort_by,
-                "entries_total": int(order.size),
-            }
 
         rank = 0
         num_entries = order.size
@@ -501,20 +359,8 @@ class SignatureTableSearcher:
                     # += keeps the entries a candidate mask emptied (and
                     # counted) on the way here.
                     stats.entries_pruned += num_entries - rank
-                    if trace is not None:
-                        trace.record_prune_tail(
-                            rank, num_entries - rank, opt_entry, pessimistic
-                        )
                     break
                 stats.entries_pruned += 1
-                if trace is not None:
-                    trace.record_prune(
-                        rank,
-                        entry,
-                        int(self.table.entry_codes[entry]),
-                        opt_entry,
-                        pessimistic,
-                    )
                 rank += 1
                 continue
             if (
@@ -526,37 +372,16 @@ class SignatureTableSearcher:
                 stats.entries_unexplored = num_entries - rank
                 stats.best_possible_remaining = roof
                 stats.guaranteed_optimal = roof <= pessimistic
-                if trace is not None:
-                    trace.record_unexplored(
-                        rank, num_entries - rank, "guarantee_tolerance",
-                        best_possible=roof, pessimistic=pessimistic,
-                    )
                 break
             if budget is not None and stats.transactions_accessed >= budget:
                 self._record_cutoff(stats, roof, num_entries - rank, pessimistic)
-                if trace is not None:
-                    trace.record_unexplored(
-                        rank, num_entries - rank, "budget",
-                        best_possible=roof, pessimistic=pessimistic,
-                    )
                 break
 
-            tids, entry_pages = self._entry_read(entry, reads)
+            tids = self.table.entry_tids(entry)
             if tid_mask is not None:
                 tids = tids[tid_mask[tids]]
-                # The entry's cached page set covers the *full* entry; the
-                # masked subset must be charged through the store instead.
-                entry_pages = None
                 if tids.size == 0:
                     stats.entries_pruned += 1
-                    if trace is not None:
-                        trace.record_prune(
-                            rank,
-                            entry,
-                            int(self.table.entry_codes[entry]),
-                            opt_entry,
-                            pessimistic,
-                        )
                     rank += 1
                     continue
             if budget is not None:
@@ -567,40 +392,19 @@ class SignatureTableSearcher:
                 truncated = False
                 take = tids
 
-            if entry_pages is not None and not truncated:
-                self._charge_cached_read(
-                    entry_pages, int(take.size), stats, page_cache
-                )
-            else:
-                self._read_tids(take, stats, page_cache)
+            self.table.store.read(take, stats.io, page_cache)
             stats.transactions_accessed += int(take.size)
             stats.entries_scanned += 1
 
-            pessimistic_before = pessimistic
             self._update_heap(heap, k, sims_all[take], take)
             if len(heap) >= k:
                 pessimistic = heap[0][0]
-            if trace is not None:
-                trace.record_scan(
-                    rank,
-                    entry,
-                    int(self.table.entry_codes[entry]),
-                    opt_entry,
-                    pessimistic_before,
-                    pessimistic,
-                    int(take.size),
-                )
 
             if truncated:
                 self._record_cutoff(
                     stats, roof, num_entries - rank - 1, pessimistic,
                     partial_entry=True,
                 )
-                if trace is not None:
-                    trace.record_unexplored(
-                        rank, num_entries - rank, "budget_partial_entry",
-                        best_possible=roof, pessimistic=pessimistic,
-                    )
                 break
             rank += 1
 
@@ -636,7 +440,6 @@ class SignatureTableSearcher:
         self,
         target: Iterable[int],
         constraints: Sequence[Tuple[SimilarityFunction, float]],
-        search_trace: Optional[SearchTrace] = None,
         tid_mask: Optional[np.ndarray] = None,
     ) -> Tuple[List[Neighbor], SearchStats]:
         """Conjunctive range query over several similarity functions.
@@ -645,11 +448,8 @@ class SignatureTableSearcher:
         ``(f_i, t_i)`` in ``constraints`` — e.g. "at least p items in
         common and at most q items different" (Section 2.1).  An entry is
         pruned as soon as any single constraint's optimistic bound falls
-        below its threshold.
-
-        ``search_trace`` optionally records why each entry was scanned or
-        pruned.  ``tid_mask`` optionally restricts evaluation to the
-        sketch tier's LSH candidates (see :meth:`knn`).
+        below its threshold.  ``tid_mask`` optionally restricts evaluation
+        to the sketch tier's LSH candidates (see :meth:`knn`).
         """
         if not constraints:
             raise ValueError("constraints must be non-empty")
@@ -661,11 +461,8 @@ class SignatureTableSearcher:
 
         bits = self.table.bits_matrix
         keep = np.ones(self.table.num_entries_occupied, dtype=bool)
-        per_constraint_opts: List[np.ndarray] = []
         for bound_sim, threshold in zip(bound_sims, thresholds):
-            opts = calculator.optimistic_similarity(bits, bound_sim)
-            per_constraint_opts.append(opts)
-            keep &= opts >= threshold
+            keep &= calculator.optimistic_similarity(bits, bound_sim) >= threshold
 
         sims_all_list = [
             self._all_similarities(target_items, bs) for bs in bound_sims
@@ -673,62 +470,22 @@ class SignatureTableSearcher:
 
         stats = self._new_stats()
         stats.entries_pruned = int((~keep).sum())
-        trace = search_trace
-        if trace is not None:
-            if not trace.query:
-                trace.query = {
-                    "op": "range",
-                    "constraints": len(constraints),
-                    "thresholds": thresholds,
-                    "target_items": int(target_items.size),
-                    "entries_total": int(keep.size),
-                }
-            for position, entry in enumerate(np.nonzero(~keep)[0]):
-                entry = int(entry)
-                # Explain the prune with the first constraint that failed.
-                for index, threshold in enumerate(thresholds):
-                    bound = float(per_constraint_opts[index][entry])
-                    if bound < threshold:
-                        break
-                trace.record_prune(
-                    position,
-                    entry,
-                    int(self.table.entry_codes[entry]),
-                    bound,
-                    threshold,
-                )
         page_cache: set = set()
         results: List[Neighbor] = []
-        for scan_rank, entry in enumerate(np.nonzero(keep)[0]):
+        for entry in np.nonzero(keep)[0]:
             tids = self.table.entry_tids(int(entry))
             if tid_mask is not None:
                 tids = tids[tid_mask[tids]]
                 if tids.size == 0:
                     stats.entries_pruned += 1
                     continue
-            self._read_tids(tids, stats, page_cache)
+            self.table.store.read(tids, stats.io, page_cache)
             stats.transactions_accessed += int(tids.size)
             stats.entries_scanned += 1
             per_function = [sims_all[tids] for sims_all in sims_all_list]
             satisfied = np.ones(tids.size, dtype=bool)
             for values, threshold in zip(per_function, thresholds):
                 satisfied &= values >= threshold
-            if trace is not None:
-                entry_index = int(entry)
-                trace.record_scan(
-                    scan_rank,
-                    entry_index,
-                    int(self.table.entry_codes[entry_index]),
-                    float(
-                        min(
-                            per_constraint_opts[i][entry_index]
-                            for i in range(len(thresholds))
-                        )
-                    ),
-                    thresholds[0],
-                    thresholds[0],
-                    int(tids.size),
-                )
             for position in np.nonzero(satisfied)[0]:
                 results.append(
                     Neighbor(
@@ -744,46 +501,6 @@ class SignatureTableSearcher:
                 tracer, started_s, len(constraints), len(results), stats
             )
         return results, stats
-
-    def explain(
-        self,
-        target: Iterable[int],
-        similarity: SimilarityFunction,
-        top: int = 10,
-    ) -> "QueryPlan":
-        """Describe how a query would be executed, without executing it.
-
-        Returns a :class:`QueryPlan` with the target's activation profile,
-        the bound distribution over occupied entries and a preview of the
-        scan order — the debugging view for "why is this query slow /
-        inaccurate".
-        """
-        check_positive(top, "top")
-        target_items, bound_sim, opts, order = self._prepare(
-            target, similarity, "optimistic"
-        )
-        scheme = self.table.scheme
-        counts = scheme.activation_counts(target_items)
-        sizes = self.table.entry_sizes
-        preview = [
-            (
-                int(self.table.entry_codes[e]),
-                float(opts[e]),
-                int(sizes[e]),
-            )
-            for e in order[:top]
-        ]
-        return QueryPlan(
-            target_size=int(target_items.size),
-            activation_counts=counts.tolist(),
-            activated_signatures=int(
-                (counts >= scheme.activation_threshold).sum()
-            ),
-            num_entries=int(opts.size),
-            max_bound=float(opts.max()) if opts.size else float("-inf"),
-            median_bound=float(np.median(opts)) if opts.size else float("-inf"),
-            top_entries=preview,
-        )
 
     # ------------------------------------------------------------------
     # Internals

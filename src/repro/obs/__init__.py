@@ -15,10 +15,11 @@ every layer report what it did:
   *active* tracer costs is the ``batch_exact`` ``alt_ops_s`` row of
   ``bench/run.py``.
 * :mod:`repro.obs.search_trace` — the query-explain facility: a
-  :class:`~repro.obs.search_trace.SearchTrace` records, entry by entry,
-  why the branch-and-bound scan visited or pruned each signature-table
-  entry, and renders it as a human-readable or JSON report
-  (CLI ``repro explain``).
+  :class:`~repro.obs.search_trace.SearchTrace`, built by
+  ``QueryEngine.explain`` from the packed scan's read list, records
+  entry by entry why the branch-and-bound scan visited or pruned each
+  signature-table entry, and renders it as a human-readable or JSON
+  report (CLI ``repro explain``).
 * :mod:`repro.obs.log` — structured JSON logging with per-request
   correlation ids flowing from the TCP server through the micro-batcher
   into the engine.

@@ -1,17 +1,16 @@
 """Query-explain: why each signature-table entry was scanned or pruned.
 
-A :class:`SearchTrace` is handed to
-:meth:`~repro.core.search.SignatureTableSearcher.knn` (or
-``multi_range_query``) and filled by the branch-and-bound loop itself, so
-the record is exact, not a re-derivation: every scanned entry appears
+:meth:`QueryEngine.explain <repro.core.engine.QueryEngine.explain>` runs
+one query on the packed scan and builds a :class:`SearchTrace` from the
+scan's read list and the query's bounds: every scanned entry appears
 with the optimistic bound that ordered it and the pessimistic bound
-before/after folding its candidates in, prunes appear with the bound
+before/after folding its rows in, prunes appear with the bound
 comparison that justified them, and the termination reason is whichever
-exit the scan actually took.
+exit the scan took.
 
 The per-entry counts reconcile with :class:`~repro.core.search.SearchStats`
-by construction (``scanned_entries == stats.entries_scanned`` etc.), and
-the explain tests pin that down.
+(``scanned_entries == stats.entries_scanned`` etc.), and the explain
+property tests pin that down.
 
 :func:`render_explain` turns a trace into the human-readable report the
 ``repro explain`` CLI prints; :meth:`SearchTrace.to_dict` is the JSON
@@ -22,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 #: Termination reasons a scan can record.
 TERMINATIONS = (
-    "exhausted",            # every entry scanned or individually pruned
+    "exhausted",            # every entry scanned, or pruned by a range query
     "pruned_tail",          # sorted-by-bound scan hit the first prunable entry
     "guarantee_tolerance",  # best candidate within tolerance of every bound
     "budget",               # early-termination transaction budget exhausted
@@ -34,7 +33,9 @@ TERMINATIONS = (
 )
 
 
-def _fmt(value: float) -> str:
+def _fmt(value: Optional[float]) -> str:
+    if value is None:
+        return "—"
     if value == -math.inf:
         return "-inf"
     return f"{value:.4f}"
@@ -42,13 +43,14 @@ def _fmt(value: float) -> str:
 
 @dataclass
 class EntryEvent:
-    """One decision of the scan loop about one table entry (or a tail).
+    """One decision of the scan about one table entry (or a tail).
 
-    ``action`` is ``"scanned"``, ``"pruned"`` (individual entry skipped
-    under the supercoordinate order), ``"pruned_tail"`` (every remaining
+    ``action`` is ``"scanned"``, ``"pruned"`` (one entry whose bound is
+    below a range query's threshold), ``"pruned_tail"`` (every remaining
     entry pruned at once under the bound-sorted order; ``count`` entries)
     or ``"unexplored"`` (left behind by an early termination; ``count``
-    entries).  Bounds are ``None`` where they do not apply.
+    entries).  Bounds are ``None`` where they do not apply; a range
+    query's pessimistic value is its threshold.
     """
 
     action: str
@@ -88,89 +90,17 @@ class EntryEvent:
 
 @dataclass
 class SearchTrace:
-    """Entry-by-entry record of one branch-and-bound search.
-
-    Create one and pass it as ``search_trace=`` to the searcher; the
-    query runs exactly as without it (the differential tests pin
-    byte-identical results) while every scan/prune decision is recorded.
-    """
+    """Entry-by-entry record of one branch-and-bound search, as
+    :meth:`QueryEngine.explain <repro.core.engine.QueryEngine.explain>`
+    builds it; ``termination`` is one of :data:`TERMINATIONS`."""
 
     query: Dict[str, object] = field(default_factory=dict)
     events: List[EntryEvent] = field(default_factory=list)
     termination: str = "exhausted"
 
-    # ------------------------------------------------------------------
-    # Recording (called by the scan loop)
-    # ------------------------------------------------------------------
-    def record_scan(
-        self,
-        rank: int,
-        entry: int,
-        code: int,
-        optimistic: float,
-        pessimistic_before: float,
-        pessimistic_after: float,
-        transactions: int,
-    ) -> None:
-        self.events.append(
-            EntryEvent(
-                action="scanned",
-                rank=rank,
-                entry=entry,
-                code=code,
-                optimistic=optimistic,
-                pessimistic_before=pessimistic_before,
-                pessimistic_after=pessimistic_after,
-                transactions=transactions,
-            )
-        )
-
-    def record_prune(
-        self, rank: int, entry: int, code: int, optimistic: float,
-        pessimistic: float,
-    ) -> None:
-        self.events.append(
-            EntryEvent(
-                action="pruned",
-                rank=rank,
-                entry=entry,
-                code=code,
-                optimistic=optimistic,
-                pessimistic_before=pessimistic,
-            )
-        )
-
-    def record_prune_tail(
-        self, rank: int, count: int, optimistic: float, pessimistic: float
-    ) -> None:
-        self.events.append(
-            EntryEvent(
-                action="pruned_tail",
-                rank=rank,
-                count=count,
-                optimistic=optimistic,
-                pessimistic_before=pessimistic,
-            )
-        )
-        self.termination = "pruned_tail"
-
-    def record_unexplored(
-        self, rank: int, count: int, reason: str,
-        best_possible: Optional[float] = None,
-        pessimistic: Optional[float] = None,
-    ) -> None:
-        if reason not in TERMINATIONS:
-            raise ValueError(f"unknown termination reason {reason!r}")
-        self.events.append(
-            EntryEvent(
-                action="unexplored",
-                rank=rank,
-                count=count,
-                optimistic=best_possible,
-                pessimistic_before=pessimistic,
-            )
-        )
-        self.termination = reason
+    def __post_init__(self) -> None:
+        if self.termination not in TERMINATIONS:
+            raise ValueError(f"unknown termination reason {self.termination!r}")
 
     # ------------------------------------------------------------------
     # Reconciliation with SearchStats
@@ -234,17 +164,16 @@ _TERMINATION_TEXT = {
 
 
 def render_explain(
-    trace: SearchTrace,
-    max_events: Optional[int] = None,
-    fanout: Optional[Sequence[Dict[str, object]]] = None,
+    trace: SearchTrace, max_events: Optional[int] = None
 ) -> str:
     """Human-readable explain report for one traced query.
 
-    ``fanout`` (optional) is a stitched distributed span tree — the
-    ``trace`` payload of a traced request answered through the cluster
-    router.  When it contains scatter legs, a per-shard fan-out timing
-    section (:func:`repro.obs.distributed.render_fanout`) is appended.
+    A k-NN report compares each entry's optimistic bound with the
+    pessimistic bound (the k-th best similarity so far); a range report
+    compares it with the threshold.
     """
+    ranged = trace.query.get("op") == "range"
+    limit = "threshold" if ranged else "pess"
     lines: List[str] = []
     if trace.query:
         described = ", ".join(
@@ -262,57 +191,34 @@ def render_explain(
         f"{_TERMINATION_TEXT.get(trace.termination, trace.termination)}"
     )
     lines.append(
-        "scan trace (rank, supercoordinate, optimistic, pessimistic, action):"
+        "scan trace (rank, supercoordinate, optimistic, "
+        f"{'threshold' if ranged else 'pessimistic'}, action):"
     )
     events = trace.events
     shown = events if max_events is None else events[:max_events]
     for event in shown:
-        code = (
-            f"0b{event.code:b}" if event.code is not None else "—"
-        )
-        opt = _fmt(event.optimistic) if event.optimistic is not None else "—"
-        if event.action == "scanned":
-            pess = (
-                _fmt(event.pessimistic_after)
-                if event.pessimistic_after is not None
-                else "—"
-            )
+        code = f"0b{event.code:b}" if event.code is not None else "(tail)"
+        opt = _fmt(event.optimistic)
+        if event.action == "unexplored":
             lines.append(
                 f"  {event.rank:>4d}  {code:<14s} opt={opt:<8s} "
-                f"pess={pess:<8s} scanned ({event.transactions} txns)"
-            )
-        elif event.action == "pruned":
-            pess = (
-                _fmt(event.pessimistic_before)
-                if event.pessimistic_before is not None
-                else "—"
-            )
-            lines.append(
-                f"  {event.rank:>4d}  {code:<14s} opt={opt:<8s} "
-                f"pess={pess:<8s} pruned (bound cannot beat k-th best)"
-            )
-        elif event.action == "pruned_tail":
-            pess = (
-                _fmt(event.pessimistic_before)
-                if event.pessimistic_before is not None
-                else "—"
-            )
-            lines.append(
-                f"  {event.rank:>4d}  {'(tail)':<14s} opt={opt:<8s} "
-                f"pess={pess:<8s} pruned {event.count} remaining entries"
-            )
-        else:  # unexplored
-            lines.append(
-                f"  {event.rank:>4d}  {'(tail)':<14s} opt={opt:<8s} "
                 f"{'':<13s} left {event.count} entries unexplored"
             )
+            continue
+        if event.action == "scanned":
+            bound = event.pessimistic_after
+            outcome = f"scanned ({event.transactions} txns)"
+        elif event.action == "pruned":
+            bound = event.pessimistic_before
+            why = "bound below threshold" if ranged else "bound cannot beat k-th best"
+            outcome = f"pruned ({why})"
+        else:  # pruned_tail, a k-NN scan's
+            bound = event.pessimistic_before
+            outcome = f"pruned {event.count} remaining entries"
+        lines.append(
+            f"  {event.rank:>4d}  {code:<14s} opt={opt:<8s} "
+            f"{limit}={_fmt(bound):<8s} {outcome}"
+        )
     if max_events is not None and len(events) > max_events:
         lines.append(f"  ... {len(events) - max_events} more events")
-    if fanout:
-        from repro.obs.distributed import render_fanout
-
-        section = render_fanout(fanout)
-        if section:
-            lines.append("")
-            lines.append(section)
     return "\n".join(lines)

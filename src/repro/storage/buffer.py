@@ -1,13 +1,15 @@
 """LRU buffer pool over the simulated disk.
 
-The per-query page cache used by the searcher models an unlimited buffer
+The per-query page cache every scan charges models an unlimited buffer
 that is dropped between queries.  :class:`BufferPool` is the realistic
 variant: a bounded LRU pool shared *across* queries, as a database buffer
 manager would provide.  It fronts a :class:`~repro.storage.pages.PagedStore`
 and charges the backing :class:`~repro.storage.pages.IOCounters` only for
 misses, while keeping its own hit/miss statistics.
 
-The buffer-size ablation benchmark uses it to show how the signature
+The buffer-size ablation benchmark replays each query's read list through
+it (:meth:`QueryEngine.replay_reads
+<repro.core.engine.QueryEngine.replay_reads>`) to show how the signature
 table's clustered layout turns a modest pool into a high hit rate for
 query workloads with correlated targets.
 """
@@ -47,40 +49,6 @@ class BufferStats:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def merge(self, other: "BufferStats") -> "BufferStats":
-        """Add another pool's totals into this one (returns self).
-
-        Used to recombine the per-worker pool statistics of a batched
-        multi-process run into one report.
-        """
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        return self
-
-    def as_dict(self) -> dict:
-        """JSON-safe snapshot (trace spans, metrics endpoints, reports)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-    def delta(self, since: "BufferStats") -> "BufferStats":
-        """The counter increments accumulated since an earlier snapshot."""
-        return BufferStats(
-            hits=self.hits - since.hits,
-            misses=self.misses - since.misses,
-            evictions=self.evictions - since.evictions,
-        )
-
-    def copy(self) -> "BufferStats":
-        """An independent snapshot of the current counters."""
-        return BufferStats(
-            hits=self.hits, misses=self.misses, evictions=self.evictions
-        )
 
 
 class BufferPool:
@@ -150,8 +118,7 @@ class BufferPool:
         """Read a pre-resolved page set.
 
         Identical accounting to :meth:`read`, for callers that know the
-        page set up front (the batched engine caches each table entry's
-        pages once per batch).  The input is normalised to a sorted,
+        page set up front.  The input is normalised to a sorted,
         distinct page set first — unsorted or duplicated pages would
         otherwise inflate the seek count (every out-of-order page starts
         a new "run") and double-charge repeated pages as misses.  Returns

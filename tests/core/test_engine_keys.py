@@ -20,13 +20,13 @@ class TestConstruction:
     def test_pooled_and_reference_mode_searchers_rejected(
         self, small_table, small_db
     ):
-        """The batch paths do not model a buffer pool: a pooled searcher is
-        refused at construction, not silently run scalar.  The
-        per-transaction reference mode is gone from the searcher itself."""
+        """The searcher charges a per-query page cache only: a buffer pool
+        is charged by replaying a scan's reads (``engine.replay_reads``),
+        and neither a pooled nor a per-transaction reference-mode searcher
+        can be built."""
         pool = repro.BufferPool(small_table.store, capacity=8)
-        pooled = repro.SignatureTableSearcher(small_table, small_db, buffer_pool=pool)
-        with pytest.raises(ValueError, match="no buffer pool"):
-            repro.QueryEngine(pooled)
+        with pytest.raises(TypeError, match="buffer_pool"):
+            repro.SignatureTableSearcher(small_table, small_db, buffer_pool=pool)
         with pytest.raises(TypeError, match="precompute"):
             repro.SignatureTableSearcher(small_table, small_db, precompute=False)
 

@@ -1,11 +1,11 @@
-"""Tests for multi-target range queries (on the engine) and the
-searcher's query explain facility."""
+"""Tests for multi-target range queries and the query explain facility,
+both on the engine."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core.search import QueryPlan
+from repro.obs import render_explain
 
 
 class TestMultiTargetRange:
@@ -75,63 +75,52 @@ class TestMultiTargetRange:
 
 
 class TestExplain:
-    def test_plan_shape(self, medium_searcher, medium_queries):
-        plan = medium_searcher.explain(
-            medium_queries[0], repro.MatchRatioSimilarity(), top=5
+    """``QueryEngine.explain``: one query with the trace of its scan."""
+
+    def test_plan_shape(self, medium_engine, medium_queries):
+        trace = medium_engine.explain(
+            medium_queries[0], repro.MatchRatioSimilarity(), k=5
+        ).trace
+        table = medium_engine.searcher.table
+        assert trace.query["target_items"] == len(medium_queries[0])
+        assert trace.query["entries_total"] == table.num_entries_occupied
+        assert (
+            trace.scanned_entries + trace.pruned_entries + trace.unexplored_entries
+            == table.num_entries_occupied
         )
-        assert isinstance(plan, QueryPlan)
-        assert plan.target_size == len(medium_queries[0])
-        assert len(plan.activation_counts) == 10  # fixture K
-        assert 0 <= plan.activated_signatures <= 10
-        assert plan.num_entries == medium_searcher.table.num_entries_occupied
-        assert len(plan.top_entries) == 5
 
-    def test_preview_sorted_by_bound(self, medium_searcher, medium_queries):
-        plan = medium_searcher.explain(
-            medium_queries[0], repro.MatchRatioSimilarity(), top=8
-        )
-        bounds = [bound for _, bound, _ in plan.top_entries]
-        assert bounds == sorted(bounds, reverse=True)
-        assert plan.max_bound == pytest.approx(bounds[0])
-
-    def test_max_bound_dominates_best_answer(
-        self, medium_searcher, medium_queries
-    ):
-        sim = repro.MatchRatioSimilarity()
-        target = medium_queries[1]
-        plan = medium_searcher.explain(target, sim)
-        neighbor, _ = medium_searcher.nearest(target, sim)
-        assert neighbor.similarity <= plan.max_bound + 1e-9
-
-    def test_explain_does_not_touch_data(self, medium_searcher, medium_queries):
-        plan = medium_searcher.explain(
+    def test_explain_does_not_touch_data(self, medium_engine, medium_queries):
+        trace = medium_engine.explain(
             medium_queries[0], repro.JaccardSimilarity()
-        )
-        # Entry sizes in the preview must match the table's metadata.
-        for code, _, size in plan.top_entries:
-            entry = medium_searcher.table.entry_index_of(code)
-            assert medium_searcher.table.entry_tids(entry).size == size
+        ).trace
+        table = medium_engine.searcher.table
+        # Entry sizes in the trace must match the table's metadata: a scan
+        # that runs to completion reads every scanned entry whole.
+        scanned = [e for e in trace.events if e.action == "scanned"]
+        assert scanned
+        for event in scanned:
+            assert table.entry_index_of(event.code) == event.entry
+            assert table.entry_tids(event.entry).size == event.transactions
 
-    def test_str_readable(self, medium_searcher, medium_queries):
-        text = str(
-            medium_searcher.explain(medium_queries[0], repro.DiceSimilarity())
-        )
-        assert "activates" in text
-        assert "scan preview" in text
+    def test_preview_sorted_by_bound(self, medium_engine, medium_queries):
+        trace = medium_engine.explain(
+            medium_queries[0], repro.MatchRatioSimilarity()
+        ).trace
+        bounds = [e.optimistic for e in trace.events if e.action == "scanned"]
+        assert bounds == sorted(bounds, reverse=True)
 
-    def test_top_validated(self, medium_searcher, medium_queries):
+    def test_max_bound_dominates_best_answer(self, medium_engine, medium_queries):
+        sim = repro.MatchRatioSimilarity()
+        neighbors, _, trace, _ = medium_engine.explain(medium_queries[1], sim)
+        assert neighbors[0].similarity <= trace.events[0].optimistic + 1e-9
+
+    def test_str_readable(self, medium_engine, medium_queries):
+        text = render_explain(
+            medium_engine.explain(medium_queries[0], repro.DiceSimilarity()).trace
+        )
+        assert "scanned" in text
+        assert "scan trace" in text
+
+    def test_top_validated(self, medium_engine, medium_queries):
         with pytest.raises(ValueError):
-            medium_searcher.explain(
-                medium_queries[0], repro.DiceSimilarity(), top=0
-            )
-
-    def test_activation_counts_match_scheme(
-        self, medium_searcher, medium_queries
-    ):
-        plan = medium_searcher.explain(
-            medium_queries[0], repro.DiceSimilarity()
-        )
-        scheme = medium_searcher.table.scheme
-        assert plan.activation_counts == scheme.activation_counts(
-            medium_queries[0]
-        ).tolist()
+            medium_engine.explain(medium_queries[0], repro.DiceSimilarity(), k=0)

@@ -9,7 +9,6 @@ import pytest
 
 import repro
 from repro.core.engine import batch_key
-from repro.obs.search_trace import SearchTrace
 from repro.obs.trace import Tracer
 from repro.service.client import ServiceClient
 from repro.service.protocol import decode_neighbors
@@ -27,11 +26,11 @@ def targets(db, count=8):
 
 class TestSearcherDifferential:
     def test_knn_identical_with_search_trace(self, small_searcher, small_db):
+        """An explained query answers as the searcher does untraced."""
+        engine = repro.QueryEngine(small_searcher)
         for target in targets(small_db):
             plain, plain_stats = small_searcher.knn(target, SIM, k=5)
-            traced, traced_stats = small_searcher.knn(
-                target, SIM, k=5, search_trace=SearchTrace()
-            )
+            traced, traced_stats, _, _ = engine.explain(target, SIM, k=5)
             assert traced == plain
             assert traced_stats == plain_stats  # elapsed_seconds not compared
 
@@ -48,14 +47,15 @@ class TestSearcherDifferential:
         assert [root.name for root in tracer.roots] == ["search.knn"]
 
     def test_range_identical(self, small_searcher, small_db):
+        engine = repro.QueryEngine(small_searcher)
         for target in targets(small_db):
             plain, plain_stats = small_searcher.multi_range_query(
                 target, [(SIM, 0.4)]
             )
             tracer = Tracer()
             with tracer.activate():
-                traced, traced_stats = small_searcher.multi_range_query(
-                    target, [(SIM, 0.4)], search_trace=SearchTrace()
+                traced, traced_stats, _, _ = engine.explain(
+                    target, SIM, threshold=0.4
                 )
             assert traced == plain
             assert traced_stats == plain_stats

@@ -167,13 +167,3 @@ class TestRenderFanout:
             pass
         assert render_fanout(tracer.to_dicts()) == ""
 
-    def test_render_explain_appends_fanout_section(self):
-        from repro.obs.search_trace import SearchTrace, render_explain
-
-        trace = SearchTrace(query={"op": "knn", "k": 3})
-        plain = render_explain(trace)
-        with_fanout = render_explain(trace, fanout=self._fanout_tree())
-        assert with_fanout.startswith(plain)
-        assert "cluster fan-out" in with_fanout
-        # A single-node trace adds nothing.
-        assert render_explain(trace, fanout=[]) == plain

@@ -223,6 +223,22 @@ def aggregated_query(searcher, targets, similarity, aggregator):
     )
 
 
+class PreparedSearcher(SignatureTableSearcher):
+    """The searcher's k-NN loop over one fixed prepared query: its bounds,
+    order and similarities stand in for the target's."""
+
+    def __init__(self, searcher, prepared):
+        super().__init__(searcher.table, searcher.db)
+        self.prepared = prepared
+
+    def _prepare(self, target, similarity, sort_by):
+        prepared = self.prepared
+        return prepared.target_items, similarity, prepared.opts, prepared.order
+
+    def _all_similarities(self, target_items, bound_sim):
+        return self.prepared.sims_all
+
+
 def scalar_range(searcher, prepared, threshold):
     """The searcher's range loop over one prepared query: every entry
     whose bound reaches ``threshold`` is read whole, in entry order,
@@ -284,9 +300,8 @@ def test_multi_queries_equal_searcher_oracle(
     assert engine.multi_target_knn(
         targets, similarity, k=k, aggregate=aggregate,
         early_termination=early_termination, weights=weights,
-    ) == searcher.knn(
-        targets[0], similarity, k=k,
-        early_termination=early_termination, prepared=oracle,
+    ) == PreparedSearcher(searcher, oracle).knn(
+        targets[0], similarity, k=k, early_termination=early_termination,
     )
     if weights is None:
         assert engine.multi_target_range_query(

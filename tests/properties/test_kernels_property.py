@@ -282,7 +282,7 @@ class TestMaskedBudgetedScan:
             np.flatnonzero(mask) if as_tids and mask is not None else mask
         )
         # The kernel itself, fed the engine's prepared batch.
-        got, got_stats = kernels.knn_scan_batch(
+        got, got_stats, _ = kernels.knn_scan_batch(
             table,
             len(db),
             packed._prepare_batch(
@@ -353,7 +353,7 @@ class TestMaskedBudgetedScan:
         few = [np.sort(tids[:3])] * len(targets)
         assert kernels.knn_scan_batch(
             table, len(db), sparse, 2, candidates=few
-        ) == kernels.knn_scan_batch(table, len(db), dense, 2, candidates=few)
+        )[:2] == kernels.knn_scan_batch(table, len(db), dense, 2, candidates=few)[:2]
 
     def test_query_independent_state_is_built_once(self):
         """Signature masks and the tid -> entry map are cached like

@@ -1,9 +1,16 @@
 """Unit tests for the LRU buffer pool."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.pages import IOCounters, PagedStore
+from tests.conftest import forbid_scalar_loop
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture()
@@ -127,44 +134,74 @@ class TestReadPagesNormalisation:
         assert counters.pages_read == 0
 
 class TestSearcherIntegration:
-    def test_pool_must_wrap_table_store(self, medium_table, medium_indexed):
-        import repro
+    """A scan's read list (``QueryEngine.explain``) replayed through a
+    pool by ``QueryEngine.replay_reads``, the buffer-pool ablation's
+    path."""
 
+    def test_pool_must_wrap_table_store(self, medium_engine, medium_indexed):
         foreign = BufferPool(PagedStore(len(medium_indexed)), capacity=8)
+        reads = medium_engine.explain(
+            sorted(medium_indexed[0]), repro.MatchRatioSimilarity()
+        ).reads
         with pytest.raises(ValueError, match="table's own store"):
-            repro.SignatureTableSearcher(
-                medium_table, medium_indexed, buffer_pool=foreign
-            )
+            medium_engine.replay_reads(reads, foreign)
 
     def test_pool_reduces_io_across_repeated_queries(
-        self, medium_table, medium_indexed, medium_queries
+        self, medium_engine, medium_table, medium_queries
     ):
-        import repro
-
         pool = BufferPool(medium_table.store, capacity=medium_table.store.num_pages)
-        searcher = repro.SignatureTableSearcher(
-            medium_table, medium_indexed, buffer_pool=pool
-        )
-        sim = repro.MatchRatioSimilarity()
-        target = medium_queries[0]
-        _, first = searcher.nearest(target, sim)
-        _, second = searcher.nearest(target, sim)
-        assert second.io.pages_read == 0  # everything resident
-        assert first.io.pages_read > 0
+        reads = medium_engine.explain(
+            medium_queries[0], repro.MatchRatioSimilarity()
+        ).reads
+        first = medium_engine.replay_reads(reads, pool)
+        second = medium_engine.replay_reads(reads, pool)
+        assert second.pages_read == 0  # everything resident
+        assert first.pages_read > 0
         assert pool.stats.hit_rate > 0.0
 
     def test_results_unchanged_with_pool(
-        self, medium_table, medium_indexed, medium_queries, medium_scan
+        self, medium_engine, medium_table, medium_queries, medium_scan
     ):
-        import repro
-
-        pool = BufferPool(medium_table.store, capacity=4)
-        searcher = repro.SignatureTableSearcher(
-            medium_table, medium_indexed, buffer_pool=pool
-        )
+        """The pool charges the scan's reads and nothing else: a cold pool
+        that never evicts charges what the query's own page cache did."""
         sim = repro.JaccardSimilarity()
         for target in medium_queries[:5]:
-            neighbor, _ = searcher.nearest(target, sim)
-            assert neighbor.similarity == pytest.approx(
+            neighbors = medium_engine.explain(target, sim).results
+            assert neighbors[0].similarity == pytest.approx(
                 medium_scan.best_similarity(target, sim)
             )
+            for early_termination in (None, 0.05):
+                _, stats, _, reads = medium_engine.explain(
+                    target, sim, early_termination=early_termination
+                )
+                cold = BufferPool(
+                    medium_table.store, capacity=medium_table.store.num_pages
+                )
+                assert medium_engine.replay_reads(reads, cold) == stats.io
+
+
+class TestPackedReplay:
+    """The buffer-pool ablation and the scaling example read their I/O
+    from the packed scan: neither reaches the scalar loop."""
+
+    def test_ablation_replays_the_packed_scan(self, monkeypatch):
+        from repro.eval.harness import ExperimentContext
+
+        forbid_scalar_loop(monkeypatch)
+        ablation = runpy.run_path(str(ROOT / "benchmarks" / "bench_ablation_buffer.py"))
+        ctx = ExperimentContext(
+            "quick", large_spec="T8.I4.D3K", default_k=10, num_queries=20
+        )
+        tables = []
+        ablation["test_ablation_buffer_capacity"](
+            ctx, lambda table, name: tables.append(table), lambda fn: fn()
+        )
+        (table,) = tables
+        assert len(table.column("pages/query")) == 6
+
+    def test_scaling_out_example_replays_the_packed_scan(
+        self, monkeypatch, capsys
+    ):
+        forbid_scalar_loop(monkeypatch)
+        runpy.run_path(str(ROOT / "examples" / "scaling_out.py"), run_name="__main__")
+        assert "hit rate" in capsys.readouterr().out

@@ -135,13 +135,56 @@ class TestExplain:
         assert out.count("cosine=") == 5
 
     def test_sort_order_and_event_cap(self, corpus, capsys):
+        """The report lists the first events in scan order, up to the cap."""
         _, db, table = corpus
         out = ok(
             capsys,
-            f"explain {db} {table} 3 17 42 --sort-by supercoordinate "
-            "--max-events 3 --early-termination 0.05",
+            f"explain {db} {table} 3 17 42 --max-events 3 --early-termination 0.05",
         )
+        rows = out.split("action):\n")[1].splitlines()
+        assert [row.split()[0] for row in rows[:3]] == ["0", "1", "2"]
+        assert rows[3].strip().endswith("more events")
         assert "top results:" in out
+
+    def test_range_report_names_the_threshold(self, corpus, capsys):
+        """A range query has no k-th best: its prunes and its header
+        compare the bound with the threshold; the JSON keeps its keys."""
+        _, db, table = corpus
+        line = f"explain {db} {table} 3 17 42 --threshold 0.3"
+        out = ok(capsys, line)
+        assert "(rank, supercoordinate, optimistic, threshold, action)" in out
+        assert "threshold=0.3000   pruned (bound below threshold)" in out
+        assert "pess=" not in out and "k-th best" not in out
+        events = json.loads(ok(capsys, line + " -o json"))["explain"]["events"]
+        pruned = next(event for event in events if event["action"] == "pruned")
+        assert pruned["pessimistic_before"] == 0.3
+
+    def test_explain_runs_on_the_packed_scan(self, corpus, capsys, monkeypatch):
+        """k-NN and range explain answer as the batch methods do, without
+        the scalar loop."""
+        from tests.conftest import forbid_scalar_loop
+
+        _, db, table = corpus
+        engine = repro.QueryEngine.for_table(
+            repro.SignatureTable.load(table), repro.TransactionDatabase.load(db)
+        )
+        sim = repro.CosineSimilarity()
+        forbid_scalar_loop(monkeypatch)
+        for flags, (results, stats) in [
+            ("--k 5 --early-termination 0.05",
+             engine.knn_batch([[3, 17, 42]], sim, k=5, early_termination=0.05)),
+            ("--threshold 0.2", engine.range_query_batch([[3, 17, 42]], sim, 0.2)),
+        ]:
+            document = json.loads(
+                ok(capsys, f"explain {db} {table} 3 17 42 -s cosine {flags} -o json")
+            )
+            assert document["results"] == [
+                {"tid": nb.tid, "similarity": nb.similarity} for nb in results[0]
+            ]
+            assert document["stats"]["transactions_accessed"] == (
+                stats[0].transactions_accessed
+            )
+            assert document["stats"]["pages_read"] == stats[0].io.pages_read
 
     def test_json_document(self, corpus, capsys):
         _, db, table = corpus

@@ -247,3 +247,61 @@ class TestCitedPaths:
             }
         )
         assert not missing, "cited paths that do not exist:\n" + "\n".join(missing)
+
+
+def _bench_uses():
+    """``(file, what, resolved)`` for every name a ``bench/*.py`` file
+    imports from ``repro``, and every ``repro`` attribute it times with
+    ``rec.wrap(owner, "attr", ...)``."""
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "repro"
+            ):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(module, alias.name, None)
+                    if value is None:  # a submodule its package does not import
+                        try:
+                            value = importlib.import_module(
+                                f"{node.module}.{alias.name}"
+                            )
+                        except ImportError:
+                            pass
+                    imported[alias.asname or alias.name] = value
+                    yield path.name, f"{node.module}.{alias.name}", value is not None
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        importlib.import_module(alias.name)
+                        yield path.name, alias.name, True
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("wrap", "wrap_async")
+                and len(node.args) >= 2
+                and isinstance(node.args[0], ast.Name)
+                and isinstance(node.args[1], ast.Constant)
+                and imported.get(node.args[0].id) is not None
+            ):
+                owner, attr = imported[node.args[0].id], node.args[1].value
+                yield path.name, f"{node.args[0].id}.{attr}", hasattr(owner, attr)
+
+
+class TestFrozenBench:
+    def test_every_name_the_bench_uses_resolves(self):
+        """``bench/`` is frozen: a change may not edit it, yet it imports
+        the library.  A removal that breaks it must fail here, in the
+        unit run, and not only in the bench smoke.  This is why
+        ``SignatureTableSearcher`` stays in ``src/``: ``bench/layers.py``
+        times its ``knn`` and ``bench/workloads.py`` builds one, until
+        the bench is rewritten (ROADMAP item 2)."""
+        uses = list(_bench_uses())
+        assert len(uses) > 20, "the bench imports were not found"
+        missing = sorted(f"{name}: {what}" for name, what, ok in uses if not ok)
+        assert not missing, "bench/ uses names that do not exist:\n" + "\n".join(
+            missing
+        )
