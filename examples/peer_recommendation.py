@@ -6,9 +6,7 @@ recommendations".  Given a customer's basket:
 
 1. find the k most similar historical baskets (the customer's *peers*)
    with the signature table;
-2. recommend the items peers bought that the customer has not;
-3. cross-check the suggestions against association rules mined from the
-   same data (the paper's reference [2, 3] ecosystem).
+2. recommend the items peers bought that the customer has not.
 
 Also demonstrates the multi-target query of Section 4.3: recommendations
 for a *household* with several baskets.
@@ -64,22 +62,6 @@ def main() -> None:
     print("Household recommendations (item, peer votes):")
     for item, count in votes.most_common(5):
         print(f"  item {item:<4d} bought by {count} of 10 peer baskets")
-
-    # --- sanity check against association rules ---------------------------
-    print("\nMining association rules for comparison (support 1.5%) ...")
-    frequent = repro.apriori(db, min_support=0.015, max_size=2)
-    rules = repro.association_rules(frequent, min_confidence=0.3)
-    relevant = [
-        rule
-        for rule in rules
-        if rule.antecedent <= set(customer_basket)
-        and not rule.consequent & set(customer_basket)
-    ]
-    print("Top rules fired by the customer's basket:")
-    for rule in relevant[:5]:
-        print(f"  {rule}")
-    if not relevant:
-        print("  (no rule fires at this support/confidence level)")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
-"""Scaling the index: streaming statistics and a buffer pool.
+"""Scaling the index: a sampled partition and a buffer pool.
 
 Engineering extensions around the paper's core structure:
 
-1. **Streaming ingest** — maintain item/pair supports incrementally with a
-   reservoir sample while transactions arrive, then learn the signature
-   partition from the sample (no history rescan).
+1. **Sampled partitioning** — learn the signature partition from pair
+   supports counted over a uniform sample of the transactions
+   (``max_transactions``), not the whole history.
 2. **Buffer pool** — front the table's simulated disk with a bounded LRU
    pool and watch the hit rate on a repeated query workload.
 
@@ -17,28 +17,23 @@ Run:  python examples/scaling_out.py
 import numpy as np
 
 import repro
-from repro.mining.streaming import StreamingSupportCounter
 from repro.storage.buffer import BufferPool
 
 
 def main() -> None:
-    print("Simulating a transaction stream (T10.I6, 25K arrivals) ...")
+    print("Generating transactions (T10.I6.D25K) ...")
     generator = repro.MarketBasketGenerator(repro.parse_spec("T10.I6.D25K", seed=13))
     db = generator.generate()
     queries = generator.generate(num_transactions=30)
 
-    # --- 1. streaming statistics ------------------------------------------
-    counter = StreamingSupportCounter(
-        universe_size=db.universe_size, reservoir_size=2000, rng=0
+    # --- 1. sampled partitioning ------------------------------------------
+    scheme = repro.partition_items(
+        db, num_signatures=13, max_transactions=2000, rng=0
     )
-    counter.add_database(db)  # stand-in for the ingest path
     print(
-        f"  observed {counter.num_seen} transactions; reservoir holds "
-        f"{counter.reservoir_occupancy}"
+        f"  learned {scheme.num_signatures} signatures from pair supports "
+        f"over 2000 of {len(db)} transactions"
     )
-    sample = counter.as_sample_database()
-    scheme = repro.partition_items(sample, num_signatures=13, rng=0)
-    print(f"  learned {scheme.num_signatures} signatures from the reservoir")
 
     table = repro.SignatureTable.build(db, scheme)
     sim = repro.MatchRatioSimilarity()

@@ -12,7 +12,8 @@ WAL and checks:
    logical database (the differential oracle).
 
 With ``--with-faults`` the smoke additionally sweeps a handful of
-seeded errfs fault schedules (``repro.faults.run_errfs_schedule``):
+seeded errfs fault schedules (``run_errfs_schedule`` from the test
+suite's ``tests/faults/chaos.py``; the repo root goes on ``sys.path``):
 each schedule injects deterministic WAL/checkpoint I/O faults and
 simulated crashes into a randomized workload, then checks the terminal
 state is byte-identical to a replay of exactly the acknowledged ops.
@@ -130,7 +131,7 @@ def run_smoke(index_path: Path, acks: int) -> int:
 
 def run_fault_schedules(root: Path, num_seeds: int) -> int:
     """Sweep seeded errfs chaos schedules; returns the number of failures."""
-    from repro.faults import run_errfs_schedule
+    from tests.faults.chaos import run_errfs_schedule
 
     failures = 0
     injected = 0
@@ -178,8 +179,9 @@ def main(argv=None) -> int:
         help="fault schedules to sweep with --with-faults (default 16)",
     )
     args = parser.parse_args(argv)
-    if str(SRC_DIR) not in sys.path:
-        sys.path.insert(0, str(SRC_DIR))
+    for path in (str(SRC_DIR), str(REPO_ROOT)):
+        if path not in sys.path:
+            sys.path.insert(0, path)
 
     if args.keep is not None:
         workroot = Path(args.keep)

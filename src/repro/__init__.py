@@ -81,14 +81,7 @@ from repro.data import (
     generate,
     parse_spec,
 )
-from repro.mining import (
-    AssociationRule,
-    PairSupports,
-    StreamingSupportCounter,
-    apriori,
-    association_rules,
-    count_pair_supports,
-)
+from repro.mining import PairSupports, count_pair_supports
 from repro.sketch import (
     BandIndex,
     SketchIndex,
@@ -118,12 +111,8 @@ __all__ = [
     "DatasetStats",
     "describe",
     # mining
-    "apriori",
-    "association_rules",
-    "AssociationRule",
     "count_pair_supports",
     "PairSupports",
-    "StreamingSupportCounter",
     # similarity
     "SimilarityFunction",
     "HammingSimilarity",

@@ -6,14 +6,12 @@ returns a :class:`MarketBasketIndex`, the friendly entry point used by the
 examples.
 
 The signature table itself is immutable (bulk-loaded); the facade adds
-incremental **inserts** with a classic main + delta design, reading
-through the same pieces as :class:`~repro.live.index.LiveIndex`: the
-table is queried by a :class:`~repro.core.engine.QueryEngine` (every
-query, the multi-constraint and multi-target ones included), new
-transactions accumulate in a
-:class:`~repro.live.delta.DeltaIndex` that every query reads whole with
-one packed AND + popcount pass (it is tiny), and the two answers merge
-under :func:`~repro.core.merge.merge_neighbor_lists`.
+incremental **inserts** with a classic main + delta design: new
+transactions accumulate in a :class:`~repro.live.delta.DeltaIndex`, and
+every query reads the table's :class:`~repro.core.engine.QueryEngine`
+and the delta through one :class:`~repro.core.merge.ReadState` with
+every base row live — the reader of
+:class:`~repro.live.index.LiveIndex` too.
 :meth:`MarketBasketIndex.compact` merges the delta into a rebuilt table.
 ``auto_compact_fraction`` bounds the delta at a fraction of the indexed
 size, so query cost stays within a constant factor of the compacted
@@ -24,19 +22,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.engine import QueryEngine
-from repro.core.merge import merge_neighbor_lists
+from repro.core.merge import ReadState
 from repro.core.partitioning import partition_items
 from repro.core.search import Neighbor, SearchStats, target_aggregator
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase, as_item_array
-from repro.live.delta import DeltaIndex, DeltaSnapshot
+from repro.live.delta import DeltaIndex
 from repro.obs.trace import span
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_fraction
@@ -135,6 +133,7 @@ class MarketBasketIndex:
             self._db, scheme, page_size=self._page_size
         )
         self._engine = QueryEngine.for_table(self._table, self._db)
+        self._base_live = np.ones(len(self._db), dtype=bool)
         self._delta = DeltaIndex(scheme)
 
     # ------------------------------------------------------------------
@@ -232,6 +231,9 @@ class MarketBasketIndex:
     # ------------------------------------------------------------------
     # Queries (base engine + delta merge)
     # ------------------------------------------------------------------
+    def _read_state(self) -> ReadState:
+        return ReadState(self._engine, self._base_live, self._delta.snapshot())
+
     def nearest(
         self,
         target: Iterable[int],
@@ -261,23 +263,19 @@ class MarketBasketIndex:
         """k most similar transactions (index + pending delta).
 
         ``early_termination`` and ``guarantee_tolerance`` approximate the
-        scan of the index as in :meth:`SignatureTableSearcher.knn
-        <repro.core.search.SignatureTableSearcher.knn>`; the delta is
-        always read whole.
+        scan of the index as in :meth:`QueryEngine.knn_batch
+        <repro.core.engine.QueryEngine.knn_batch>` (a row budget, and
+        the a-posteriori optimality guarantee); the delta is always read
+        whole.
         """
-        (neighbors,), (stats,) = self._engine.knn_batch(
-            [target],
+        (neighbors,), (stats,) = self._read_state().knn_batch(
+            [as_item_array(target, self._db.universe_size)],
             similarity,
-            k=k,
+            k,
             early_termination=early_termination,
             guarantee_tolerance=guarantee_tolerance,
         )
-        return self._with_delta(
-            neighbors,
-            stats,
-            lambda delta: delta.knn_candidates(target, similarity, k),
-            k,
-        )
+        return neighbors, stats
 
     def range_query(
         self,
@@ -287,14 +285,10 @@ class MarketBasketIndex:
     ) -> Tuple[List[Neighbor], SearchStats]:
         """All transactions with similarity >= ``threshold`` (index +
         pending delta)."""
-        (results,), (stats,) = self._engine.range_query_batch(
-            [target], similarity, threshold
+        (results,), (stats,) = self._read_state().range_query_batch(
+            [as_item_array(target, self._db.universe_size)], similarity, threshold
         )
-        return self._with_delta(
-            results,
-            stats,
-            lambda delta: delta.range_candidates(target, similarity, threshold),
-        )
+        return results, stats
 
     def multi_range_query(
         self,
@@ -305,16 +299,16 @@ class MarketBasketIndex:
         (index + pending delta); see
         :meth:`QueryEngine.multi_range_query
         <repro.core.engine.QueryEngine.multi_range_query>`."""
-        results, stats = self._engine.multi_range_query(target, constraints)
-
-        def delta_hits(delta: DeltaSnapshot) -> List[Tuple[int, float]]:
-            values = [delta.similarities(target, sim) for sim, _ in constraints]
-            satisfied = np.logical_and.reduce(
-                [v >= float(t) for v, (_, t) in zip(values, constraints)]
-            )
-            return [(int(r), float(values[0][r])) for r in np.flatnonzero(satisfied)]
-
-        return self._with_delta(results, stats, delta_hits)
+        target = as_item_array(target, self._db.universe_size)
+        state = self._read_state()
+        results, stats = state.engine.multi_range_query(target, constraints)
+        values = [state.delta.similarities(target, sim) for sim, _ in constraints]
+        satisfied = np.logical_and.reduce(
+            [v >= float(t) for v, (_, t) in zip(values, constraints)]
+        )
+        hits = [(int(r), float(values[0][r])) for r in np.flatnonzero(satisfied)]
+        (merged,), (stats,) = state.merge([results], [stats], [hits])
+        return merged, stats
 
     def multi_target_knn(
         self,
@@ -329,7 +323,9 @@ class MarketBasketIndex:
         (index + pending delta); see
         :meth:`QueryEngine.multi_target_knn
         <repro.core.engine.QueryEngine.multi_target_knn>`."""
-        neighbors, stats = self._engine.multi_target_knn(
+        targets = [as_item_array(t, self._db.universe_size) for t in targets]
+        state = self._read_state()
+        neighbors, stats = state.engine.multi_target_knn(
             targets,
             similarity,
             k=k,
@@ -337,32 +333,8 @@ class MarketBasketIndex:
             early_termination=early_termination,
             weights=weights,
         )
-
-        def delta_hits(delta: DeltaSnapshot) -> List[Tuple[int, float]]:
-            aggregator = target_aggregator(aggregate, len(targets), weights)
-            values = np.stack([delta.similarities(t, similarity) for t in targets])
-            return list(enumerate(aggregator(values).tolist()))
-
-        return self._with_delta(neighbors, stats, delta_hits, k)
-
-    # ------------------------------------------------------------------
-    def _with_delta(
-        self,
-        base: List[Neighbor],
-        stats: SearchStats,
-        delta_hits: Callable[[DeltaSnapshot], List[Tuple[int, float]]],
-        k: Optional[int] = None,
-    ) -> Tuple[List[Neighbor], SearchStats]:
-        """Merge a base answer with the delta's ``(rank, similarity)``
-        hits; every delta row is read, so every one is charged."""
-        pending = len(self._delta)
-        if not pending:
-            return base, stats
-        stats.transactions_accessed += pending
-        stats.total_transactions += pending
-        offset = len(self._db)
-        delta = [
-            Neighbor(offset + rank, value)
-            for rank, value in delta_hits(self._delta.snapshot())
-        ]
-        return merge_neighbor_lists((base, delta), k), stats
+        aggregator = target_aggregator(aggregate, len(targets), weights)
+        values = np.stack([state.delta.similarities(t, similarity) for t in targets])
+        hits = list(enumerate(aggregator(values).tolist()))
+        (merged,), (stats,) = state.merge([neighbors], [stats], [hits], k=k)
+        return merged, stats

@@ -17,17 +17,17 @@ The package has three layers:
   :class:`~repro.service.server.QueryServer`: connection resets,
   response truncation and injected latency.
 
-:mod:`repro.faults.chaos` drives randomized client workloads through
-those shims and checks the *acknowledged-op oracle*: the terminal
-(recovered/served) state must be byte-identical to replaying exactly
-the acknowledged mutations — zero lost, zero duplicated.
+The chaos suites in ``tests/faults`` drive randomized client workloads
+through those shims and check the *acknowledged-op oracle*
+(``tests/faults/chaos.py``): the terminal (recovered/served) state must
+be byte-identical to replaying exactly the acknowledged mutations —
+zero lost, zero duplicated.
 
 Everything is opt-in: with no injector attached the hot paths pay one
 ``is None`` check.  That production configuration (``injector=None``) is
 the insert path the ``live_mixed`` workload of ``bench/run.py`` times.
 """
 
-from repro.faults.chaos import AckedOracle, ChaosSummary, run_errfs_schedule
 from repro.faults.errfs import FailingWalFile, checkpoint_fault
 from repro.faults.plan import (
     FAULT_KINDS,
@@ -39,8 +39,6 @@ from repro.faults.plan import (
 from repro.faults.proxy import FaultProxy
 
 __all__ = [
-    "AckedOracle",
-    "ChaosSummary",
     "FAULT_KINDS",
     "FailingWalFile",
     "FaultInjector",
@@ -49,5 +47,4 @@ __all__ = [
     "FaultSpec",
     "SimulatedCrash",
     "checkpoint_fault",
-    "run_errfs_schedule",
 ]

@@ -10,13 +10,15 @@ mutable without giving up its query algorithm or its results:
   database (live base rows in tid order, then live delta rows in
   insertion order).  A base delete adds a tombstone; a delta delete
   drops the row directly.
-* **Queries** run a batch against one read state.  The base segment's
-  :class:`~repro.core.engine.QueryEngine` scans the packed kernels with
-  the live base rows as its candidate mask (intersected with each
-  query's sketch probe under the lsh tier), so tombstones are never
-  read; the delta snapshot answers with one packed pass over its rows;
-  the two lists merge under the router's ``(-similarity, logical_tid)``
-  rule (:func:`~repro.core.merge.merge_neighbor_lists`).  Exact results
+* **Queries** run a batch against one
+  :class:`~repro.core.merge.ReadState`, snapshotted under the swap
+  lock — the reader :class:`~repro.core.builder.MarketBasketIndex` uses
+  too.  The base segment's :class:`~repro.core.engine.QueryEngine`
+  scans the packed kernels with the live base rows as its candidate
+  mask (intersected with each query's sketch probe under the lsh tier),
+  so tombstones are never read; the delta snapshot answers with one
+  packed pass over its rows; the two lists merge under the router's
+  ``(-similarity, logical_tid)`` rule.  Exact results
   are byte-identical to a fresh :meth:`SignatureTable.build
   <repro.core.table.SignatureTable.build>` over the logical database —
   the differential oracle in ``tests/live`` pins it, including across
@@ -58,7 +60,7 @@ from repro.core.engine import (
     check_batch_similarity,
     dispatch_batch,
 )
-from repro.core.merge import merge_neighbor_lists
+from repro.core.merge import ReadState
 from repro.core.search import Neighbor, SearchStats
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import SimilarityFunction
@@ -119,84 +121,6 @@ class CompactionReport:
     applied_seqno: int
     duration_seconds: float
     repartitioned: bool
-
-
-class _ReadState:
-    """One batch's view of the live state, snapshotted under the swap
-    lock, and the base/delta plumbing of the queries that read it."""
-
-    __slots__ = ("engine", "base_live", "num_base_live", "num_dead", "delta")
-
-    def __init__(self, engine: QueryEngine, base_live, delta) -> None:
-        self.engine = engine
-        self.base_live = base_live
-        self.num_base_live = int(base_live.sum())
-        self.num_dead = int(base_live.size - self.num_base_live)
-        self.delta = delta
-
-    def base_candidates(self, targets, candidate_tier, target_recall, op):
-        """``(probes, candidates)`` of the base scan, for a tier the
-        engine's ``_canonical_tier`` has validated.
-
-        The candidates are the live base rows (``None`` while nothing is
-        tombstoned); under the lsh tier, one row per query: its sketch
-        probe's candidates among them, probed through the engine so
-        ``repro_sketch_candidates_total{op}`` counts them.  The delta is
-        memory-resident and always read whole, so approximation never
-        touches it.
-        """
-        if candidate_tier == "exact":
-            return None, (self.base_live if self.num_dead else None)
-        probes = self.engine._probe_batch(targets, target_recall, op=op)
-        masks = np.stack([probe.mask(self.base_live.size) for probe in probes])
-        return probes, masks & self.base_live
-
-    def merge(
-        self,
-        base_lists: List[List[Neighbor]],
-        stats: List[SearchStats],
-        delta_lists: List[List[Tuple[int, float]]],
-        probes,
-        candidates,
-        k: Optional[int] = None,
-    ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
-        """Per query: base tids to logical tids, delta ranks after the live
-        base rows, the router's ``(-similarity, tid)`` merge, and the
-        delta's rows charged to the stats."""
-        logical_of_base = np.cumsum(self.base_live) - 1 if self.num_dead else None
-        total = self.num_base_live + len(self.delta)
-        results = []
-        for q, (base, one, delta) in enumerate(zip(base_lists, stats, delta_lists)):
-            if logical_of_base is not None:
-                base = [
-                    Neighbor(int(logical_of_base[nb.tid]), nb.similarity)
-                    for nb in base
-                ]
-            merged = merge_neighbor_lists(
-                (base, [Neighbor(self.num_base_live + r, s) for r, s in delta]),
-                k,
-            )
-            one.total_transactions = total
-            one.transactions_accessed += len(self.delta)
-            if probes is not None:
-                kth = merged[-1].tid if k is not None and merged else None
-                self._finish_sketch_stats(one, probes[q], candidates[q], kth)
-            results.append(merged)
-        return results, stats
-
-    def _finish_sketch_stats(
-        self, stats: SearchStats, probe, candidates, kth_logical
-    ) -> None:
-        """Stamp the lossy-tier report onto merged stats through the
-        engine's own helper, which also observes the merged access
-        fraction in ``repro_sketch_access_fraction``: the recall estimate
-        is sharpened by the k-th neighbour when that is a base row, and
-        the candidates are the live ones."""
-        kth_tid = None
-        if kth_logical is not None and kth_logical < self.num_base_live:
-            kth_tid = int(np.flatnonzero(self.base_live)[kth_logical])
-        self.engine._finish_sketch_stats(stats, probe, kth_tid)
-        stats.sketch_candidates = int(np.count_nonzero(candidates)) + len(self.delta)
 
 
 def _fsync_file(path: str) -> None:
@@ -281,7 +205,6 @@ class LiveIndex:
         self._mutation_lock = threading.RLock()
         self._swap_lock = threading.Lock()
         self._closed = False
-        self._base_fractions: Optional[np.ndarray] = None
         self.compactions = 0
 
     # ------------------------------------------------------------------
@@ -678,9 +601,9 @@ class LiveIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _read_state(self) -> _ReadState:
+    def _read_state(self) -> ReadState:
         with self._swap_lock:
-            return _ReadState(
+            return ReadState(
                 self._base_engine,
                 self._base_live.copy(),
                 self._delta.snapshot(),
@@ -699,13 +622,11 @@ class LiveIndex:
         """k-NN over the logical database for every target; tids in
         results are logical.
 
-        The batch reads one snapshot of the live state, so it sees each
-        concurrent mutation entirely or not at all.  Exact queries (no
-        ``early_termination``) are byte-identical to a fresh build over
-        the logical database: one base engine call scans the live base
-        rows, the delta snapshot contributes its own top ``k``.  With
-        early termination the base scan is approximate exactly as in the
-        frozen engine (the delta is always read whole).
+        The batch reads one :class:`~repro.core.merge.ReadState`, so it
+        sees each concurrent mutation entirely or not at all.  Exact
+        queries (no ``early_termination``) are byte-identical to a fresh
+        build over the logical database; early termination approximates
+        the base scan as in the frozen engine (the delta is read whole).
 
         ``candidate_tier="lsh"`` restricts each base scan to its sketch
         probe's live candidates at ``target_recall``; results become
@@ -717,20 +638,15 @@ class LiveIndex:
         targets = [as_item_array(t, self._scheme.universe_size) for t in targets]
         if not targets:
             return [], []
-        state = self._read_state()
-        probes, candidates = state.base_candidates(
-            targets, candidate_tier, target_recall, op="knn"
-        )
-        base_lists, stats = state.engine.knn_batch(
+        return self._read_state().knn_batch(
             targets,
             similarity,
-            k=k,
+            k,
             early_termination=early_termination,
             guarantee_tolerance=guarantee_tolerance,
-            candidates=candidates,
+            candidate_tier=candidate_tier,
+            target_recall=target_recall,
         )
-        delta = [state.delta.knn_candidates(t, similarity, k) for t in targets]
-        return state.merge(base_lists, stats, delta, probes, candidates, k)
 
     def range_query_batch(
         self,
@@ -747,17 +663,13 @@ class LiveIndex:
         targets = [as_item_array(t, self._scheme.universe_size) for t in targets]
         if not targets:
             return [], []
-        state = self._read_state()
-        probes, candidates = state.base_candidates(
-            targets, candidate_tier, target_recall, op="range"
+        return self._read_state().range_query_batch(
+            targets,
+            similarity,
+            threshold,
+            candidate_tier=candidate_tier,
+            target_recall=target_recall,
         )
-        base_lists, stats = state.engine.range_query_batch(
-            targets, similarity, threshold, candidates=candidates
-        )
-        delta = [
-            state.delta.range_candidates(t, similarity, threshold) for t in targets
-        ]
-        return state.merge(base_lists, stats, delta, probes, candidates)
 
     def knn(
         self, target: Iterable[int], similarity: SimilarityFunction, k: int = 1,
@@ -816,26 +728,28 @@ class LiveIndex:
     def drift_report(self, kl_threshold: float = 0.1) -> Optional[DriftReport]:
         """Compare delta vs base per-signature activation distributions.
 
-        Returns ``None`` while the delta is empty.  A drifted report
+        Returns ``None`` while the delta is empty.  The base side is the
+        live base rows at the time of the call, so one logical state
+        gets one verdict, before or after a restart.  A drifted report
         recommends re-partitioning at the next compaction
         (``compact(repartition=True)``).
         """
         with self._swap_lock:
             delta_fractions = self._delta.activation_fractions()
             num_delta = len(self._delta)
+            live = self._base_live.copy()
+            base_db, scheme = self._base_db, self._scheme
         if delta_fractions is None:
             return None
-        if self._base_fractions is None:
-            counts = self._scheme.activation_counts_batch(self._base_db)
-            active = counts >= self._scheme.activation_threshold
-            live = self._base_live
-            self._base_fractions = (
-                active[live].mean(axis=0)
-                if live.any()
-                else np.zeros(self._scheme.num_signatures)
-            )
+        counts = scheme.activation_counts_batch(base_db)
+        active = counts >= scheme.activation_threshold
+        base_fractions = (
+            active[live].mean(axis=0)
+            if live.any()
+            else np.zeros(scheme.num_signatures)
+        )
         return activation_drift(
-            self._base_fractions,
+            base_fractions,
             delta_fractions,
             num_delta=num_delta,
             kl_threshold=kl_threshold,
@@ -955,7 +869,6 @@ class LiveIndex:
                     self._scheme = scheme
                     self._delta.scheme = scheme
                     self._applied_seqno = applied
-                    self._base_fractions = None
                 self.compactions += 1
         duration = time.perf_counter() - started_s
         if self._metrics is not None:

@@ -1,21 +1,14 @@
-"""Frequent-itemset mining substrate.
+"""Support counting for signature construction.
 
 Signature construction (Section 3.1 of the paper) needs the supports of all
 sufficiently frequent 2-itemsets; :mod:`repro.mining.support` provides those
-counts vectorised.  :mod:`repro.mining.apriori` implements full levelwise
-Apriori and association-rule derivation — the market-basket context the
-paper builds on (its references [2, 3]).
+counts vectorised — the partitioner's only input from the market-basket
+mining literature the paper builds on (its references [2, 3]).
 """
 
-from repro.mining.apriori import AssociationRule, apriori, association_rules
-from repro.mining.streaming import StreamingSupportCounter
 from repro.mining.support import PairSupports, count_pair_supports
 
 __all__ = [
     "PairSupports",
     "count_pair_supports",
-    "apriori",
-    "association_rules",
-    "AssociationRule",
-    "StreamingSupportCounter",
 ]

@@ -7,7 +7,7 @@ proxy partitions the owner away entirely, the router's health probes
 promote the warm replica, and the workload keeps going.  Terminal
 invariant — exactly the chaos suite's single-node bar — the cluster's
 logical database is byte-identical to a replay of exactly the
-acknowledged ops (:class:`~repro.faults.AckedOracle`).
+acknowledged ops (:class:`tests.faults.chaos.AckedOracle`).
 """
 
 import random
@@ -18,10 +18,11 @@ import pytest
 
 from repro.cluster import ClusterHarness
 from repro.data.transaction import TransactionDatabase
-from repro.faults import AckedOracle, FaultInjector, FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.service.client import ServiceError
 
 from tests.cluster.conftest import UNIVERSE, random_transaction
+from tests.faults.chaos import AckedOracle
 
 pytestmark = pytest.mark.cluster
 

@@ -1,4 +1,8 @@
-"""Seeded chaos schedules and the acknowledged-op oracle.
+"""Seeded chaos schedules and the acknowledged-op oracle (test support).
+
+The chaos suites (``tests/faults``, ``tests/service``,
+``tests/cluster``) and ``scripts/crash_recovery_smoke.py --with-faults``
+import this module; nothing in ``repro`` does.
 
 The chaos differential suite drives randomized mutation workloads
 against a :class:`~repro.live.index.LiveIndex` whose WAL and checkpoint

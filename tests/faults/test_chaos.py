@@ -21,18 +21,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.faults import (
-    AckedOracle,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    FaultProxy,
-    run_errfs_schedule,
-)
+from repro.faults import FaultInjector, FaultPlan, FaultProxy, FaultSpec
 from repro.live import LiveIndex
 from repro.service.client import ServiceClient
 from repro.service.server import serve_in_background
 
+from tests.faults.chaos import AckedOracle, run_errfs_schedule
 from tests.faults.conftest import UNIVERSE, random_transaction
 
 #: Seed counts for the two sweeps; together they clear the 200-schedule

@@ -253,6 +253,33 @@ class TestDrift:
         report = live.drift_report(kl_threshold=0.5)
         assert report is not None and not report.drifted
 
+    def test_base_deletes_match_a_recovered_index(self, tmp_path):
+        """The base side is the live base rows at each call: after base
+        deletes, a long-running index and a recovered one of the same
+        logical state give the same report."""
+        from repro import generate, partition_items
+
+        db = generate("T5.I3.D600", seed=3)
+        scheme = partition_items(db, num_signatures=6, rng=0)
+        rng = np.random.default_rng(4)
+        path = tmp_path / "idx"
+        with LiveIndex.create(path, db, scheme=scheme) as live:
+            for _ in range(40):
+                live.insert(random_transaction(rng, db.universe_size))
+            assert live.drift_report() is not None
+            active = scheme.activation_counts_batch(db) >= scheme.activation_threshold
+            victims = np.flatnonzero(active[:, 0])
+            assert 0 < victims.size < len(db)
+            for tid in victims[::-1]:  # highest first: lower tids stay put
+                live.delete(int(tid))
+            running = live.drift_report()
+            live.checkpoint()
+        with LiveIndex.recover(path) as recovered:
+            restarted = recovered.drift_report()
+        assert running.kl_divergence == pytest.approx(restarted.kl_divergence)
+        assert running.chi_square == pytest.approx(restarted.chi_square)
+        assert running.drifted == restarted.drifted
+
 
 class TestObservability:
     def test_metrics_registry_export(self, tmp_path, base_db, scheme):

@@ -4,7 +4,7 @@ One live-index server; two clients speaking different wires run the same
 seeded workload of queries and mutations.  The wires must be invisible:
 every query answer byte-identical between protocols (and to the direct
 index), and the exactly-once accounting identical — the acked-mutation
-oracle (:class:`repro.faults.AckedOracle`) must replay to the server's
+oracle (:class:`tests.faults.chaos.AckedOracle`) must replay to the server's
 logical rows byte-for-byte no matter which wire carried each mutation.
 """
 
@@ -14,10 +14,11 @@ import pytest
 from repro.core.partitioning import partition_items
 from repro.core.similarity import get_similarity
 from repro.data.transaction import TransactionDatabase
-from repro.faults import AckedOracle
 from repro.live import LiveIndex
 from repro.service.client import ServiceClient
 from repro.service.server import serve_in_background
+
+from tests.faults.chaos import AckedOracle
 
 UNIVERSE = 60
 SEED = 2024

@@ -36,8 +36,7 @@ class TestExports:
             "parse_spec",
             "build_index",
             "partition_items",
-            "apriori",
-            "association_rules",
+            "count_pair_supports",
             "get_similarity",
         ]:
             assert callable(getattr(repro, name))

@@ -157,3 +157,12 @@ class TestCrashRecoverySmoke:
         module = load_script("crash_recovery_smoke")
         assert module.main(["--acks", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_passes_with_faults(self, capsys):
+        """``--with-faults`` imports the acknowledged-op oracle from
+        ``tests/faults/chaos.py`` and sweeps seeded errfs schedules."""
+        module = load_script("crash_recovery_smoke")
+        assert module.main(["--acks", "5", "--with-faults", "--fault-seeds", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "2 seeded fault schedules verified" in out
+        assert "PASS" in out
