@@ -109,7 +109,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"built signature table: K={scheme.num_signatures}, "
         f"r={scheme.activation_threshold}, "
         f"{table.num_entries_occupied}/{table.num_entries_total} entries "
-        f"occupied, directory {table.memory_bytes() / 1024:.0f} KiB "
+        f"occupied, directory {table.memory_bytes(dense=True) / 1024:.0f} KiB "
         f"({elapsed:.1f}s) -> {args.output}"
     )
     return 0

@@ -17,10 +17,17 @@ distance; Lemma 2.1 then makes ``f(M_opt, D_opt)`` an upper bound on the
 similarity of the target to *any* transaction in the entry — the quantity
 the branch-and-bound search sorts and prunes with.
 
+The lemma holds for any summary of an entry's rows: with the OR ``U_e``
+and AND ``I_e`` of entry ``e``'s rows and their length range, every row has
+``x <= m = min(M_opt, |X∩U_e|, Lmax_e)`` and ``y >= d = max(D_opt,
+|X|-|X∩U_e| + |I_e|-|X∩I_e|, Lmin_e+|X|-2m)``, so ``f(m, d)``, the
+*summary bound* (:class:`EntrySummary`), is never looser than the paper's.
+
 :func:`optimistic_matches` / :func:`optimistic_distance` are the scalar
 reference forms (used directly in tests); :class:`BoundCalculator`
 evaluates them for *all* occupied entries at once as two matrix-vector
-products, since ``bound(e) = Σ_j base_j + b_ej · (alt_j - base_j)``.
+products, since ``bound(e) = Σ_j base_j + b_ej · (alt_j - base_j)``;
+both take an optional summary to tighten with.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ import numpy as np
 
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import SimilarityFunction
+from repro.data.transaction import TransactionDatabase, as_item_array
+
+#: Incidences one item range of :meth:`EntrySummary.build` handles at once.
+_BUILD_CHUNK = 1 << 16
 
 
 def optimistic_matches(
@@ -66,6 +77,75 @@ def optimistic_distance(
     return int(np.where(b, when_active, when_inactive).sum())
 
 
+class EntrySummary:
+    """Per-entry summary of a table's rows: item -> entry postings (CSR
+    over the universe) of each entry's OR ``U_e`` and AND ``I_e`` of
+    items, ``|I_e|``, and its shortest and longest row lengths.  Entry ids
+    are ``uint16`` when they fit."""
+
+    def __init__(self, union_indptr, union_entries, inter_indptr,
+                 inter_entries, min_lengths, max_lengths) -> None:
+        self.union_indptr, self.union_entries = union_indptr, union_entries
+        self.inter_indptr, self.inter_entries = inter_indptr, inter_entries
+        self.min_lengths, self.max_lengths = min_lengths, max_lengths
+        self.inter_sizes = np.bincount(inter_entries, minlength=min_lengths.size)
+
+    @classmethod
+    def build(cls, table, db: TransactionDatabase) -> "EntrySummary":
+        """Summarise ``table``'s entries over ``db``, one item range at a
+        time, from the CSR and the table's tid -> entry map alone."""
+        num_entries, sizes = table.num_entries_occupied, table.entry_sizes
+        dtype = np.uint16 if num_entries <= 0xFFFF else np.int32
+        items, _ = db.csr()
+        entry_ids = np.arange(num_entries, dtype=dtype).repeat(sizes)
+        row_entries = np.empty(len(db), dtype=dtype)  # narrow tid_entries
+        row_entries[table.ordered_tids] = entry_ids
+        row_entries = np.repeat(row_entries, db.sizes)
+        edges = np.linspace(0, db.universe_size, 2 + items.size // _BUILD_CHUNK)
+        counts, postings = ([], []), ([], [])
+        for low, high in zip(edges[:-1].astype(int), edges[1:].astype(int)):
+            chosen = (items >= low) & (items < high)
+            keys = (items[chosen] - low) * num_entries + row_entries[chosen]
+            keys, rows = np.unique(keys, return_counts=True)
+            entries = keys % num_entries
+            for part, pick in enumerate((slice(None), rows == sizes[entries])):
+                counts[part].append(
+                    np.bincount(keys[pick] // num_entries, minlength=high - low)
+                )
+                postings[part].append(entries[pick].astype(dtype))
+        arrays = []
+        for part in (0, 1):
+            arrays.append(np.append(0, np.cumsum(np.concatenate(counts[part]))))
+            arrays.append(np.concatenate(postings[part]))
+        lengths, starts = db.sizes[table.ordered_tids], table.entry_offsets[:-1]
+        return cls(*arrays, np.minimum.reduceat(lengths, starts),
+                   np.maximum.reduceat(lengths, starts))
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the summary's arrays."""
+        return sum(int(a.nbytes) for a in vars(self).values())
+
+    def tighten(self, target: np.ndarray, m_opt: np.ndarray,
+                d_opt: np.ndarray) -> None:
+        """Turn one target's paper bounds ``(M_opt, D_opt)`` (float arrays
+        over the entries) into the summary bound's ``(m, d)``, in place.
+        ``target`` is the sorted, duplicate-free item array ``X``."""
+
+        def hits(indptr, entries):  # |X ∩ set_e| for every entry e
+            walk = [entries[indptr[i]:indptr[i + 1]] for i in target.tolist()]
+            return np.bincount(np.concatenate(walk or [entries[:0]]),
+                               minlength=self.min_lengths.size)
+
+        in_union = hits(self.union_indptr, self.union_entries)
+        in_inter = hits(self.inter_indptr, self.inter_entries)
+        np.minimum(m_opt, in_union, out=m_opt)
+        np.minimum(m_opt, self.max_lengths, out=m_opt)
+        np.maximum(d_opt, target.size - in_union + self.inter_sizes - in_inter,
+                   out=d_opt)
+        np.maximum(d_opt, self.min_lengths + target.size - 2 * m_opt, out=d_opt)
+
+
 class BoundCalculator:
     """Vectorised optimistic-bound evaluation for one target.
 
@@ -83,8 +163,9 @@ class BoundCalculator:
 
     def __init__(self, scheme: SignatureScheme, target: Iterable[int]) -> None:
         self._scheme = scheme
+        self._target = as_item_array(target)
         r = scheme.activation_threshold
-        r_vec = scheme.activation_counts(target).astype(np.float64)
+        r_vec = scheme.activation_counts(self._target).astype(np.float64)
         self._r_vec = r_vec
         # Distance contributions: base (bit = 0) and active (bit = 1).
         self._dist_base = np.maximum(0.0, r_vec - r + 1)
@@ -101,32 +182,29 @@ class BoundCalculator:
         """The target's ``r_j`` vector."""
         return self._r_vec.astype(np.int64)
 
-    def match_bounds(self, bits_matrix: np.ndarray) -> np.ndarray:
-        """``M_opt`` for each row of supercoordinate bits (shape ``(E, K)``)."""
-        bits = np.asarray(bits_matrix, dtype=np.float64)
-        return self._match_base_sum + bits @ self._match_delta
-
-    def distance_bounds(self, bits_matrix: np.ndarray) -> np.ndarray:
-        """``D_opt`` for each row of supercoordinate bits."""
-        bits = np.asarray(bits_matrix, dtype=np.float64)
-        return self._dist_base_sum + bits @ self._dist_delta
-
     def bounds(self, bits_matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(M_opt, D_opt)`` arrays for the given bit rows."""
-        return self.match_bounds(bits_matrix), self.distance_bounds(bits_matrix)
+        """Return ``(M_opt, D_opt)`` arrays for the given bit rows
+        (shape ``(E, K)``)."""
+        bits = np.asarray(bits_matrix, dtype=np.float64)
+        return (self._match_base_sum + bits @ self._match_delta,
+                self._dist_base_sum + bits @ self._dist_delta)
 
     def optimistic_similarity(
         self,
         bits_matrix: np.ndarray,
         bound_similarity: SimilarityFunction,
+        summary: Optional[EntrySummary] = None,
     ) -> np.ndarray:
         """``f(M_opt, D_opt)`` per entry — the ``FindOptimisticBound`` of
-        the paper's Figure 4, vectorised.
+        the paper's Figure 4, vectorised — or, given the table's
+        ``summary``, the summary bound ``f(m, d)``.
 
         ``bound_similarity`` must already be bound to the target (the
         searcher binds once per query).
         """
         m_opt, d_opt = self.bounds(bits_matrix)
+        if summary is not None:
+            summary.tighten(self._target, m_opt, d_opt)
         return np.asarray(
             bound_similarity.evaluate(m_opt, d_opt), dtype=np.float64
         )
@@ -184,6 +262,7 @@ class BatchBoundCalculator:
             counts = np.stack(
                 [scheme.activation_counts(t) for t in targets]
             ).astype(np.float64)
+        self._targets = targets
         self._r_matrix = counts
         self._dist_base = np.maximum(0.0, counts - r + 1)
         dist_active = np.maximum(0.0, r - counts)
@@ -198,11 +277,6 @@ class BatchBoundCalculator:
         """Number of targets in the batch."""
         return int(self._r_matrix.shape[0])
 
-    @property
-    def activation_counts(self) -> np.ndarray:
-        """The ``(Q, K)`` matrix of per-query activation counts."""
-        return self._r_matrix.astype(np.int64)
-
     def bounds(self, bits_matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(M_opt, D_opt)`` as ``(Q, E)`` matrices."""
         bits = np.asarray(bits_matrix, dtype=np.float64)
@@ -214,12 +288,14 @@ class BatchBoundCalculator:
         self,
         bits_matrix: np.ndarray,
         bound_similarities: Sequence[SimilarityFunction],
+        summary: Optional[EntrySummary] = None,
     ) -> np.ndarray:
-        """``f_q(M_opt, D_opt)`` as a ``(Q, E)`` matrix.
+        """``f_q(M_opt, D_opt)`` as a ``(Q, E)`` matrix, or given ``summary``
+        the summary bounds (row for row :class:`BoundCalculator`'s).
 
         ``bound_similarities`` holds one target-bound function per query
         (queries of different sizes bind differently, so the evaluation is
-        applied row by row).
+        applied row by row, in place).
         """
         if len(bound_similarities) != self.num_queries:
             raise ValueError(
@@ -227,9 +303,8 @@ class BatchBoundCalculator:
                 f"got {len(bound_similarities)}"
             )
         m_opt, d_opt = self.bounds(bits_matrix)
-        return np.stack(
-            [
-                np.asarray(sim.evaluate(m_opt[q], d_opt[q]), dtype=np.float64)
-                for q, sim in enumerate(bound_similarities)
-            ]
-        )
+        for q, sim in enumerate(bound_similarities):
+            if summary is not None:
+                summary.tighten(self._targets[q], m_opt[q], d_opt[q])
+            m_opt[q] = sim.evaluate(m_opt[q], d_opt[q])
+        return m_opt

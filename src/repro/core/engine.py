@@ -7,7 +7,8 @@ and set-similarity joins).  :class:`QueryEngine` executes a batch with
 
 1. **one vectorised optimistic-bound pass** for the whole batch —
    :class:`~repro.core.bounds.BatchBoundCalculator` turns the per-query
-   bound computation into two ``(Q, K) @ (K, E)`` matrix products and the
+   bound computation into two ``(Q, K) @ (K, E)`` matrix products, tightened
+   row by row to the summary bound (unless ``bounds="paper"``), and the
    per-query ``argsort`` into a single ``axis=1`` sort; and
 2. **one batched similarity precomputation** —
    :meth:`~repro.data.transaction.TransactionDatabase.match_counts_batch`
@@ -321,10 +322,10 @@ class QueryEngine:
 
     @classmethod
     def for_table(
-        cls, table: SignatureTable, db: TransactionDatabase
+        cls, table: SignatureTable, db: TransactionDatabase, bounds="summary"
     ) -> "QueryEngine":
-        """Build an engine (and its internal searcher) in one call."""
-        return cls(SignatureTableSearcher(table, db))
+        """Build an engine (and its searcher, given ``bounds``) in one call."""
+        return cls(SignatureTableSearcher(table, db, bounds=bounds))
 
     # ------------------------------------------------------------------
     @property
@@ -849,7 +850,9 @@ class QueryEngine:
                     scheme, target_arrays
                 ),
             )
-            opts = calculator.optimistic_similarity(bits, bound_sims)
+            opts = calculator.optimistic_similarity(
+                bits, bound_sims, searcher.summary
+            )
         orders: List[Optional[np.ndarray]]
         if ordered:
             order_matrix = np.argsort(-opts, axis=1, kind="stable")

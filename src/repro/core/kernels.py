@@ -9,7 +9,9 @@ implements the *vectorised scan*: the branch-and-bound k-NN scan loop of
 :class:`~repro.core.search.SignatureTableSearcher` re-expressed as a
 binary search for the stop rank plus a single top-k selection, valid
 because under the optimistic entry order the prune predicate is monotone
-(bounds descend, the pessimistic bound ascends).
+(bounds descend, the pessimistic bound ascends).  The entry bounds come
+with each :class:`~repro.core.search.PreparedQuery` (the summary bound of
+:mod:`repro.core.bounds` by default); the scans hold for any valid bound.
 
 Every kernel is *exact*: popcounts are integer arithmetic, and the scan
 kernels reproduce the reference loop's results, :class:`~repro.core.

@@ -4,7 +4,9 @@ The search follows the paper's Figure 3:
 
 1. For every occupied table entry compute the optimistic bound
    ``Opt(i) = f(M_opt, D_opt)`` (Section 4.1, vectorised in
-   :class:`~repro.core.bounds.BoundCalculator`).
+   :class:`~repro.core.bounds.BoundCalculator`), tightened by default to
+   the summary bound ``f(m, d)`` of :class:`~repro.core.bounds.
+   EntrySummary`; ``bounds="paper"`` keeps the bits-only bound.
 2. Sort entries by decreasing ``Opt(i)`` (or, alternatively, by the
    similarity between supercoordinates — the paper's Section 4 variant,
    available via ``sort_by="supercoordinate"``).
@@ -55,7 +57,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bounds import BoundCalculator
+from repro.core.bounds import BoundCalculator, EntrySummary
 from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase, as_item_array
@@ -247,16 +249,29 @@ class SignatureTableSearcher:
         A built signature table.
     db:
         The database the table was built over (TIDs must agree).
+    bounds:
+        ``"summary"`` (default) bounds each entry with the summary bound,
+        ``"paper"`` with the paper's ``f(M_opt, D_opt)`` alone.
     """
 
-    def __init__(self, table: SignatureTable, db: TransactionDatabase) -> None:
+    def __init__(self, table: SignatureTable, db: TransactionDatabase,
+                 bounds: str = "summary") -> None:
         if table.num_transactions != len(db):
             raise ValueError(
                 f"table indexes {table.num_transactions} transactions but the "
                 f"database holds {len(db)}"
             )
+        if bounds not in ("summary", "paper"):
+            raise ValueError(f"bounds must be 'summary' or 'paper', got {bounds!r}")
         self.table = table
         self.db = db
+        self.bounds = bounds
+
+    @property
+    def summary(self) -> Optional[EntrySummary]:
+        """What every bound pass tightens with: the table's entry summary,
+        or ``None`` under ``bounds="paper"``."""
+        return self.table.summary(self.db) if self.bounds == "summary" else None
 
     # ------------------------------------------------------------------
     # Public queries
@@ -461,8 +476,10 @@ class SignatureTableSearcher:
 
         bits = self.table.bits_matrix
         keep = np.ones(self.table.num_entries_occupied, dtype=bool)
+        summary = self.summary
         for bound_sim, threshold in zip(bound_sims, thresholds):
-            keep &= calculator.optimistic_similarity(bits, bound_sim) >= threshold
+            opts = calculator.optimistic_similarity(bits, bound_sim, summary)
+            keep &= opts >= threshold
 
         sims_all_list = [
             self._all_similarities(target_items, bs) for bs in bound_sims
@@ -590,7 +607,7 @@ class SignatureTableSearcher:
         bound_sim = similarity.bind(target_items.size)
         calculator = BoundCalculator(self.table.scheme, target_items)
         bits = self.table.bits_matrix
-        opts = calculator.optimistic_similarity(bits, bound_sim)
+        opts = calculator.optimistic_similarity(bits, bound_sim, self.summary)
         if sort_by == "optimistic":
             order = np.argsort(-opts, kind="stable")
         else:

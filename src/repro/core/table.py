@@ -24,6 +24,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.core.bounds import EntrySummary
 from repro.core.signature import SignatureScheme
 from repro.data.transaction import TransactionDatabase
 from repro.storage.pages import PagedStore
@@ -94,6 +95,7 @@ class SignatureTable:
         )
         self._sketch = None
         self._tid_entries: Optional[np.ndarray] = None
+        self._summary: Optional[EntrySummary] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -108,7 +110,7 @@ class SignatureTable:
 
         Cost is one vectorised pass over the database (linear in the total
         number of item incidences) plus a sort of the TIDs by
-        supercoordinate.
+        supercoordinate, and the entries' :meth:`summary`.
         """
         check_positive(page_size, "page_size")
         if len(db) == 0:
@@ -118,7 +120,7 @@ class SignatureTable:
         sorted_codes = codes[order]
         entry_codes, start_indices = np.unique(sorted_codes, return_index=True)
         entry_offsets = np.append(start_indices, sorted_codes.size).astype(np.int64)
-        return cls(
+        table = cls(
             scheme=scheme,
             entry_codes=entry_codes.astype(np.int64),
             entry_offsets=entry_offsets,
@@ -126,6 +128,8 @@ class SignatureTable:
             num_transactions=len(db),
             page_size=page_size,
         )
+        table.summary(db)
+        return table
 
     # ------------------------------------------------------------------
     @property
@@ -202,6 +206,14 @@ class SignatureTable:
         view = self._tid_entries.view()
         view.flags.writeable = False
         return view
+
+    def summary(self, db: TransactionDatabase) -> EntrySummary:
+        """The entries' :class:`~repro.core.bounds.EntrySummary` over the
+        indexed ``db``: built by :meth:`build`, after :meth:`load` on first
+        use, and never saved."""
+        if self._summary is None:
+            self._summary = EntrySummary.build(self, db)
+        return self._summary
 
     # ------------------------------------------------------------------
     # Sketch column (repro.sketch)
@@ -297,15 +309,19 @@ class SignatureTable:
                 )
         return True
 
-    def memory_bytes(self, dense: bool = True) -> int:
+    def memory_bytes(self, dense: Optional[bool] = None) -> int:
         """Estimated main-memory footprint of the directory.
 
-        With ``dense=True`` (default) this is the paper's accounting: a
-        ``2^K`` directory of 8-byte page pointers — the constraint that
-        forces ``K`` to fit in memory.  With ``dense=False`` it is the
-        footprint of this sparse implementation (codes, offsets and bit
-        rows for occupied entries only).
+        With ``dense=True`` this is the paper's accounting: a ``2^K``
+        directory of 8-byte page pointers — the constraint that forces
+        ``K`` to fit in memory.  With ``dense=False`` it is the footprint
+        of this sparse implementation (codes, offsets and bit rows for
+        occupied entries only).  The default adds the built
+        :meth:`summary`'s bytes to the paper's figure.
         """
+        if dense is None:
+            extra = 0 if self._summary is None else self._summary.nbytes
+            return self.memory_bytes(dense=True) + extra
         if dense:
             return 8 * self.num_entries_total
         return int(

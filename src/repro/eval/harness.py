@@ -120,7 +120,7 @@ class ExperimentContext:
         self._databases: Dict[str, Tuple[TransactionDatabase, TransactionDatabase]] = {}
         self._schemes: Dict[Tuple[str, int], SignatureScheme] = {}
         self._tables: Dict[Tuple[str, int, int], SignatureTable] = {}
-        self._engines: Dict[Tuple[str, int, int], QueryEngine] = {}
+        self._engines: Dict[Tuple[str, int, int, str], QueryEngine] = {}
         self._scans: Dict[str, LinearScanIndex] = {}
         self._truths: Dict[Tuple[str, str], List[float]] = {}
 
@@ -166,13 +166,17 @@ class ExperimentContext:
         return self._tables[key]
 
     def engine(
-        self, spec: str, num_signatures: int, activation_threshold: int = 1
+        self, spec: str, num_signatures: int, activation_threshold: int = 1,
+        bounds: str = "paper",
     ) -> QueryEngine:
-        """The query engine over :meth:`table`."""
-        key = (spec, num_signatures, activation_threshold)
+        """The query engine over :meth:`table`, with the paper's entry
+        bound unless ``bounds`` says otherwise."""
+        key = (spec, num_signatures, activation_threshold, bounds)
         if key not in self._engines:
             indexed, _ = self.database(spec)
-            self._engines[key] = QueryEngine.for_table(self.table(*key), indexed)
+            self._engines[key] = QueryEngine.for_table(
+                self.table(*key[:3]), indexed, bounds=bounds
+            )
         return self._engines[key]
 
     def scan(self, spec: str) -> LinearScanIndex:
@@ -442,7 +446,7 @@ def run_ablation_partitioning(
     )
     for label, scheme in schemes.items():
         engine = QueryEngine.for_table(
-            SignatureTable.build(indexed, scheme), indexed
+            SignatureTable.build(indexed, scheme), indexed, bounds="paper"
         )
         prune, accuracy = _prune_and_accuracy(
             engine, ctx.queries(spec), similarity, termination, truths
@@ -518,7 +522,9 @@ def run_ablation_sort_order(
     spec = spec or ctx.profile["large_spec"]
     num_signatures = num_signatures or ctx.profile["default_k"]
     indexed, _ = ctx.database(spec)
-    searcher = SignatureTableSearcher(ctx.table(spec, num_signatures), indexed)
+    searcher = SignatureTableSearcher(
+        ctx.table(spec, num_signatures), indexed, bounds="paper"
+    )
     truths = ctx.truths(spec, similarity)
     table = ExperimentTable(
         title=f"Sort-order ablation — {similarity.name} ({spec}, K={num_signatures})",
@@ -582,4 +588,35 @@ def run_memory_ablation(
                 f"acc% @ {100 * termination:g}%": accuracy,
             },
         )
+    return table
+
+
+def run_union_bounds(
+    similarities: Sequence[SimilarityFunction],
+    ctx: ExperimentContext,
+    levels: Sequence[float] = (0.005, 0.01, 0.02),
+) -> ExperimentTable:
+    """The paper's entry bound vs the summary bound (``ext_union_bounds``):
+    per similarity function, pruning run to completion and top-1 accuracy
+    at each early-termination level, on the same table."""
+    spec, k = ctx.profile["large_spec"], ctx.profile["default_k"]
+    table = ExperimentTable(
+        title=f"Entry bounds: paper vs summary ({spec}, K={k})",
+        columns=["similarity", "bounds", "prune%"]
+        + [f"acc% @ {100 * level:g}%" for level in levels],
+        notes=ctx.notes(),
+    )
+    for sim in similarities:
+        for bounds in ("paper", "summary"):
+            runs = [
+                _prune_and_accuracy(
+                    ctx.engine(spec, k, bounds=bounds), ctx.queries(spec), sim,
+                    level, ctx.truths(spec, sim),
+                )
+                for level in levels
+            ]
+            table.add_row(
+                similarity=sim.name, bounds=bounds, **{"prune%": runs[0][0]},
+                **{f"acc% @ {100 * l:g}%": a for l, (_, a) in zip(levels, runs)},
+            )
     return table

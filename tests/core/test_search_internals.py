@@ -24,6 +24,9 @@ def setup():
     entry (1,0): bound M=3, D=0    <- contains the exact duplicate
     entry (1,1): bound M=3, D=1
     entry (0,1): bound M=0, D=4
+
+    The searcher keeps the paper's bound, which these hand computations
+    pin; the summary bound's own values are pinned separately.
     """
     db = TransactionDatabase(
         [
@@ -37,7 +40,7 @@ def setup():
     )
     scheme = SignatureScheme([[0, 1, 2], [3, 4, 5]], universe_size=6)
     table = SignatureTable.build(db, scheme)
-    searcher = SignatureTableSearcher(table, db)
+    searcher = SignatureTableSearcher(table, db, bounds="paper")
     return db, table, searcher
 
 
@@ -80,6 +83,21 @@ class TestScanAccounting:
         assert by_code[0b01] == pytest.approx(1.0)       # (3, 0)
         assert by_code[0b11] == pytest.approx(3 / 4)     # (3, 1)
         assert by_code[0b10] == pytest.approx(0.0)       # (0, 4)
+
+    def test_summary_bound_values_match_hand_computation(self, setup):
+        db, table, _ = setup
+        searcher = SignatureTableSearcher(table, db)
+        _, _, opts, _ = searcher._prepare(
+            TARGET, repro.JaccardSimilarity(), "optimistic"
+        )
+        by_code = {
+            int(table.entry_codes[e]): float(opts[e])
+            for e in range(table.num_entries_occupied)
+        }
+        # (m, d) = (min(M, |X∩U|, Lmax), max(D, |X\U| + |I\X|, Lmin+|X|-2m))
+        assert by_code[0b01] == pytest.approx(1.0)       # U={0,1,2}: (3, 0)
+        assert by_code[0b11] == pytest.approx(1 / 4)     # U=I={0,5}: (1, 3)
+        assert by_code[0b10] == pytest.approx(0.0)       # Lmin=2: (0, 5)
 
     def test_entry_accounting_sums(self, setup):
         _, _, searcher = setup

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import bounds
+from repro.core.bounds import EntrySummary
 from repro.core.signature import SignatureScheme
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase
@@ -190,6 +192,70 @@ class TestStatsAndMemory:
     def test_repr(self, tiny):
         _, _, table = tiny
         assert "K=2" in repr(table)
+
+
+class TestEntrySummary:
+    """The per-entry summary behind the summary bound: item -> entry
+    postings of each entry's OR and AND of items, and its row lengths."""
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 997])
+    def test_postings_match_brute_force(
+        self, medium_indexed, medium_table, monkeypatch, chunk
+    ):
+        # A small chunk splits the build into many item ranges.
+        monkeypatch.setattr(bounds, "_BUILD_CHUNK", chunk)
+        db, table = medium_indexed, medium_table
+        summary = EntrySummary.build(table, db)
+        rows = [
+            [db[int(t)] for t in table.entry_tids(e)]
+            for e in range(table.num_entries_occupied)
+        ]
+        unions = [frozenset().union(*r) for r in rows]
+        inters = [frozenset.intersection(*r) for r in rows]
+        assert summary.union_entries.dtype == np.uint16
+        for indptr, entries, sets in (
+            (summary.union_indptr, summary.union_entries, unions),
+            (summary.inter_indptr, summary.inter_entries, inters),
+        ):
+            assert indptr.size == db.universe_size + 1
+            for item in range(db.universe_size):
+                posting = entries[indptr[item]:indptr[item + 1]].tolist()
+                assert posting == [e for e, s in enumerate(sets) if item in s]
+        assert summary.inter_sizes.tolist() == [len(s) for s in inters]
+        assert summary.min_lengths.tolist() == [min(map(len, r)) for r in rows]
+        assert summary.max_lengths.tolist() == [max(map(len, r)) for r in rows]
+
+    def test_memory_bytes_counts_the_summary(self, medium_indexed, medium_table):
+        summary = medium_table.summary(medium_indexed)
+        assert summary.nbytes == sum(
+            a.nbytes
+            for a in (
+                summary.union_indptr, summary.union_entries,
+                summary.inter_indptr, summary.inter_entries,
+                summary.inter_sizes, summary.min_lengths, summary.max_lengths,
+            )
+        )
+        assert medium_table.memory_bytes() == (
+            medium_table.memory_bytes(dense=True) + summary.nbytes
+        )
+
+    def test_loaded_table_builds_it_on_first_query(
+        self, medium_indexed, medium_table, tmp_path
+    ):
+        from repro.core.engine import QueryEngine
+        from repro.core.similarity import MatchRatioSimilarity
+
+        path = tmp_path / "table.npz"
+        medium_table.save(path)
+        loaded = SignatureTable.load(path)
+        assert loaded.memory_bytes() == loaded.memory_bytes(dense=True)
+        engine = QueryEngine.for_table(loaded, medium_indexed)
+        engine.knn_batch([[1, 2, 3]], MatchRatioSimilarity(), k=3)
+        assert loaded.memory_bytes() == medium_table.memory_bytes()
+        built = medium_table.summary(medium_indexed)
+        rebuilt = loaded.summary(medium_indexed)
+        for name, array in vars(built).items():
+            assert np.array_equal(vars(rebuilt)[name], array), name
 
 
 class TestPersistence:

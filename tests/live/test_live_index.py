@@ -281,6 +281,62 @@ class TestDrift:
         assert running.drifted == restarted.drifted
 
 
+class TestLooseSummary:
+    def test_deletes_leave_a_valid_summary_until_compaction(
+        self, live, base_db, scheme
+    ):
+        """Deleting every base row that puts an item into an entry's OR
+        leaves the base summary loose: answers still equal a fresh build's,
+        and compaction rebuilds the summary exactly."""
+        from repro.core.bounds import BatchBoundCalculator
+        from repro.core.engine import QueryEngine
+        from repro.core.table import SignatureTable
+
+        table = live.base_table
+        summary = table.summary(base_db)
+        loose, victims = [], set()
+        for entry in range(table.num_entries_occupied):
+            tids = table.entry_tids(entry)
+            rows = [base_db[int(t)] for t in tids]
+            spare = sorted(frozenset().union(*rows) - frozenset.intersection(*rows))
+            if len(rows) >= 2 and spare and len(loose) < 6:
+                loose.append((entry, spare[0]))
+                victims.update(int(t) for t, r in zip(tids, rows) if spare[0] in r)
+        assert len(loose) == 6
+        for tid in sorted(victims, reverse=True):  # lower tids stay put
+            live.delete(tid)
+        for entry, item in loose:
+            indptr = summary.union_indptr
+            assert entry in summary.union_entries[indptr[item]:indptr[item + 1]]
+
+        similarity = get_similarity("match_ratio")
+        targets = [sorted(base_db[t]) for t in sorted(victims)] + [
+            random_transaction(np.random.default_rng(9)) for _ in range(10)
+        ]
+        logical = live.logical_db()
+        fresh = SignatureTable.build(logical, scheme)
+        answers = QueryEngine.for_table(fresh, logical).knn_batch(
+            targets, similarity, k=5
+        )[0]
+        assert [live.knn(t, similarity, k=5)[0] for t in targets] == answers
+
+        live.compact()
+        assert [live.knn(t, similarity, k=5)[0] for t in targets] == answers
+        rebuilt = live.base_table
+        assert np.array_equal(rebuilt.entry_codes, fresh.entry_codes)
+        arrays = [np.asarray(t, dtype=np.int64) for t in targets]
+        bound_sims = [similarity.bind(t.size) for t in arrays]
+        calculator = BatchBoundCalculator(scheme, arrays)
+        assert np.array_equal(
+            calculator.optimistic_similarity(
+                rebuilt.bits_matrix, bound_sims, rebuilt.summary(logical)
+            ),
+            calculator.optimistic_similarity(
+                fresh.bits_matrix, bound_sims, fresh.summary(logical)
+            ),
+        )
+
+
 class TestObservability:
     def test_metrics_registry_export(self, tmp_path, base_db, scheme):
         from repro.obs import MetricRegistry

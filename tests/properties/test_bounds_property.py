@@ -8,15 +8,23 @@ dominate every indexed transaction —
 
 and therefore ``f(x, y) <= f(M_opt, D_opt)`` for every monotone similarity
 function (Lemma 2.1).  If this ever fails, branch-and-bound pruning is
-unsound.
+unsound.  The summary bound must dominate every row too, never exceed the
+paper's bound, and come out of the batch and per-query calculators bit
+for bit.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import optimistic_distance, optimistic_matches
+from repro.core.bounds import (
+    BatchBoundCalculator,
+    BoundCalculator,
+    optimistic_distance,
+    optimistic_matches,
+)
 from repro.core.signature import SignatureScheme
+from repro.core.similarity import SIMILARITY_FUNCTIONS, CustomSimilarity
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase
 from tests.conftest import make_similarities
@@ -128,3 +136,102 @@ def test_identical_transaction_has_tight_bounds(instance):
         target
     )
     assert optimistic_distance(r_vec, bits, scheme.activation_threshold) == 0
+
+
+# ----------------------------------------------------------------------
+# The summary bound (EntrySummary): Lemma 2.1 over each entry's OR / AND
+# of items and row-length range, tightened from the paper's (M_opt, D_opt).
+# ----------------------------------------------------------------------
+_MONOTONE_FAMILIES = (
+    lambda a, b: lambda x, y: a * np.asarray(x, float) - b * np.asarray(y, float),
+    lambda a, b: lambda x, y: (np.asarray(x, float) + a)
+    / (np.asarray(x, float) + np.asarray(y, float) + a + b),
+    lambda a, b: lambda x, y: np.sqrt(np.asarray(x, float)) / (1.0 + b * np.asarray(y, float))
+    + a,
+    lambda a, b: lambda x, y: np.minimum(np.asarray(x, float), a + 1.0)
+    - np.maximum(np.asarray(y, float), b),
+)
+
+
+@st.composite
+def summary_instances(draw):
+    """A random indexing instance at threshold r in 1..3, a batch of
+    targets, and the built-in similarities plus random monotone ones."""
+    scheme, db, target = draw(indexing_instances())
+    scheme = scheme.with_activation_threshold(draw(st.integers(1, 3)))
+    extra = draw(
+        st.lists(
+            st.lists(st.integers(0, db.universe_size - 1), min_size=1, max_size=8),
+            min_size=0,
+            max_size=3,
+        )
+    )
+    targets = [target] + [sorted(set(t)) for t in extra]
+    customs = [
+        CustomSimilarity(
+            _MONOTONE_FAMILIES[family](a, b), name=f"family{family}", validate=False
+        )
+        for family, a, b in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(_MONOTONE_FAMILIES) - 1),
+                    st.floats(0.1, 4.0),
+                    st.floats(0.1, 4.0),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    ]
+    sims = [factory() for factory in SIMILARITY_FUNCTIONS.values()] + customs
+    return scheme, db, targets, sims
+
+
+def _at_most(value, bound):
+    return value <= bound + 1e-9  # inf <= inf holds; NaN fails
+
+
+@settings(max_examples=60, deadline=None)
+@given(summary_instances())
+def test_summary_bound_dominates_rows_and_tightens_the_paper_bound(instance):
+    scheme, db, targets, sims = instance
+    table = SignatureTable.build(db, scheme)
+    summary = table.summary(db)
+    bits = table.bits_matrix
+    for target in targets:
+        calculator = BoundCalculator(scheme, target)
+        target_set = frozenset(target)
+        for sim in sims:
+            bound_sim = sim.bind(len(target_set))
+            paper = calculator.optimistic_similarity(bits, bound_sim)
+            tight = calculator.optimistic_similarity(bits, bound_sim, summary)
+            for entry in range(table.num_entries_occupied):
+                assert _at_most(tight[entry], paper[entry]), (sim, entry)
+                for tid in table.entry_tids(entry):
+                    other = db[int(tid)]
+                    actual = float(
+                        bound_sim.evaluate(
+                            len(target_set & other), len(target_set ^ other)
+                        )
+                    )
+                    assert _at_most(actual, tight[entry]), (sim, entry, int(tid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(summary_instances())
+def test_batch_summary_bounds_equal_the_per_query_calculator(instance):
+    scheme, db, targets, sims = instance
+    table = SignatureTable.build(db, scheme)
+    summary = table.summary(db)
+    bits = table.bits_matrix
+    arrays = [np.asarray(t, dtype=np.int64) for t in targets]
+    batch = BatchBoundCalculator(scheme, arrays)
+    for sim in sims:
+        bound_sims = [sim.bind(t.size) for t in arrays]
+        for chosen in (None, summary):
+            matrix = batch.optimistic_similarity(bits, bound_sims, chosen)
+            for q, target in enumerate(arrays):
+                single = BoundCalculator(scheme, target).optimistic_similarity(
+                    bits, bound_sims[q], chosen
+                )
+                np.testing.assert_array_equal(matrix[q], single)
