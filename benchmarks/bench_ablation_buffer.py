@@ -20,7 +20,7 @@ from repro.storage.buffer import BufferPool
 def test_ablation_buffer_capacity(ctx, emit, timed):
     spec = ctx.profile["large_spec"]
     engine = ctx.engine(spec, ctx.profile["default_k"])
-    table = engine.searcher.table
+    table = engine.table
     queries = ctx.queries(spec)
     sim = MatchRatioSimilarity()
     reads = [

@@ -6,9 +6,8 @@ the performance when the sort criterion is a better indication of the
 average case similarity".  Pruning always uses the optimistic bounds.
 """
 
-from repro.core.search import SignatureTableSearcher
 from repro.core.similarity import MatchRatioSimilarity
-from repro.eval.harness import run_ablation_sort_order
+from repro.eval.harness import run_ablation_sort_order, supercoordinate_nearest
 
 
 def test_ablation_sort_order(ctx, emit, timed):
@@ -23,12 +22,10 @@ def test_ablation_sort_order(ctx, emit, timed):
 
     spec = ctx.profile["large_spec"]
     indexed, _ = ctx.database(spec)
-    searcher = SignatureTableSearcher(
-        ctx.table(spec, ctx.profile["default_k"]), indexed
-    )
+    signatures = ctx.table(spec, ctx.profile["default_k"])
     target = ctx.queries(spec)[0]
     timed(
-        lambda: searcher.nearest(
-            target, MatchRatioSimilarity(), sort_by="supercoordinate"
+        lambda: supercoordinate_nearest(
+            signatures, indexed, [target], MatchRatioSimilarity()
         )
     )

@@ -41,7 +41,7 @@ def main() -> None:
     # --- 2. buffer pool ----------------------------------------------------
     # Each query's read list comes from the packed scan; replaying it
     # through the pool charges only the pages the pool misses.
-    engine = repro.QueryEngine.for_table(table, db)
+    engine = repro.QueryEngine(table, db)
     pool = BufferPool(table.store, capacity=table.store.num_pages // 4)
     pages = []
     for q in range(len(queries)):

@@ -32,7 +32,6 @@ from repro.core import (
     BatchBoundCalculator,
     BatchKey,
     BatchSummary,
-    BoundCalculator,
     ContainmentSimilarity,
     CosineSimilarity,
     CustomSimilarity,
@@ -148,7 +147,6 @@ __all__ = [
     "batch_key",
     "similarity_key",
     "summarise_stats",
-    "BoundCalculator",
     "BatchBoundCalculator",
     "partition_items",
     "correlation_graph",

@@ -146,7 +146,7 @@ def _run_queries(args: argparse.Namespace, queries: List[List[int]], **tier):
 
     _refuse_knn_flags_on_range(args)
     db, table = _load_index(args)
-    engine = QueryEngine.for_table(table, db)
+    engine = QueryEngine(table, db)
     similarity = get_similarity(args.similarity)
     started = time.perf_counter()
     if args.threshold is not None:
@@ -199,7 +199,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     _refuse_knn_flags_on_range(args)
     db, table = _load_index(args)
-    engine = QueryEngine.for_table(table, db)
+    engine = QueryEngine(table, db)
     target = [int(token) for token in args.items]
     tracer = Tracer(correlation_id="explain")
     with tracer.activate():
@@ -609,7 +609,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             from repro.core.engine import QueryEngine
 
             db, table = _load_index(args)
-            index = QueryEngine.for_table(table, db)
+            index = QueryEngine(table, db)
             index_info = {
                 "database": args.database,
                 "table": args.table,

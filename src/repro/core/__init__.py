@@ -25,7 +25,6 @@ Sub-modules follow the paper's structure:
 from repro.core.advisor import IndexAdvice, max_k_for_memory, suggest_parameters
 from repro.core.bounds import (
     BatchBoundCalculator,
-    BoundCalculator,
     optimistic_distance,
     optimistic_matches,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "QueryEngine",
     "BatchSummary",
     "summarise_stats",
-    "BoundCalculator",
     "BatchBoundCalculator",
     "optimistic_matches",
     "optimistic_distance",

@@ -24,10 +24,11 @@ and AND ``I_e`` of entry ``e``'s rows and their length range, every row has
 *summary bound* (:class:`EntrySummary`), is never looser than the paper's.
 
 :func:`optimistic_matches` / :func:`optimistic_distance` are the scalar
-reference forms (used directly in tests); :class:`BoundCalculator`
-evaluates them for *all* occupied entries at once as two matrix-vector
-products, since ``bound(e) = Σ_j base_j + b_ej · (alt_j - base_j)``;
-both take an optional summary to tighten with.
+reference forms (used directly in tests); :class:`BatchBoundCalculator`
+evaluates them for *all* occupied entries and a whole batch of targets at
+once as two matrix products, since ``bound(e) = Σ_j base_j + b_ej ·
+(alt_j - base_j)``, and tightens them with an optional summary.  A single
+query is a batch of one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import SimilarityFunction
-from repro.data.transaction import TransactionDatabase, as_item_array
+from repro.data.transaction import TransactionDatabase
 
 #: Incidences one item range of :meth:`EntrySummary.build` handles at once.
 _BUILD_CHUNK = 1 << 16
@@ -146,83 +147,20 @@ class EntrySummary:
         np.maximum(d_opt, self.min_lengths + target.size - 2 * m_opt, out=d_opt)
 
 
-class BoundCalculator:
-    """Vectorised optimistic-bound evaluation for one target.
-
-    Precomputes, from the target's activation counts, the per-signature
-    contributions for bit = 0 and bit = 1; the bounds for a whole matrix of
-    supercoordinate bit rows then reduce to two matrix-vector products.
-
-    Parameters
-    ----------
-    scheme:
-        The signature scheme (supplies ``K`` and the activation threshold).
-    target:
-        The target transaction (iterable of items).
-    """
-
-    def __init__(self, scheme: SignatureScheme, target: Iterable[int]) -> None:
-        self._scheme = scheme
-        self._target = as_item_array(target)
-        r = scheme.activation_threshold
-        r_vec = scheme.activation_counts(self._target).astype(np.float64)
-        self._r_vec = r_vec
-        # Distance contributions: base (bit = 0) and active (bit = 1).
-        self._dist_base = np.maximum(0.0, r_vec - r + 1)
-        dist_active = np.maximum(0.0, r - r_vec)
-        self._dist_delta = dist_active - self._dist_base
-        self._dist_base_sum = float(self._dist_base.sum())
-        # Match contributions.
-        self._match_base = np.minimum(float(r - 1), r_vec)
-        self._match_delta = r_vec - self._match_base
-        self._match_base_sum = float(self._match_base.sum())
-
-    @property
-    def activation_counts(self) -> np.ndarray:
-        """The target's ``r_j`` vector."""
-        return self._r_vec.astype(np.int64)
-
-    def bounds(self, bits_matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(M_opt, D_opt)`` arrays for the given bit rows
-        (shape ``(E, K)``)."""
-        bits = np.asarray(bits_matrix, dtype=np.float64)
-        return (self._match_base_sum + bits @ self._match_delta,
-                self._dist_base_sum + bits @ self._dist_delta)
-
-    def optimistic_similarity(
-        self,
-        bits_matrix: np.ndarray,
-        bound_similarity: SimilarityFunction,
-        summary: Optional[EntrySummary] = None,
-    ) -> np.ndarray:
-        """``f(M_opt, D_opt)`` per entry — the ``FindOptimisticBound`` of
-        the paper's Figure 4, vectorised — or, given the table's
-        ``summary``, the summary bound ``f(m, d)``.
-
-        ``bound_similarity`` must already be bound to the target (the
-        searcher binds once per query).
-        """
-        m_opt, d_opt = self.bounds(bits_matrix)
-        if summary is not None:
-            summary.tighten(self._target, m_opt, d_opt)
-        return np.asarray(
-            bound_similarity.evaluate(m_opt, d_opt), dtype=np.float64
-        )
-
-
 class BatchBoundCalculator:
     """Optimistic bounds for a *batch* of targets in one pass.
 
-    Where :class:`BoundCalculator` reduces one query's bounds to two
-    matrix-vector products, this stacks the per-query contribution vectors
-    into ``(Q, K)`` matrices so the bounds for the whole batch become two
+    From each target's activation counts it precomputes the per-signature
+    contributions for bit = 0 and bit = 1, stacked into ``(Q, K)``
+    matrices, so the bounds for the whole batch become two
     ``(Q, K) @ (K, E)`` products yielding ``(num_queries, num_entries)``
     matrices — the amortised bound pass of the batched query engine.
 
     Every intermediate quantity is an integer-valued float (sums of
-    activation counts), so batch results are *bit-identical* to running
-    :class:`BoundCalculator` per query: float addition of integers below
-    2**53 is exact in any summation order.
+    activation counts), so row ``q`` is *bit-identical* to the batch of
+    target ``q`` alone and to :func:`optimistic_matches` /
+    :func:`optimistic_distance`: float addition of integers below 2**53 is
+    exact in any summation order.
 
     Parameters
     ----------
@@ -290,8 +228,9 @@ class BatchBoundCalculator:
         bound_similarities: Sequence[SimilarityFunction],
         summary: Optional[EntrySummary] = None,
     ) -> np.ndarray:
-        """``f_q(M_opt, D_opt)`` as a ``(Q, E)`` matrix, or given ``summary``
-        the summary bounds (row for row :class:`BoundCalculator`'s).
+        """``f_q(M_opt, D_opt)`` as a ``(Q, E)`` matrix — the
+        ``FindOptimisticBound`` of the paper's Figure 4, vectorised — or,
+        given the table's ``summary``, the summary bounds ``f_q(m, d)``.
 
         ``bound_similarities`` holds one target-bound function per query
         (queries of different sizes bind differently, so the evaluation is

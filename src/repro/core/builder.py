@@ -132,7 +132,7 @@ class MarketBasketIndex:
         self._table = SignatureTable.build(
             self._db, scheme, page_size=self._page_size
         )
-        self._engine = QueryEngine.for_table(self._table, self._db)
+        self._engine = QueryEngine(self._table, self._db)
         self._base_live = np.ones(len(self._db), dtype=bool)
         self._delta = DeltaIndex(scheme)
 

@@ -26,23 +26,24 @@ constraint, and a multi-target query (Section 4.3) is one
 :class:`~repro.core.search.PreparedQuery` whose bounds and similarities
 are the aggregate of its targets' rows.  An ``early_termination`` k-NN
 batch is the same scan with a row budget (:func:`~repro.core.search.
-row_budget`), so every batch runs on the kernels and the engine never
-calls the searcher's query methods; the sort-order ablation is the only
-caller of those left in the package.  :meth:`QueryEngine.explain` runs
+row_budget`), so every batch runs on the kernels.  The engine owns its
+``(table, db, bounds)``; the scalar
+:class:`~repro.core.search.SignatureTableSearcher` is only the reference
+it is tested against.  :meth:`QueryEngine.explain` runs
 one query on the same kernels and rebuilds ``repro explain``'s
 :class:`~repro.obs.search_trace.SearchTrace` from the scan's read list
 (:class:`~repro.core.kernels.ScanReads`) and the query's bounds;
 :meth:`QueryEngine.replay_reads` charges a read list to a cross-query
 :class:`~repro.storage.buffer.BufferPool` (the buffer-pool ablation).
 Every measured quantity (results, entries scanned/pruned, transactions
-accessed, pages read) is identical to the single-query searcher, the
-oracle the differential and property test suites check the engine
-against; all batch-side arithmetic is integer-exact (see
-``BatchBoundCalculator``), so this is a bit-for-bit guarantee.
+accessed, pages read) is identical to the reference searcher's, which
+the differential and property test suites check; all batch-side
+arithmetic is integer-exact (see ``BatchBoundCalculator``), so this is a
+bit-for-bit guarantee.
 
-The supercoordinate scan order exists on
-:meth:`SignatureTableSearcher.knn` alone (its ablation runs there).
-Scale-out is the cluster router's job
+Every scan here runs in decreasing-bound order; the supercoordinate
+order of the sort-order ablation is a loop of its own in
+:mod:`repro.eval.harness`.  Scale-out is the cluster router's job
 (:mod:`repro.cluster`), whose scatter-gather merges per-shard answers
 with :func:`repro.core.merge.merge_neighbor_lists`.
 """
@@ -61,7 +62,6 @@ from repro.core.search import (
     Neighbor,
     PreparedQuery,
     SearchStats,
-    SignatureTableSearcher,
     row_budget,
     target_aggregator,
 )
@@ -302,21 +302,31 @@ class ExplainedQuery(NamedTuple):
 
 
 class QueryEngine:
-    """Batched execution of similarity queries over one signature table.
-
-    Parameters
-    ----------
-    searcher:
-        The single-query searcher to amortise over batches; the engine
-        reads its table and database.
+    """Batched execution of similarity queries over a signature table
+    and the database ``db`` it was built over, bounding each entry with
+    the summary bound (``bounds="summary"``) or the paper's alone
+    (``"paper"``).
 
     All batch methods return ``(results, stats)`` lists indexed by query
-    position, with each element exactly equal to the corresponding
-    single-query call on ``searcher``.
+    position, each element exactly the single-query call of the reference
+    :class:`~repro.core.search.SignatureTableSearcher` over the same
+    ``(table, db, bounds)``.
     """
 
-    def __init__(self, searcher: SignatureTableSearcher) -> None:
-        self._searcher = searcher
+    def __init__(
+        self, table: SignatureTable, db: TransactionDatabase,
+        bounds: str = "summary",
+    ) -> None:
+        if table.num_transactions != len(db):
+            raise ValueError(
+                f"table indexes {table.num_transactions} transactions but the "
+                f"database holds {len(db)}"
+            )
+        if bounds not in ("summary", "paper"):
+            raise ValueError(f"bounds must be 'summary' or 'paper', got {bounds!r}")
+        self.table = table
+        self.db = db
+        self.bounds = bounds
         self._sketch_candidates_counter = None
         self._sketch_access_histogram = None
 
@@ -324,25 +334,20 @@ class QueryEngine:
     def for_table(
         cls, table: SignatureTable, db: TransactionDatabase, bounds="summary"
     ) -> "QueryEngine":
-        """Build an engine (and its searcher, given ``bounds``) in one call."""
-        return cls(SignatureTableSearcher(table, db, bounds=bounds))
+        """The constructor under its older name."""
+        return cls(table, db, bounds)
 
     # ------------------------------------------------------------------
     @property
-    def searcher(self) -> SignatureTableSearcher:
-        """The wrapped single-query searcher."""
-        return self._searcher
-
-    @property
     def universe_size(self) -> int:
         """Targets may name items in ``[0, universe_size)`` only."""
-        return self._searcher.db.universe_size
+        return self.db.universe_size
 
     @property
     def sketch(self):
         """The :class:`~repro.sketch.SketchIndex` attached to the table,
         or ``None`` when the table carries no sketch column."""
-        return getattr(self._searcher.table, "sketch", None)
+        return getattr(self.table, "sketch", None)
 
     @property
     def supports_lsh_tier(self) -> bool:
@@ -384,10 +389,10 @@ class QueryEngine:
     ) -> Tuple[List[List[Neighbor]], List[SearchStats]]:
         """k-NN for every target in the batch.
 
-        Semantics per query are exactly those of
-        :meth:`SignatureTableSearcher.knn` (including early termination,
-        whose row budget the packed scan enforces, and the a-posteriori
-        guarantee); only the preparation is amortised.
+        Semantics per query are exactly those of the reference
+        :meth:`~repro.core.search.SignatureTableSearcher.knn` (including
+        early termination, whose row budget the packed scan enforces, and
+        the a-posteriori guarantee); only the preparation is amortised.
         ``candidate_tier="lsh"`` prefixes each query with an LSH probe of
         the table's sketch index and restricts the branch-and-bound scan
         to the returned candidates — approximate, with the estimated
@@ -403,7 +408,6 @@ class QueryEngine:
         target_arrays = self._normalise(targets)
         if not target_arrays:
             return [], []
-        searcher = self._searcher
         probes, per_query = self._candidate_rows(
             target_arrays, candidate_tier, target_recall, candidates, op="knn"
         )
@@ -413,12 +417,12 @@ class QueryEngine:
                 target_arrays, similarity, ordered=True, readable_rows=readable
             )
         results, stats, _ = kernels.knn_scan_batch(
-            searcher.table,
-            len(searcher.db),
+            self.table,
+            len(self.db),
             prepared,
             k,
             candidates=per_query,
-            budget=row_budget(early_termination, len(searcher.db)),
+            budget=row_budget(early_termination, len(self.db)),
             tolerance=guarantee_tolerance,
         )
         if probes is not None:
@@ -467,7 +471,6 @@ class QueryEngine:
         if not target_arrays:
             return [], []
         threshold = float(threshold)
-        searcher = self._searcher
         probes, per_query = self._candidate_rows(
             target_arrays, candidate_tier, target_recall, candidates, op="range"
         )
@@ -479,8 +482,8 @@ class QueryEngine:
                 readable_rows=self._readable_rows(per_query),
             )
         results, stats, _ = kernels.range_scan_batch(
-            searcher.table,
-            len(searcher.db),
+            self.table,
+            len(self.db),
             [[prep] for prep in prepared],
             [threshold],
             candidates=per_query,
@@ -515,8 +518,8 @@ class QueryEngine:
             for similarity, _ in constraints
         ]
         (results,), (stats,), _ = kernels.range_scan_batch(
-            self._searcher.table,
-            len(self._searcher.db),
+            self.table,
+            len(self.db),
             [prepared],
             [threshold for _, threshold in constraints],
         )
@@ -539,18 +542,18 @@ class QueryEngine:
         the same aggregate of its per-target bounds (see
         :func:`~repro.core.search.target_aggregator`).  The k-NN scan runs
         over that one aggregated query; ``early_termination`` is its row
-        budget, as in :meth:`SignatureTableSearcher.knn`.
+        budget, as in :meth:`knn_batch`.
         """
         check_positive(k, "k")
         prepared = self._aggregated_query(
             targets, similarity, aggregate, weights, ordered=True
         )
         (neighbors,), (stats,), _ = kernels.knn_scan_batch(
-            self._searcher.table,
-            len(self._searcher.db),
+            self.table,
+            len(self.db),
             [prepared],
             k,
-            budget=row_budget(early_termination, len(self._searcher.db)),
+            budget=row_budget(early_termination, len(self.db)),
         )
         return neighbors, stats
 
@@ -570,8 +573,8 @@ class QueryEngine:
             targets, similarity, aggregate, None, ordered=False
         )
         (results,), (stats,), _ = kernels.range_scan_batch(
-            self._searcher.table,
-            len(self._searcher.db),
+            self.table,
+            len(self.db),
             [[prepared]],
             [threshold],
         )
@@ -623,8 +626,8 @@ class QueryEngine:
         ordered = threshold is None
         if ordered:
             check_positive(k, "k")
-        table = self._searcher.table
-        db_size = len(self._searcher.db)
+        table = self.table
+        db_size = len(self.db)
         (prep,) = self._prepare_batch(
             self._normalise([target]), similarity, ordered=ordered
         )
@@ -653,7 +656,7 @@ class QueryEngine:
         its recency across queries.  ``reads`` is an unrestricted scan's
         (no candidate rows).  Returns the query's I/O counters.
         """
-        table = self._searcher.table
+        table = self.table
         if pool.store is not table.store:
             raise ValueError("the pool must wrap the table's own store")
         io = IOCounters()
@@ -670,7 +673,7 @@ class QueryEngine:
             action=action,
             rank=rank,
             entry=entry,
-            code=int(self._searcher.table.entry_codes[entry]),
+            code=int(self.table.entry_codes[entry]),
             optimistic=float(opts[entry]),
             **fields,
         )
@@ -683,7 +686,7 @@ class QueryEngine:
         stats: SearchStats,
         tolerance: Optional[float],
     ) -> SearchTrace:
-        table = self._searcher.table
+        table = self.table
         order, opts = prep.order, prep.opts
         num_entries = int(order.size)
         events: List[EntryEvent] = []
@@ -784,7 +787,7 @@ class QueryEngine:
         ``(Q, N)`` buffer, not two — 0.64 GB fewer for 100 queries over
         800 000 rows.
         """
-        db = self._searcher.db
+        db = self.db
         matches = db.match_counts_batch(target_arrays)
         sims = matches.view(np.float64)
         for q, (items, bound_sim) in enumerate(zip(target_arrays, bound_sims)):
@@ -803,7 +806,7 @@ class QueryEngine:
         element the values :meth:`_batch_similarities` holds at those
         tids (the same integer match counts feed the same ``evaluate``).
         """
-        db = self._searcher.db
+        db = self.db
         rows = db.packed_rows()
         sizes = db.sizes
         packed_targets = kernels.pack_rows(target_arrays, db.universe_size)
@@ -838,11 +841,11 @@ class QueryEngine:
         row of the database, queries carry ``row_sims`` instead of
         ``sims_all``.
         """
-        searcher = self._searcher
-        scheme = searcher.table.scheme
-        bits = searcher.table.bits_matrix
+        scheme = self.table.scheme
+        bits = self.table.bits_matrix
         bound_sims = [similarity.bind(t.size) for t in target_arrays]
         with span("engine.bound_matrix", entries=int(bits.shape[0])):
+            summary = self.table.summary(self.db) if self.bounds == "summary" else None
             calculator = BatchBoundCalculator(
                 scheme,
                 target_arrays,
@@ -850,9 +853,7 @@ class QueryEngine:
                     scheme, target_arrays
                 ),
             )
-            opts = calculator.optimistic_similarity(
-                bits, bound_sims, searcher.summary
-            )
+            opts = calculator.optimistic_similarity(bits, bound_sims, summary)
         orders: List[Optional[np.ndarray]]
         if ordered:
             order_matrix = np.argsort(-opts, axis=1, kind="stable")
@@ -862,7 +863,7 @@ class QueryEngine:
         sims: Sequence[Optional[np.ndarray]] = [None] * len(target_arrays)
         row_sims: Sequence = sims
         with span("engine.precompute_sims"):
-            if readable_rows is not None and searcher.db.gathered_rows_win(
+            if readable_rows is not None and self.db.gathered_rows_win(
                 target_arrays, readable_rows
             ):
                 row_sims = self._row_similarities(target_arrays, bound_sims)
@@ -936,7 +937,7 @@ class QueryEngine:
                     "candidates cannot be combined with candidate_tier='lsh'"
                 )
         if candidates is not None:
-            total = len(self._searcher.db)
+            total = len(self.db)
             rows = np.asarray(candidates)
             if rows.dtype == np.bool_:
                 valid = rows.shape in ((total,), (num_queries, total))

@@ -20,10 +20,8 @@ These scans are the only ones the :class:`~repro.core.engine.QueryEngine`
 runs, an ``early_termination`` batch included (its row budget is the
 ``budget`` argument of :func:`knn_scan_batch`).  The scalar
 :class:`~repro.core.search.SignatureTableSearcher` is their oracle,
-called from the property and differential tests; in the package only
-the sort-order ablation still queries it, because the binary search
-below holds in bound order alone.  No tolerance knob or kernel switch
-exists.
+called from the property and differential tests only.  No tolerance
+knob or kernel switch exists.
 
 Each scan also returns its read list (:class:`ScanReads`: the entries
 entered, in scan order, and the rows read from each).  The per-query
@@ -377,8 +375,8 @@ def knn_scan_batch(
     """Vectorised k-NN scan for a prepared batch.
 
     Equivalent, result- and stats-wise, to running
-    :meth:`SignatureTableSearcher.knn` per query under the optimistic
-    order with precomputed similarities and a per-query page cache.
+    :meth:`SignatureTableSearcher.knn` per query with precomputed
+    similarities and a per-query page cache.
     ``candidates[q]`` (a unique-tid array or a boolean mask over all
     tids; ``None`` = every row) is the searcher's ``tid_mask``,
     ``budget`` the row count its ``early_termination`` resolves to and

@@ -4,12 +4,10 @@ The search follows the paper's Figure 3:
 
 1. For every occupied table entry compute the optimistic bound
    ``Opt(i) = f(M_opt, D_opt)`` (Section 4.1, vectorised in
-   :class:`~repro.core.bounds.BoundCalculator`), tightened by default to
-   the summary bound ``f(m, d)`` of :class:`~repro.core.bounds.
+   :class:`~repro.core.bounds.BatchBoundCalculator`), tightened by
+   default to the summary bound ``f(m, d)`` of :class:`~repro.core.bounds.
    EntrySummary`; ``bounds="paper"`` keeps the bits-only bound.
-2. Sort entries by decreasing ``Opt(i)`` (or, alternatively, by the
-   similarity between supercoordinates — the paper's Section 4 variant,
-   available via ``sort_by="supercoordinate"``).
+2. Sort entries by decreasing ``Opt(i)``.
 3. Scan entries in order, evaluating the objective for every indexed
    transaction and maintaining the best ``k`` candidates found so far; the
    k-th best value is the *pessimistic bound*.
@@ -34,10 +32,10 @@ multi-function range queries.  Multi-target queries are a
 :class:`~repro.core.engine.QueryEngine` builds and scans them.
 
 This loop is the reference the packed scans of :mod:`repro.core.kernels`
-are tested against.  The engine serves queries, runs the paper's
-experiments and answers ``repro explain``; in the package only the
-sort-order ablation calls the searcher (``sort_by=``), because the
-packed k-NN scan needs bound order.  Each query gets its own page cache.
+are tested against.  The :class:`~repro.core.engine.QueryEngine` serves
+queries, runs the paper's experiments and answers ``repro explain``;
+the sort-order ablation's supercoordinate order is a loop of its own in
+:mod:`repro.eval.harness`.  Each query gets its own page cache.
 
 Implementation note (see DESIGN.md): the per-transaction similarities are
 computed for the whole database with one vectorised pass when a query
@@ -57,16 +55,13 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bounds import BoundCalculator, EntrySummary
+from repro.core.bounds import BatchBoundCalculator
 from repro.core.similarity import SimilarityFunction
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase, as_item_array
 from repro.obs.trace import Tracer, current_tracer
 from repro.storage.pages import IOCounters
 from repro.utils.validation import check_fraction, check_positive
-
-_SORT_MODES = ("optimistic", "supercoordinate")
-
 
 @dataclass(frozen=True)
 class Neighbor:
@@ -267,12 +262,6 @@ class SignatureTableSearcher:
         self.db = db
         self.bounds = bounds
 
-    @property
-    def summary(self) -> Optional[EntrySummary]:
-        """What every bound pass tightens with: the table's entry summary,
-        or ``None`` under ``bounds="paper"``."""
-        return self.table.summary(self.db) if self.bounds == "summary" else None
-
     # ------------------------------------------------------------------
     # Public queries
     # ------------------------------------------------------------------
@@ -282,7 +271,6 @@ class SignatureTableSearcher:
         similarity: SimilarityFunction,
         early_termination: Optional[float] = None,
         guarantee_tolerance: Optional[float] = None,
-        sort_by: str = "optimistic",
     ) -> Tuple[Optional[Neighbor], SearchStats]:
         """Find the single most similar transaction (Figure 3).
 
@@ -295,7 +283,6 @@ class SignatureTableSearcher:
             k=1,
             early_termination=early_termination,
             guarantee_tolerance=guarantee_tolerance,
-            sort_by=sort_by,
         )
         return (neighbors[0] if neighbors else None), stats
 
@@ -306,7 +293,6 @@ class SignatureTableSearcher:
         k: int = 1,
         early_termination: Optional[float] = None,
         guarantee_tolerance: Optional[float] = None,
-        sort_by: str = "optimistic",
         tid_mask: Optional[np.ndarray] = None,
     ) -> Tuple[List[Neighbor], SearchStats]:
         """k-nearest-neighbour search (Section 4.3 generalisation).
@@ -324,9 +310,6 @@ class SignatureTableSearcher:
             Stop as soon as the best candidate is within this additive
             tolerance of every unexplored entry's optimistic bound — the
             paper's "guarantee on the quality of the presented solution".
-        sort_by:
-            ``"optimistic"`` (paper default) or ``"supercoordinate"``
-            (Section 4's alternative order; bounds still drive pruning).
         tid_mask:
             Optional boolean candidate mask over all tids (the sketch
             tier's LSH prefilter).  Only tids with a ``True`` mask value
@@ -337,9 +320,7 @@ class SignatureTableSearcher:
         """
         check_positive(k, "k")
         started_s = time.perf_counter()
-        target_items, bound_sim, opts, order = self._prepare(
-            target, similarity, sort_by
-        )
+        target_items, bound_sim, opts, order = self._prepare(target, similarity)
         sims_all = self._all_similarities(target_items, bound_sim)
         budget = row_budget(early_termination, len(self.db))
         stats = self._new_stats()
@@ -348,48 +329,35 @@ class SignatureTableSearcher:
         heap: List[Tuple[float, int]] = []  # min-heap of (sim, -tid)
         pessimistic = -math.inf
 
-        # With the default optimistic order the entries are sorted by
-        # decreasing bound, so the first prunable entry proves every later
-        # entry prunable too and the scan can stop; under the alternative
-        # supercoordinate order only the individual entry may be skipped.
-        sorted_by_bound = sort_by == "optimistic"
-
+        # In decreasing-bound order the first prunable entry proves every
+        # later one prunable, and its bound is the largest one left.
         rank = 0
         num_entries = order.size
         while rank < num_entries:
             entry = int(order[rank])
             opt_entry = float(opts[entry])
-            roof = (
-                opt_entry
-                if sorted_by_bound
-                else float(opts[order[rank:]].max())
-            )
             # Prune only entries that cannot *reach* the pessimistic bound:
             # an entry whose optimistic bound exactly equals it may still
             # contain a tie with a smaller tid, which the deterministic
             # (-similarity, tid) result order must admit — so equality is
             # scanned, strict inferiority is pruned.
             if len(heap) >= k and opt_entry < pessimistic:
-                if sorted_by_bound:
-                    # += keeps the entries a candidate mask emptied (and
-                    # counted) on the way here.
-                    stats.entries_pruned += num_entries - rank
-                    break
-                stats.entries_pruned += 1
-                rank += 1
-                continue
+                # += keeps the entries a candidate mask emptied (and
+                # counted) on the way here.
+                stats.entries_pruned += num_entries - rank
+                break
             if (
                 guarantee_tolerance is not None
                 and len(heap) >= k
-                and roof - pessimistic <= guarantee_tolerance
+                and opt_entry - pessimistic <= guarantee_tolerance
             ):
                 stats.terminated_early = True
                 stats.entries_unexplored = num_entries - rank
-                stats.best_possible_remaining = roof
-                stats.guaranteed_optimal = roof <= pessimistic
+                stats.best_possible_remaining = opt_entry
+                stats.guaranteed_optimal = opt_entry <= pessimistic
                 break
             if budget is not None and stats.transactions_accessed >= budget:
-                self._record_cutoff(stats, roof, num_entries - rank, pessimistic)
+                self._record_cutoff(stats, opt_entry, num_entries - rank, pessimistic)
                 break
 
             tids = self.table.entry_tids(entry)
@@ -417,7 +385,7 @@ class SignatureTableSearcher:
 
             if truncated:
                 self._record_cutoff(
-                    stats, roof, num_entries - rank - 1, pessimistic,
+                    stats, opt_entry, num_entries - rank - 1, pessimistic,
                     partial_entry=True,
                 )
                 break
@@ -470,16 +438,12 @@ class SignatureTableSearcher:
             raise ValueError("constraints must be non-empty")
         started_s = time.perf_counter()
         target_items = as_item_array(target, self.db.universe_size)
-        calculator = BoundCalculator(self.table.scheme, target_items)
         bound_sims = [sim.bind(target_items.size) for sim, _ in constraints]
         thresholds = [float(t) for _, t in constraints]
 
-        bits = self.table.bits_matrix
         keep = np.ones(self.table.num_entries_occupied, dtype=bool)
-        summary = self.summary
         for bound_sim, threshold in zip(bound_sims, thresholds):
-            opts = calculator.optimistic_similarity(bits, bound_sim, summary)
-            keep &= opts >= threshold
+            keep &= self._bounds(target_items, bound_sim) >= threshold
 
         sims_all_list = [
             self._all_similarities(target_items, bs) for bs in bound_sims
@@ -584,46 +548,32 @@ class SignatureTableSearcher:
 
         ``current_opt`` is the maximum optimistic bound over the entries
         not (fully) explored — Section 4.2's ``max over unexplored
-        Opt(i)``.  Under the default sort it is simply the bound of the
-        entry the scan stopped at.
+        Opt(i)``: in bound order, the bound of the entry the scan stopped
+        at.
         """
         stats.terminated_early = True
         stats.entries_unexplored = entries_left + (1 if partial_entry else 0)
         stats.best_possible_remaining = current_opt
         stats.guaranteed_optimal = current_opt <= pessimistic
 
+    def _bounds(
+        self, target_items: np.ndarray, bound_sim: SimilarityFunction
+    ) -> np.ndarray:
+        """One target's entry bounds: row 0 of a one-target batch."""
+        summary = self.table.summary(self.db) if self.bounds == "summary" else None
+        calculator = BatchBoundCalculator(self.table.scheme, [target_items])
+        return calculator.optimistic_similarity(
+            self.table.bits_matrix, [bound_sim], summary
+        )[0]
+
     def _prepare(
-        self,
-        target: Iterable[int],
-        similarity: SimilarityFunction,
-        sort_by: str,
+        self, target: Iterable[int], similarity: SimilarityFunction
     ) -> Tuple[np.ndarray, SimilarityFunction, np.ndarray, np.ndarray]:
-        """Compute bounds and the entry scan order for a query."""
-        if sort_by not in _SORT_MODES:
-            raise ValueError(
-                f"sort_by must be one of {_SORT_MODES}, got {sort_by!r}"
-            )
+        """Compute bounds and the decreasing-bound scan order for a query."""
         target_items = as_item_array(target, self.db.universe_size)
         bound_sim = similarity.bind(target_items.size)
-        calculator = BoundCalculator(self.table.scheme, target_items)
-        bits = self.table.bits_matrix
-        opts = calculator.optimistic_similarity(bits, bound_sim, self.summary)
-        if sort_by == "optimistic":
-            order = np.argsort(-opts, kind="stable")
-        else:
-            # Section 4 alternative: order by the similarity between the
-            # target's supercoordinate and each entry's supercoordinate,
-            # while still pruning with the optimistic bounds.
-            scheme = self.table.scheme
-            target_bits = scheme.supercoordinate_bits(target_items)
-            matches = (bits & target_bits[None, :]).sum(axis=1)
-            hamming = (bits ^ target_bits[None, :]).sum(axis=1)
-            coordinate_sim = similarity.bind(int(target_bits.sum()) or 1)
-            keys = np.asarray(
-                coordinate_sim.evaluate(matches, hamming), dtype=np.float64
-            )
-            order = np.argsort(-keys, kind="stable")
-        return target_items, bound_sim, opts, order
+        opts = self._bounds(target_items, bound_sim)
+        return target_items, bound_sim, opts, np.argsort(-opts, kind="stable")
 
     def _all_similarities(
         self, target_items: np.ndarray, bound_sim: SimilarityFunction

@@ -62,7 +62,7 @@ class SignatureTable:
     """An immutable signature table over a transaction database.
 
     Build with :meth:`build`; query through
-    :class:`~repro.core.search.SignatureTableSearcher`.
+    :class:`~repro.core.engine.QueryEngine`.
 
     Attributes of interest
     ----------------------

@@ -91,8 +91,7 @@ class TransactionDatabase:
         self._indptr = indptr
         self._sizes = sizes
         self._universe_size = int(universe_size)
-        self._postings_indptr: Optional[np.ndarray] = None
-        self._postings_tids: Optional[np.ndarray] = None
+        self._postings: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._packed_rows: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -120,8 +119,7 @@ class TransactionDatabase:
         db._indptr = indptr
         db._sizes = np.diff(indptr)
         db._universe_size = int(universe_size)
-        db._postings_indptr = None
-        db._postings_tids = None
+        db._postings = None
         db._packed_rows = None
         return db
 
@@ -216,14 +214,15 @@ class TransactionDatabase:
             raise IndexError(
                 f"item {item} out of universe [0, {self._universe_size})"
             )
-        self._ensure_postings()
-        assert self._postings_indptr is not None and self._postings_tids is not None
-        start, end = self._postings_indptr[item], self._postings_indptr[item + 1]
-        return self._postings_tids[start:end]
+        indptr, tids = self._ensure_postings()
+        return tids[indptr[item]:indptr[item + 1]]
 
-    def _ensure_postings(self) -> None:
-        if self._postings_indptr is not None:
-            return
+    def _ensure_postings(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, tids)``: the item -> tid postings in CSR form, built
+        on first use.  Both arrays are published in one assignment, so a
+        reader in another thread sees neither or both."""
+        if self._postings is not None:
+            return self._postings
         counts = np.bincount(self._items, minlength=self._universe_size)
         indptr = np.zeros(self._universe_size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -232,8 +231,8 @@ class TransactionDatabase:
         )
         # Stable sort by item keeps TIDs ascending within each posting list.
         order = np.argsort(self._items, kind="stable")
-        self._postings_indptr = indptr
-        self._postings_tids = tids[order]
+        self._postings = (indptr, tids[order])
+        return self._postings
 
     def match_counts(self, target: TransactionLike) -> np.ndarray:
         """Return ``x(tid) = |T_tid ∩ target|`` for every transaction.
@@ -244,13 +243,10 @@ class TransactionDatabase:
         the summed support of those items, not to the database size.
         """
         target_items = as_item_array(target, self._universe_size)
-        self._ensure_postings()
-        assert self._postings_indptr is not None and self._postings_tids is not None
+        indptr, tids = self._ensure_postings()
         counts = np.zeros(len(self), dtype=np.int64)
         for item in target_items:
-            start = self._postings_indptr[item]
-            end = self._postings_indptr[item + 1]
-            counts[self._postings_tids[start:end]] += 1
+            counts[tids[indptr[item]:indptr[item + 1]]] += 1
         return counts
 
     def packed_rows(self) -> np.ndarray:
@@ -274,9 +270,7 @@ class TransactionDatabase:
     def _posting_work(self, target_arrays: Sequence[np.ndarray]) -> int:
         """Posting increments a batch costs: the summed support of the
         targets' items."""
-        self._ensure_postings()
-        assert self._postings_indptr is not None
-        supports = np.diff(self._postings_indptr)
+        supports = np.diff(self._ensure_postings()[0])
         return int(sum(int(supports[items].sum()) for items in target_arrays))
 
     def _packed_wins(self, target_arrays: Sequence[np.ndarray]) -> bool:
@@ -341,17 +335,14 @@ class TransactionDatabase:
             return kernels.match_counts_packed(
                 self.packed_rows(), packed_targets
             )
-        self._ensure_postings()
-        assert self._postings_indptr is not None and self._postings_tids is not None
+        indptr, postings = self._ensure_postings()
         # Invert the batch: item -> queries containing it.
         queries_of: dict = {}
         for q, items in enumerate(target_arrays):
             for item in items.tolist():
                 queries_of.setdefault(item, []).append(q)
         for item, qs in queries_of.items():
-            start = self._postings_indptr[item]
-            end = self._postings_indptr[item + 1]
-            tids = self._postings_tids[start:end]
+            tids = postings[indptr[item]:indptr[item + 1]]
             if tids.size == 0:
                 continue
             if len(qs) == 1:

@@ -1050,7 +1050,7 @@ class LiveIndex:
     ) -> QueryEngine:
         """A base segment's engine, bound to the :meth:`bind_metrics`
         registry."""
-        engine = QueryEngine.for_table(table, db)
+        engine = QueryEngine(table, db)
         if self._registry is not None:
             engine.bind_metrics(self._registry)
         return engine

@@ -19,7 +19,7 @@ clients over a newline-delimited-JSON TCP protocol:
 
 Quickstart::
 
-    engine = QueryEngine.for_table(table, db)
+    engine = QueryEngine(table, db)
     handle = serve_in_background(engine, max_batch_size=32, max_wait_ms=2.0)
     host, port = handle.address
     with ServiceClient(host, port) as client:

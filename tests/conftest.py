@@ -178,10 +178,10 @@ def small_searcher(small_table, small_db):
 
 
 @pytest.fixture(scope="session")
-def medium_engine(medium_searcher):
-    return repro.QueryEngine(medium_searcher)
+def medium_engine(medium_table, medium_indexed):
+    return repro.QueryEngine(medium_table, medium_indexed)
 
 
 @pytest.fixture(scope="session")
-def small_engine(small_searcher):
-    return repro.QueryEngine(small_searcher)
+def small_engine(small_table, small_db):
+    return repro.QueryEngine(small_table, small_db)

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core.bounds import (
-    BoundCalculator,
+    BatchBoundCalculator,
     optimistic_distance,
     optimistic_matches,
 )
 from repro.core.signature import SignatureScheme
 from repro.core.similarity import HammingSimilarity, MatchRatioSimilarity
+from repro.data.transaction import as_item_array
 
 
 @pytest.fixture()
@@ -87,30 +88,46 @@ class TestBoundValidityExhaustive:
             assert y >= d_opt, (candidate, bits)
 
 
+def single(scheme, target):
+    """The bound calculator for one target: a batch of one."""
+    return BatchBoundCalculator(scheme, [as_item_array(target)])
+
+
+#: Every supercoordinate of the three-signature fixture scheme, by code.
+ALL_BITS = np.array(
+    [[(code >> j) & 1 for j in range(3)] for code in range(8)], dtype=bool
+)
+
+
 class TestBoundCalculator:
+    """:class:`BatchBoundCalculator` on one target, against the scalar
+    reference and hand-checked values."""
+
     def test_agrees_with_scalar_functions(self, scheme):
         target = [0, 1, 3, 6]
-        calculator = BoundCalculator(scheme, target)
         r_vec = scheme.activation_counts(target)
-        all_bits = np.array(
-            [[(code >> j) & 1 for j in range(3)] for code in range(8)],
-            dtype=bool,
-        )
-        m_opts, d_opts = calculator.bounds(all_bits)
+        m_opts, d_opts = single(scheme, target).bounds(ALL_BITS)
         for code in range(8):
-            assert m_opts[code] == optimistic_matches(r_vec, all_bits[code], 1)
-            assert d_opts[code] == optimistic_distance(r_vec, all_bits[code], 1)
+            assert m_opts[0, code] == optimistic_matches(r_vec, ALL_BITS[code], 1)
+            assert d_opts[0, code] == optimistic_distance(r_vec, ALL_BITS[code], 1)
 
     def test_activation_counts_property(self, scheme):
-        calculator = BoundCalculator(scheme, [0, 1, 3])
-        assert calculator.activation_counts.tolist() == [2, 1, 0]
+        """Precomputed activation counts stand in for the scheme's."""
+        counts = scheme.activation_counts([0, 1, 3])
+        assert counts.tolist() == [2, 1, 0]
+        given = BatchBoundCalculator(
+            scheme, [as_item_array([0, 1, 3])], activation_counts=counts[None, :]
+        )
+        np.testing.assert_array_equal(
+            given.bounds(ALL_BITS), single(scheme, [0, 1, 3]).bounds(ALL_BITS)
+        )
 
     def test_optimistic_similarity_applies_function(self, scheme):
-        calculator = BoundCalculator(scheme, [0, 1, 3])
+        calculator = single(scheme, [0, 1, 3])
         bits = np.array([[1, 1, 1], [0, 0, 0]], dtype=bool)
         sim = HammingSimilarity()
-        values = calculator.optimistic_similarity(bits, sim)
-        m, d = calculator.bounds(bits)
+        (values,) = calculator.optimistic_similarity(bits, [sim])
+        (m,), (d,) = calculator.bounds(bits)
         assert values.tolist() == pytest.approx(
             [float(sim.evaluate(mi, di)) for mi, di in zip(m, d)]
         )
@@ -119,20 +136,18 @@ class TestBoundCalculator:
         scheme_r2 = SignatureScheme(
             [[0, 1, 2], [3, 4, 5]], universe_size=6, activation_threshold=2
         )
-        calculator = BoundCalculator(scheme_r2, [0, 1, 3])
         bits = np.array([[0, 0]], dtype=float)
-        m, d = calculator.bounds(bits)
+        m, d = single(scheme_r2, [0, 1, 3]).bounds(bits)
         # bit=0, r=2: matches min(1, r_j) = (1, 1); distance max(0, r_j-1) = (1, 0).
-        assert m[0] == 2
-        assert d[0] == 1
+        assert m[0, 0] == 2
+        assert d[0, 0] == 1
 
     def test_empty_target(self, scheme):
-        calculator = BoundCalculator(scheme, [])
         bits = np.array([[1, 1, 1], [0, 0, 0]], dtype=bool)
-        m, d = calculator.bounds(bits)
-        assert m.tolist() == [0.0, 0.0]
+        m, d = single(scheme, []).bounds(bits)
+        assert m.tolist() == [[0.0, 0.0]]
         # bit=1 forces >= r items the target lacks: distance >= 1 per bit.
-        assert d.tolist() == [3.0, 0.0]
+        assert d.tolist() == [[3.0, 0.0]]
 
     def test_bounds_dominate_on_real_table(
         self, medium_table, medium_indexed, medium_queries
@@ -142,9 +157,10 @@ class TestBoundCalculator:
         scheme = medium_table.scheme
         target = medium_queries[0]
         target_set = frozenset(target)
-        calculator = BoundCalculator(scheme, target)
         sim = MatchRatioSimilarity().bind(len(target))
-        opts = calculator.optimistic_similarity(medium_table.bits_matrix, sim)
+        (opts,) = single(scheme, target).optimistic_similarity(
+            medium_table.bits_matrix, [sim]
+        )
         for entry in range(0, medium_table.num_entries_occupied, 7):
             for tid in medium_table.entry_tids(entry):
                 other = medium_indexed[int(tid)]

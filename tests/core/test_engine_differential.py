@@ -71,7 +71,7 @@ def on_kernels(monkeypatch, call):
 def test_knn_batch_identical_to_single_queries(instance, sim):
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
-    engine = repro.QueryEngine(searcher)
+    engine = repro.QueryEngine(table, db)
     batch_results, batch_stats = engine.knn_batch(queries, sim, k=4)
     for query, got, got_stats in zip(queries, batch_results, batch_stats):
         want, want_stats = searcher.knn(query, sim, k=4)
@@ -101,7 +101,7 @@ def test_exact_knn_batch_matches_linear_scan(instance, sim):
 def test_range_query_batch_identical_to_single_queries(instance):
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
-    engine = repro.QueryEngine(searcher)
+    engine = repro.QueryEngine(table, db)
     scan = repro.LinearScanIndex(db)
     for sim, threshold in [
         (repro.MatchRatioSimilarity(), 0.3),
@@ -135,7 +135,7 @@ def test_early_termination_batch_identical_to_single_queries(
 ):
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
-    engine = repro.QueryEngine(searcher)
+    engine = repro.QueryEngine(table, db)
     sim = repro.MatchRatioSimilarity()
     for kwargs in APPROXIMATE_MODES:
         batch_results, batch_stats = on_kernels(
@@ -178,7 +178,7 @@ def test_lsh_tier_batch_identical_to_masked_single_queries(
     sketched = repro.SignatureTable.build(db, table.scheme)
     sketched.attach_sketch(sketch)
     searcher = repro.SignatureTableSearcher(sketched, db)
-    engine = repro.QueryEngine(searcher)
+    engine = repro.QueryEngine(sketched, db)
     sim = repro.JaccardSimilarity()
     for kwargs in modes_on(budgeted, [dict()] + APPROXIMATE_MODES):
         batch_results, batch_stats = on_kernels(
@@ -333,7 +333,7 @@ def test_explicit_candidates_identical_and_duplicates_rejected(
     repeat by the packed kernels, so it is refused up front."""
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
-    engine = repro.QueryEngine(searcher)
+    engine = repro.QueryEngine(table, db)
     sim = repro.JaccardSimilarity()
     budget = dict(early_termination=0.3) if budgeted else dict()
     tids = np.array([5, 7, 9, 40, 41])
@@ -373,7 +373,7 @@ def test_explicit_candidates_identical_and_duplicates_rejected(
 def test_nearest_batch_matches_nearest(instance):
     db, table, queries = instance
     searcher = repro.SignatureTableSearcher(table, db)
-    engine = repro.QueryEngine(searcher)
+    engine = repro.QueryEngine(table, db)
     sim = repro.MatchRatioSimilarity()
     best, stats = engine.nearest_batch(queries, sim)
     for query, got, got_stats in zip(queries, best, stats):

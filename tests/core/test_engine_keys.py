@@ -7,8 +7,8 @@ from repro.core.engine import batch_key, similarity_key
 
 
 @pytest.fixture(scope="module")
-def engine(small_searcher):
-    return repro.QueryEngine(small_searcher)
+def engine(small_table, small_db):
+    return repro.QueryEngine(small_table, small_db)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,21 @@ class TestConstruction:
             repro.SignatureTableSearcher(small_table, small_db, buffer_pool=pool)
         with pytest.raises(TypeError, match="precompute"):
             repro.SignatureTableSearcher(small_table, small_db, precompute=False)
+
+
+    def test_engine_owns_and_checks_its_table(
+        self, small_table, small_db, medium_indexed
+    ):
+        """The engine holds ``(table, db, bounds)`` itself, wraps no
+        searcher, and checks the pairing the searcher checks."""
+        engine = repro.QueryEngine(small_table, small_db, bounds="paper")
+        assert engine.table is small_table and engine.db is small_db
+        assert engine.bounds == "paper"
+        assert not hasattr(engine, "searcher")
+        with pytest.raises(ValueError, match="indexes"):
+            repro.QueryEngine(small_table, medium_indexed)
+        with pytest.raises(ValueError, match="bounds"):
+            repro.QueryEngine(small_table, small_db, bounds="union")
 
 
 class TestBatchKey:

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.core.search import Neighbor, SearchStats, SignatureTableSearcher
+from repro.eval.harness import supercoordinate_nearest
 from tests.conftest import make_similarities
 
 SIMILARITIES = make_similarities()
@@ -60,21 +61,22 @@ class TestNearestOptimality:
         assert np.mean(efficiencies) > 30.0
 
     def test_supercoordinate_sort_still_exact(
-        self, medium_searcher, medium_scan, medium_queries
+        self, medium_table, medium_indexed, medium_scan, medium_queries
     ):
+        """The sort-order ablation's supercoordinate-order loop, run to
+        completion, is exact too."""
         sim = repro.HammingSimilarity()
-        for target in medium_queries[:8]:
-            neighbor, _ = medium_searcher.nearest(
-                target, sim, sort_by="supercoordinate"
-            )
-            assert neighbor.similarity == pytest.approx(
-                medium_scan.best_similarity(target, sim)
-            )
+        answers = supercoordinate_nearest(
+            medium_table, medium_indexed, medium_queries[:8], sim
+        )
+        for target, (_, best) in zip(medium_queries, answers):
+            assert best == pytest.approx(medium_scan.best_similarity(target, sim))
 
     def test_invalid_sort_mode(self, medium_searcher, medium_queries):
-        with pytest.raises(ValueError, match="sort_by"):
+        """The searcher scans in decreasing-bound order only."""
+        with pytest.raises(TypeError, match="sort_by"):
             medium_searcher.nearest(
-                medium_queries[0], repro.HammingSimilarity(), sort_by="banana"
+                medium_queries[0], repro.HammingSimilarity(), sort_by="optimistic"
             )
 
     def test_mismatched_table_and_db_rejected(self, medium_table, small_db):

@@ -81,7 +81,7 @@ class TestExplain:
         trace = medium_engine.explain(
             medium_queries[0], repro.MatchRatioSimilarity(), k=5
         ).trace
-        table = medium_engine.searcher.table
+        table = medium_engine.table
         assert trace.query["target_items"] == len(medium_queries[0])
         assert trace.query["entries_total"] == table.num_entries_occupied
         assert (
@@ -93,7 +93,7 @@ class TestExplain:
         trace = medium_engine.explain(
             medium_queries[0], repro.JaccardSimilarity()
         ).trace
-        table = medium_engine.searcher.table
+        table = medium_engine.table
         # Entry sizes in the trace must match the table's metadata: a scan
         # that runs to completion reads every scanned entry whole.
         scanned = [e for e in trace.events if e.action == "scanned"]

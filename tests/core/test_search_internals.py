@@ -12,6 +12,7 @@ from repro.core.search import SignatureTableSearcher
 from repro.core.signature import SignatureScheme
 from repro.core.table import SignatureTable
 from repro.data.transaction import TransactionDatabase
+from repro.eval.harness import supercoordinate_nearest
 
 
 @pytest.fixture()
@@ -61,9 +62,7 @@ class TestScanAccounting:
 
     def test_order_is_by_descending_bound(self, setup):
         db, table, searcher = setup
-        _, bound_sim, opts, order = searcher._prepare(
-            TARGET, repro.JaccardSimilarity(), "optimistic"
-        )
+        _, bound_sim, opts, order = searcher._prepare(TARGET, repro.JaccardSimilarity())
         ordered_bounds = [float(opts[e]) for e in order]
         assert ordered_bounds == sorted(ordered_bounds, reverse=True)
         # Best-ranked entry must be the target's own supercoordinate.
@@ -72,9 +71,7 @@ class TestScanAccounting:
 
     def test_bound_values_match_hand_computation(self, setup):
         _, table, searcher = setup
-        _, bound_sim, opts, _ = searcher._prepare(
-            TARGET, repro.JaccardSimilarity(), "optimistic"
-        )
+        _, bound_sim, opts, _ = searcher._prepare(TARGET, repro.JaccardSimilarity())
         by_code = {
             int(table.entry_codes[e]): float(opts[e])
             for e in range(table.num_entries_occupied)
@@ -87,9 +84,7 @@ class TestScanAccounting:
     def test_summary_bound_values_match_hand_computation(self, setup):
         db, table, _ = setup
         searcher = SignatureTableSearcher(table, db)
-        _, _, opts, _ = searcher._prepare(
-            TARGET, repro.JaccardSimilarity(), "optimistic"
-        )
+        _, _, opts, _ = searcher._prepare(TARGET, repro.JaccardSimilarity())
         by_code = {
             int(table.entry_codes[e]): float(opts[e])
             for e in range(table.num_entries_occupied)
@@ -136,22 +131,29 @@ class TestScanAccounting:
 
 
 class TestSupercoordinateSortInternals:
-    def test_skips_instead_of_breaking(self, setup):
-        """Under the supercoordinate order, a prunable entry must be
-        skipped without ending the scan."""
-        db, table, searcher = setup
-        # Target {3,4}: activates only S1; supercoordinate (0,1).
-        target = [3, 4]
-        nb_opt, st_opt = searcher.nearest(
-            target, repro.JaccardSimilarity(), sort_by="optimistic"
+    def test_skips_instead_of_breaking(self, monkeypatch):
+        """Under the supercoordinate order (the sort-order ablation's
+        loop), a prunable entry is skipped and the scan goes on.
+
+        S0 = {0,1,2}, S1 = {3,4,5}; target {1,3,4} has supercoordinate
+        (1,1), so the order is (1,1), then (1,0) and (0,1), tied on the
+        key.  Jaccard: (1,1) holds {2,3,4}, 2/4.  (1,0)'s bound is
+        f(1, 2) = 1/3 < 1/2: skipped.  (0,1)'s is f(2, 1) = 2/3: read.
+        """
+        db = TransactionDatabase([[2], [3], [2, 3, 4], [2]], universe_size=6)
+        scheme = SignatureScheme([[0, 1, 2], [3, 4, 5]], universe_size=6)
+        table = SignatureTable.build(db, scheme)
+        entry_tids, entered = table.entry_tids, []
+        monkeypatch.setattr(
+            table, "entry_tids",
+            lambda entry: entered.append(entry) or entry_tids(entry),
         )
-        nb_super, st_super = searcher.nearest(
-            target, repro.JaccardSimilarity(), sort_by="supercoordinate"
+        ((read, best),) = supercoordinate_nearest(
+            table, db, [[1, 3, 4]], repro.JaccardSimilarity()
         )
-        assert nb_opt.similarity == nb_super.similarity
-        assert st_super.entries_scanned + st_super.entries_pruned == (
-            st_super.entries_total
-        )
+        codes = [table.bits_matrix[entry].tolist() for entry in entered]
+        assert codes == [[True, True], [False, True]]
+        assert (read, best) == (2, 0.5)
 
     def test_stats_io_positive(self, setup):
         _, _, searcher = setup

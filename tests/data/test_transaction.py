@@ -128,6 +128,41 @@ class TestPostings:
             posting = tiny_db.postings(item)
             assert np.all(np.diff(posting) > 0) or posting.size <= 1
 
+    def test_postings_publish_at_once(self):
+        """The lazily built postings appear in one assignment: every
+        postings reader, arriving right after any assignment the build
+        makes (as a reader in another thread can), answers as it does
+        once the build is done."""
+        rows = [[0, 1, 2], [1, 2], [3], [0, 3, 4], []]
+
+        def read(db):
+            return (
+                db.postings(1).tolist(),
+                db.match_counts([1, 3]).tolist(),
+                db._posting_work([np.array([1, 3])]),
+                db.match_counts_batch([[1, 3], [0]]).tolist(),
+            )
+
+        want = read(TransactionDatabase(rows, universe_size=6))
+        seen = []
+
+        class Watched(TransactionDatabase):
+            watching = False
+
+            def __setattr__(self, name, value):
+                super().__setattr__(name, value)
+                if self.watching:
+                    self.__dict__["watching"] = False  # the reader's own builds
+                    try:
+                        seen.append(read(self))
+                    finally:
+                        self.__dict__["watching"] = True
+
+        db = Watched(rows, universe_size=6)
+        db.__dict__["watching"] = True
+        assert read(db) == want
+        assert seen and all(answer == want for answer in seen)
+
 
 class TestMatchCounts:
     def test_match_counts_against_sets(self, tiny_db):

@@ -7,8 +7,11 @@ trends themselves are asserted at full scale by the benchmarks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro.core.bounds import optimistic_distance, optimistic_matches
 from repro.eval.harness import (
     PROFILES,
     ExperimentContext,
@@ -21,9 +24,11 @@ from repro.eval.harness import (
     run_inverted_access_fractions,
     run_memory_ablation,
     run_pruning_vs_db_size,
+    supercoordinate_nearest,
 )
 from repro.eval.metrics import accuracy_against_truth
 from tests.conftest import forbid_scalar_loop
+from tests.properties.test_kernels_property import SIMILARITIES, scan_instance
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +101,9 @@ class TestExperimentContext:
         engine = ctx.engine("T10.I6.D1K", 8)
         assert ctx.table("T10.I6.D1K", 8) is table
         assert ctx.engine("T10.I6.D1K", 8) is engine
-        assert engine.searcher.table is table
+        assert engine.table is table
         raised = ctx.engine("T10.I6.D1K", 8, activation_threshold=2)
-        assert raised.searcher.table is not table
+        assert raised.table is not table
 
     def test_scheme_shared_across_thresholds(self, ctx):
         base = ctx.table("T10.I6.D1K", 8).scheme
@@ -238,7 +243,8 @@ class TestRunnersOnTheEngine:
 
     def test_exact_phases_never_reach_the_scalar_loop(self, ctx, monkeypatch):
         """Every phase, budgeted ones included, runs on the packed
-        kernels; only the sort-order ablation still runs the searcher."""
+        kernels, but the sort-order ablation's supercoordinate row, which
+        runs its own loop: none reaches the scalar searcher."""
         forbid_scalar_loop(monkeypatch)
         sim = repro.MatchRatioSimilarity()
         small = dict(spec="T10.I6.D1K", num_signatures=8)
@@ -248,5 +254,62 @@ class TestRunnersOnTheEngine:
         run_ablation_partitioning(sim, ctx, **small)
         run_ablation_activation_threshold(sim, ctx, thresholds=(1, 2), **small)
         run_memory_ablation(sim, ctx, spec="T10.I6.D1K", ks=(6, 10))
-        with pytest.raises(AssertionError, match="scalar loop"):
-            run_ablation_sort_order(sim, ctx, **small)
+        run_ablation_sort_order(sim, ctx, **small)
+
+
+class TestSupercoordinateNearest:
+    """The sort-order ablation's scan in supercoordinate order, on small
+    random databases."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.sampled_from([None, 1, 7, 30]),
+        similarity=st.sampled_from(SIMILARITIES),
+    )
+    def test_exact_within_budget_and_skips_by_bound(
+        self, seed, budget, similarity
+    ):
+        """Run to completion, the best similarity is the linear scan's;
+        no scan reads more than its budget; and an entry is read only
+        while its paper bound reaches the best similarity so far (the
+        first read aside), while every entry left unread by a complete
+        scan has a bound below its final best."""
+        _, db, table, targets = scan_instance(seed)
+        scan = repro.LinearScanIndex(db)
+        scheme, bits = table.scheme, table.bits_matrix
+        entry_tids = table.entry_tids
+        for target in targets:
+            bound_sim = similarity.bind(len(target))
+            counts = scheme.activation_counts(target)
+            r = scheme.activation_threshold
+            bounds = [
+                float(bound_sim.evaluate(
+                    optimistic_matches(counts, row, r),
+                    optimistic_distance(counts, row, r),
+                ))
+                for row in bits
+            ]
+            sims = scan._similarities(target, similarity)[1]
+            entered = []
+            table.entry_tids = lambda entry: entered.append(entry) or entry_tids(entry)
+            try:
+                ((read, best),) = supercoordinate_nearest(
+                    table, db, [target], similarity, budget
+                )
+            finally:
+                del table.entry_tids
+            if budget is None:
+                assert best == scan.best_similarity(target, similarity)
+                assert read == sum(entry_tids(e).size for e in entered)
+                unread = set(range(len(bounds))) - set(entered)
+                assert all(bounds[e] < best for e in unread)
+            else:
+                assert 0 < read <= budget
+            so_far, left = -np.inf, read
+            for entry in entered:
+                if left < read:
+                    assert bounds[entry] >= so_far
+                rows = entry_tids(entry)[:left]
+                so_far, left = max(so_far, sims[rows].max()), left - rows.size
+            assert so_far == best

@@ -37,10 +37,14 @@ def test_queries_identical_while_compacting(tmp_path, base_db, scheme):
 
         def reader(target, want):
             while not stop.is_set():
-                got = [
-                    (n.tid, n.similarity)
-                    for n in live.knn(target, similarity, k=5)[0]
-                ]
+                try:
+                    got = [
+                        (n.tid, n.similarity)
+                        for n in live.knn(target, similarity, k=5)[0]
+                    ]
+                except Exception as error:  # a dead reader is a failure too
+                    failures.append((target.tolist(), repr(error)))
+                    return
                 if got != want:
                     failures.append((target.tolist(), got, want))
                     return

@@ -9,6 +9,7 @@ every other.
 import numpy as np
 
 from repro.core.engine import QueryEngine
+from repro.core.search import SignatureTableSearcher
 from repro.core.similarity import get_similarity
 from repro.live import LiveIndex
 from repro.obs import MetricRegistry
@@ -28,7 +29,7 @@ def budgeted_oracle(live, targets, similarity, tier, k, fraction):
     searcher, under the live tombstone mask (and each query's sketch
     probe), plus the live index's delta merge."""
     state = live._read_state()
-    searcher = state.engine.searcher
+    searcher = SignatureTableSearcher(state.engine.table, state.engine.db)
     recall = 0.9 if tier == "lsh" else None
     probes, candidates = state.base_candidates(targets, tier, recall, op="knn")
     masks = [candidates] * len(targets) if tier == "exact" else list(candidates)

@@ -25,9 +25,11 @@ def targets(db, count=8):
 
 
 class TestSearcherDifferential:
-    def test_knn_identical_with_search_trace(self, small_searcher, small_db):
+    def test_knn_identical_with_search_trace(
+        self, small_searcher, small_table, small_db
+    ):
         """An explained query answers as the searcher does untraced."""
-        engine = repro.QueryEngine(small_searcher)
+        engine = repro.QueryEngine(small_table, small_db)
         for target in targets(small_db):
             plain, plain_stats = small_searcher.knn(target, SIM, k=5)
             traced, traced_stats, _, _ = engine.explain(target, SIM, k=5)
@@ -46,8 +48,8 @@ class TestSearcherDifferential:
         assert traced_stats == plain_stats
         assert [root.name for root in tracer.roots] == ["search.knn"]
 
-    def test_range_identical(self, small_searcher, small_db):
-        engine = repro.QueryEngine(small_searcher)
+    def test_range_identical(self, small_searcher, small_table, small_db):
+        engine = repro.QueryEngine(small_table, small_db)
         for target in targets(small_db):
             plain, plain_stats = small_searcher.multi_range_query(
                 target, [(SIM, 0.4)]
@@ -62,8 +64,8 @@ class TestSearcherDifferential:
 
 
 class TestEngineDifferential:
-    def test_run_batch_identical_under_tracing(self, small_searcher, small_db):
-        engine = repro.QueryEngine(small_searcher)
+    def test_run_batch_identical_under_tracing(self, small_table, small_db):
+        engine = repro.QueryEngine(small_table, small_db)
         key = batch_key("knn", SIM, k=5)
         batch = targets(small_db)
         plain_results, plain_stats = engine.run_batch(key, SIM, batch)
@@ -93,8 +95,8 @@ class TestEngineDifferential:
 
 
 @pytest.fixture(scope="module")
-def tcp_server(small_searcher):
-    engine = repro.QueryEngine(small_searcher)
+def tcp_server(small_table, small_db):
+    engine = repro.QueryEngine(small_table, small_db)
     with serve_in_background(engine, max_wait_ms=1.0) as handle:
         yield handle.address
 
@@ -167,14 +169,14 @@ class TestServiceDifferential:
 
     @pytest.mark.parametrize("wire", ["ndjson", "binary"])
     def test_traced_rider_of_coalesced_batch(
-        self, small_searcher, small_db, wire
+        self, small_table, small_db, wire
     ):
         """Three pipelined kNN requests coalesce into one batch (50 ms
         window) and only the middle one asks for a trace: every answer
         is the direct ``knn_batch`` one, the trace comes from the packed
         kernels, and ``batch_index`` picks the rider's own ``search.knn``
         span out of the batch's three."""
-        engine = repro.QueryEngine(small_searcher)
+        engine = repro.QueryEngine(small_table, small_db)
         batch = targets(small_db)[:3]
         expected, expected_stats = engine.knn_batch(batch, SIM, k=5)
         accessed = [s.transactions_accessed for s in expected_stats]

@@ -34,8 +34,8 @@ def reconcile(trace, stats):
 
 
 @pytest.fixture(scope="module")
-def engine(small_searcher):
-    return QueryEngine(small_searcher)
+def engine(small_table, small_db):
+    return QueryEngine(small_table, small_db)
 
 
 class TestReconciliation:
@@ -82,7 +82,7 @@ class TestTraceShape:
             "op": "knn",
             "k": 4,
             "target_items": len(small_db[5]),
-            "entries_total": engine.searcher.table.num_entries_occupied,
+            "entries_total": engine.table.num_entries_occupied,
         }
 
     def test_bound_trajectory_is_monotone_in_pessimistic(self, engine, small_db):
@@ -164,7 +164,7 @@ def test_trace_replays_the_scan(
     methods', and nothing reaches the scalar loop."""
     _, db, table, queries = scan_instance(seed)
     searcher = SignatureTableSearcher(table, db)
-    engine = QueryEngine(searcher)
+    engine = QueryEngine(table, db)
     target = queries[0]
     with pytest.MonkeyPatch.context() as patch:
         forbid_scalar_loop(patch)
@@ -184,9 +184,7 @@ def test_trace_replays_the_scan(
     assert ([results], [stats]) == batch
     reconcile(trace, stats)
 
-    items, bound_sim, opts, order = searcher._prepare(
-        target, similarity, "optimistic"
-    )
+    items, bound_sim, opts, order = searcher._prepare(target, similarity)
     sims = searcher._all_similarities(items, bound_sim)
     scanned = [event for event in trace.events if event.action == "scanned"]
     entries = [event.entry for event in scanned]

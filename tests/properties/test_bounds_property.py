@@ -8,9 +8,10 @@ dominate every indexed transaction —
 
 and therefore ``f(x, y) <= f(M_opt, D_opt)`` for every monotone similarity
 function (Lemma 2.1).  If this ever fails, branch-and-bound pruning is
-unsound.  The summary bound must dominate every row too, never exceed the
-paper's bound, and come out of the batch and per-query calculators bit
-for bit.
+unsound.  The summary bound must dominate every row too and never exceed
+the paper's bound; a batch's row q must be the batch of target q alone
+bit for bit, and under the paper's bound the scalar reference's
+``f(M_opt, D_opt)``.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import (
     BatchBoundCalculator,
-    BoundCalculator,
     optimistic_distance,
     optimistic_matches,
 )
@@ -199,12 +199,12 @@ def test_summary_bound_dominates_rows_and_tightens_the_paper_bound(instance):
     summary = table.summary(db)
     bits = table.bits_matrix
     for target in targets:
-        calculator = BoundCalculator(scheme, target)
+        calculator = BatchBoundCalculator(scheme, [np.asarray(target, np.int64)])
         target_set = frozenset(target)
         for sim in sims:
             bound_sim = sim.bind(len(target_set))
-            paper = calculator.optimistic_similarity(bits, bound_sim)
-            tight = calculator.optimistic_similarity(bits, bound_sim, summary)
+            paper = calculator.optimistic_similarity(bits, [bound_sim])[0]
+            tight = calculator.optimistic_similarity(bits, [bound_sim], summary)[0]
             for entry in range(table.num_entries_occupied):
                 assert _at_most(tight[entry], paper[entry]), (sim, entry)
                 for tid in table.entry_tids(entry):
@@ -220,10 +220,14 @@ def test_summary_bound_dominates_rows_and_tightens_the_paper_bound(instance):
 @settings(max_examples=40, deadline=None)
 @given(summary_instances())
 def test_batch_summary_bounds_equal_the_per_query_calculator(instance):
+    """Row q of a Q-target batch is the one-target batch of target q,
+    with and without the summary; without it, every entry is ``f`` of
+    the scalar :func:`optimistic_matches` / :func:`optimistic_distance`."""
     scheme, db, targets, sims = instance
     table = SignatureTable.build(db, scheme)
     summary = table.summary(db)
     bits = table.bits_matrix
+    r = scheme.activation_threshold
     arrays = [np.asarray(t, dtype=np.int64) for t in targets]
     batch = BatchBoundCalculator(scheme, arrays)
     for sim in sims:
@@ -231,7 +235,17 @@ def test_batch_summary_bounds_equal_the_per_query_calculator(instance):
         for chosen in (None, summary):
             matrix = batch.optimistic_similarity(bits, bound_sims, chosen)
             for q, target in enumerate(arrays):
-                single = BoundCalculator(scheme, target).optimistic_similarity(
-                    bits, bound_sims[q], chosen
+                single = BatchBoundCalculator(scheme, [target]).optimistic_similarity(
+                    bits, [bound_sims[q]], chosen
                 )
-                np.testing.assert_array_equal(matrix[q], single)
+                np.testing.assert_array_equal(matrix[q], single[0])
+                if chosen is None:
+                    counts = scheme.activation_counts(target)
+                    scalar = np.array([
+                        (optimistic_matches(counts, row, r),
+                         optimistic_distance(counts, row, r))
+                        for row in bits
+                    ], dtype=np.float64)
+                    np.testing.assert_array_equal(
+                        matrix[q], bound_sims[q].evaluate(scalar[:, 0], scalar[:, 1])
+                    )

@@ -50,8 +50,7 @@ def _instance():
     )
     scheme = random_partition(_UNIVERSE, 5, activation_threshold=2, rng=4)
     table = SignatureTable.build(db, scheme)
-    searcher = SignatureTableSearcher(table, db)
-    return db, searcher, repro.QueryEngine(searcher)
+    return db, SignatureTableSearcher(table, db), repro.QueryEngine(table, db)
 
 
 _DB, _SEARCHER, _ENGINE = _instance()
@@ -175,8 +174,8 @@ def test_packed_trace_equals_python_trace(
     rng, db, table, batch = scan_instance(seed)
     mask = candidate_mask(rng, table, mask_kind)
     rows = np.flatnonzero(mask) if as_tids and mask is not None else mask
-    engine = repro.QueryEngine.for_table(table, db)
-    searcher = engine.searcher
+    engine = repro.QueryEngine(table, db)
+    searcher = SignatureTableSearcher(table, db)
     knn_key = batch_key("knn", similarity, k=k, guarantee_tolerance=tolerance)
     range_key = batch_key("range", similarity, threshold=threshold)
     knn_options = dict(k=k, guarantee_tolerance=tolerance)
@@ -212,7 +211,7 @@ def test_packed_trace_equals_python_trace(
 def aggregated_query(searcher, targets, similarity, aggregator):
     """A multi-target objective as one :class:`PreparedQuery`, from the
     searcher's own per-target bounds and similarities."""
-    prepared = [searcher._prepare(t, similarity, "optimistic") for t in targets]
+    prepared = [searcher._prepare(t, similarity) for t in targets]
     opts = aggregator(np.stack([opts for _, _, opts, _ in prepared]))
     sims = [searcher._all_similarities(items, bound) for items, bound, _, _ in prepared]
     return PreparedQuery(
@@ -231,7 +230,7 @@ class PreparedSearcher(SignatureTableSearcher):
         super().__init__(searcher.table, searcher.db)
         self.prepared = prepared
 
-    def _prepare(self, target, similarity, sort_by):
+    def _prepare(self, target, similarity):
         prepared = self.prepared
         return prepared.target_items, similarity, prepared.opts, prepared.order
 
@@ -291,8 +290,8 @@ def test_multi_queries_equal_searcher_oracle(
         aggregate = "mean"
         weights = rng.integers(0, 4, size=num_targets).astype(float)
         weights[0] += 1.0
-    engine = repro.QueryEngine.for_table(table, db)
-    searcher = engine.searcher
+    engine = repro.QueryEngine(table, db)
+    searcher = SignatureTableSearcher(table, db)
     oracle = aggregated_query(
         searcher, targets, similarity,
         target_aggregator(aggregate, num_targets, weights),

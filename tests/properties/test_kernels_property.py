@@ -231,7 +231,7 @@ def budget_fraction(searcher, target, similarity, mask, kind):
         return None
     if kind == "database":
         return 1.0
-    _, _, _, order = searcher._prepare(target, similarity, "optimistic")
+    _, _, _, order = searcher._prepare(target, similarity)
     rows = np.arange(n) if mask is None else np.flatnonzero(mask)
     counts = np.bincount(
         searcher.table.tid_entries[rows],
@@ -251,6 +251,7 @@ def budget_fraction(searcher, target, similarity, mask, kind):
 MASK_KINDS = ["none", "empty", "full", "few", "one_entry", "random"]
 BUDGET_KINDS = ["none", "one_row", "entry_boundary", "mid_entry", "database"]
 SIMILARITIES = [MatchCountSimilarity(), MatchRatioSimilarity(), JaccardSimilarity()]
+BOUNDS = ["summary", "paper"]
 
 
 class TestMaskedBudgetedScan:
@@ -266,14 +267,16 @@ class TestMaskedBudgetedScan:
         tolerance=st.sampled_from([None, 0.0, 0.25, 1.0, 40.0]),
         k=st.sampled_from([1, 3, 200]),  # 200 > any candidate count
         similarity=st.sampled_from(SIMILARITIES),  # matches: ties at the k-th
+        bounds=st.sampled_from(BOUNDS),
     )
     @settings(max_examples=150, deadline=None)
     def test_knn_equals_scalar_loop(
-        self, seed, mask_kind, as_tids, budget_kind, tolerance, k, similarity
+        self, seed, mask_kind, as_tids, budget_kind, tolerance, k, similarity,
+        bounds,
     ):
         rng, db, table, targets = scan_instance(seed)
-        searcher = SignatureTableSearcher(table, db)
-        packed = QueryEngine(searcher)
+        searcher = SignatureTableSearcher(table, db, bounds)
+        packed = QueryEngine(table, db, bounds)
         mask = candidate_mask(rng, table, mask_kind)
         fraction = budget_fraction(
             searcher, targets[0], similarity, mask, budget_kind
@@ -311,14 +314,15 @@ class TestMaskedBudgetedScan:
         as_tids=st.booleans(),
         threshold=st.sampled_from([0.0, 0.2, 0.5, 2.0]),
         similarity=st.sampled_from(SIMILARITIES),
+        bounds=st.sampled_from(BOUNDS),
     )
     @settings(max_examples=80, deadline=None)
     def test_range_equals_scalar_loop(
-        self, seed, mask_kind, as_tids, threshold, similarity
+        self, seed, mask_kind, as_tids, threshold, similarity, bounds
     ):
         rng, db, table, targets = scan_instance(seed)
-        searcher = SignatureTableSearcher(table, db)
-        packed = QueryEngine(searcher)
+        searcher = SignatureTableSearcher(table, db, bounds)
+        packed = QueryEngine(table, db, bounds)
         mask = candidate_mask(rng, table, mask_kind)
         candidates = (
             np.flatnonzero(mask) if as_tids and mask is not None else mask
@@ -384,7 +388,7 @@ class TestEndToEndEngineEquality:
         searcher = SignatureTableSearcher(table, db)
         targets = random_rows(rng, 6, universe)
         similarity = MatchRatioSimilarity()
-        engine = QueryEngine(searcher)
+        engine = QueryEngine(table, db)
         for k in (1, 5):
             results, stats = engine.knn_batch(targets, similarity, k=k)
             for target, hits, query_stats in zip(targets, results, stats):

@@ -225,8 +225,8 @@ class TestResultAndErrorFrames:
 # Live-server behaviour under corruption
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def engine(small_searcher):
-    return repro.QueryEngine(small_searcher)
+def engine(small_table, small_db):
+    return repro.QueryEngine(small_table, small_db)
 
 
 @pytest.fixture(scope="module")

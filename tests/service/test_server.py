@@ -40,8 +40,8 @@ class SlowEngine:
 
 
 @pytest.fixture(scope="module")
-def engine(small_searcher):
-    return repro.QueryEngine(small_searcher)
+def engine(small_table, small_db):
+    return repro.QueryEngine(small_table, small_db)
 
 
 @pytest.fixture(scope="module")
@@ -65,19 +65,21 @@ class TestDifferential:
         for record in result.records:
             assert record.neighbors == expected[record.query_index]
 
-    def test_range_query_identical_to_direct_searcher(self, engine, queries):
+    def test_range_query_identical_to_direct_searcher(
+        self, engine, small_searcher, queries
+    ):
         similarity = get_similarity("jaccard")
         with serve_in_background(engine) as handle:
             host, port = handle.address
             with ServiceClient(*handle.address) as client:
                 for items in queries[:6]:
                     served, _ = client.range_query(items, "jaccard", threshold=0.2)
-                    direct, _ = engine.searcher.range_query(
+                    direct, _ = small_searcher.range_query(
                         items, similarity, threshold=0.2
                     )
                     assert served == direct
 
-    def test_mixed_keys_on_one_connection(self, engine, queries):
+    def test_mixed_keys_on_one_connection(self, engine, small_searcher, queries):
         """Different k / similarity / op interleaved stay correct."""
         with serve_in_background(engine, max_batch_size=4, max_wait_ms=1.0) as handle:
             with ServiceClient(*handle.address) as client:
@@ -85,7 +87,7 @@ class TestDifferential:
                     for k in (1, 5):
                         for name in ("match_ratio", "hamming"):
                             served, _ = client.knn(items, name, k=k)
-                            direct, _ = engine.searcher.knn(
+                            direct, _ = small_searcher.knn(
                                 items, get_similarity(name), k=k
                             )
                             assert served == direct

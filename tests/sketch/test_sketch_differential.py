@@ -19,6 +19,7 @@ exact scan reads.
 import numpy as np
 import pytest
 
+from repro.core.search import SignatureTableSearcher
 from repro.core.similarity import get_similarity
 
 
@@ -78,7 +79,7 @@ class TestStructural:
         scalar searcher's stats under the probe mask, and in the engine's
         packed stats, which must equal the searcher's."""
         db, queries = sketch_corpus
-        searcher = sketched_engine.searcher
+        searcher = SignatureTableSearcher(sketched_engine.table, db)
         sketch = sketched_engine.sketch
         similarity = get_similarity("jaccard")
         scalar = []

@@ -7,6 +7,8 @@ These keep the codebase consistent without external tooling:
   only sanctioned exceptions);
 * no library module imports the test suite or the benchmarks;
 * public modules avoid ``from x import *``;
+* only the reference searcher's own module (and the package re-exports)
+  names ``SignatureTableSearcher``, and nothing names ``BoundCalculator``;
 * every repository path a document or docstring cites exists;
 * every API name ``docs/api.md`` tabulates exists;
 * every ``repro_*`` metric name the documents cite is registered.
@@ -94,6 +96,59 @@ class TestModuleHygiene:
                 assert root not in {"tests", "benchmarks", "pytest"}, (
                     f"{module_id(path)} imports {name}"
                 )
+
+
+def _named(tree: ast.Module, name: str):
+    """Lines where ``tree`` imports ``name`` or refers to it in code (a
+    call, an attribute, an argument), docstrings and comments aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == name for alias in node.names):
+                yield node.lineno
+        elif (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            yield node.lineno
+
+
+#: Where ``SignatureTableSearcher`` may be named: its module and the two
+#: package ``__init__`` re-exports.  Everything else queries the engine.
+SEARCHER_HOMES = {"repro/core/search.py", "repro/core/__init__.py", "repro/__init__.py"}
+
+
+class TestReferenceOnly:
+    def test_only_the_search_module_names_the_searcher(self):
+        """The scalar searcher is the test suites' reference, not a code
+        path: no other library module imports or calls it."""
+        offenders = [
+            f"{module_id(path)}:{line}"
+            for path in MODULES
+            if module_id(path) not in SEARCHER_HOMES
+            for line in _named(
+                ast.parse(path.read_text(encoding="utf-8")), "SignatureTableSearcher"
+            )
+        ]
+        assert not offenders, f"SignatureTableSearcher used at {offenders}"
+
+    def test_no_module_names_the_single_target_bound_calculator(self):
+        """One bound calculator: a single target is a batch of one."""
+        offenders = [
+            f"{module_id(path)}:{line}"
+            for path in MODULES
+            for line in _named(
+                ast.parse(path.read_text(encoding="utf-8")), "BoundCalculator"
+            )
+        ]
+        assert not offenders, f"BoundCalculator used at {offenders}"
+
+    def test_the_guard_sees_imports_and_calls_not_docstrings(self):
+        tree = ast.parse(
+            '"""Docstring naming SignatureTableSearcher."""\n'
+            "from repro.core.search import SignatureTableSearcher\n"
+            "import repro\n"
+            "repro.SignatureTableSearcher(table, db).knn(target, sim)\n"
+        )
+        assert list(_named(tree, "SignatureTableSearcher")) == [2, 4]
 
 
 class TestPublicApiSurface:
@@ -298,7 +353,7 @@ class TestFrozenBench:
         unit run, and not only in the bench smoke.  This is why
         ``SignatureTableSearcher`` stays in ``src/``: ``bench/layers.py``
         times its ``knn`` and ``bench/workloads.py`` builds one, until
-        the bench is rewritten (ROADMAP item 2)."""
+        the bench is rewritten (ROADMAP item 1)."""
         uses = list(_bench_uses())
         assert len(uses) > 20, "the bench imports were not found"
         missing = sorted(f"{name}: {what}" for name, what, ok in uses if not ok)
