@@ -293,16 +293,20 @@ def _render_top_frame(metrics: Dict[str, object], scope: str) -> str:
                 out += float(value)
         return out
 
+    def mean(name) -> float:
+        """A histogram's mean over every source: sums and counts add, so
+        a cluster scope's merge is exact."""
+        added, count = 0.0, 0.0
+        for sample in samples(name):
+            value = sample.get("value")
+            if isinstance(value, dict):
+                added += float(value.get("sum", 0.0))
+                count += float(value.get("count", 0.0))
+        return added / count if count else 0.0
+
     completed = total("repro_requests_completed_total")
     received = total("repro_requests_received_total")
-    lat_sum = 0.0
-    lat_count = 0.0
-    for sample in samples("repro_request_latency_seconds"):
-        value = sample.get("value")
-        if isinstance(value, dict):
-            lat_sum += float(value.get("sum", 0.0))
-            lat_count += float(value.get("count", 0.0))
-    mean_ms = 1000.0 * lat_sum / lat_count if lat_count else 0.0
+    mean_ms = 1000.0 * mean("repro_request_latency_seconds")
     lines = [
         f"repro top — scope {scope}",
         f"  requests: {completed:.0f} completed / {received:.0f} received"
@@ -321,6 +325,10 @@ def _render_top_frame(metrics: Dict[str, object], scope: str) -> str:
     depth = total("repro_queue_depth")
     batches = total("repro_batches_total")
     lines.append(f"  queue depth: {depth:.0f}, batches executed: {batches:.0f}")
+    lines.append(
+        f"  batching: mean batch size {mean('repro_batch_size'):.1f}, "
+        f"mean queue wait {1000.0 * mean('repro_batch_queue_wait_seconds'):.2f} ms"
+    )
     budget = samples("repro_slo_error_budget_remaining")
     if budget:
         parts = []
@@ -549,7 +557,6 @@ def _server_options(args: argparse.Namespace) -> Dict[str, object]:
         "host": args.host,
         "port": args.port,
         "max_batch_size": args.max_batch_size,
-        "max_wait_ms": args.max_wait_ms,
         "wire": args.wire,
         "profile_hz": args.profile_hz,
     }
@@ -631,8 +638,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _serve_forever(
             server,
             f"serving {args.live or args.database} ({served})",
-            f"  [max_batch_size={args.max_batch_size}, "
-            f"max_wait_ms={args.max_wait_ms:g}, max_queue={args.max_queue}]",
+            f"  [max_batch_size={args.max_batch_size}, max_queue={args.max_queue}]",
         )
         requests = server.metrics.snapshot()["requests"]
         print(
@@ -1100,9 +1106,6 @@ _GROUPS: Dict[str, list] = {
     "batcher": [
         _flag("--max-batch-size", type=int, default=32,
               help="flush a micro-batch at this many coalesced requests (default 32)"),
-        _flag("--max-wait-ms", type=float, default=2.0,
-              help="flush a micro-batch after its oldest request waited this "
-              "long (default 2 ms)"),
         _flag("--wire", choices=["auto", "ndjson"], default="auto",
               help="wire policy: 'auto' lets clients negotiate the binary "
               "frame protocol, 'ndjson' refuses it (default auto)"),

@@ -9,8 +9,9 @@ clients over a newline-delimited-JSON TCP protocol:
   codes;
 * :mod:`repro.service.frames` — the length-prefixed binary frame
   protocol a connection can negotiate instead (see ``docs/wire.md``);
-* :mod:`repro.service.batcher` — dynamic micro-batching with admission
-  control and per-request deadlines;
+* :mod:`repro.service.batcher` — work-conserving micro-batching (a
+  batch forms while the engine is busy) with admission control and
+  per-request deadlines;
 * :mod:`repro.service.metrics` — live counters behind the ``stats`` op;
 * :mod:`repro.service.server` — the asyncio TCP server with graceful
   drain (and :func:`serve_in_background` for in-process harnesses);
@@ -20,7 +21,7 @@ clients over a newline-delimited-JSON TCP protocol:
 Quickstart::
 
     engine = QueryEngine(table, db)
-    handle = serve_in_background(engine, max_batch_size=32, max_wait_ms=2.0)
+    handle = serve_in_background(engine, max_batch_size=32)
     host, port = handle.address
     with ServiceClient(host, port) as client:
         neighbors, stats = client.knn([3, 17, 42], "match_ratio", k=5)

@@ -13,11 +13,15 @@ de-multiplexed back to each caller unchanged (the engine guarantees
 per-query results identical to single-query execution, so coalescing is
 invisible to clients).
 
-A batch closes when it reaches ``max_batch_size`` *or* when its oldest
-request has waited ``max_wait_ms`` — the classic dynamic-batching
-trade-off: larger windows raise throughput under load, the wait bound
-caps the latency cost for a lone request (an idle server executes a
-single query after at most ``max_wait_ms``).
+The batcher is work-conserving: the window in which requests coalesce
+is however long the engine is busy, not a timer.  When no batch is
+executing, a new request's bucket flushes at the end of the current
+event-loop turn (``loop.call_soon``), so requests decoded in the same
+turn — a pipelined burst read off one socket — still ride together and
+a lone request on an idle server never waits.  While a batch executes,
+requests accumulate; when the last running batch completes, every open
+bucket flushes at once.  A bucket that reaches ``max_batch_size``
+flushes immediately whatever the engine is doing.
 
 Admission control is a hard bound on in-flight requests
 (queued + executing).  Beyond ``max_queue`` the batcher *rejects* with
@@ -40,7 +44,6 @@ import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import BatchKey, summarise_stats
@@ -61,7 +64,8 @@ class _Pending:
     future: "asyncio.Future"
     deadline: float
     # Observability: the request's tracer (None when untraced) and the
-    # perf_counter timestamp of admission, for the queue-wait span.
+    # perf_counter timestamp of admission, for the queue-wait span and
+    # histogram.
     tracer: Optional[Tracer] = None
     enqueued_s: float = 0.0
 
@@ -72,7 +76,6 @@ class _Bucket:
 
     similarity: SimilarityFunction
     items: List[_Pending] = field(default_factory=list)
-    timer: Optional["asyncio.TimerHandle"] = None
 
 
 class MicroBatcher:
@@ -87,8 +90,6 @@ class MicroBatcher:
         :class:`~repro.cluster.router.ClusterRouter`.
     max_batch_size:
         Flush a batch as soon as it holds this many requests.
-    max_wait_ms:
-        Flush a batch once its oldest request has waited this long.
     max_queue:
         Admission bound on in-flight requests (queued + executing);
         beyond it :meth:`submit` raises ``overloaded``.
@@ -97,7 +98,7 @@ class MicroBatcher:
     metrics:
         Shared :class:`~repro.service.metrics.ServiceMetrics`; the
         batcher records executed batches and exposes the queue-depth
-        gauge through it.
+        gauge through it, and observes every rider's queue wait.
     logger:
         Optional structured :class:`~repro.obs.log.JsonLogger`; disabled
         by default.  Flush events carry the correlation ids of every
@@ -108,7 +109,6 @@ class MicroBatcher:
         self,
         engine,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 1024,
         default_timeout_ms: float = 30_000.0,
         metrics: Optional[ServiceMetrics] = None,
@@ -116,18 +116,19 @@ class MicroBatcher:
     ) -> None:
         check_positive(max_batch_size, "max_batch_size")
         check_positive(max_queue, "max_queue")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         check_positive(default_timeout_ms, "default_timeout_ms")
         self._engine = engine
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_ms = float(max_wait_ms)
         self.max_queue = int(max_queue)
         self.default_timeout_ms = float(default_timeout_ms)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._log = logger if logger is not None else JsonLogger("batcher")
         self._buckets: Dict[BatchKey, _Bucket] = {}
         self._active: set = set()
+        # Batches flushed and not yet complete.  While it is above zero
+        # new requests accumulate; its fall to zero flushes them "ready".
+        self._running = 0
+        self._idle_flush: Optional["asyncio.Handle"] = None
         self._in_flight = 0
         self._draining = False
         self._executor = ThreadPoolExecutor(
@@ -205,27 +206,36 @@ class MicroBatcher:
         if bucket is None:
             bucket = _Bucket(similarity=pending.request.similarity)
             self._buckets[key] = bucket
-            bucket.timer = loop.call_later(
-                self.max_wait_ms / 1000.0, self._flush, key, "timer"
-            )
         bucket.items.append(pending)
         if len(bucket.items) >= self.max_batch_size:
             self._flush(key, "size")
+        elif not self._running and self._idle_flush is None:
+            # Idle engine: flush once this loop turn has admitted whatever
+            # else arrived with this request.
+            self._idle_flush = loop.call_soon(self._flush_idle)
+
+    def _flush_idle(self) -> None:
+        self._idle_flush = None
+        if not self._running:  # else a size flush started a batch first
+            self._flush_all("idle")
+
+    def _flush_all(self, reason: str) -> None:
+        for key in list(self._buckets):
+            self._flush(key, reason)
 
     # ------------------------------------------------------------------
     def _flush(self, key: BatchKey, reason: str = "size") -> None:
         """Close the open bucket for ``key`` and start executing it.
 
         ``reason`` records *why* the batch closed — ``"size"`` (it
-        reached ``max_batch_size``), ``"timer"`` (its oldest request
-        waited ``max_wait_ms``) or ``"drain"`` (shutdown flush) — and is
-        stamped on queue-wait spans and flush log lines.
+        reached ``max_batch_size``), ``"idle"`` (no batch was executing
+        when it opened), ``"ready"`` (the last executing batch completed)
+        or ``"drain"`` (shutdown flush) — and is stamped on queue-wait
+        spans and flush log lines.
         """
         bucket = self._buckets.pop(key, None)
         if bucket is None:
             return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
         now = time.monotonic()
         # Deadline-expired or abandoned requests are dropped *before*
         # execution; their waiters are unblocked by wait_for.
@@ -243,6 +253,7 @@ class MicroBatcher:
             )
         if not take:
             return
+        self._running += 1
         task = asyncio.get_running_loop().create_task(
             self._execute(key, bucket.similarity, take, reason)
         )
@@ -260,6 +271,7 @@ class MicroBatcher:
         targets = [p.request.items for p in take]
         flushed_s = time.perf_counter()
         traced = [p for p in take if p.tracer is not None]
+        self.metrics.record_queue_waits(flushed_s - p.enqueued_s for p in take)
         for index, p in enumerate(take):
             if p.tracer is not None:
                 # The engine records its per-query spans in batch order:
@@ -335,6 +347,12 @@ class MicroBatcher:
                 if not p.future.done():
                     p.future.set_exception(error)
             return
+        finally:
+            # Start the next batch before this one's riders are answered,
+            # so the engine works while the loop encodes their responses.
+            self._running -= 1
+            if not self._running:
+                self._flush_all("ready")
         if engine_tracer is not None:
             for root in engine_tracer.roots:
                 # Link the shared engine span back to every traced
@@ -355,8 +373,7 @@ class MicroBatcher:
         shut down and every admitted request has been answered.
         """
         self._draining = True
-        for key in list(self._buckets):
-            self._flush(key, "drain")
+        self._flush_all("drain")
         while self._active:
             await asyncio.gather(*list(self._active), return_exceptions=True)
             await asyncio.sleep(0)  # let done-callbacks prune the task set

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from collections import Counter as TallyCounter
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.engine import BatchSummary
 from repro.obs.registry import MetricRegistry
@@ -41,6 +41,12 @@ _REJECTION_REASONS = (
 #: Batch-size buckets for the exposition histogram (exact sizes are kept
 #: in ``batch_size_histogram`` alongside).
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+
+#: Queue-wait buckets (seconds): an idle server flushes within one loop
+#: turn, a busy one after the running batch, a few milliseconds.
+_QUEUE_WAIT_BUCKETS = (
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1, 1.0,
+)
 
 
 def percentile(
@@ -105,6 +111,11 @@ class ServiceMetrics:
             "repro_batch_size",
             "Coalesced batch sizes (queries per engine call)",
             buckets=_BATCH_SIZE_BUCKETS,
+        )
+        self._queue_wait = reg.histogram(
+            "repro_batch_queue_wait_seconds",
+            "Time each batched query waited between admission and its flush",
+            buckets=_QUEUE_WAIT_BUCKETS,
         )
         self._latency = reg.histogram(
             "repro_request_latency_seconds",
@@ -217,6 +228,11 @@ class ServiceMetrics:
         self._io_pages.inc(summary.io.pages_read)
         self._io_seeks.inc(summary.io.seeks)
 
+    def record_queue_waits(self, waits: Iterable[float]) -> None:
+        """The queue wait of every rider of one flushed batch, in seconds."""
+        for wait in waits:
+            self._queue_wait.observe(wait)
+
     # ------------------------------------------------------------------
     # Derived gauges
     # ------------------------------------------------------------------
@@ -304,6 +320,11 @@ class ServiceMetrics:
             "batching": {
                 "batches": batches,
                 "mean_batch_size": queries / batches if batches else 0.0,
+                "mean_queue_wait_ms": (
+                    1000.0 * self._queue_wait.sum / self._queue_wait.count
+                    if self._queue_wait.count
+                    else 0.0
+                ),
                 # JSON object keys must be strings.
                 "size_histogram": {
                     str(size): count

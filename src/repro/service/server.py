@@ -18,8 +18,10 @@ operations inline:
 
 Each connection's requests are served *concurrently*: the reader keeps
 pulling lines while earlier queries sit in the micro-batcher, so a
-single pipelining client already benefits from batching.  Responses
-carry the request ``id`` and may be written out of order.
+single pipelining client already benefits from batching: the queries
+decoded from one read ride one batch, and those that arrive while a
+batch executes ride the next.  Responses carry the request ``id`` and
+may be written out of order.
 
 Graceful shutdown (:meth:`QueryServer.shutdown`) stops admitting new
 queries, drains every in-flight batch, flushes pending response writes,
@@ -123,7 +125,7 @@ class QueryServer:
         and ``describe`` (merged into every ``stats``).
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`address`).
-    max_batch_size, max_wait_ms, max_queue, default_timeout_ms:
+    max_batch_size, max_queue, default_timeout_ms:
         Micro-batcher knobs, see
         :class:`~repro.service.batcher.MicroBatcher`.
     allow_remote_shutdown:
@@ -178,7 +180,6 @@ class QueryServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 1024,
         default_timeout_ms: float = 30_000.0,
         allow_remote_shutdown: bool = True,
@@ -228,7 +229,6 @@ class QueryServer:
         )
         self._batcher_options = dict(
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
             max_queue=max_queue,
             default_timeout_ms=default_timeout_ms,
         )

@@ -97,7 +97,7 @@ class TestEngineDifferential:
 @pytest.fixture(scope="module")
 def tcp_server(small_table, small_db):
     engine = repro.QueryEngine(small_table, small_db)
-    with serve_in_background(engine, max_wait_ms=1.0) as handle:
+    with serve_in_background(engine) as handle:
         yield handle.address
 
 
@@ -138,7 +138,7 @@ class TestServiceDifferential:
         assert root["attributes"]["correlation_id"] == correlation_id
         queue_wait = find_span(spans, "batcher.queue_wait")
         assert queue_wait["attributes"]["flush_reason"] in (
-            "size", "timer", "drain",
+            "size", "idle", "ready", "drain",
         )
         engine_span = find_span(spans, "engine.run_batch")
         # Acceptance criterion: the engine span links back to the
@@ -171,8 +171,9 @@ class TestServiceDifferential:
     def test_traced_rider_of_coalesced_batch(
         self, small_table, small_db, wire
     ):
-        """Three pipelined kNN requests coalesce into one batch (50 ms
-        window) and only the middle one asks for a trace: every answer
+        """Three pipelined kNN requests coalesce into one batch (they
+        are decoded in one loop turn) and only the middle one asks for a
+        trace: every answer
         is the direct ``knn_batch`` one, the trace comes from the packed
         kernels, and ``batch_index`` picks the rider's own ``search.knn``
         span out of the batch's three."""
@@ -188,7 +189,7 @@ class TestServiceDifferential:
                 similarity="match_ratio", k=5, **extra,
             )
 
-        with serve_in_background(engine, max_wait_ms=50.0) as handle:
+        with serve_in_background(engine) as handle:
             with RawWire(handle.address, wire) as conn:
                 conn.send(
                     message(1, batch[0]),

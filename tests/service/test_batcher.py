@@ -3,14 +3,19 @@
 The engine is stubbed — these tests pin down the *batching* semantics
 (what gets coalesced, rejected, timed out) independently of the search
 code; the end-to-end differential tests live in ``test_server.py``.
+A request stays queued only while a batch executes, so the tests that
+need one queued hold the engine busy with :class:`GatedEngine` rather
+than a timing window.
 """
 
 import asyncio
+import threading
 import time
 
 import pytest
 
 from repro.core.search import Neighbor, SearchStats
+from repro.obs.trace import Tracer
 from repro.service.batcher import MicroBatcher
 from repro.service.protocol import ProtocolError, parse_query
 
@@ -39,6 +44,38 @@ class StubEngine:
         return results, stats
 
 
+class GatedEngine(StubEngine):
+    """A :class:`StubEngine` whose ``run_batch`` blocks until
+    :meth:`release`: while it blocks, a batch is executing."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def release(self):
+        self.gate.set()
+
+    def run_batch(self, key, similarity, targets):
+        self.entered.set()
+        if not self.gate.wait(timeout=10.0):
+            raise RuntimeError("gate never released")
+        return super().run_batch(key, similarity, targets)
+
+
+async def hold(batcher, engine):
+    """Submit a blocker request ``[0]`` and return its task once its batch
+    is inside the engine, held there until ``engine.release()``."""
+    blocker = asyncio.ensure_future(batcher.submit(make_request([0])))
+    assert await asyncio.to_thread(engine.entered.wait, 10.0)
+    return blocker
+
+
+def flush_reason(tracer):
+    (queue_wait,) = [s for s in tracer.roots if s.name == "batcher.queue_wait"]
+    return queue_wait.attributes["flush_reason"]
+
+
 def make_request(items, k=5, similarity="match_ratio", timeout_ms=None, op="knn",
                  threshold=None):
     message = {"id": None, "op": op, "items": list(items), "similarity": similarity}
@@ -56,7 +93,7 @@ class TestCoalescing:
         engine = StubEngine()
 
         async def scenario():
-            batcher = MicroBatcher(engine, max_batch_size=8, max_wait_ms=10.0)
+            batcher = MicroBatcher(engine, max_batch_size=8)
             requests = [make_request([i, i + 1]) for i in range(4)]
             results = await asyncio.gather(
                 *(batcher.submit(r) for r in requests)
@@ -77,7 +114,7 @@ class TestCoalescing:
         engine = StubEngine()
 
         async def scenario():
-            batcher = MicroBatcher(engine, max_batch_size=8, max_wait_ms=10.0)
+            batcher = MicroBatcher(engine, max_batch_size=8)
             await asyncio.gather(
                 batcher.submit(make_request([1], k=3)),
                 batcher.submit(make_request([2], k=4)),
@@ -95,8 +132,8 @@ class TestCoalescing:
         engine = StubEngine()
 
         async def scenario():
-            # Timer far in the future: only the size bound can flush.
-            batcher = MicroBatcher(engine, max_batch_size=2, max_wait_ms=10_000.0)
+            # Four requests in one loop turn: only the size bound splits them.
+            batcher = MicroBatcher(engine, max_batch_size=2)
             await asyncio.gather(
                 *(batcher.submit(make_request([i])) for i in range(4))
             )
@@ -105,20 +142,67 @@ class TestCoalescing:
         asyncio.run(scenario())
         assert [len(targets) for _, targets in engine.calls] == [2, 2]
 
-    def test_single_request_released_by_the_wait_bound(self):
+    def test_lone_request_flushes_idle_without_a_timer(self):
+        """An idle engine runs a lone request at the end of the loop turn
+        that admitted it: the batcher schedules no delayed call."""
         engine = StubEngine()
 
         async def scenario():
-            batcher = MicroBatcher(engine, max_batch_size=64, max_wait_ms=5.0)
-            started = time.monotonic()
-            await batcher.submit(make_request([1, 2, 3]))
-            elapsed = time.monotonic() - started
-            await batcher.drain()
-            return elapsed
+            loop = asyncio.get_running_loop()
+            call_later = loop.call_later
+            delayed = []
 
-        elapsed = asyncio.run(scenario())
+            def counting(delay, callback, *args, **kwargs):
+                # asyncio.wait_for arms its own deadline timer; count the rest.
+                if not callback.__module__.startswith("asyncio"):
+                    delayed.append((delay, callback))
+                return call_later(delay, callback, *args, **kwargs)
+
+            loop.call_later = counting
+            batcher = MicroBatcher(engine, max_batch_size=64)
+            tracer = Tracer()
+            await batcher.submit(make_request([1, 2, 3]), tracer=tracer)
+            await batcher.drain()
+            return delayed, tracer
+
+        delayed, tracer = asyncio.run(scenario())
         assert len(engine.calls) == 1
-        assert elapsed < 5.0  # released by the 5 ms window, not the drain
+        assert delayed == []
+        assert flush_reason(tracer) == "idle"
+
+    def test_arrivals_during_a_batch_form_the_next_batch(self):
+        """Requests admitted while a batch executes accumulate, whatever
+        loop turns they arrive in, and flush together ``ready`` when the
+        running batch completes."""
+        engine = GatedEngine()
+
+        async def scenario():
+            batcher = MicroBatcher(engine, max_batch_size=64)
+            blocker = await hold(batcher, engine)
+            tracers = [Tracer() for _ in range(3)]
+            riders = []
+            for i, tracer in enumerate(tracers, start=1):
+                riders.append(asyncio.ensure_future(
+                    batcher.submit(make_request([i]), tracer=tracer)
+                ))
+                await asyncio.sleep(0.01)
+            assert len(engine.calls) == 0  # still held
+            engine.release()
+            await asyncio.gather(blocker, *riders)
+            await batcher.drain()
+            return tracers, batcher.metrics
+
+        tracers, metrics = asyncio.run(scenario())
+        assert [targets for _, targets in engine.calls] == [
+            [[0]], [[1], [2], [3]],
+        ]
+        assert [flush_reason(t) for t in tracers] == ["ready"] * 3
+        # Every rider's queue wait is observed once, the blocker's too.
+        (waits,) = metrics.registry.to_json()[
+            "repro_batch_queue_wait_seconds"
+        ]["samples"]
+        assert waits["value"]["count"] == 4
+        assert metrics.snapshot()["batching"]["mean_queue_wait_ms"] > 0.0
 
 
 class TestAdmissionControl:
@@ -127,7 +211,7 @@ class TestAdmissionControl:
 
         async def scenario():
             batcher = MicroBatcher(
-                engine, max_batch_size=1, max_wait_ms=0.0, max_queue=2
+                engine, max_batch_size=1, max_queue=2
             )
             outcomes = await asyncio.gather(
                 *(batcher.submit(make_request([i])) for i in range(4)),
@@ -150,7 +234,7 @@ class TestAdmissionControl:
 
         async def scenario():
             batcher = MicroBatcher(
-                engine, max_batch_size=1, max_wait_ms=0.0, max_queue=1
+                engine, max_batch_size=1, max_queue=1
             )
             for i in range(3):  # sequential: never more than 1 in flight
                 await batcher.submit(make_request([i]))
@@ -163,26 +247,29 @@ class TestAdmissionControl:
 
 class TestDeadlines:
     def test_expired_while_queued_never_executes(self):
-        engine = StubEngine()
+        engine = GatedEngine()
 
         async def scenario():
-            # Window much longer than the deadline: the request expires
+            # The engine is held past the deadline: the request expires
             # in the bucket and must not reach the engine.
-            batcher = MicroBatcher(engine, max_batch_size=64, max_wait_ms=500.0)
+            batcher = MicroBatcher(engine, max_batch_size=64)
+            blocker = await hold(batcher, engine)
             with pytest.raises(ProtocolError) as excinfo:
                 await batcher.submit(make_request([1], timeout_ms=20))
+            engine.release()
+            await blocker
             await batcher.drain()
             return excinfo.value
 
         error = asyncio.run(scenario())
         assert error.code == "timeout"
-        assert engine.calls == []
+        assert [targets for _, targets in engine.calls] == [[[0]]]
 
     def test_expired_mid_execution_unblocks_the_waiter(self):
         engine = StubEngine(delay=0.2)
 
         async def scenario():
-            batcher = MicroBatcher(engine, max_batch_size=1, max_wait_ms=0.0)
+            batcher = MicroBatcher(engine, max_batch_size=1)
             started = time.monotonic()
             with pytest.raises(ProtocolError) as excinfo:
                 await batcher.submit(make_request([1], timeout_ms=30))
@@ -198,7 +285,7 @@ class TestDeadlines:
         engine = StubEngine(delay=0.05)
 
         async def scenario():
-            batcher = MicroBatcher(engine, max_batch_size=2, max_wait_ms=50.0)
+            batcher = MicroBatcher(engine, max_batch_size=2)
             outcomes = await asyncio.gather(
                 batcher.submit(make_request([1], timeout_ms=10)),
                 batcher.submit(make_request([2, 3], timeout_ms=5_000)),
@@ -219,7 +306,7 @@ class TestFailureAndDrain:
         engine = StubEngine(fail=True)
 
         async def scenario():
-            batcher = MicroBatcher(engine, max_batch_size=2, max_wait_ms=1.0)
+            batcher = MicroBatcher(engine, max_batch_size=2)
             outcomes = await asyncio.gather(
                 batcher.submit(make_request([1])),
                 batcher.submit(make_request([2])),
@@ -235,30 +322,39 @@ class TestFailureAndDrain:
         )
 
     def test_drain_completes_inflight_then_rejects_new(self):
-        engine = StubEngine()
+        engine = GatedEngine()
 
         async def scenario():
-            batcher = MicroBatcher(engine, max_batch_size=64, max_wait_ms=5_000.0)
-            # Queued but not yet flushed (the window is 5 s): drain must
+            batcher = MicroBatcher(engine, max_batch_size=64)
+            blocker = await hold(batcher, engine)
+            # Queued but not yet flushed (the engine is held): drain must
             # flush and answer it rather than drop it.
-            pending = asyncio.ensure_future(batcher.submit(make_request([9])))
+            tracer = Tracer()
+            pending = asyncio.ensure_future(
+                batcher.submit(make_request([9]), tracer=tracer)
+            )
             await asyncio.sleep(0.01)
-            await batcher.drain()
+            draining = asyncio.ensure_future(batcher.drain())
+            await asyncio.sleep(0.01)
+            engine.release()
+            await draining
+            await blocker
             neighbors, _ = await pending
             with pytest.raises(ProtocolError) as excinfo:
                 await batcher.submit(make_request([1]))
-            return neighbors, excinfo.value
+            return neighbors, excinfo.value, tracer
 
-        neighbors, error = asyncio.run(scenario())
+        neighbors, error, tracer = asyncio.run(scenario())
         assert neighbors == [Neighbor(tid=1, similarity=9.0)]
         assert error.code == "shutting_down"
-        assert len(engine.calls) == 1
+        assert flush_reason(tracer) == "drain"
+        assert [targets for _, targets in engine.calls] == [[[0]], [[9]]]
 
     def test_metrics_see_batches_and_queue_depth(self):
         engine = StubEngine()
 
         async def scenario():
-            batcher = MicroBatcher(engine, max_batch_size=4, max_wait_ms=5.0)
+            batcher = MicroBatcher(engine, max_batch_size=4)
             await asyncio.gather(
                 *(batcher.submit(make_request([i])) for i in range(4))
             )

@@ -54,7 +54,7 @@ class TestDifferential:
         """Acceptance criterion: served results == direct engine calls."""
         similarity = get_similarity("match_ratio")
         expected, _ = engine.knn_batch(queries, similarity, k=7)
-        with serve_in_background(engine, max_batch_size=8, max_wait_ms=2.0) as handle:
+        with serve_in_background(engine, max_batch_size=8) as handle:
             host, port = handle.address
             result = run_load(
                 host, port, queries, similarity="match_ratio", k=7,
@@ -81,7 +81,7 @@ class TestDifferential:
 
     def test_mixed_keys_on_one_connection(self, engine, small_searcher, queries):
         """Different k / similarity / op interleaved stay correct."""
-        with serve_in_background(engine, max_batch_size=4, max_wait_ms=1.0) as handle:
+        with serve_in_background(engine, max_batch_size=4) as handle:
             with ServiceClient(*handle.address) as client:
                 for items in queries[:4]:
                     for k in (1, 5):
@@ -97,7 +97,7 @@ class TestOverloadAndTimeouts:
     def test_overload_rejections_are_structured_and_counted(self, engine, queries):
         slow = SlowEngine(engine, delay=0.05)
         with serve_in_background(
-            slow, max_batch_size=1, max_wait_ms=0.0, max_queue=2
+            slow, max_batch_size=1, max_queue=2
         ) as handle:
             host, port = handle.address
             result = run_load(
@@ -116,7 +116,7 @@ class TestOverloadAndTimeouts:
 
     def test_deadline_expiry_returns_timeout(self, engine, queries):
         slow = SlowEngine(engine, delay=0.3)
-        with serve_in_background(slow, max_batch_size=1, max_wait_ms=0.0) as handle:
+        with serve_in_background(slow, max_batch_size=1) as handle:
             with ServiceClient(*handle.address) as client:
                 with pytest.raises(ServiceError) as excinfo:
                     client.knn(queries[0], k=3, timeout_ms=30)
@@ -129,7 +129,7 @@ class TestStatsEndpoint:
     def test_counters_and_index_info(self, engine, queries):
         info = {"dataset": "small_db", "num_signatures": 6}
         with serve_in_background(
-            engine, max_batch_size=4, max_wait_ms=1.0, index_info=info
+            engine, max_batch_size=4, index_info=info
         ) as handle:
             host, port = handle.address
             run_load(host, port, queries, k=5, concurrency=4, total_requests=16)
@@ -250,7 +250,7 @@ class TestWireErrors:
             message(2, [bad_item]),
             message(3, queries[1]),
         ]
-        with serve_in_background(engine, max_wait_ms=50.0) as handle:
+        with serve_in_background(engine) as handle:
             with RawWire(handle.address, wire) as conn:
                 conn.send(*batch)
                 replies = {r["id"]: r for r in (conn.read(), conn.read(), conn.read())}

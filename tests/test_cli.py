@@ -47,11 +47,15 @@ def table_path(dataset_path, tmp_path_factory):
 #: ``surface(build_parser())`` at that commit.
 SURFACE_SNAPSHOT = Path(__file__).with_name("cli_surface.json")
 
-#: The two options PR 24 removed on purpose; nothing else may differ.
+#: The options removed on purpose since that snapshot; nothing else may
+#: differ.
 REMOVED_OPTIONS = {
     ("serve", "--kernel"),
     ("metrics", "--scope"),
     ("explain", "--sort-by"),
+    ("serve", "--max-wait-ms"),
+    ("node", "--max-wait-ms"),
+    ("router", "--max-wait-ms"),
 }
 
 
@@ -142,7 +146,7 @@ class TestSurface:
         # node/router declared the batcher flags bare; they now inherit
         # serve's descriptions.
         for command in ("node", "router"):
-            for name in ("--max-batch-size", "--max-wait-ms", "--wire"):
+            for name in ("--max-batch-size", "--wire"):
                 assert current[command][name]["help"] == current["serve"][name]["help"]
                 assert current[command][name]["help"]
 
@@ -206,6 +210,26 @@ class TestParser:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestTopFrame:
+    def test_batching_means_merge_exactly_across_sources(self):
+        """Mean batch size and queue wait come from the histograms' sums
+        and counts added over every source, not from per-source means."""
+
+        def histogram(*per_source):
+            return {"samples": [
+                {"labels": {"source": source}, "value": {"sum": total, "count": n}}
+                for source, total, n in per_source
+            ]}
+
+        frame = cli._render_top_frame({
+            "repro_batch_size": histogram(("s0", 30.0, 10), ("s1", 2.0, 2)),
+            "repro_batch_queue_wait_seconds": histogram(
+                ("s0", 0.010, 10), ("s1", 0.006, 2)
+            ),
+        }, "cluster")
+        assert "  batching: mean batch size 2.7, mean queue wait 1.33 ms" in frame
 
 
 class TestGenerate:

@@ -214,7 +214,7 @@ class TestFrozenService:
     def test_banner(self, frozen):
         assert frozen.banner.startswith("serving ")
         assert "(2000 transactions, frozen) on 127.0.0.1:" in frozen.banner
-        assert "[max_batch_size=32, max_wait_ms=2, max_queue=1024]" in frozen.banner
+        assert "[max_batch_size=32, max_queue=1024]" in frozen.banner
 
     def test_ping_waits_until_ready(self, frozen, capsys):
         line = f"client ping --port {frozen.port} --wait-ready"
@@ -282,6 +282,7 @@ class TestFrozenService:
         out = ok(capsys, f"top --port {frozen.port} --once")
         assert out.startswith("repro top — scope self\n")
         assert "completed" in out and "queue depth" in out
+        assert "mean queue wait" in out
 
     def test_profile_one_shot(self, frozen, capsys):
         code, _, err = run(capsys, f"profile --port {frozen.port} --duration 0.2")
@@ -339,10 +340,10 @@ class TestWirePolicy:
         _, db, table = corpus
         server = Served(
             f"serve {db} {table} --wire ndjson --no-remote-shutdown "
-            "--max-batch-size 8 --max-wait-ms 1 --max-queue 64 --timeout-ms 5000"
+            "--max-batch-size 8 --max-queue 64 --timeout-ms 5000"
         )
         try:
-            assert "[max_batch_size=8, max_wait_ms=1, max_queue=64]" in server.banner
+            assert "[max_batch_size=8, max_queue=64]" in server.banner
             ping = f"client ping --port {server.port}"
             code, _, err = run(capsys, ping + " --wire binary")
             assert code == 1 and "[bad_request]" in err
